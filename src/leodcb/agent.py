@@ -4,25 +4,27 @@ target network, scalarized TD learning under a task weight vector."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import neural
-from .env import DcbUplinkEnv
-from .errors import ConfigError, StateError
+from .env import DcbUplinkEnv, legitimate_masks
+from .errors import ConfigError, DomainError, StateError
 from .neural import AdamState, QNetworkParams
 
 STATE_DIM = 2  # (slot / T, prev_satellite / N_L)
 
 
-@dataclass(frozen=True, eq=False)
-class Transition:
-    state: np.ndarray           # encoding at decision time
-    action: int                 # flat action index, legitimate when taken
-    reward: np.ndarray          # 3-component reward vector
-    next_state: np.ndarray
-    next_mask: np.ndarray       # legitimate-action mask of the NEXT state
-    terminal: bool
+class ReplayBatch(NamedTuple):
+    """Transitions as row-aligned arrays, one row per transition."""
+
+    state: np.ndarray           # (n, STATE_DIM) encodings at decision time
+    action: np.ndarray          # (n,) flat action indices, legitimate when taken
+    reward: np.ndarray          # (n, 3) reward vectors
+    next_state: np.ndarray      # (n, STATE_DIM)
+    next_available: np.ndarray  # (n, N_L) satellite availability of the next state
+    terminal: np.ndarray        # (n,) bools
 
 
 @dataclass
@@ -49,32 +51,56 @@ class AgentConfig:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO experience store with uniform sampling."""
+    """Fixed-capacity FIFO experience store with uniform sampling.
+
+    The i-th pushed transition is row i % capacity of a ``ReplayBatch`` of
+    arrays, whose shapes and dtypes come from the first push. The arrays
+    double in length until they reach the capacity, so a buffer (and each
+    copy of it) holds about as many rows as it has filled.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._items: list[Transition] = []
+        self._rows: ReplayBatch | None = None
+        self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
-    def push(self, transition: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
-        else:
-            self._items[self._cursor] = transition
-            self._cursor = (self._cursor + 1) % self.capacity
+    def push(self, *transition) -> None:
+        """Store one transition, given as the ``ReplayBatch`` fields in order."""
+        if self._rows is None:
+            self._rows = ReplayBatch(*(
+                np.zeros((0, *np.shape(value)), np.asarray(value).dtype)
+                for value in transition
+            ))
+        if self._cursor == len(self._rows.state):
+            rows = min(self.capacity, 2 * self._cursor + 1)
+            self._rows = ReplayBatch(*(_with_rows(column, rows) for column in self._rows))
+        for column, value in zip(self._rows, transition):
+            column[self._cursor] = value
+        self._cursor = (self._cursor + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        idx = rng.choice(len(self._items), size=batch_size, replace=False)
-        return [self._items[i] for i in idx]
+    def sample(self, batch_size: int, rng: np.random.Generator) -> ReplayBatch:
+        idx = rng.choice(self._size, size=batch_size, replace=False)
+        return ReplayBatch(*(column[idx] for column in self._rows))
 
     def copy(self) -> "ReplayBuffer":
+        """Independent copy of the filled rows."""
         clone = ReplayBuffer(self.capacity)
-        clone._items = list(self._items)    # transitions are immutable
+        if self._rows is not None:
+            clone._rows = ReplayBatch(*(column[: self._size].copy() for column in self._rows))
+        clone._size = self._size
         clone._cursor = self._cursor
         return clone
+
+
+def _with_rows(column: np.ndarray, rows: int) -> np.ndarray:
+    grown = np.zeros((rows, *column.shape[1:]), column.dtype)
+    grown[: len(column)] = column
+    return grown
 
 
 def select_action(
@@ -98,21 +124,19 @@ def select_action(
 
 
 def td_targets(
-    batch: list[Transition],
+    batch: ReplayBatch,
     target_params: QNetworkParams,
     weight: np.ndarray,
     gamma: float,
 ) -> np.ndarray:
-    """Scalarized one-step targets with the max over the stored next mask."""
-    rewards = np.stack([t.reward for t in batch]) @ np.asarray(weight, dtype=float)
-    next_states = np.stack([t.next_state for t in batch])
-    next_masks = np.stack([t.next_mask for t in batch])
-    terminal = np.array([t.terminal for t in batch])
-    _, _, next_q = neural.forward(target_params, next_states)
-    masked = np.where(next_masks, next_q, -np.inf)
-    best_next = masked.max(axis=1)
-    best_next = np.where(terminal | ~next_masks.any(axis=1), 0.0, best_next)
-    return rewards + gamma * best_next * (~terminal)
+    """Scalarized one-step targets, maximized over the next state's
+    legitimate actions; terminal transitions bootstrap nothing."""
+    rewards = batch.reward @ np.asarray(weight, dtype=float)
+    n_schemes = (target_params.n_actions - 1) // batch.next_available.shape[1]
+    legit = legitimate_masks(batch.next_available, n_schemes)
+    _, _, next_q = neural.forward(target_params, batch.next_state)
+    best_next = np.where(legit, next_q, -np.inf).max(axis=1)
+    return rewards + gamma * np.where(batch.terminal, 0.0, best_next)
 
 
 @dataclass(eq=False)
@@ -171,14 +195,8 @@ class EnhancedD3qnAgent:
             action = select_action(self.params, encoding, mask, eps, self.rng)
             state, reward, done = env.step(env.action_from_index(action))
             self.replay.push(
-                Transition(
-                    state=encoding,
-                    action=action,
-                    reward=reward.as_array(),
-                    next_state=env.encode_state(state),
-                    next_mask=env.legitimate_mask(),
-                    terminal=done,
-                )
+                encoding, action, reward.as_array(),
+                env.encode_state(state), env.current_mask, done,
             )
 
     def train_iteration(self, env: DcbUplinkEnv, weight: np.ndarray) -> None:
@@ -192,55 +210,49 @@ class EnhancedD3qnAgent:
             batch = self.replay.sample(cfg.batch_size, self.rng)
             targets = td_targets(batch, self.target_params, weight, cfg.gamma)
             grads, self.last_loss = neural.backward(
-                self.params,
-                np.stack([t.state for t in batch]),
-                np.array([t.action for t in batch]),
-                targets,
+                self.params, batch.state, batch.action, targets
             )
             neural.clip_gradients(grads, cfg.max_grad_norm)
             neural.adam_step(self.params, grads, self.adam, cfg.learning_rate)
             self.grad_steps_done += 1
             if self.grad_steps_done % cfg.target_sync_period == 0:
-                self.target_params = self.params.clone()
+                self.target_params.flat[:] = self.params.flat
         self.iteration += 1
 
 
 def save_agent_state(path, agent: EnhancedD3qnAgent) -> None:
-    """Resumable per-task checkpoint: params, target, Adam, schedule position.
+    """Fault-recovery dump of one agent: network sizes, parameters, target
+    parameters, Adam moments and step, and the schedule counters.
 
-    The replay buffer is deliberately not persisted; resuming refills it.
+    The replay buffer and the RNG state are not stored, so training
+    restarted from a dump does not reproduce the uninterrupted run.
     """
-    payload = {
-        "iteration": np.array(agent.iteration),
-        "grad_steps_done": np.array(agent.grad_steps_done),
-        "epsilon": np.array(agent.epsilon()),
-        "adam_step": np.array(agent.adam.step),
-    }
-    for i, tensor in enumerate(agent.params.tensors()):
-        payload[f"param_{i}"] = tensor
-    for i, tensor in enumerate(agent.target_params.tensors()):
-        payload[f"target_{i}"] = tensor
-    for i, (m, v) in enumerate(zip(agent.adam.first_moments, agent.adam.second_moments)):
-        payload[f"adam_m_{i}"] = m
-        payload[f"adam_v_{i}"] = v
-    np.savez(path, **payload)
+    np.savez(
+        path,
+        sizes=np.array(agent.params.sizes),
+        iteration=np.array(agent.iteration),
+        grad_steps_done=np.array(agent.grad_steps_done),
+        adam_step=np.array(agent.adam.step),
+        params=agent.params.flat,
+        target=agent.target_params.flat,
+        adam_m=agent.adam.first_moment,
+        adam_v=agent.adam.second_moment,
+    )
 
 
 def load_agent_state(path, agent: EnhancedD3qnAgent) -> EnhancedD3qnAgent:
-    """Restore a checkpoint into a freshly created agent of matching shape."""
+    """Restore a dump into a freshly created agent of matching sizes."""
     with np.load(path) as data:
+        sizes = tuple(data["sizes"].tolist())
+        if sizes != agent.params.sizes:
+            raise DomainError(f"dump network sizes {sizes} != {agent.params.sizes}")
         agent.iteration = int(data["iteration"])
         agent.grad_steps_done = int(data["grad_steps_done"])
         agent.adam.step = int(data["adam_step"])
-        for i, tensor in enumerate(agent.params.tensors()):
-            tensor[:] = data[f"param_{i}"]
-        for i, tensor in enumerate(agent.target_params.tensors()):
-            tensor[:] = data[f"target_{i}"]
-        for i, (m, v) in enumerate(
-            zip(agent.adam.first_moments, agent.adam.second_moments)
-        ):
-            m[:] = data[f"adam_m_{i}"]
-            v[:] = data[f"adam_v_{i}"]
+        agent.params.flat[:] = data["params"]
+        agent.target_params.flat[:] = data["target"]
+        agent.adam.first_moment[:] = data["adam_m"]
+        agent.adam.second_moment[:] = data["adam_v"]
     return agent
 
 

@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     base_p.add_argument("--kind", choices=[k.value for k in BaselineKind], required=True)
     _add_scenario_arg(base_p)
     base_p.add_argument("--seed", type=int, default=0)
-    base_p.add_argument("--out", default=None)
+    base_p.add_argument("--out", default=None, help=f"output dir (default ${OUT_DIR_ENV} or ./out)")
 
     eval_p = sub.add_parser("evaluate", help="replay a frozen policy under scenario overrides")
     eval_p.add_argument("--checkpoint", required=True)
@@ -115,12 +115,11 @@ def _baseline_command(args) -> int:
     ledger = run_baseline_episode(kind, scenario, args.seed)
     f1, f2, f3 = episode_objectives(ledger, scenario.n_slots, scenario.slot_seconds)
     print(f"{kind.value}: f1={f1:.4g} bps  f2={f2:.4g} J  f3={f3:.4g}")
-    if args.out:
-        out = Path(args.out or _default_out())
-        out.mkdir(parents=True, exist_ok=True)
-        trace_path = out / f"{kind.value}_seed{args.seed}.csv"
-        write_trace(trace_path, ledger)
-        print(f"trace: {trace_path}")
+    out = Path(args.out or _default_out())
+    out.mkdir(parents=True, exist_ok=True)
+    trace_path = out / f"{kind.value}_seed{args.seed}.csv"
+    write_trace(trace_path, ledger)
+    print(f"trace: {trace_path}")
     return 0
 
 

@@ -278,9 +278,12 @@ def run(
     streams of the master seed. Tasks train sequentially in task order;
     they are mutually independent, so this matches any parallel schedule.
 
-    If ``checkpoint_dir`` is given and any generation fails, per-task
-    resumable checkpoints plus a crash manifest are written there before
-    the error propagates.
+    If ``checkpoint_dir`` is given and any generation fails, a fault-recovery
+    dump is written there before the error propagates: each offspring
+    task's agent state (see ``agent.save_agent_state``) and a manifest with
+    the failed generation and the archive size. Replay buffers, RNG
+    states, the population and the archive are not stored, so the dump
+    cannot resume the run.
     """
     master = scenario.master_seed
     weights = generate_weights(config.n_tasks)
@@ -351,7 +354,7 @@ def run(
 
 
 def _dump_crash_checkpoint(checkpoint_dir, generation, tasks, archive) -> None:
-    """Persist enough state to resume a failed run by hand."""
+    """Write each task's agent state and a crash manifest under ``checkpoint_dir``."""
     from pathlib import Path
 
     from .agent import save_agent_state

@@ -102,6 +102,17 @@ def legitimate_actions(mask: np.ndarray, n_schemes: int) -> list[MomdpAction]:
     ]
 
 
+def legitimate_masks(available: np.ndarray, n_schemes: int) -> np.ndarray:
+    """Flat-action masks for rows of satellite availability.
+
+    Every scheme block repeats the row's availability, so action
+    (k - 1) * N_L + (s - 1) is legitimate iff satellite s is; IDLE, the
+    last index, is legitimate iff no satellite is.
+    """
+    idle = ~available.any(axis=1, keepdims=True)
+    return np.concatenate([np.tile(available, n_schemes), idle], axis=1)
+
+
 class DcbUplinkEnv:
     """Single-owner environment instance over one scenario.
 
@@ -286,14 +297,7 @@ class DcbUplinkEnv:
 
     def legitimate_mask(self) -> np.ndarray:
         """Boolean mask over the flat action space for the current slot."""
-        mask = np.zeros(self.n_actions, dtype=bool)
-        avail = self.current_mask
-        if avail.any():
-            for k in range(self.n_schemes):
-                mask[k * self.n_satellites : (k + 1) * self.n_satellites] = avail
-        else:
-            mask[self.idle_index] = True
-        return mask
+        return legitimate_masks(self.current_mask[None, :], self.n_schemes)[0]
 
     def legitimate_actions(self) -> list[MomdpAction]:
         return legitimate_actions(self.current_mask, self.n_schemes)

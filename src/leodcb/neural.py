@@ -8,6 +8,7 @@ minimizes the mean squared TD error on the combined Q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,43 +18,43 @@ from .errors import DomainError
 FORMAT_VERSION = 1
 
 
-@dataclass(eq=False)
 class QNetworkParams:
-    trunk_weights: list[np.ndarray]
-    trunk_biases: list[np.ndarray]
-    value_weight: np.ndarray    # (width, 1)
-    value_bias: np.ndarray      # (1,)
-    adv_weight: np.ndarray      # (width, n_actions)
-    adv_bias: np.ndarray        # (n_actions,)
+    """Network parameters as views into one contiguous float64 vector.
+
+    ``sizes`` is (input_dim, *hidden_sizes, n_actions). ``flat`` holds each
+    trunk layer's weight then bias, then the value weight and bias, then
+    the advantage weight and bias, each row-major; the named tensors are
+    views into it, so writing either side changes both.
+    """
+
+    def __init__(self, sizes, flat: np.ndarray | None = None):
+        self.sizes = tuple(int(s) for s in sizes)
+        dims, n_actions = self.sizes[:-1], self.sizes[-1]
+        shapes = []
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            shapes += [(fan_in, fan_out), (fan_out,)]
+        shapes += [(dims[-1], 1), (1,), (dims[-1], n_actions), (n_actions,)]
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        self.flat = np.zeros(ends[-1]) if flat is None else flat
+        pieces = np.split(self.flat, ends[:-1])
+        views = [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
+        self.trunk_weights = views[0:-4:2]
+        self.trunk_biases = views[1:-4:2]
+        self.value_weight, self.value_bias, self.adv_weight, self.adv_bias = views[-4:]
 
     @property
     def input_dim(self) -> int:
-        return self.trunk_weights[0].shape[0]
+        return self.sizes[0]
 
     @property
     def n_actions(self) -> int:
-        return self.adv_weight.shape[1]
-
-    def tensors(self) -> list[np.ndarray]:
-        """All parameter arrays in a fixed order."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.trunk_weights, self.trunk_biases):
-            out.extend((w, b))
-        out.extend((self.value_weight, self.value_bias, self.adv_weight, self.adv_bias))
-        return out
+        return self.sizes[-1]
 
     def clone(self) -> "QNetworkParams":
-        return QNetworkParams(
-            trunk_weights=[w.copy() for w in self.trunk_weights],
-            trunk_biases=[b.copy() for b in self.trunk_biases],
-            value_weight=self.value_weight.copy(),
-            value_bias=self.value_bias.copy(),
-            adv_weight=self.adv_weight.copy(),
-            adv_bias=self.adv_bias.copy(),
-        )
+        return QNetworkParams(self.sizes, self.flat.copy())
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(t)) for t in self.tensors())
+        return bool(np.isfinite(self.flat).all())
 
 
 def init_params(
@@ -65,34 +66,12 @@ def init_params(
     """Xavier-uniform initialization for the tanh trunk and linear heads."""
     if not hidden_sizes:
         raise DomainError("at least one hidden layer is required")
-
-    def xavier(fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-    dims = [input_dim, *hidden_sizes]
-    trunk_w = [xavier(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    trunk_b = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    width = dims[-1]
-    return QNetworkParams(
-        trunk_weights=trunk_w,
-        trunk_biases=trunk_b,
-        value_weight=xavier(width, 1),
-        value_bias=np.zeros(1),
-        adv_weight=xavier(width, n_actions),
-        adv_bias=np.zeros(n_actions),
-    )
-
-
-def zeros_like_params(params: QNetworkParams) -> QNetworkParams:
-    return QNetworkParams(
-        trunk_weights=[np.zeros_like(w) for w in params.trunk_weights],
-        trunk_biases=[np.zeros_like(b) for b in params.trunk_biases],
-        value_weight=np.zeros_like(params.value_weight),
-        value_bias=np.zeros_like(params.value_bias),
-        adv_weight=np.zeros_like(params.adv_weight),
-        adv_bias=np.zeros_like(params.adv_bias),
-    )
+    params = QNetworkParams((input_dim, *hidden_sizes, n_actions))
+    # Draw order (trunk, value head, advantage head) fixes every seeded result.
+    for weight in [*params.trunk_weights, params.value_weight, params.adv_weight]:
+        limit = np.sqrt(6.0 / sum(weight.shape))
+        weight[:] = rng.uniform(-limit, limit, size=weight.shape)
+    return params
 
 
 def _forward_full(params: QNetworkParams, x: np.ndarray):
@@ -150,56 +129,48 @@ def backward(
     d_v = d_q.sum(axis=1, keepdims=True)
     d_a = d_q - d_q.sum(axis=1, keepdims=True) / params.n_actions
 
-    grads = zeros_like_params(params)
+    grads = QNetworkParams(params.sizes)
     h_last = activations[-1]
-    grads.value_weight[:] = h_last.T @ d_v
-    grads.value_bias[:] = d_v.sum(axis=0)
-    grads.adv_weight[:] = h_last.T @ d_a
-    grads.adv_bias[:] = d_a.sum(axis=0)
+    np.matmul(h_last.T, d_v, out=grads.value_weight)
+    d_v.sum(axis=0, out=grads.value_bias)
+    np.matmul(h_last.T, d_a, out=grads.adv_weight)
+    d_a.sum(axis=0, out=grads.adv_bias)
 
     d_h = d_v @ params.value_weight.T + d_a @ params.adv_weight.T
     for layer in reversed(range(len(params.trunk_weights))):
         h_out = activations[layer + 1]
         d_pre = d_h * (1.0 - h_out * h_out)     # tanh'
-        grads.trunk_weights[layer][:] = activations[layer].T @ d_pre
-        grads.trunk_biases[layer][:] = d_pre.sum(axis=0)
+        np.matmul(activations[layer].T, d_pre, out=grads.trunk_weights[layer])
+        d_pre.sum(axis=0, out=grads.trunk_biases[layer])
         d_h = d_pre @ params.trunk_weights[layer].T
     return grads, loss
 
 
-def global_grad_norm(grads: QNetworkParams) -> float:
-    return float(np.sqrt(sum(float(np.sum(t * t)) for t in grads.tensors())))
-
-
 def clip_gradients(grads: QNetworkParams, max_norm: float) -> float:
     """Scale all gradients in place to the norm cap; returns the pre-clip norm."""
-    norm = global_grad_norm(grads)
+    norm = float(np.sqrt(grads.flat @ grads.flat))
     if norm > max_norm:
-        scale = max_norm / norm
-        for t in grads.tensors():
-            t *= scale
+        grads.flat *= max_norm / norm
     return norm
 
 
 @dataclass(eq=False)
 class AdamState:
-    first_moments: list[np.ndarray]
-    second_moments: list[np.ndarray]
+    first_moment: np.ndarray    # same layout as QNetworkParams.flat
+    second_moment: np.ndarray
     step: int = 0
 
     def clone(self) -> "AdamState":
-        return AdamState(
-            first_moments=[m.copy() for m in self.first_moments],
-            second_moments=[v.copy() for v in self.second_moments],
-            step=self.step,
-        )
+        return AdamState(self.first_moment.copy(), self.second_moment.copy(), self.step)
 
 
 def init_adam(params: QNetworkParams) -> AdamState:
-    return AdamState(
-        first_moments=[np.zeros_like(t) for t in params.tensors()],
-        second_moments=[np.zeros_like(t) for t in params.tensors()],
-    )
+    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat))
+
+
+# Adam updates this many entries at a time, so its temporaries stay small
+# instead of each costing a copy of the whole parameter vector.
+_ADAM_BLOCK = 1 << 15
 
 
 def adam_step(
@@ -215,44 +186,52 @@ def adam_step(
     state.step += 1
     bias1 = 1.0 - beta1**state.step
     bias2 = 1.0 - beta2**state.step
-    for tensor, grad, m, v in zip(
-        params.tensors(), grads.tensors(), state.first_moments, state.second_moments
-    ):
+    for start in range(0, params.flat.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        theta, grad = params.flat[block], grads.flat[block]
+        m, v = state.first_moment[block], state.second_moment[block]
         m *= beta1
         m += (1.0 - beta1) * grad
         v *= beta2
         v += (1.0 - beta2) * grad * grad
-        tensor -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+        theta -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
     return params
+
+
+def _v1_tensors(params: QNetworkParams) -> dict[str, np.ndarray]:
+    """The named tensors under their version-1 checkpoint keys."""
+    tensors = {}
+    for i, (w, b) in enumerate(zip(params.trunk_weights, params.trunk_biases)):
+        tensors[f"trunk_w{i}"] = w
+        tensors[f"trunk_b{i}"] = b
+    tensors.update(
+        value_w=params.value_weight, value_b=params.value_bias,
+        adv_w=params.adv_weight, adv_b=params.adv_bias,
+    )
+    return tensors
 
 
 def save_params(path, params: QNetworkParams) -> None:
     """Checkpoint to a versioned npz tensor list."""
-    payload = {
-        "format_version": np.array(FORMAT_VERSION),
-        "n_trunk_layers": np.array(len(params.trunk_weights)),
-    }
-    for i, (w, b) in enumerate(zip(params.trunk_weights, params.trunk_biases)):
-        payload[f"trunk_w{i}"] = w
-        payload[f"trunk_b{i}"] = b
-    payload["value_w"] = params.value_weight
-    payload["value_b"] = params.value_bias
-    payload["adv_w"] = params.adv_weight
-    payload["adv_b"] = params.adv_bias
-    np.savez(path, **payload)
+    np.savez(
+        path,
+        format_version=np.array(FORMAT_VERSION),
+        n_trunk_layers=np.array(len(params.trunk_weights)),
+        **_v1_tensors(params),
+    )
 
 
 def load_params(path) -> QNetworkParams:
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != FORMAT_VERSION:
-            raise DomainError(f"unsupported checkpoint version {version}")
-        layers = int(data["n_trunk_layers"])
-        return QNetworkParams(
-            trunk_weights=[data[f"trunk_w{i}"] for i in range(layers)],
-            trunk_biases=[data[f"trunk_b{i}"] for i in range(layers)],
-            value_weight=data["value_w"],
-            value_bias=data["value_b"],
-            adv_weight=data["adv_w"],
-            adv_bias=data["adv_b"],
-        )
+    with np.load(path) as archive:
+        data = dict(archive)
+    version = int(data["format_version"])
+    if version != FORMAT_VERSION:
+        raise DomainError(f"unsupported checkpoint version {version}")
+    layers = int(data["n_trunk_layers"])
+    widths = [data[f"trunk_w{i}"].shape[1] for i in range(layers)]
+    params = QNetworkParams((data["trunk_w0"].shape[0], *widths, data["adv_w"].shape[1]))
+    for key, tensor in _v1_tensors(params).items():
+        if data[key].shape != tensor.shape:
+            raise DomainError(f"checkpoint tensor {key} has shape {data[key].shape}")
+        tensor[...] = data[key]
+    return params

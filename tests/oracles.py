@@ -12,7 +12,7 @@ import numpy as np
 from leodcb import channel
 from leodcb.channel import RfConstants
 from leodcb.emodrl import dominates
-from leodcb.neural import forward, zeros_like_params
+from leodcb.neural import forward
 
 
 def make_rf(n_terminals=3, reference_distance=5e5, bandwidth=1e7):
@@ -69,28 +69,23 @@ def batch_loss(params, x, actions, targets):
 
 
 def numeric_gradients(params, x, actions, targets, eps=1e-5):
-    """Central finite differences over every parameter entry."""
-    grads = zeros_like_params(params)
-    for tensor, slot in zip(params.tensors(), grads.tensors()):
-        it = np.nditer(tensor, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            original = tensor[idx]
-            tensor[idx] = original + eps
-            up = batch_loss(params, x, actions, targets)
-            tensor[idx] = original - eps
-            down = batch_loss(params, x, actions, targets)
-            tensor[idx] = original
-            slot[idx] = (up - down) / (2 * eps)
+    """Central finite differences over every entry of ``params.flat``."""
+    flat = params.flat
+    grads = np.zeros_like(flat)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + eps
+        up = batch_loss(params, x, actions, targets)
+        flat[i] = original - eps
+        down = batch_loss(params, x, actions, targets)
+        flat[i] = original
+        grads[i] = (up - down) / (2 * eps)
     return grads
 
 
 def max_relative_error(analytic, numeric):
-    worst = 0.0
-    for a, n in zip(analytic.tensors(), numeric.tensors()):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def brute_force_nondominated(points):

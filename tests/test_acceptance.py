@@ -145,7 +145,7 @@ def test_criterion_4_gradient_correctness():
         targets = rng.normal(size=4)
         analytic, _ = neural.backward(params, x, actions, targets)
         numeric = numeric_gradients(params, x, actions, targets)
-        worst = max(worst, max_relative_error(analytic, numeric))
+        worst = max(worst, max_relative_error(analytic.flat, numeric))
     elapsed = time.perf_counter() - started
     _report(
         4, "analytic gradients vs central differences on 100 nets",

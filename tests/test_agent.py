@@ -7,14 +7,14 @@ from leodcb import neural
 from leodcb.agent import (
     AgentConfig,
     EnhancedD3qnAgent,
+    ReplayBatch,
     ReplayBuffer,
-    Transition,
     evaluate_policy,
     select_action,
     td_targets,
 )
 from leodcb.env import DcbUplinkEnv
-from leodcb.errors import ConfigError, StateError
+from leodcb.errors import ConfigError, DomainError, StateError
 from leodcb.scenario import desk_scenario, micro_scenario
 
 
@@ -32,16 +32,40 @@ def tiny_config(**overrides):
     return AgentConfig(**base)
 
 
-def make_transition(rng, n_actions, terminal=False, all_legit=True):
-    mask = np.ones(n_actions, dtype=bool) if all_legit else rng.random(n_actions) < 0.5
-    return Transition(
-        state=rng.random(2),
-        action=int(rng.integers(n_actions)),
-        reward=rng.normal(size=3),
-        next_state=rng.random(2),
-        next_mask=mask,
-        terminal=terminal,
+N_SATELLITES = 3  # the batches below have n_actions = n_schemes * 3 + 1
+
+
+def make_batch(rng, n_actions, terminal=False, all_available=True):
+    """A one-transition batch."""
+    available = np.ones(N_SATELLITES, dtype=bool)
+    if not all_available:
+        available = rng.random(N_SATELLITES) < 0.5
+    return ReplayBatch(
+        state=rng.random((1, 2)),
+        action=rng.integers(n_actions, size=1),
+        reward=rng.normal(size=(1, 3)),
+        next_state=rng.random((1, 2)),
+        next_available=available[None, :],
+        terminal=np.array([terminal]),
     )
+
+
+def push_numbered(buffer, numbers):
+    """Push transitions whose every field encodes their number."""
+    for n in numbers:
+        buffer.push(
+            np.full(2, n), n, np.full(3, n), np.full(2, n + 0.5),
+            np.array([n % 2 == 0, True, False]), n % 3 == 0,
+        )
+
+
+def assert_rows_intact(batch):
+    n = batch.action
+    assert np.array_equal(batch.state, np.stack([n, n], axis=1))
+    assert np.array_equal(batch.reward, np.stack([n, n, n], axis=1))
+    assert np.array_equal(batch.next_state, np.stack([n, n], axis=1) + 0.5)
+    assert np.array_equal(batch.next_available[:, 0], n % 2 == 0)
+    assert np.array_equal(batch.terminal, n % 3 == 0)
 
 
 class TestSelectAction:
@@ -101,51 +125,82 @@ class TestTdTargets:
     def test_terminal_is_scalarized_reward(self):
         rng = np.random.default_rng(5)
         params = neural.init_params(2, (8,), 4, rng)
-        t = make_transition(rng, 4, terminal=True)
+        batch = make_batch(rng, 4, terminal=True)
         w = np.array([0.5, 0.3, 0.2])
-        (target,) = td_targets([t], params, w, gamma=0.9)
-        assert target == pytest.approx(float(t.reward @ w))
+        (target,) = td_targets(batch, params, w, gamma=0.9)
+        assert target == pytest.approx(float(batch.reward[0] @ w))
 
     def test_rate_only_weight(self):
         rng = np.random.default_rng(6)
         params = neural.init_params(2, (8,), 4, rng)
-        t = make_transition(rng, 4, terminal=True)
-        (target,) = td_targets([t], params, np.array([1.0, 0.0, 0.0]), gamma=0.9)
-        assert target == pytest.approx(t.reward[0])
+        batch = make_batch(rng, 4, terminal=True)
+        (target,) = td_targets(batch, params, np.array([1.0, 0.0, 0.0]), gamma=0.9)
+        assert target == pytest.approx(batch.reward[0, 0])
 
     def test_masked_max_never_exceeds_unmasked(self):
         rng = np.random.default_rng(7)
         params = neural.init_params(2, (8,), 10, rng)
         w = np.array([0.4, 0.3, 0.3])
         for _ in range(50):
-            t = make_transition(rng, 10, all_legit=False)
-            if not t.next_mask.any():
+            batch = make_batch(rng, 10, all_available=False)
+            if not batch.next_available.any():
                 continue
-            unmasked = dataclasses.replace(t, next_mask=np.ones(10, dtype=bool))
-            (masked_target,) = td_targets([t], params, w, gamma=0.9)
-            (full_target,) = td_targets([unmasked], params, w, gamma=0.9)
+            unmasked = batch._replace(next_available=np.ones((1, N_SATELLITES), dtype=bool))
+            (masked_target,) = td_targets(batch, params, w, gamma=0.9)
+            (full_target,) = td_targets(unmasked, params, w, gamma=0.9)
             assert masked_target <= full_target + 1e-12
+
+    def test_bootstraps_over_schemes_of_available_satellites_or_idle(self):
+        rng = np.random.default_rng(17)
+        n_schemes = 3
+        params = neural.init_params(2, (8,), n_schemes * N_SATELLITES + 1, rng)
+        w = np.array([0.2, 0.5, 0.3])
+        for available in ([False, True, True], [True, False, False], [False] * 3):
+            batch = make_batch(rng, params.n_actions)._replace(
+                next_available=np.array([available])
+            )
+            _, _, q = neural.forward(params, batch.next_state[0])
+            legit = [
+                k * N_SATELLITES + s
+                for k in range(n_schemes)
+                for s in range(N_SATELLITES)
+                if available[s]
+            ] or [params.n_actions - 1]
+            (target,) = td_targets(batch, params, w, gamma=0.9)
+            expected = batch.reward[0] @ w + 0.9 * q[legit].max()
+            assert target == pytest.approx(expected, rel=1e-12)
 
 
 class TestReplayBuffer:
     def test_capacity_bound_and_fifo(self):
         buffer = ReplayBuffer(3)
         rng = np.random.default_rng(8)
-        items = [make_transition(rng, 4) for _ in range(5)]
-        for item in items:
-            buffer.push(item)
-        assert len(buffer) == 3
-        assert buffer._items == [items[3], items[4], items[2]] or set(
-            id(t) for t in buffer._items
-        ) == {id(items[2]), id(items[3]), id(items[4])}
+        push_numbered(buffer, range(3))
+        for newest in range(3, 8):
+            push_numbered(buffer, [newest])
+            assert len(buffer) == 3
+            batch = buffer.sample(3, rng)
+            assert set(batch.action) == {newest - 2, newest - 1, newest}
+            assert_rows_intact(batch)
 
     def test_sampling_without_replacement(self):
         buffer = ReplayBuffer(10)
         rng = np.random.default_rng(9)
-        for _ in range(10):
-            buffer.push(make_transition(rng, 4))
+        push_numbered(buffer, range(10))
         batch = buffer.sample(10, rng)
-        assert len({id(t) for t in batch}) == 10
+        assert sorted(batch.action) == list(range(10))
+        assert_rows_intact(batch)
+        assert batch.next_available.dtype == bool and batch.next_available.shape == (10, 3)
+
+    def test_copy_is_independent_of_later_pushes(self):
+        buffer = ReplayBuffer(4)
+        push_numbered(buffer, range(3))
+        clone = buffer.copy()
+        push_numbered(clone, range(10, 16))
+        assert len(buffer) == 3 and len(clone) == 4
+        rng = np.random.default_rng(10)
+        assert sorted(buffer.sample(3, rng).action) == [0, 1, 2]
+        assert sorted(clone.sample(4, rng).action) == [12, 13, 14, 15]
 
 
 class TestTrainIteration:
@@ -176,8 +231,7 @@ class TestTrainIteration:
         agent.train_iteration(env, np.array([0.4, 0.3, 0.3]))
         assert agent.grad_steps_done == 4
         # Hard copy happened exactly at the sync boundary.
-        for a, b in zip(agent.target_params.tensors(), agent.params.tensors()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(agent.target_params.flat, agent.params.flat)
 
     def test_epsilon_linear_decay(self):
         env = DcbUplinkEnv(micro_scenario())
@@ -207,10 +261,21 @@ class TestTrainIteration:
         twin = agent.clone()
         twin.train_iteration(env, np.array([1.0, 0.0, 0.0]))
         assert twin.iteration == agent.iteration + 1
-        assert any(
-            not np.array_equal(a, b)
-            for a, b in zip(agent.params.tensors(), twin.params.tensors())
-        )
+        assert not np.array_equal(agent.params.flat, twin.params.flat)
+
+    def test_clone_replay_is_independent(self):
+        env = DcbUplinkEnv(micro_scenario())
+        cfg = tiny_config(batch_size=4, replay_capacity=12)
+        agent = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(6))
+        agent.train_iteration(env, np.array([1.0, 0.0, 0.0]))
+        before = agent.replay.sample(5, np.random.default_rng(7))
+        twin = agent.clone()
+        for _ in range(4):   # 20 more transitions: the twin's replay wraps
+            twin.collect_episode(env)
+        after = agent.replay.sample(5, np.random.default_rng(7))
+        assert len(agent.replay) == 5 and len(twin.replay) == 12
+        for a, b in zip(before, after):
+            assert np.array_equal(a, b)
 
 
 class TestCheckpoint:
@@ -231,12 +296,25 @@ class TestCheckpoint:
         assert fresh.grad_steps_done == agent.grad_steps_done
         assert fresh.adam.step == agent.adam.step
         assert fresh.epsilon() == agent.epsilon()
-        for a, b in zip(agent.params.tensors(), fresh.params.tensors()):
-            assert np.array_equal(a, b)
-        for a, b in zip(agent.target_params.tensors(), fresh.target_params.tensors()):
-            assert np.array_equal(a, b)
-        for a, b in zip(agent.adam.first_moments, fresh.adam.first_moments):
-            assert np.array_equal(a, b)
+        assert np.array_equal(agent.params.flat, fresh.params.flat)
+        assert np.array_equal(agent.target_params.flat, fresh.target_params.flat)
+        assert np.array_equal(agent.adam.first_moment, fresh.adam.first_moment)
+        assert np.array_equal(agent.adam.second_moment, fresh.adam.second_moment)
+
+    def test_agent_state_rejects_other_network_sizes(self, tmp_path):
+        from leodcb.agent import load_agent_state, save_agent_state
+
+        env = DcbUplinkEnv(micro_scenario())
+        # An unresolved epsilon schedule does not stop the dump.
+        cfg = tiny_config(epsilon_decay_iters=None)
+        agent = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(1))
+        path = tmp_path / "task.npz"
+        save_agent_state(path, agent)
+        other = EnhancedD3qnAgent.create(
+            tiny_config(hidden_sizes=(16, 8)), env.n_actions, np.random.default_rng(2)
+        )
+        with pytest.raises(DomainError):
+            load_agent_state(path, other)
 
 
 class TestEvaluatePolicy:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leodcb import neural
-from leodcb.agent import AgentConfig
+from leodcb.agent import AgentConfig, EnhancedD3qnAgent, load_agent_state
 from leodcb.emodrl import (
     EmodrlConfig,
     LearningTask,
@@ -314,7 +314,21 @@ class TestRun:
             )
         manifest = (tmp_path / "crash" / "crash_manifest.csv").read_text()
         assert "failed_generation,1" in manifest
-        assert (tmp_path / "crash" / "task_00.npz").exists()
+
+        config = tiny_emodrl_config()
+        scenario = micro_scenario()
+        fresh = EnhancedD3qnAgent.create(
+            config.agent, scenario.n_schemes * scenario.n_satellites + 1,
+            np.random.default_rng(0),
+        )
+        initial = fresh.params.flat.copy()
+        load_agent_state(tmp_path / "crash" / "task_00.npz", fresh)
+        # The dumped offspring trained through warm-up and one generation.
+        assert fresh.iteration == config.t_warm + config.t_task
+        assert fresh.adam.step == fresh.grad_steps_done > 0
+        assert fresh.params.sizes == (2, *config.agent.hidden_sizes, 10)
+        assert fresh.params.all_finite()
+        assert not np.array_equal(fresh.params.flat, initial)
 
     def test_different_seed_changes_training(self):
         base = micro_scenario()

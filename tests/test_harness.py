@@ -264,6 +264,14 @@ class TestCli:
                      "--preference", "favor-rate"]) == 0
         assert "policy" in capsys.readouterr().out
 
+    def test_baseline_writes_trace_to_default_out(self, tmp_path, monkeypatch, capsys):
+        from leodcb.cli import OUT_DIR_ENV, main
+
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        assert main(["baseline", "--kind", "argp", "--scenario", "micro"]) == 0
+        assert (tmp_path / "argp_seed0.csv").exists()
+        assert str(tmp_path / "argp_seed0.csv") in capsys.readouterr().out
+
     def test_evaluate_command(self, tmp_path, capsys):
         from leodcb.cli import main
         from leodcb.neural import save_params

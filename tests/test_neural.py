@@ -14,7 +14,6 @@ from leodcb.neural import (
     init_params,
     load_params,
     save_params,
-    zeros_like_params,
 )
 
 
@@ -33,8 +32,7 @@ class TestForward:
     def test_zero_params_give_zero_q(self):
         rng = np.random.default_rng(0)
         params = small_net(rng)
-        for t in params.tensors():
-            t[:] = 0.0
+        params.flat[:] = 0.0
         v, a, q = forward(params, np.array([0.3, -0.2]))
         assert v == 0.0
         assert np.all(a == 0.0)
@@ -84,7 +82,7 @@ class TestBackward:
         x, actions, targets = random_batch(rng, params)
         analytic, _ = backward(params, x, actions, targets)
         numeric = numeric_gradients(params, x, actions, targets)
-        assert max_relative_error(analytic, numeric) < 1e-4
+        assert max_relative_error(analytic.flat, numeric) < 1e-4
 
     def test_zero_residual_gives_zero_gradient(self):
         rng = np.random.default_rng(5)
@@ -95,7 +93,7 @@ class TestBackward:
         targets = q[np.arange(3), actions]
         grads, loss = backward(params, x, actions, targets)
         assert loss == 0.0
-        assert all(np.all(t == 0.0) for t in grads.tensors())
+        assert np.all(grads.flat == 0.0)
 
     def test_gradient_linear_in_residual(self):
         rng = np.random.default_rng(6)
@@ -107,8 +105,7 @@ class TestBackward:
         scaled_targets = picked - 3.0         # residual exactly 3
         base, _ = backward(params, x, actions, base_targets)
         scaled, _ = backward(params, x, actions, scaled_targets)
-        for b, s in zip(base.tensors(), scaled.tensors()):
-            assert np.allclose(s, 3.0 * b, rtol=1e-10, atol=1e-12)
+        assert np.allclose(scaled.flat, 3.0 * base.flat, rtol=1e-10, atol=1e-12)
 
     def test_empty_batch_rejected(self):
         params = small_net(np.random.default_rng(7))
@@ -120,37 +117,50 @@ class TestAdam:
     def test_zero_gradient_is_identity(self):
         rng = np.random.default_rng(8)
         params = small_net(rng)
-        before = [t.copy() for t in params.tensors()]
-        adam_step(params, zeros_like_params(params), init_adam(params), lr=1e-2)
-        for original, updated in zip(before, params.tensors()):
-            assert np.array_equal(original, updated)
+        before = params.flat.copy()
+        adam_step(params, QNetworkParams(params.sizes), init_adam(params), lr=1e-2)
+        assert np.array_equal(before, params.flat)
 
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(9)
         params = small_net(rng)
         grads, _ = backward(params, *random_batch(rng, params))
-        before = [t.copy() for t in params.tensors()]
+        before = params.flat.copy()
         adam_step(params, grads, init_adam(params), lr=0.0)
-        for original, updated in zip(before, params.tensors()):
-            assert np.array_equal(original, updated)
+        assert np.array_equal(before, params.flat)
 
     def test_quadratic_descent_after_warmup(self):
         # Minimize 0.5 * theta^2 steered through the first trunk weight.
         rng = np.random.default_rng(10)
         params = init_params(1, (1,), 1, rng)
-        for t in params.tensors():
-            t[:] = 0.0
+        params.flat[:] = 0.0
         params.trunk_weights[0][0, 0] = 1.0
         state = init_adam(params)
         values = []
         for _ in range(120):
             theta = params.trunk_weights[0][0, 0]
             values.append(0.5 * theta * theta)
-            grads = zeros_like_params(params)
+            grads = QNetworkParams(params.sizes)
             grads.trunk_weights[0][0, 0] = theta
             adam_step(params, grads, state, lr=0.01)
         for prev, cur in zip(values[10:100], values[11:101]):
             assert cur < prev
+
+    def test_matches_textbook_update_across_blocks(self):
+        # More entries than one update block, so the block seams are covered.
+        rng = np.random.default_rng(15)
+        params = init_params(2, (250, 250), 60, rng)
+        assert params.flat.size > 2 * neural._ADAM_BLOCK
+        state = init_adam(params)
+        theta, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+        for step in (1, 2, 3):
+            grads = QNetworkParams(params.sizes, rng.normal(size=params.flat.size))
+            adam_step(params, grads, state, lr=1e-3)
+            m = 0.9 * m + 0.1 * grads.flat
+            v = 0.999 * v + 0.001 * grads.flat**2
+            theta -= 1e-3 * (m / (1 - 0.9**step)) / (np.sqrt(v / (1 - 0.999**step)) + 1e-8)
+            assert np.allclose(params.flat, theta, rtol=1e-12, atol=1e-15)
+        assert state.step == 3
 
 
 class TestClipping:
@@ -158,10 +168,9 @@ class TestClipping:
         rng = np.random.default_rng(11)
         params = small_net(rng)
         grads, _ = backward(params, *random_batch(rng, params))
-        for t in grads.tensors():
-            t *= 1e6
+        grads.flat *= 1e6
         clip_gradients(grads, max_norm=10.0)
-        assert neural.global_grad_norm(grads) == pytest.approx(10.0, rel=1e-9)
+        assert np.linalg.norm(grads.flat) == pytest.approx(10.0, rel=1e-9)
 
     def test_parameters_stay_finite_under_clipped_updates(self):
         rng = np.random.default_rng(12)
@@ -183,8 +192,8 @@ class TestSerialization:
         path = tmp_path / "net.npz"
         save_params(path, params)
         loaded = load_params(path)
-        for a, b in zip(params.tensors(), loaded.tensors()):
-            assert np.array_equal(a, b)
+        assert loaded.sizes == params.sizes
+        assert np.array_equal(params.flat, loaded.flat)
 
     def test_forward_identical_after_reload(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -196,3 +205,40 @@ class TestSerialization:
         _, _, q_a = forward(params, x)
         _, _, q_b = forward(loaded, x)
         assert np.array_equal(q_a, q_b)
+
+    def test_mismatched_tensor_shape_rejected(self, tmp_path):
+        params = init_params(2, (6,), 4, np.random.default_rng(16))
+        path = tmp_path / "net.npz"
+        save_params(path, params)
+        with np.load(path) as data:
+            payload = dict(data)
+        payload["adv_b"] = payload["adv_b"][:1]
+        np.savez(path, **payload)
+        with pytest.raises(DomainError):
+            load_params(path)
+
+
+class TestFlatLayout:
+    def test_named_tensors_are_views_of_flat(self, tmp_path):
+        params = init_params(2, (5, 4), 3, np.random.default_rng(17))
+        before = params.flat.copy()
+        params.adv_bias += 7.0
+        assert np.array_equal(params.flat[-3:], before[-3:] + 7.0)
+        assert np.array_equal(params.flat[:-3], before[:-3])
+        clone = params.clone()
+        assert np.array_equal(clone.adv_bias, before[-3:] + 7.0)
+        save_params(tmp_path / "net.npz", params)
+        loaded = load_params(tmp_path / "net.npz")
+        assert np.array_equal(loaded.adv_bias, before[-3:] + 7.0)
+        assert np.array_equal(loaded.flat, params.flat)
+
+    def test_layout_covers_every_entry_once(self):
+        params = QNetworkParams((2, 5, 4, 3))
+        named = [
+            *params.trunk_weights, *params.trunk_biases,
+            params.value_weight, params.value_bias, params.adv_weight, params.adv_bias,
+        ]
+        assert sum(t.size for t in named) == params.flat.size == 2 * 5 + 5 + 5 * 4 + 4 + 4 + 1 + 12 + 3
+        for t in named:
+            t += 1.0
+        assert np.all(params.flat == 1.0)
