@@ -193,9 +193,9 @@ class EnhancedD3qnAgent:
             encoding = env.encode_state(state)
             mask = env.legitimate_mask()
             action = select_action(self.params, encoding, mask, eps, self.rng)
-            state, reward, done = env.step(env.action_from_index(action))
+            state, reward, done = env.step(action)
             self.replay.push(
-                encoding, action, reward.as_array(),
+                encoding, action, reward,
                 env.encode_state(state), env.current_mask, done,
             )
 
@@ -264,7 +264,7 @@ def greedy_rollout(params: QNetworkParams, env: DcbUplinkEnv, seed: int):
         legit = np.flatnonzero(env.legitimate_mask())
         _, _, q = neural.forward(params, encoding)
         action = int(legit[np.argmax(q[legit])])
-        state, _, _ = env.step(env.action_from_index(action))
+        state, _, _ = env.step(action)
     return env.ledger
 
 

@@ -6,7 +6,7 @@ import enum
 
 import numpy as np
 
-from .env import IDLE, DcbUplinkEnv, EpisodeLedger, MomdpAction, MomdpState
+from .env import DcbUplinkEnv, EpisodeLedger, MomdpState
 from .errors import ConfigError
 from .scenario import Scenario
 from .seeding import stream
@@ -18,25 +18,24 @@ class BaselineKind(enum.Enum):
     RANDOM = "random"
 
 
-def argp_action(env: DcbUplinkEnv, state: MomdpState, mask: np.ndarray) -> MomdpAction:
+def argp_action(env: DcbUplinkEnv, state: MomdpState, mask: np.ndarray) -> int:
     """Max transmit power on the satellite with the best achievable rate.
 
-    Uses the scheme-0 corner (all terminals at p_max); ties break to the
-    lowest satellite index; IDLE when nothing is available.
+    Returns the flat index ``idle_index + s`` of the scheme-0 corner (all
+    terminals at p_max) on satellite s; ties break to the lowest satellite
+    index; IDLE when nothing is available.
     """
     available = np.flatnonzero(mask) + 1
     if available.size == 0:
-        return MomdpAction(scheme_index=1, satellite=IDLE)
+        return env.idle_index
     rates = [env.rate_at_max_power(state.slot, int(s)) for s in available]
-    return MomdpAction(scheme_index=0, satellite=int(available[int(np.argmax(rates))]))
+    return env.idle_index + int(available[int(np.argmax(rates))])
 
 
-def random_policy_action(
-    env: DcbUplinkEnv, state: MomdpState, mask: np.ndarray, rng: np.random.Generator
-) -> MomdpAction:
-    """Uniform draw over the legitimate action set."""
-    actions = env.legitimate_actions()
-    return actions[int(rng.integers(len(actions)))]
+def random_policy_action(env: DcbUplinkEnv, rng: np.random.Generator) -> int:
+    """Uniform draw over the legitimate flat actions of the current slot."""
+    legit = np.flatnonzero(env.legitimate_mask())
+    return int(legit[rng.integers(legit.size)])
 
 
 def run_baseline_episode(
@@ -61,14 +60,9 @@ def run_baseline_episode(
     rng = stream(seed, "random-policy")
     state = env.reset(seed)
     while not env.done:
-        mask = env.current_mask
         if kind is BaselineKind.RANDOM:
-            action = random_policy_action(env, state, mask, rng)
+            action = random_policy_action(env, rng)
         else:
-            action = argp_action(env, state, mask)
+            action = argp_action(env, state, env.current_mask)
         state, _, _ = env.step(action)
     return env.ledger
-
-
-def non_dcb_episode(scenario: Scenario, seed: int) -> EpisodeLedger:
-    return run_baseline_episode(BaselineKind.NON_DCB, scenario, seed)

@@ -110,12 +110,6 @@ def weight_set(cardinality: int) -> list[WeightScheme]:
     ]
 
 
-def link_distance(terminal, satellite) -> float:
-    """Euclidean propagation distance between two points in one frame."""
-    delta = np.asarray(satellite, dtype=float) - np.asarray(terminal, dtype=float)
-    return float(np.linalg.norm(delta))
-
-
 def amplitude_gains(distances, rf: RfConstants) -> np.ndarray:
     """Per-terminal amplitude gains sqrt(beta0 * d^-alpha)."""
     d = np.asarray(distances, dtype=float)
@@ -139,13 +133,6 @@ def achievable_rate(snr_value: float, rf: RfConstants) -> float:
     if snr_value < 0.0:
         raise DomainError("snr must be non-negative")
     return rf.bandwidth * math.log2(1.0 + snr_value)
-
-
-def p2_objective(powers, distances, rf: RfConstants, scheme: WeightScheme, slot_seconds: float) -> float:
-    """Weighted energy-minus-SNR objective of the per-slot subproblem."""
-    p = np.asarray(powers, dtype=float)
-    energy_term = scheme.a * rf.rho0 * float(p.sum()) * slot_seconds
-    return energy_term - scheme.b * snr(p, distances, rf)
 
 
 def _p2_gradient(p, gains, a_coef, b_coef):

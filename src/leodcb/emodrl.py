@@ -253,16 +253,12 @@ def hypervolume_reference(scenario: Scenario) -> np.ndarray:
 
 
 def _train_tasks(
-    tasks: list[LearningTask],
-    envs: list[DcbUplinkEnv],
-    iterations: int,
-    eval_env: DcbUplinkEnv,
-    eval_seeds,
+    tasks: list[LearningTask], env: DcbUplinkEnv, iterations: int, eval_seeds
 ) -> None:
-    for task, env in zip(tasks, envs):
+    for task in tasks:
         for _ in range(iterations):
             task.agent.train_iteration(env, task.weight)
-        task.objectives = evaluate_policy(task.agent.params, eval_env, eval_seeds)
+        task.objectives = evaluate_policy(task.agent.params, env, eval_seeds)
 
 
 def run(
@@ -295,17 +291,18 @@ def run(
             agent_cfg, epsilon_decay_iters=max(1, total_iterations // 2)
         )
 
-    tasks = []
-    envs = []
-    for n in range(config.n_tasks):
-        agent = EnhancedD3qnAgent.create(
-            agent_cfg,
-            n_actions=scenario.n_schemes * scenario.n_satellites + 1,
-            rng=stream(master, "task", n),
+    # One env serves every task and the evaluation: reset re-seeds all
+    # episode state, and the allocation memo depends only on geometry.
+    env = DcbUplinkEnv(scenario)
+    tasks = [
+        LearningTask(
+            weight=weights[n],
+            agent=EnhancedD3qnAgent.create(
+                agent_cfg, n_actions=env.n_actions, rng=stream(master, "task", n)
+            ),
         )
-        tasks.append(LearningTask(weight=weights[n], agent=agent))
-        envs.append(DcbUplinkEnv(scenario))
-    eval_env = DcbUplinkEnv(scenario)
+        for n in range(config.n_tasks)
+    ]
     eval_rng = stream(master, "evaluation")
     eval_seeds = [int(eval_rng.integers(2**31)) for _ in range(config.eval_episodes)]
 
@@ -318,7 +315,7 @@ def run(
     generation = 0
 
     try:
-        _train_tasks(tasks, envs, config.t_warm, eval_env, eval_seeds)
+        _train_tasks(tasks, env, config.t_warm, eval_seeds)
         bank.observe([t.objectives for t in tasks])
         archive.update(tasks)
         records.append(
@@ -331,7 +328,7 @@ def run(
         for generation in range(1, config.t_evo + 1):
             population = tpu(population, offspring, bank)
             selected = task_selection(weights, population)
-            _train_tasks(selected, envs, config.t_task, eval_env, eval_seeds)
+            _train_tasks(selected, env, config.t_task, eval_seeds)
             bank.observe([t.objectives for t in selected])
             archive.update(selected)
             offspring = selected

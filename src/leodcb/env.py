@@ -1,49 +1,32 @@
 """MOMDP environment for the collaborative-beamforming uplink.
 
 Each slot the environment draws an availability mask (geometric visibility
-gated by a Bernoulli spectrum outage), accepts an action (power scheme,
-satellite), solves the per-slot power subproblem, and emits a
-three-component reward vector (rate, negative energy, negative switch)
-plus running objective accounting.
+gated by a Bernoulli spectrum outage), accepts a flat action index (power
+scheme and satellite, or IDLE), solves the per-slot power subproblem, and
+emits a three-component reward array (rate, negative energy, negative
+switch) plus running objective accounting.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import channel
 from .channel import MAX_POWER_SCHEME, WeightScheme, weight_set
-from .errors import DomainError, IllegalActionError, StateError
+from .errors import IllegalActionError, StateError
 from .orbits import GroundFrame, position_at
 from .scenario import Scenario
 from .seeding import stream
-
-IDLE = None  # satellite field of the no-transmission action
 
 
 @dataclass(frozen=True)
 class MomdpState:
     slot: int
     prev_satellite: int | None  # 1-based satellite index, None at episode start
-
-
-@dataclass(frozen=True)
-class MomdpAction:
-    scheme_index: int           # 1..n_schemes; 0 = max-power corner (baselines only)
-    satellite: int | None       # 1-based satellite index, None = IDLE
-
-
-@dataclass(frozen=True)
-class RewardVector:
-    rate: float                 # rho1 * thresholded rate, >= 0
-    energy: float               # -rho2 * slot energy, <= 0
-    switch: float               # -rho3 if the satellite changed, else 0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rate, self.energy, self.switch])
 
 
 @dataclass
@@ -90,18 +73,6 @@ def draw_availability(visible_row: np.ndarray, p: float, rng: np.random.Generato
     return visible_row & (draws >= p)
 
 
-def legitimate_actions(mask: np.ndarray, n_schemes: int) -> list[MomdpAction]:
-    """Cross product of schemes and available satellites; IDLE iff none."""
-    available = np.flatnonzero(mask) + 1
-    if available.size == 0:
-        return [MomdpAction(scheme_index=1, satellite=IDLE)]
-    return [
-        MomdpAction(scheme_index=k, satellite=int(s))
-        for k in range(1, n_schemes + 1)
-        for s in available
-    ]
-
-
 def legitimate_masks(available: np.ndarray, n_schemes: int) -> np.ndarray:
     """Flat-action masks for rows of satellite availability.
 
@@ -116,10 +87,11 @@ def legitimate_masks(available: np.ndarray, n_schemes: int) -> np.ndarray:
 class DcbUplinkEnv:
     """Single-owner environment instance over one scenario.
 
-    Satellite geometry is precomputed for every slot at construction;
-    only the availability draws are stochastic. Power allocations are
-    memoized on (slot, scheme, satellite) — geometry is episode-invariant,
-    so the cache stays valid across resets of the same instance.
+    Actions are flat indices (see ``_decode``). Satellite geometry is
+    precomputed for every slot at construction; only the availability
+    draws are stochastic. Power allocations are memoized on (slot, scheme,
+    satellite) — geometry is episode-invariant, so the cache stays valid
+    across resets of the same instance.
     """
 
     def __init__(self, scenario: Scenario):
@@ -129,18 +101,18 @@ class DcbUplinkEnv:
         self.n_schemes = scenario.n_schemes
         self.n_actions = scenario.n_schemes * scenario.n_satellites + 1
         self.idle_index = self.n_actions - 1
-        self.schemes: list[WeightScheme] = weight_set(scenario.n_schemes)
+        # Indexed by scheme index: 0 is the max-power corner, 1..K the agent's.
+        self.schemes: list[WeightScheme] = [MAX_POWER_SCHEME, *weight_set(scenario.n_schemes)]
 
         frame = GroundFrame(scenario.reference_longitude, scenario.constants)
         terminals_local = np.array([[x, y, 0.0] for x, y in scenario.terminals])
         centroid = terminals_local.mean(axis=0)
 
-        n_slots, n_sats = scenario.n_slots, scenario.n_satellites
-        self._sat_local = np.empty((n_slots, n_sats, 3))
-        for t in range(n_slots):
-            for j, elements in enumerate(scenario.constellation):
-                pos = position_at(elements, t, scenario.slot_seconds, scenario.constants)
-                self._sat_local[t, j] = frame.to_local(pos.as_array())
+        slots = np.arange(scenario.n_slots)
+        self._sat_local = frame.to_local(np.stack([
+            position_at(elements, slots, scenario.slot_seconds, scenario.constants)
+            for elements in scenario.constellation
+        ], axis=1))  # (slot, satellite, xyz)
         # Visibility is judged from the array centroid; the cluster is
         # ~100 m wide against >=5e5 m links, so per-terminal differences
         # are negligible.
@@ -195,47 +167,42 @@ class DcbUplinkEnv:
     def done(self) -> bool:
         return self.state.slot >= self.scenario.n_slots
 
-    def step(self, action: MomdpAction):
-        """Apply an action; returns (next_state, reward, done)."""
+    def step(self, action: int):
+        """Apply a flat action index; returns (next_state, reward, done).
+
+        The reward is the array (rate, energy, switch).
+        """
         state = self.state
         if state.slot >= self.scenario.n_slots:
             raise StateError("episode already complete")
-        mask = self.current_mask
+        scheme, sat = self._decode(action)
+        n_available = int(self.current_mask.sum())
 
-        if action.satellite is IDLE:
-            reward = RewardVector(0.0, 0.0, 0.0)
+        if sat == 0:
+            reward = np.zeros(3)
+            rate = total_power = 0.0
+            switched = 0
             next_prev = state.prev_satellite
-            self.ledger.trace.append(
-                TraceRow(state.slot, 0, action.scheme_index, 0.0, 0.0, 0, int(mask.sum()))
-            )
         else:
-            sat = action.satellite
-            if not (1 <= sat <= self.n_satellites) or not mask[sat - 1]:
-                raise IllegalActionError(
-                    f"satellite {sat} is unavailable at slot {state.slot}"
-                )
-            powers, rate = self._allocate(state.slot, action.scheme_index, sat)
+            powers, rate = self._allocate(state.slot, scheme, sat)
             total_power = float(powers.sum())
             slot_energy = total_power * self.scenario.slot_seconds
             gated_rate = rate if rate > self.scenario.rate_threshold else 0.0
             switched = int(
                 state.prev_satellite is not None and sat != state.prev_satellite
             )
-            reward = RewardVector(
-                rate=self.rho1 * gated_rate,
-                energy=-self.rho2 * slot_energy,
-                switch=-self.rho3 * switched,
-            )
+            reward = np.array([
+                self.rho1 * gated_rate,
+                -self.rho2 * slot_energy,
+                -self.rho3 * switched,
+            ])
             self.ledger.rate_bits += gated_rate * self.scenario.slot_seconds
             self.ledger.energy_joules += slot_energy
             self.ledger.switch_count += switched
             next_prev = sat
-            self.ledger.trace.append(
-                TraceRow(
-                    state.slot, sat, action.scheme_index, rate,
-                    total_power, switched, int(mask.sum()),
-                )
-            )
+        self.ledger.trace.append(
+            TraceRow(state.slot, sat, scheme, rate, total_power, switched, n_available)
+        )
 
         next_slot = state.slot + 1
         self._state = MomdpState(slot=next_slot, prev_satellite=next_prev)
@@ -252,19 +219,37 @@ class DcbUplinkEnv:
 
     # -- geometry and allocation ------------------------------------------
 
-    def _scheme(self, index: int) -> WeightScheme:
-        if index == 0:
-            return MAX_POWER_SCHEME
-        if not (1 <= index <= self.n_schemes):
-            raise DomainError(f"scheme index {index} outside 1..{self.n_schemes}")
-        return self.schemes[index - 1]
+    def _decode(self, action: int) -> tuple[int, int]:
+        """(scheme index, 1-based satellite or 0 for IDLE) of a flat action.
+
+        Indices below ``idle_index`` are (scheme, satellite) pairs in
+        scheme-major order; ``idle_index`` is IDLE; the N_L indices after
+        it put the max-power corner (scheme 0) on each satellite.
+        """
+        action = operator.index(action)
+        if 0 <= action < self.idle_index:
+            scheme, sat = divmod(action, self.n_satellites)
+            scheme, sat = scheme + 1, sat + 1
+        elif action == self.idle_index:
+            return 1, 0
+        elif self.idle_index < action <= self.idle_index + self.n_satellites:
+            scheme, sat = 0, action - self.idle_index
+        else:
+            raise IllegalActionError(
+                f"action {action} outside 0..{self.idle_index + self.n_satellites}"
+            )
+        if not self.current_mask[sat - 1]:
+            raise IllegalActionError(
+                f"satellite {sat} is unavailable at slot {self.state.slot}"
+            )
+        return scheme, sat
 
     def _allocate(self, slot: int, scheme_index: int, satellite: int):
         key = (slot, scheme_index, satellite)
         hit = self._alloc_cache.get(key)
         if hit is not None:
             return hit
-        scheme = self._scheme(scheme_index)
+        scheme = self.schemes[scheme_index]
         dist = self.distances[slot, satellite - 1]
         powers = channel.solve_p2(dist, self.scenario.rf, scheme, self.scenario.slot_seconds)
         rate = channel.achievable_rate(channel.snr(powers, dist, self.scenario.rf), self.scenario.rf)
@@ -284,20 +269,6 @@ class DcbUplinkEnv:
             [state.slot / self.scenario.n_slots, prev / self.n_satellites]
         )
 
-    def action_index(self, action: MomdpAction) -> int:
-        if action.satellite is IDLE:
-            return self.idle_index
-        return (action.scheme_index - 1) * self.n_satellites + (action.satellite - 1)
-
-    def action_from_index(self, index: int) -> MomdpAction:
-        if index == self.idle_index:
-            return MomdpAction(scheme_index=1, satellite=IDLE)
-        k, s = divmod(index, self.n_satellites)
-        return MomdpAction(scheme_index=k + 1, satellite=s + 1)
-
     def legitimate_mask(self) -> np.ndarray:
         """Boolean mask over the flat action space for the current slot."""
         return legitimate_masks(self.current_mask[None, :], self.n_schemes)[0]
-
-    def legitimate_actions(self) -> list[MomdpAction]:
-        return legitimate_actions(self.current_mask, self.n_schemes)

@@ -182,15 +182,14 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
         emitted.append(str(generations_csv))
 
         episode_seed = int(stream(scenario.master_seed, "trace-episode").integers(2**31))
+        env = DcbUplinkEnv(scenario)
         ledgers: dict[str, EpisodeLedger] = {
-            "argp": run_baseline_episode(BaselineKind.ARGP, scenario, episode_seed),
+            "argp": run_baseline_episode(BaselineKind.ARGP, scenario, episode_seed, env),
             "non_dcb": run_baseline_episode(BaselineKind.NON_DCB, scenario, episode_seed),
-            "random": run_baseline_episode(BaselineKind.RANDOM, scenario, episode_seed),
+            "random": run_baseline_episode(BaselineKind.RANDOM, scenario, episode_seed, env),
         }
         favored = select_policy(archive, "favor-rate")
-        ledgers["ed3qn_favor_rate"] = greedy_rollout(
-            favored.params, DcbUplinkEnv(scenario), episode_seed
-        )
+        ledgers["ed3qn_favor_rate"] = greedy_rollout(favored.params, env, episode_seed)
 
         objectives: dict[str, tuple] = {}
         trace_csvs: dict[str, str] = {}

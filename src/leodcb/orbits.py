@@ -1,4 +1,4 @@
-"""Circular LEO orbit propagation and ground-to-satellite visibility.
+"""Circular LEO orbit propagation and the local ground frame.
 
 Satellites move on circular Keplerian orbits in an Earth-centered inertial
 frame. Terminals live on a flat tangent plane touching the equator at a
@@ -94,19 +94,6 @@ def circular_orbit(
     )
 
 
-@dataclass(frozen=True)
-class SatellitePosition:
-    """Earth-centered Cartesian position of one satellite at one slot."""
-
-    x: float
-    y: float
-    z: float
-    slot_index: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
 def angular_velocity(elements: OrbitalElements, constants: PhysicalConstants) -> float:
     """Mean angular rate sqrt(mu / H^3) of a circular orbit, rad/s."""
     radius = elements.semi_major_axis
@@ -122,29 +109,31 @@ def orbital_period(elements: OrbitalElements, constants: PhysicalConstants) -> f
 
 def position_at(
     elements: OrbitalElements,
-    t: float,
+    t,
     slot_seconds: float,
     constants: PhysicalConstants,
-) -> SatellitePosition:
-    """Propagate to slot ``t`` (slots of ``slot_seconds`` each).
+) -> np.ndarray:
+    """Earth-centered position at slot(s) ``t`` (slots of ``slot_seconds``).
 
+    ``t`` is a scalar or an array; the result has shape ``(*t.shape, 3)``.
     The in-plane phase advances from the initial perigee argument by
     t * slot_seconds * angular_velocity, taken modulo one revolution, and
     is then rotated by the plane orientation (inclination, RAAN).
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise DomainError("slot index must be non-negative")
     rate = angular_velocity(elements, constants)
     phase = (elements.arg_perigee + t * slot_seconds * rate) % TWO_PI
     u = phase + elements.true_anomaly
     radius = elements.semi_major_axis
-    cos_u, sin_u = math.cos(u), math.sin(u)
+    cos_u, sin_u = np.cos(u), np.sin(u)
     cos_raan, sin_raan = math.cos(elements.raan), math.sin(elements.raan)
     cos_inc = math.cos(elements.inclination)
     x = radius * (cos_u * cos_raan - sin_u * cos_inc * sin_raan)
     y = radius * (cos_u * sin_raan + sin_u * cos_inc * cos_raan)
     z = radius * (sin_u * math.sin(elements.inclination))
-    return SatellitePosition(x=x, y=y, z=z, slot_index=t)
+    return np.stack([x, y, z], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -153,7 +142,7 @@ class GroundFrame:
 
     Local axes: x east, y north, z up. Terminal ground points are
     (x, y, 0) in this frame; satellite inertial positions are converted
-    with :meth:`to_local` once per slot.
+    with :meth:`to_local`, one point or an array of points at a time.
     """
 
     reference_longitude: float
@@ -177,21 +166,3 @@ class GroundFrame:
         return np.stack(
             [offset @ east, offset @ north, offset @ up], axis=-1
         )
-
-
-def elevation_angle(sat_local, terminal_local) -> float:
-    """Angle between the local horizontal plane and the terminal->satellite ray.
-
-    Both points must be in the same tangent-plane frame (z up). Result in
-    [-pi/2, pi/2]; negative when the satellite sits below the plane.
-    """
-    delta = np.asarray(sat_local, dtype=float) - np.asarray(terminal_local, dtype=float)
-    dist = float(np.linalg.norm(delta))
-    if dist == 0.0:
-        raise DomainError("satellite and terminal positions coincide")
-    return math.asin(max(-1.0, min(1.0, delta[2] / dist)))
-
-
-def is_geometrically_visible(sat_local, terminal_local, min_elevation: float) -> bool:
-    """True iff the elevation angle reaches the threshold (inclusive)."""
-    return elevation_angle(sat_local, terminal_local) >= min_elevation

@@ -78,7 +78,9 @@ class Scenario:
 
         Overriding the terminal count redraws positions uniformly in the
         configured terminal area from the (master seed, "terminals", n)
-        stream, so each count maps to one reproducible layout.
+        stream, so each count maps to one reproducible layout. It keeps
+        ``rf.rho0``: rho0 is a scenario input that JSON can set explicitly,
+        and a scenario cannot tell a derived value from a given one.
         """
         changes = {}
         if unavailability is not None:

@@ -1,7 +1,8 @@
 """Independent oracles shared by the module and acceptance tests.
 
 Everything here checks implementation paths from the outside: exhaustive
-grid search, finite differences, brute-force dominance. None of it calls
+grid search, finite differences, brute-force dominance, and scalar
+per-point geometry against the env's array geometry. None of it calls
 the solver/gradient code it is used to verify.
 """
 
@@ -12,6 +13,7 @@ import numpy as np
 from leodcb import channel
 from leodcb.channel import RfConstants
 from leodcb.emodrl import dominates
+from leodcb.errors import DomainError
 from leodcb.neural import forward
 
 
@@ -37,6 +39,37 @@ def make_rf(n_terminals=3, reference_distance=5e5, bandwidth=1e7):
         p_max=2.0,
         rho0=rho0,
     )
+
+
+def elevation_angle(sat_local, terminal_local) -> float:
+    """Angle between the local horizontal plane and the terminal->satellite ray.
+
+    Both points must be in the same tangent-plane frame (z up). Result in
+    [-pi/2, pi/2]; negative when the satellite sits below the plane.
+    """
+    delta = np.asarray(sat_local, dtype=float) - np.asarray(terminal_local, dtype=float)
+    dist = float(np.linalg.norm(delta))
+    if dist == 0.0:
+        raise DomainError("satellite and terminal positions coincide")
+    return math.asin(max(-1.0, min(1.0, delta[2] / dist)))
+
+
+def is_geometrically_visible(sat_local, terminal_local, min_elevation: float) -> bool:
+    """True iff the elevation angle reaches the threshold (inclusive)."""
+    return elevation_angle(sat_local, terminal_local) >= min_elevation
+
+
+def link_distance(terminal, satellite) -> float:
+    """Euclidean propagation distance between two points in one frame."""
+    delta = np.asarray(satellite, dtype=float) - np.asarray(terminal, dtype=float)
+    return float(np.linalg.norm(delta))
+
+
+def p2_objective(powers, distances, rf: RfConstants, scheme, slot_seconds: float) -> float:
+    """Weighted energy-minus-SNR objective of the per-slot subproblem."""
+    p = np.asarray(powers, dtype=float)
+    energy_term = scheme.a * rf.rho0 * float(p.sum()) * slot_seconds
+    return energy_term - scheme.b * channel.snr(p, distances, rf)
 
 
 def grid_search_p2(distances, rf, scheme, slot_seconds, points=201):

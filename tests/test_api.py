@@ -1,0 +1,18 @@
+"""The package's public names."""
+
+import leodcb
+from leodcb import env
+
+
+def test_every_exported_name_resolves():
+    for name in leodcb.__all__:
+        assert getattr(leodcb, name) is not None, name
+
+
+def test_object_actions_and_rewards_are_gone():
+    # Actions are flat indices and rewards are (rate, energy, switch) arrays.
+    for name in ("MomdpAction", "RewardVector"):
+        assert name not in leodcb.__all__
+        assert not hasattr(leodcb, name)
+        assert not hasattr(env, name)
+

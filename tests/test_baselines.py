@@ -7,11 +7,10 @@ from leodcb import channel
 from leodcb.baselines import (
     BaselineKind,
     argp_action,
-    non_dcb_episode,
     random_policy_action,
     run_baseline_episode,
 )
-from leodcb.env import IDLE, DcbUplinkEnv, MomdpAction, MomdpState
+from leodcb.env import DcbUplinkEnv
 from leodcb.scenario import desk_scenario, micro_scenario
 from leodcb.seeding import stream
 
@@ -27,8 +26,7 @@ class TestArgpAction:
         mask = np.zeros(desk_env.n_satellites, dtype=bool)
         mask[4] = True
         action = argp_action(desk_env, state, mask)
-        assert action.satellite == 5
-        assert action.scheme_index == 0  # max-power corner
+        assert action == desk_env.idle_index + 5  # max-power corner on satellite 5
 
     def test_prefers_nearer_satellite(self, desk_env):
         state = desk_env.reset(0)
@@ -39,12 +37,12 @@ class TestArgpAction:
         mask = np.zeros(desk_env.n_satellites, dtype=bool)
         mask[pair] = True
         action = argp_action(desk_env, state, mask)
-        assert action.satellite == int(pair[np.argmin(mean_d[pair])]) + 1
+        assert action - desk_env.idle_index == int(pair[np.argmin(mean_d[pair])]) + 1
 
     def test_idle_when_empty(self, desk_env):
         state = desk_env.reset(0)
         action = argp_action(desk_env, state, np.zeros(desk_env.n_satellites, dtype=bool))
-        assert action.satellite is IDLE
+        assert action == desk_env.idle_index
 
     def test_per_slot_rate_dominates_all_legitimate_actions(self):
         # Exhaustive comparison: the greedy max-power rate is an upper bound
@@ -71,7 +69,7 @@ class TestArgpAction:
 class TestNonDcb:
     def test_rate_matches_single_terminal_closed_form(self):
         scenario = micro_scenario()
-        ledger = non_dcb_episode(scenario, seed=3)
+        ledger = run_baseline_episode(BaselineKind.NON_DCB, scenario, seed=3)
         single = scenario.subset_terminals([0])
         env = DcbUplinkEnv(single)
         rf = scenario.rf
@@ -116,14 +114,11 @@ class TestNonDcb:
 
 
 class TestRandomPolicy:
-    def test_idle_when_mask_empty(self, desk_env):
-        desk_env.reset(0)
-        rng = stream(0, "test-random")
-        state = MomdpState(0, None)
-        mask = np.zeros(desk_env.n_satellites, dtype=bool)
-        desk_env._mask = mask
-        action = random_policy_action(desk_env, state, mask, rng)
-        assert action.satellite is IDLE
+    def test_idle_when_mask_empty(self):
+        scenario = dataclasses.replace(desk_scenario(), unavailability=1.0)
+        env = DcbUplinkEnv(scenario)
+        env.reset(0)
+        assert random_policy_action(env, stream(0, "test-random")) == env.idle_index
 
     def test_never_unavailable(self):
         env = DcbUplinkEnv(desk_scenario())
@@ -134,16 +129,15 @@ class TestRandomPolicy:
 
     def test_uniform_over_legitimate_actions(self, desk_env):
         desk_env.reset(41)
-        actions = desk_env.legitimate_actions()
+        legit = desk_env.legitimate_mask()
         rng = stream(7, "uniformity")
-        state = desk_env.state
-        mask = desk_env.current_mask
         n_draws = 10_000
         counts = {}
         for _ in range(n_draws):
-            a = random_policy_action(desk_env, state, mask, rng)
-            counts[(a.scheme_index, a.satellite)] = counts.get((a.scheme_index, a.satellite), 0) + 1
-        m = len(actions)
+            a = random_policy_action(desk_env, rng)
+            assert legit[a]
+            counts[a] = counts.get(a, 0) + 1
+        m = int(legit.sum())
         expected = n_draws / m
         sigma = np.sqrt(n_draws * (1 / m) * (1 - 1 / m))
         for key in counts:

@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import grid_search_p2, make_rf
+from oracles import grid_search_p2, link_distance, make_rf, p2_objective
 
 from leodcb.channel import (
     MAX_POWER_SCHEME,
     RfConstants,
     WeightScheme,
     achievable_rate,
-    link_distance,
-    p2_objective,
     snr,
     solve_p2,
     weight_set,

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from leodcb import neural
+from leodcb import emodrl, neural
 from leodcb.agent import AgentConfig, EnhancedD3qnAgent, load_agent_state
 from leodcb.emodrl import (
     EmodrlConfig,
@@ -329,6 +329,18 @@ class TestRun:
         assert fresh.params.sizes == (2, *config.agent.hidden_sizes, 10)
         assert fresh.params.all_finite()
         assert not np.array_equal(fresh.params.flat, initial)
+
+    def test_one_env_serves_every_task_and_the_evaluation(self, monkeypatch):
+        built = []
+
+        class CountingEnv(emodrl.DcbUplinkEnv):
+            def __init__(self, scenario):
+                super().__init__(scenario)
+                built.append(self)
+
+        monkeypatch.setattr(emodrl, "DcbUplinkEnv", CountingEnv)
+        run(micro_scenario(), tiny_emodrl_config())
+        assert len(built) == 1
 
     def test_different_seed_changes_training(self):
         base = micro_scenario()

@@ -2,19 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import is_geometrically_visible, link_distance
 
 from leodcb.env import (
-    IDLE,
     DcbUplinkEnv,
     EpisodeLedger,
-    MomdpAction,
     TraceRow,
     draw_availability,
     episode_objectives,
-    legitimate_actions,
+    legitimate_masks,
 )
 from leodcb.errors import IllegalActionError, StateError
-from leodcb.scenario import desk_scenario, micro_scenario
+from leodcb.orbits import GroundFrame, position_at
+from leodcb.scenario import default_scenario, desk_scenario, micro_scenario
 from leodcb.seeding import stream
 
 
@@ -24,7 +24,7 @@ def desk_env():
 
 
 def first_available_action(env):
-    return env.legitimate_actions()[0]
+    return int(np.flatnonzero(env.legitimate_mask())[0])
 
 
 def run_episode(env, seed, policy):
@@ -84,7 +84,7 @@ class TestAvailability:
         env.reset(0)
         while not env.done:
             assert not env.current_mask.any()
-            env.step(env.legitimate_actions()[0])
+            env.step(first_available_action(env))
 
     def test_p_zero_equals_visibility(self):
         scenario = dataclasses.replace(desk_scenario(), unavailability=0.0)
@@ -92,7 +92,7 @@ class TestAvailability:
         state = env.reset(0)
         while not env.done:
             assert np.array_equal(env.current_mask, env.visibility[state.slot])
-            state, _, _ = env.step(env.legitimate_actions()[0])
+            state, _, _ = env.step(first_available_action(env))
 
     def test_bernoulli_frequency(self):
         p = 0.3
@@ -106,21 +106,22 @@ class TestAvailability:
 class TestLegitimateActions:
     def test_cross_product_size(self):
         mask = np.array([True, False, True, True])
-        actions = legitimate_actions(mask, n_schemes=10)
-        assert len(actions) == 30
-        assert all(mask[a.satellite - 1] for a in actions)
+        legit = np.flatnonzero(legitimate_masks(mask[None, :], n_schemes=10)[0])
+        assert legit.size == 30
+        assert all(mask[a % 4] for a in legit)
 
     def test_empty_mask_gives_idle_only(self):
-        actions = legitimate_actions(np.zeros(4, dtype=bool), n_schemes=10)
-        assert actions == [MomdpAction(scheme_index=1, satellite=IDLE)]
+        flat = legitimate_masks(np.zeros((1, 4), dtype=bool), n_schemes=10)[0]
+        assert flat.shape == (41,)
+        assert np.flatnonzero(flat).tolist() == [40]
 
-    def test_flat_mask_matches_action_list(self, desk_env):
+    def test_scheme_blocks_repeat_availability(self, desk_env):
         desk_env.reset(17)
         flat = desk_env.legitimate_mask()
-        actions = desk_env.legitimate_actions()
-        assert flat.sum() == len(actions)
-        for action in actions:
-            assert flat[desk_env.action_index(action)]
+        assert flat.shape == (desk_env.n_actions,)
+        blocks = flat[: desk_env.idle_index].reshape(desk_env.n_schemes, desk_env.n_satellites)
+        assert (blocks == desk_env.current_mask).all()
+        assert flat[desk_env.idle_index] == (not desk_env.current_mask.any())
 
 
 class TestStep:
@@ -128,10 +129,10 @@ class TestStep:
         desk_env.reset(8)
         action = first_available_action(desk_env)
         _, first, _ = desk_env.step(action)
-        assert first.switch == 0.0  # episode-start selection is free
-        if desk_env.current_mask[action.satellite - 1]:
+        assert first[2] == 0.0  # episode-start selection is free
+        if desk_env.current_mask[action % desk_env.n_satellites]:
             _, second, _ = desk_env.step(action)
-            assert second.switch == 0.0
+            assert second[2] == 0.0
 
     def test_switch_penalised(self, desk_env):
         # Find a slot with two available satellites and change between them.
@@ -142,8 +143,8 @@ class TestStep:
                 if state.prev_satellite is not None and len(avail) >= 1:
                     other = [s for s in avail if s != state.prev_satellite]
                     if other:
-                        _, reward, _ = desk_env.step(MomdpAction(1, int(other[0])))
-                        assert reward.switch == -desk_env.rho3
+                        _, reward, _ = desk_env.step(int(other[0]) - 1)
+                        assert reward[2] == -desk_env.rho3
                         return
                 state, _, _ = desk_env.step(first_available_action(desk_env))
         pytest.fail("no switch opportunity found")
@@ -155,9 +156,9 @@ class TestStep:
         while not env.done:
             action = first_available_action(env)
             _, reward, _ = env.step(action)
-            assert reward.rate == 0.0
-            if action.satellite is not IDLE:
-                assert reward.energy < 0.0
+            assert reward[0] == 0.0
+            if action != env.idle_index:
+                assert reward[1] < 0.0
         assert env.ledger.rate_bits == 0.0
         assert env.ledger.energy_joules > 0.0
 
@@ -166,25 +167,27 @@ class TestStep:
         action = first_available_action(desk_env)
         state, _, _ = desk_env.step(action)
         prev = state.prev_satellite
-        state, reward, _ = desk_env.step(MomdpAction(1, IDLE))
+        state, reward, _ = desk_env.step(desk_env.idle_index)
         assert state.prev_satellite == prev
-        assert reward == pytest.approx((0.0, 0.0, 0.0)) or (
-            reward.rate == 0.0 and reward.energy == 0.0 and reward.switch == 0.0
-        )
+        assert reward.tolist() == [0.0, 0.0, 0.0]
 
     def test_unavailable_satellite_rejected(self, desk_env):
         desk_env.reset(9)
         blocked = np.flatnonzero(~desk_env.current_mask)
         assert blocked.size > 0
-        with pytest.raises(IllegalActionError):
-            desk_env.step(MomdpAction(1, int(blocked[0] + 1)))
+        sat = int(blocked[0])
+        last_scheme = (desk_env.n_schemes - 1) * desk_env.n_satellites
+        # Agent indices of the first and last scheme, then the max-power index.
+        for action in (sat, last_scheme + sat, desk_env.idle_index + sat + 1):
+            with pytest.raises(IllegalActionError):
+                desk_env.step(action)
 
     def test_step_after_done_rejected(self, desk_env):
         desk_env.reset(4)
         while not desk_env.done:
             desk_env.step(first_available_action(desk_env))
         with pytest.raises(StateError):
-            desk_env.step(MomdpAction(1, IDLE))
+            desk_env.step(desk_env.idle_index)
 
 
 class TestLedgerConsistency:
@@ -192,9 +195,9 @@ class TestLedgerConsistency:
         rewards = run_episode(desk_env, 31, lambda env, s: first_available_action(env))
         ledger = desk_env.ledger
         dt = desk_env.scenario.slot_seconds
-        rate_sum = sum(r.rate for r in rewards) / desk_env.rho1
-        energy_sum = -sum(r.energy for r in rewards) / desk_env.rho2
-        switch_sum = -sum(r.switch for r in rewards) / desk_env.rho3
+        rate_sum = sum(r[0] for r in rewards) / desk_env.rho1
+        energy_sum = -sum(r[1] for r in rewards) / desk_env.rho2
+        switch_sum = -sum(r[2] for r in rewards) / desk_env.rho3
         assert rate_sum == pytest.approx(ledger.rate_bits / dt, rel=1e-9, abs=1e-12)
         assert energy_sum == pytest.approx(ledger.energy_joules, rel=1e-9)
         assert switch_sum == pytest.approx(ledger.switch_count)
@@ -218,7 +221,7 @@ class TestEpisodeObjectives:
         env = DcbUplinkEnv(scenario)
         env.reset(0)
         while not env.done:
-            env.step(MomdpAction(1, IDLE))
+            env.step(env.idle_index)
         assert env.episode_objectives() == (0.0, 0.0, 0.0)
 
     def test_single_switch_rate(self):
@@ -259,7 +262,83 @@ class TestEncodings:
         assert 0.0 < enc[0] <= 1.0
         assert 0.0 < enc[1] <= 1.0
 
-    def test_action_index_round_trip(self, desk_env):
-        for index in range(desk_env.n_actions):
-            action = desk_env.action_from_index(index)
-            assert desk_env.action_index(action) == index
+    def test_every_legitimate_index_steps_as_its_divmod(self):
+        env = DcbUplinkEnv(dataclasses.replace(desk_scenario(), unavailability=0.0))
+
+        def advance_to(slot):
+            env.reset(0)
+            for _ in range(slot):
+                env.step(env.idle_index)
+
+        stepped = set()
+        for slot in range(env.scenario.n_slots):
+            advance_to(slot)
+            for action in np.flatnonzero(env.legitimate_mask()):
+                advance_to(slot)
+                env.step(int(action))
+                row = env.ledger.trace[-1]
+                if action == env.idle_index:
+                    assert (row.scheme, row.satellite) == (1, 0)
+                else:
+                    scheme, sat = divmod(int(action), env.n_satellites)
+                    assert (row.scheme, row.satellite) == (scheme + 1, sat + 1)
+                stepped.add(int(action))
+        ever_visible = int(env.visibility.any(axis=0).sum())
+        idle_slots = int((~env.visibility.any(axis=1)).any())
+        assert len(stepped) == env.n_schemes * ever_visible + idle_slots
+
+
+class TestFlatActionValidation:
+    @pytest.fixture
+    def blocked_env(self, desk_env):
+        """Desk env at a slot with available and unavailable satellites."""
+        desk_env.reset(9)
+        assert desk_env.current_mask.any() and not desk_env.current_mask.all()
+        return desk_env
+
+    def test_negative_index_rejected_without_stepping(self, blocked_env):
+        with pytest.raises(IllegalActionError):
+            blocked_env.step(-1)
+        assert blocked_env.state.slot == 0
+        assert blocked_env.ledger.trace == []
+
+    def test_non_integer_index_rejected(self, blocked_env):
+        with pytest.raises(TypeError):
+            blocked_env.step(float(blocked_env.idle_index))
+
+    def test_index_past_max_power_tail_rejected(self, blocked_env):
+        with pytest.raises(IllegalActionError):
+            blocked_env.step(blocked_env.idle_index + blocked_env.n_satellites + 1)
+
+    def test_max_power_index_steps_scheme_zero(self, blocked_env):
+        sat = int(np.flatnonzero(blocked_env.current_mask)[0]) + 1
+        blocked_env.step(blocked_env.idle_index + sat)
+        row = blocked_env.ledger.trace[-1]
+        assert (row.scheme, row.satellite) == (0, sat)
+        assert row.rate_bps == blocked_env.rate_at_max_power(0, sat)
+        assert row.total_power_w == blocked_env.n_terminals * blocked_env.scenario.rf.p_max
+
+
+class TestGeometryOracles:
+    @pytest.mark.parametrize("build", [micro_scenario, desk_scenario, default_scenario])
+    def test_array_geometry_matches_scalar_oracles(self, build):
+        scenario = build()
+        env = DcbUplinkEnv(scenario)
+        frame = GroundFrame(scenario.reference_longitude, scenario.constants)
+        terminals = np.array([[x, y, 0.0] for x, y in scenario.terminals])
+        centroid = terminals.mean(axis=0)
+        rng = np.random.default_rng(0)
+        for t in rng.integers(scenario.n_slots, size=5):
+            for j in rng.integers(scenario.n_satellites, size=5):
+                elements = scenario.constellation[j]
+                local = frame.to_local(
+                    position_at(elements, int(t), scenario.slot_seconds, scenario.constants)
+                )
+                assert np.allclose(env._sat_local[t, j], local, rtol=1e-12, atol=1e-6)
+                assert env.visibility[t, j] == is_geometrically_visible(
+                    local, centroid, scenario.min_elevation
+                )
+                for i, terminal in enumerate(terminals):
+                    assert env.distances[t, j, i] == pytest.approx(
+                        link_distance(terminal, local), rel=1e-12
+                    )

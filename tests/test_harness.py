@@ -83,6 +83,12 @@ class TestScenarioIO:
         with pytest.raises(ConfigError, match="surprise"):
             load_scenario(path)
 
+    def test_terminal_count_override_keeps_rho0(self):
+        # rho0 is a scenario input (JSON may set it), so an override that
+        # redraws the terminals keeps it rather than re-deriving it.
+        desk = desk_scenario()
+        assert desk.with_overrides(n_terminals=12).rf.rho0 == desk.rf.rho0
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  broken\n}")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import elevation_angle, is_geometrically_visible
 
 from leodcb.errors import DomainError
 from leodcb.orbits import (
@@ -10,8 +11,6 @@ from leodcb.orbits import (
     PhysicalConstants,
     angular_velocity,
     circular_orbit,
-    elevation_angle,
-    is_geometrically_visible,
     orbital_period,
     position_at,
 )
@@ -74,21 +73,33 @@ class TestPositionAt:
         elements = orbit()
         pos = position_at(elements, 0, 60.0, CONSTANTS)
         radius = elements.semi_major_axis
-        assert pos.x == pytest.approx(radius)
-        assert pos.y == pytest.approx(0.0, abs=1e-6)
-        assert pos.z == pytest.approx(0.0, abs=1e-6)
+        assert pos[0] == pytest.approx(radius)
+        assert pos[1] == pytest.approx(0.0, abs=1e-6)
+        assert pos[2] == pytest.approx(0.0, abs=1e-6)
 
     def test_polar_orbit_apex(self):
         elements = orbit(inclination=math.pi / 2, arg_perigee=math.pi / 2)
         pos = position_at(elements, 0, 60.0, CONSTANTS)
         radius = elements.semi_major_axis
-        assert pos.x == pytest.approx(0.0, abs=1e-6)
-        assert pos.y == pytest.approx(0.0, abs=1e-6)
-        assert pos.z == pytest.approx(radius)
+        assert pos[0] == pytest.approx(0.0, abs=1e-6)
+        assert pos[1] == pytest.approx(0.0, abs=1e-6)
+        assert pos[2] == pytest.approx(radius)
 
     def test_negative_slot_rejected(self):
         with pytest.raises(DomainError):
             position_at(orbit(), -1, 60.0, CONSTANTS)
+        with pytest.raises(DomainError):
+            position_at(orbit(), np.array([0.0, 3.0, -1.0]), 60.0, CONSTANTS)
+
+    def test_array_slots_give_one_position_per_slot(self):
+        elements = orbit(inclination=0.3, raan=2.0, arg_perigee=1.0)
+        slots = np.arange(12.0).reshape(3, 4)
+        positions = position_at(elements, slots, 60.0, CONSTANTS)
+        assert positions.shape == (3, 4, 3)
+        for index in np.ndindex(slots.shape):
+            single = position_at(elements, slots[index], 60.0, CONSTANTS)
+            assert single.shape == (3,)
+            assert np.allclose(positions[index], single, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("altitude", [5e5, 1e6])
     def test_periodicity(self, altitude):
@@ -98,8 +109,8 @@ class TestPositionAt:
         period_slots = orbital_period(elements, CONSTANTS) / dt
         radius = elements.semi_major_axis
         for t in rng.uniform(0, 100, size=10):
-            a = position_at(elements, t, dt, CONSTANTS).as_array()
-            b = position_at(elements, t + period_slots, dt, CONSTANTS).as_array()
+            a = position_at(elements, t, dt, CONSTANTS)
+            b = position_at(elements, t + period_slots, dt, CONSTANTS)
             assert np.all(np.abs(a - b) < 1e-6 * radius)
 
     def test_norm_preserved(self):
@@ -107,15 +118,15 @@ class TestPositionAt:
         radius = elements.semi_major_axis
         for t in range(0, 200, 7):
             pos = position_at(elements, t, 60.0, CONSTANTS)
-            assert np.linalg.norm(pos.as_array()) == pytest.approx(radius, rel=1e-9)
+            assert np.linalg.norm(pos) == pytest.approx(radius, rel=1e-9)
 
     def test_angular_rate_between_slots(self):
         elements = orbit(inclination=0.2, raan=0.5, altitude=5e5)
         dt = 60.0
         expected = angular_velocity(elements, CONSTANTS) * dt
         for t in range(5):
-            a = position_at(elements, t, dt, CONSTANTS).as_array()
-            b = position_at(elements, t + 1, dt, CONSTANTS).as_array()
+            a = position_at(elements, t, dt, CONSTANTS)
+            b = position_at(elements, t + 1, dt, CONSTANTS)
             cos_swept = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
             assert math.acos(np.clip(cos_swept, -1, 1)) == pytest.approx(expected, abs=1e-9)
 
@@ -123,7 +134,7 @@ class TestPositionAt:
         elements = orbit(inclination=0.35, altitude=5e5)
         bound = elements.semi_major_axis * math.sin(0.35)
         for t in range(150):
-            assert abs(position_at(elements, t, 60.0, CONSTANTS).z) <= bound + 1e-6
+            assert abs(position_at(elements, t, 60.0, CONSTANTS)[2]) <= bound + 1e-6
 
 
 class TestElevation:
@@ -169,5 +180,5 @@ class TestGroundFrame:
     def test_equatorial_satellite_over_reference_is_at_zenith(self):
         frame = GroundFrame(0.0, CONSTANTS)
         elements = circular_orbit(0.0, 0.0, 0.0, 0.0, 5e5, CONSTANTS)
-        local = frame.to_local(position_at(elements, 0, 60.0, CONSTANTS).as_array())
+        local = frame.to_local(position_at(elements, 0, 60.0, CONSTANTS))
         assert elevation_angle(local, [0.0, 0.0, 0.0]) == pytest.approx(math.pi / 2)

@@ -35,7 +35,7 @@ def test_wrap_angle_lands_in_range(theta):
 def test_orbit_norm_preserved(inclination, raan, altitude, slot):
     elements = circular_orbit(inclination, raan, 0.3, 0.1, altitude, CONSTANTS)
     pos = position_at(elements, slot, 60.0, CONSTANTS)
-    radius = float(np.linalg.norm(pos.as_array()))
+    radius = float(np.linalg.norm(pos))
     assert math.isclose(radius, elements.semi_major_axis, rel_tol=1e-9)
 
 
