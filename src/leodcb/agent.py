@@ -200,17 +200,22 @@ class EnhancedD3qnAgent:
             )
 
     def train_iteration(self, env: DcbUplinkEnv, weight: np.ndarray) -> None:
-        """Collect episodes, then run the configured gradient steps."""
+        """Collect episodes, then run the configured gradient steps.
+
+        The steps share one gradient buffer, which is dropped on return, so
+        an agent between iterations holds no gradient memory.
+        """
         cfg = self.config
         for _ in range(cfg.episodes_per_iteration):
             self.collect_episode(env)
+        grads = QNetworkParams(self.params.sizes)
         for _ in range(cfg.grad_steps_per_iteration):
             if len(self.replay) < cfg.batch_size:
                 break
             batch = self.replay.sample(cfg.batch_size, self.rng)
             targets = td_targets(batch, self.target_params, weight, cfg.gamma)
-            grads, self.last_loss = neural.backward(
-                self.params, batch.state, batch.action, targets
+            _, self.last_loss = neural.backward(
+                self.params, batch.state, batch.action, targets, grads
             )
             neural.clip_gradients(grads, cfg.max_grad_norm)
             neural.adam_step(self.params, grads, self.adam, cfg.learning_rate)
@@ -256,13 +261,21 @@ def load_agent_state(path, agent: EnhancedD3qnAgent) -> EnhancedD3qnAgent:
     return agent
 
 
-def greedy_rollout(params: QNetworkParams, env: DcbUplinkEnv, seed: int):
-    """One epsilon = 0 episode; returns the finished environment ledger."""
+def greedy_rollout(params: QNetworkParams, env: DcbUplinkEnv, seed: int, q_rows=None):
+    """One epsilon = 0 episode; returns the finished environment ledger.
+
+    Q depends only on the state, so rollouts of one policy can share a
+    ``q_rows`` dict from state to Q row; each row is computed once.
+    """
+    if q_rows is None:
+        q_rows = {}
     state = env.reset(seed)
     while not env.done:
-        encoding = env.encode_state(state)
+        q = q_rows.get(state)
+        if q is None:
+            _, _, q = neural.forward(params, env.encode_state(state))
+            q_rows[state] = q
         legit = np.flatnonzero(env.legitimate_mask())
-        _, _, q = neural.forward(params, encoding)
         action = int(legit[np.argmax(q[legit])])
         state, _, _ = env.step(action)
     return env.ledger
@@ -274,8 +287,9 @@ def evaluate_policy(params: QNetworkParams, env: DcbUplinkEnv, seeds) -> np.ndar
     All components are maximized under this sign convention.
     """
     totals = np.zeros(3)
+    q_rows = {}
     for seed in seeds:
-        greedy_rollout(params, env, seed)
+        greedy_rollout(params, env, seed, q_rows)
         f1, f2, f3 = env.episode_objectives()
         totals += (f1, -f2, -f3)
     return totals / len(seeds)

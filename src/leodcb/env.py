@@ -80,8 +80,13 @@ def legitimate_masks(available: np.ndarray, n_schemes: int) -> np.ndarray:
     (k - 1) * N_L + (s - 1) is legitimate iff satellite s is; IDLE, the
     last index, is legitimate iff no satellite is.
     """
-    idle = ~available.any(axis=1, keepdims=True)
-    return np.concatenate([np.tile(available, n_schemes), idle], axis=1)
+    rows, n_satellites = available.shape
+    out = np.empty((rows, n_schemes * n_satellites + 1), dtype=bool)
+    # Splitting the last axis of a column slice is a view, so this writes
+    # through to ``out`` whatever the row count.
+    out[:, :-1].reshape(rows, n_schemes, n_satellites)[...] = available[:, None, :]
+    out[:, -1] = ~available.any(axis=1)
+    return out
 
 
 class DcbUplinkEnv:
@@ -137,6 +142,7 @@ class DcbUplinkEnv:
         self._rng: np.random.Generator | None = None
         self._state: MomdpState | None = None
         self._mask: np.ndarray | None = None
+        self._legit: np.ndarray | None = None
         self.ledger = EpisodeLedger()
 
     # -- episode control -------------------------------------------------
@@ -146,9 +152,9 @@ class DcbUplinkEnv:
         self._rng = stream(seed, "availability")
         self._state = MomdpState(slot=0, prev_satellite=None)
         self.ledger = EpisodeLedger()
-        self._mask = draw_availability(
+        self._set_mask(draw_availability(
             self.visibility[0], self.scenario.unavailability, self._rng
-        )
+        ))
         return self._state
 
     @property
@@ -207,12 +213,18 @@ class DcbUplinkEnv:
         next_slot = state.slot + 1
         self._state = MomdpState(slot=next_slot, prev_satellite=next_prev)
         if next_slot < self.scenario.n_slots:
-            self._mask = draw_availability(
+            self._set_mask(draw_availability(
                 self.visibility[next_slot], self.scenario.unavailability, self._rng
-            )
+            ))
         else:
-            self._mask = np.zeros(self.n_satellites, dtype=bool)
+            self._set_mask(np.zeros(self.n_satellites, dtype=bool))
         return self._state, reward, self.done
+
+    def _set_mask(self, available: np.ndarray) -> None:
+        """Take a slot's availability and build its flat action mask once."""
+        self._mask = available
+        self._legit = legitimate_masks(available[None, :], self.n_schemes)[0]
+        self._legit.flags.writeable = False
 
     def episode_objectives(self):
         return episode_objectives(self.ledger, self.scenario.n_slots, self.scenario.slot_seconds)
@@ -225,6 +237,10 @@ class DcbUplinkEnv:
         Indices below ``idle_index`` are (scheme, satellite) pairs in
         scheme-major order; ``idle_index`` is IDLE; the N_L indices after
         it put the max-power corner (scheme 0) on each satellite.
+
+        IDLE is accepted in every slot, also where satellites are
+        available and ``legitimate_mask`` therefore does not mark it: the
+        mask is the agents' action set, not the limit of what may be stepped.
         """
         action = operator.index(action)
         if 0 <= action < self.idle_index:
@@ -270,5 +286,12 @@ class DcbUplinkEnv:
         )
 
     def legitimate_mask(self) -> np.ndarray:
-        """Boolean mask over the flat action space for the current slot."""
-        return legitimate_masks(self.current_mask[None, :], self.n_schemes)[0]
+        """Read-only boolean mask over the flat action space for the current
+        slot, built once when the slot's availability is drawn.
+
+        IDLE is marked only where no satellite is available, although
+        ``step`` accepts it in any slot (see ``_decode``).
+        """
+        if self._legit is None:
+            raise StateError("environment not reset")
+        return self._legit

@@ -119,8 +119,9 @@ def replay_policy(params: QNetworkParams, scenario: Scenario, overrides: dict, s
     )
     env = DcbUplinkEnv(modified)
     totals = np.zeros(3)
+    q_rows = {}
     for seed in seeds:
-        ledger = greedy_rollout(params, env, seed)
+        ledger = greedy_rollout(params, env, seed, q_rows)
         totals += episode_objectives(ledger, modified.n_slots, modified.slot_seconds)
     return tuple(totals / len(seeds))
 

@@ -75,14 +75,21 @@ def init_params(
 
 
 def _forward_full(params: QNetworkParams, x: np.ndarray):
+    # Bias, tanh and the mean subtraction work in place on fresh products.
     activations = [x]
     h = x
     for w, b in zip(params.trunk_weights, params.trunk_biases):
-        h = np.tanh(h @ w + b)
+        h = h @ w
+        h += b
+        np.tanh(h, out=h)
         activations.append(h)
-    v = h @ params.value_weight + params.value_bias          # (B, 1)
-    a = h @ params.adv_weight + params.adv_bias              # (B, n_actions)
-    q = v + a - a.mean(axis=1, keepdims=True)
+    v = h @ params.value_weight                              # (B, 1)
+    v += params.value_bias
+    a = h @ params.adv_weight                                # (B, n_actions)
+    a += params.adv_bias
+    # What a.mean(axis=1) computes: the same sum, then the same division.
+    q = v + a
+    q -= np.add.reduce(a, axis=1, keepdims=True) / params.n_actions
     return activations, v, a, q
 
 
@@ -107,16 +114,21 @@ def backward(
     encodings: np.ndarray,
     actions: np.ndarray,
     targets: np.ndarray,
+    grads: QNetworkParams | None = None,
 ):
     """Gradient of the mean squared TD loss; returns (grads, loss).
 
-    Loss = mean over the batch of 0.5 * (Q(s, a) - target)^2.
+    Loss = mean over the batch of 0.5 * (Q(s, a) - target)^2. The gradient
+    is written into ``grads`` when given: every entry is overwritten, so a
+    caller can reuse one buffer across steps. Otherwise a new one is made.
     """
     x = np.asarray(encodings, dtype=float)
     acts = np.asarray(actions, dtype=int)
     y = np.asarray(targets, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DomainError("batch must be a nonempty 2-D array")
+    if grads is None:
+        grads = QNetworkParams(params.sizes)
 
     batch = x.shape[0]
     activations, v, a, q = _forward_full(params, x)
@@ -127,22 +139,31 @@ def backward(
     d_q = np.zeros_like(q)
     d_q[np.arange(batch), acts] = residual / batch
     d_v = d_q.sum(axis=1, keepdims=True)
-    d_a = d_q - d_q.sum(axis=1, keepdims=True) / params.n_actions
+    d_a = d_q
+    d_a -= d_v / params.n_actions
 
-    grads = QNetworkParams(params.sizes)
     h_last = activations[-1]
     np.matmul(h_last.T, d_v, out=grads.value_weight)
     d_v.sum(axis=0, out=grads.value_bias)
     np.matmul(h_last.T, d_a, out=grads.adv_weight)
     d_a.sum(axis=0, out=grads.adv_bias)
 
-    d_h = d_v @ params.value_weight.T + d_a @ params.adv_weight.T
+    # d_v @ value_weight.T has inner dimension 1, so it is the outer
+    # product d_v * value_weight.T, bit for bit.
+    d_h = d_a @ params.adv_weight.T
+    d_h += d_v * params.value_weight.T
     for layer in reversed(range(len(params.trunk_weights))):
-        h_out = activations[layer + 1]
-        d_pre = d_h * (1.0 - h_out * h_out)     # tanh'
+        # tanh' = 1 - h^2, over the activation no later step reads; the
+        # layer's input gradient d_pre then takes the place of d_h.
+        tanh_grad = activations[layer + 1]
+        np.multiply(tanh_grad, tanh_grad, out=tanh_grad)
+        np.subtract(1.0, tanh_grad, out=tanh_grad)
+        d_pre = d_h
+        d_pre *= tanh_grad
         np.matmul(activations[layer].T, d_pre, out=grads.trunk_weights[layer])
         d_pre.sum(axis=0, out=grads.trunk_biases[layer])
-        d_h = d_pre @ params.trunk_weights[layer].T
+        if layer > 0:
+            d_h = d_pre @ params.trunk_weights[layer].T
     return grads, loss
 
 
@@ -186,15 +207,30 @@ def adam_step(
     state.step += 1
     bias1 = 1.0 - beta1**state.step
     bias2 = 1.0 - beta2**state.step
+    scratch = np.empty(min(_ADAM_BLOCK, params.flat.size))
+    denom = np.empty_like(scratch)
     for start in range(0, params.flat.size, _ADAM_BLOCK):
         block = slice(start, start + _ADAM_BLOCK)
         theta, grad = params.flat[block], grads.flat[block]
         m, v = state.first_moment[block], state.second_moment[block]
+        tmp, den = scratch[: theta.size], denom[: theta.size]
+        # The textbook expressions below, in their evaluation order:
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;
+        # theta -= (lr (m / bias1)) / (sqrt(v / bias2) + eps).
         m *= beta1
-        m += (1.0 - beta1) * grad
+        np.multiply(1.0 - beta1, grad, out=tmp)
+        m += tmp
         v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        theta -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+        np.multiply(1.0 - beta2, grad, out=tmp)
+        tmp *= grad
+        v += tmp
+        np.divide(m, bias1, out=tmp)
+        np.multiply(lr, tmp, out=tmp)
+        np.divide(v, bias2, out=den)
+        np.sqrt(den, out=den)
+        den += eps
+        tmp /= den
+        theta -= tmp
     return params
 
 

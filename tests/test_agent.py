@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,29 @@ class TestTdTargets:
             assert target == pytest.approx(expected, rel=1e-12)
 
 
+    @pytest.mark.parametrize("draw", range(5))
+    def test_equals_the_per_satellite_maximum_bitwise(self, draw):
+        rng = np.random.default_rng(300 + draw)
+        n_schemes, rows = 4, 40
+        params = neural.init_params(2, (8,), n_schemes * N_SATELLITES + 1, rng)
+        batch = ReplayBatch(
+            state=rng.random((rows, 2)),
+            action=rng.integers(params.n_actions, size=rows),
+            reward=rng.normal(size=(rows, 3)),
+            next_state=rng.random((rows, 2)),
+            next_available=rng.random((rows, N_SATELLITES)) < 0.4,
+            terminal=rng.random(rows) < 0.2,
+        )
+        w = np.array([0.2, 0.5, 0.3])
+        _, _, next_q = neural.forward(params, batch.next_state)
+        # Best scheme per satellite, then best available satellite or IDLE.
+        per_satellite = next_q[:, :-1].reshape(rows, n_schemes, N_SATELLITES).max(axis=1)
+        best_next = np.where(batch.next_available, per_satellite, -np.inf).max(axis=1)
+        best_next = np.where(batch.next_available.any(axis=1), best_next, next_q[:, -1])
+        expected = batch.reward @ w + 0.9 * np.where(batch.terminal, 0.0, best_next)
+        assert td_targets(batch, params, w, 0.9).tobytes() == expected.tobytes()
+
+
 class TestReplayBuffer:
     def test_capacity_bound_and_fifo(self):
         buffer = ReplayBuffer(3)
@@ -263,6 +287,26 @@ class TestTrainIteration:
         assert twin.iteration == agent.iteration + 1
         assert not np.array_equal(agent.params.flat, twin.params.flat)
 
+    def test_gradient_steps_allocate_one_buffer(self):
+        # One gradient-sized buffer plus batch temporaries; keeping the last
+        # step's gradient alive while the next is made would add another.
+        env = DcbUplinkEnv(desk_scenario())
+        cfg = tiny_config(batch_size=64, grad_steps_per_iteration=3, hidden_sizes=(512, 512))
+        agent = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(3))
+        for _ in range(3):
+            agent.collect_episode(env)
+        weight = np.full(3, 1 / 3)
+        agent.train_iteration(env, weight)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            agent.train_iteration(env, weight)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert agent.grad_steps_done == 6
+        assert peak - before < 2.0 * agent.params.flat.nbytes
+
     def test_clone_replay_is_independent(self):
         env = DcbUplinkEnv(micro_scenario())
         cfg = tiny_config(batch_size=4, replay_capacity=12)
@@ -331,6 +375,24 @@ class TestEvaluatePolicy:
         env = DcbUplinkEnv(scenario)
         params = neural.init_params(2, (16,), env.n_actions, np.random.default_rng(7))
         assert np.array_equal(evaluate_policy(params, env, seeds=[3]), np.zeros(3))
+
+    def test_rollouts_share_q_rows(self, monkeypatch):
+        env = DcbUplinkEnv(desk_scenario())
+        params = neural.init_params(2, (16,), env.n_actions, np.random.default_rng(9))
+        calls = []
+        real_forward = neural.forward
+
+        def counting_forward(p, encoding):
+            calls.append(tuple(encoding))
+            return real_forward(p, encoding)
+
+        monkeypatch.setattr(neural, "forward", counting_forward)
+        once = evaluate_policy(params, env, seeds=[4])
+        n_once = len(calls)
+        twice = evaluate_policy(params, env, seeds=[4, 4])
+        assert len(calls) == 2 * n_once
+        assert len(set(calls)) == n_once
+        assert np.array_equal(once, twice)
 
     def test_sign_convention_maximizes_every_component(self):
         env = DcbUplinkEnv(desk_scenario())

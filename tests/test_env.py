@@ -115,6 +115,34 @@ class TestLegitimateActions:
         assert flat.shape == (41,)
         assert np.flatnonzero(flat).tolist() == [40]
 
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_rows_match_single_row_masks(self, rows):
+        rng = np.random.default_rng(rows)
+        available = rng.random((rows, 5)) < 0.4
+        available[0] = False            # one row with nothing available
+        masks = legitimate_masks(available, n_schemes=3)
+        assert masks.shape == (rows, 16)
+        for row, mask in zip(available, masks):
+            assert np.array_equal(mask, legitimate_masks(row[None, :], 3)[0])
+            assert np.array_equal(mask[:-1], np.tile(row, 3))
+            assert mask[-1] == (not row.any())
+
+    def test_env_mask_is_cached_and_read_only(self, desk_env):
+        desk_env.reset(3)
+        mask = desk_env.legitimate_mask()
+        assert desk_env.legitimate_mask() is mask
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+        desk_env.step(first_available_action(desk_env))
+        assert np.array_equal(
+            desk_env.legitimate_mask(),
+            legitimate_masks(desk_env.current_mask[None, :], desk_env.n_schemes)[0],
+        )
+
+    def test_mask_before_reset_rejected(self):
+        with pytest.raises(StateError):
+            DcbUplinkEnv(micro_scenario()).legitimate_mask()
+
     def test_scheme_blocks_repeat_availability(self, desk_env):
         desk_env.reset(17)
         flat = desk_env.legitimate_mask()
@@ -170,6 +198,17 @@ class TestStep:
         state, reward, _ = desk_env.step(desk_env.idle_index)
         assert state.prev_satellite == prev
         assert reward.tolist() == [0.0, 0.0, 0.0]
+
+    def test_idle_steps_while_satellites_are_available(self, desk_env):
+        # IDLE is outside the agents' action set whenever a satellite is
+        # available, but the env still accepts it.
+        desk_env.reset(12)
+        assert desk_env.current_mask.any()
+        assert not desk_env.legitimate_mask()[desk_env.idle_index]
+        state, reward, _ = desk_env.step(desk_env.idle_index)
+        assert state.slot == 1 and state.prev_satellite is None
+        assert reward.tolist() == [0.0, 0.0, 0.0]
+        assert desk_env.ledger.trace[-1].satellite == 0
 
     def test_unavailable_satellite_rejected(self, desk_env):
         desk_env.reset(9)

@@ -112,6 +112,39 @@ class TestBackward:
         with pytest.raises(DomainError):
             backward(params, np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0))
 
+    @pytest.mark.parametrize("hidden", [(5,), (5, 4), (6, 3, 4)])
+    def test_supplied_buffer_is_overwritten_bitwise(self, hidden):
+        rng = np.random.default_rng(8)
+        params = small_net(rng, hidden=hidden, n_actions=4)
+        batch = random_batch(rng, params, size=6)
+        fresh, fresh_loss = backward(params, *batch)
+        buffer = QNetworkParams(params.sizes)
+        buffer.flat[:] = np.nan
+        grads, loss = backward(params, *batch, buffer)
+        assert grads is buffer
+        assert loss == fresh_loss
+        assert fresh.flat.tobytes() == buffer.flat.tobytes()
+
+    def test_inputs_are_not_modified(self):
+        rng = np.random.default_rng(9)
+        params = small_net(rng)
+        x, actions, targets = random_batch(rng, params)
+        flat_before, x_before = params.flat.copy(), x.copy()
+        backward(params, x, actions, targets)
+        assert np.array_equal(params.flat, flat_before)
+        assert np.array_equal(x, x_before)
+
+    @pytest.mark.parametrize("draw", range(10))
+    def test_rank_one_product_equals_matmul_bitwise(self, draw):
+        # backward forms d_v @ value_weight.T, a (B, 1) @ (1, H) product, as
+        # the elementwise outer product; the two must agree bit for bit.
+        # Draw 0 is the paper's shape: batch 256, width 2048.
+        rng = np.random.default_rng(2000 + draw)
+        rows, width = (256, 2048) if draw == 0 else rng.integers(1, 300, size=2)
+        d_v = rng.normal(size=(rows, 1)) * 10.0 ** rng.integers(-8, 8)
+        weight = rng.normal(size=(width, 1))
+        assert (d_v * weight.T).tobytes() == (d_v @ weight.T).tobytes()
+
 
 class TestAdam:
     def test_zero_gradient_is_identity(self):
