@@ -28,8 +28,8 @@ def argp_action(env: DcbUplinkEnv, state: MomdpState, mask: np.ndarray) -> int:
     available = np.flatnonzero(mask) + 1
     if available.size == 0:
         return env.idle_index
-    rates = [env.rate_at_max_power(state.slot, int(s)) for s in available]
-    return env.idle_index + int(available[int(np.argmax(rates))])
+    rates = env.rates[state.slot, 0, available - 1]
+    return env.idle_index + int(available[np.argmax(rates)])
 
 
 def random_policy_action(env: DcbUplinkEnv, rng: np.random.Generator) -> int:

@@ -4,8 +4,8 @@ power-allocation subproblem.
 Channel phases are assumed perfectly compensated, so the received SNR is
 the coherent sum (sum_i sqrt(P_i * beta0 * d_i^-alpha))^2 / sigma^2. The
 per-slot subproblem trades transmit energy against that SNR under a
-scheme weight (a, b) and is solved by projected gradient descent on the
-box [p_min, p_max]^N.
+scheme weight (a, b) over the box [p_min, p_max]^N and is solved exactly
+(see ``solve_p2``).
 """
 
 from __future__ import annotations
@@ -118,83 +118,87 @@ def amplitude_gains(distances, rf: RfConstants) -> np.ndarray:
     return np.sqrt(rf.beta0 * d**-rf.path_loss_exponent)
 
 
-def snr(powers, distances, rf: RfConstants) -> float:
-    """Coherent-combining SNR of the array at the connected satellite."""
+def snr(powers, distances, rf: RfConstants):
+    """Coherent-combining SNR at the connected satellite, over the trailing
+    terminal axis: (..., N) powers and distances give (...) SNRs."""
     p = np.asarray(powers, dtype=float)
     d = np.asarray(distances, dtype=float)
-    if p.size == 0 or p.shape != d.shape:
-        raise DomainError("powers and distances must have equal, nonzero length")
-    amplitude = amplitude_gains(d, rf) @ np.sqrt(p)
-    return float(amplitude * amplitude / rf.noise_power)
+    if p.ndim == 0 or p.shape[-1] == 0 or p.shape != d.shape:
+        raise DomainError("powers and distances must have equal shapes over >= 1 terminal")
+    return _amplitude(amplitude_gains(d, rf), p) ** 2 / rf.noise_power
 
 
-def achievable_rate(snr_value: float, rf: RfConstants) -> float:
-    """Shannon rate B * log2(1 + snr), bit/s."""
-    if snr_value < 0.0:
+def _amplitude(gains, powers):
+    """sum_i g_i sqrt(p_i) over the trailing axis, as a 1-D ``@`` computes it."""
+    return (gains[..., None, :] @ np.sqrt(powers)[..., :, None])[..., 0, 0]
+
+
+def achievable_rate(snr_value, rf: RfConstants):
+    """Shannon rate B * log2(1 + snr), bit/s, elementwise."""
+    s = np.asarray(snr_value, dtype=float)
+    if np.any(s < 0.0):
         raise DomainError("snr must be non-negative")
-    return rf.bandwidth * math.log2(1.0 + snr_value)
+    # libm's log2 on each entry: numpy's differs from it in the last bit on some inputs.
+    return rf.bandwidth * np.vectorize(math.log2, otypes=[float])(1.0 + s)
 
 
-def _p2_gradient(p, gains, a_coef, b_coef):
-    coherent = gains @ np.sqrt(p)
-    return a_coef - b_coef * coherent * gains / np.sqrt(p)
+def solve_p2(distances, rf: RfConstants, scheme: WeightScheme, slot_seconds: float) -> np.ndarray:
+    """Minimize the per-slot objective over the power box, exactly.
 
+    f(p) = A sum(p) - B (sum_i g_i sqrt(p_i))^2, with A = a rho0 slot_seconds,
+    B = b / sigma^2 and g the amplitude gains, is convex and positively
+    homogeneous of degree 1. By KKT its minimizer is sqrt(p) =
+    clip(lam g, sqrt(p_min), sqrt(p_max)) for one 0 <= lam <= inf, and f is
+    a quadratic in lam between consecutive breakpoints sqrt(p_min)/g_i and
+    sqrt(p_max)/g_i. The best segment minimum is compared, on f itself, with
+    the two box corners, so a corner optimum is exactly p_min or p_max.
 
-def solve_p2(
-    distances,
-    rf: RfConstants,
-    scheme: WeightScheme,
-    slot_seconds: float,
-    grad_tol: float = 1e-8,
-    max_iters: int = 10_000,
-) -> np.ndarray:
-    """Minimize the per-slot objective over the power box.
-
-    Projected gradient descent with backtracking line search from the box
-    midpoint; stops when the unit-step projected-gradient norm drops
-    below ``grad_tol``. The objective is convex on the positive orthant
-    (its Hessian is PSD by Cauchy-Schwarz), so the result is a global
-    minimizer up to the tolerance. Pure a- or b-only schemes short-circuit
-    to the exact box corner.
+    Distances of shape (..., N) give powers of that shape; a batch equals
+    its rows solved one by one, bitwise.
     """
     d = np.asarray(distances, dtype=float)
-    if d.size == 0:
-        raise DomainError("distances must be nonempty")
-    lo, hi = rf.p_min, rf.p_max
-    if scheme.b == 0.0:
-        return np.full(d.shape, lo)
-    if scheme.a == 0.0:
-        return np.full(d.shape, hi)
-
-    gains = amplitude_gains(d, rf)
+    if d.ndim == 0 or d.shape[-1] == 0:
+        raise DomainError("distances must cover at least one terminal")
+    g = amplitude_gains(d, rf).reshape(-1, d.shape[-1])
+    rows, n = g.shape
     a_coef = scheme.a * rf.rho0 * slot_seconds
     b_coef = scheme.b / rf.noise_power
+    lo, hi = math.sqrt(rf.p_min), math.sqrt(rf.p_max)
 
-    def value(p):
-        coherent = gains @ np.sqrt(p)
-        return a_coef * p.sum() - b_coef * coherent * coherent
+    # Events in lam order: terminal i turns free at lo / g_i and reaches
+    # p_max at hi / g_i. Segment k lies between events k and k + 1; its state
+    # is sum g^2 over the free terminals, sum g sqrt(p) and sum p over the
+    # fixed ones. Left of the first event and right of the last lie the
+    # two corners.
+    order = np.argsort(np.concatenate([lo / g, hi / g], axis=1), axis=1, kind="stable")
+    enters = order < n
+    g_event = np.take_along_axis(np.tile(g, 2), order, axis=1)
+    lam = np.where(enters, lo, hi) / g_event
+    free, fixed_amp, fixed_pow = np.cumsum([
+        np.where(enters, g_event, -g_event) * g_event,
+        np.where(enters, -lo, hi) * g_event,
+        np.where(enters, -rf.p_min, rf.p_max),
+    ], axis=2)[:, :, :-1]
+    fixed_amp += lo * g.sum(axis=1, keepdims=True)
+    fixed_pow += n * rf.p_min
+    # A segment's candidate is its stationary point clipped into it, or its
+    # left event where f is not strictly convex there: its right event is
+    # then no better than the next segment's candidate.
+    curvature = a_coef - b_coef * free
+    cand = np.divide(b_coef * fixed_amp, curvature, out=lam[:, :-1].copy(), where=curvature > 0.0)
+    np.clip(cand, lam[:, :-1], lam[:, 1:], out=cand)
+    value = a_coef * (cand * cand * free + fixed_pow) - b_coef * (cand * free + fixed_amp) ** 2
+    best = cand[np.arange(rows), value.argmin(axis=1), None]
 
-    p = np.full(d.shape, 0.5 * (lo + hi))
-    f = value(p)
-    grad = _p2_gradient(p, gains, a_coef, b_coef)
-    # Initial step sized to cross the box in one move.
-    step = (hi - lo) / max(float(np.linalg.norm(grad)), 1e-300)
-    for _ in range(max_iters):
-        if np.linalg.norm(p - np.clip(p - grad, lo, hi)) < grad_tol:
-            break
-        while True:
-            candidate = np.clip(p - step * grad, lo, hi)
-            delta = candidate - p
-            f_candidate = value(candidate)
-            if f_candidate <= f + 1e-4 * float(grad @ delta):
-                break
-            if float(np.linalg.norm(delta)) < 1e-15:
-                # Pinned against the box; nothing left to move.
-                f_candidate = f
-                candidate = p
-                break
-            step *= 0.5
-        p, f = candidate, f_candidate
-        grad = _p2_gradient(p, gains, a_coef, b_coef)
-        step *= 2.0
-    return p
+    def objective(p):
+        return a_coef * p.sum(axis=-1) - b_coef * _amplitude(g, p) ** 2
+
+    corners = np.stack([np.full_like(g, rf.p_min), np.full_like(g, rf.p_max)])
+    corner_value = objective(corners)
+    corner = corners[corner_value.argmin(axis=0), np.arange(rows)]
+    inner = np.clip((best * g) ** 2, rf.p_min, rf.p_max)
+    # f is evaluated to about N eps times the size of its terms; an inner
+    # point that does not beat the better corner by more ties with it.
+    scale = (a_coef * n + b_coef * g.sum(axis=1) ** 2) * rf.p_max
+    beats = objective(inner) < corner_value.min(axis=0) - n * np.finfo(float).eps * scale
+    return np.where(beats[:, None], inner, corner).reshape(d.shape)

@@ -2,9 +2,9 @@
 
 Each slot the environment draws an availability mask (geometric visibility
 gated by a Bernoulli spectrum outage), accepts a flat action index (power
-scheme and satellite, or IDLE), solves the per-slot power subproblem, and
-emits a three-component reward array (rate, negative energy, negative
-switch) plus running objective accounting.
+scheme and satellite, or IDLE), looks up the solved per-slot power
+subproblem, and emits a three-component reward array (rate, negative
+energy, negative switch) plus running objective accounting.
 """
 
 from __future__ import annotations
@@ -92,11 +92,11 @@ def legitimate_masks(available: np.ndarray, n_schemes: int) -> np.ndarray:
 class DcbUplinkEnv:
     """Single-owner environment instance over one scenario.
 
-    Actions are flat indices (see ``_decode``). Satellite geometry is
-    precomputed for every slot at construction; only the availability
-    draws are stochastic. Power allocations are memoized on (slot, scheme,
-    satellite) — geometry is episode-invariant, so the cache stays valid
-    across resets of the same instance.
+    Actions are flat indices (see ``_decode``). Satellite geometry and the
+    P2 outcome of every action are precomputed at construction; only the
+    availability draws are stochastic. ``rates`` and ``total_powers`` have
+    shape (slot, scheme index, satellite), the max-power corner in scheme
+    column 0, and are NaN where the satellite is not visible.
     """
 
     def __init__(self, scenario: Scenario):
@@ -134,11 +134,22 @@ class DcbUplinkEnv:
             np.full(self.n_terminals, min(s.altitude for s in scenario.constellation)),
             rf,
         )
-        self.rho1 = 1.0 / (rf.bandwidth * math.log2(1.0 + snr_max))
+        self.rho1 = 1.0 / float(channel.achievable_rate(snr_max, rf))
         self.rho2 = 1.0 / (self.n_terminals * rf.p_max * scenario.slot_seconds)
         self.rho3 = 1.0
 
-        self._alloc_cache: dict[tuple[int, int, int], tuple[np.ndarray, float]] = {}
+        # One P2 solve per scheme over all visible (slot, satellite) rows.
+        self.rates, self.total_powers = np.full(
+            (2, scenario.n_slots, len(self.schemes), self.n_satellites), np.nan
+        )
+        slots, sats = np.nonzero(self.visibility)
+        visible = self.distances[slots, sats]
+        for k, scheme in enumerate(self.schemes):
+            powers = channel.solve_p2(visible, rf, scheme, scenario.slot_seconds)
+            snr = channel.snr(powers, visible, rf)
+            self.rates[slots, k, sats] = channel.achievable_rate(snr, rf)
+            self.total_powers[slots, k, sats] = powers.sum(axis=1)
+
         self._rng: np.random.Generator | None = None
         self._state: MomdpState | None = None
         self._mask: np.ndarray | None = None
@@ -190,8 +201,8 @@ class DcbUplinkEnv:
             switched = 0
             next_prev = state.prev_satellite
         else:
-            powers, rate = self._allocate(state.slot, scheme, sat)
-            total_power = float(powers.sum())
+            rate = float(self.rates[state.slot, scheme, sat - 1])
+            total_power = float(self.total_powers[state.slot, scheme, sat - 1])
             slot_energy = total_power * self.scenario.slot_seconds
             gated_rate = rate if rate > self.scenario.rate_threshold else 0.0
             switched = int(
@@ -229,7 +240,7 @@ class DcbUplinkEnv:
     def episode_objectives(self):
         return episode_objectives(self.ledger, self.scenario.n_slots, self.scenario.slot_seconds)
 
-    # -- geometry and allocation ------------------------------------------
+    # -- actions --------------------------------------------------------------
 
     def _decode(self, action: int) -> tuple[int, int]:
         """(scheme index, 1-based satellite or 0 for IDLE) of a flat action.
@@ -259,22 +270,6 @@ class DcbUplinkEnv:
                 f"satellite {sat} is unavailable at slot {self.state.slot}"
             )
         return scheme, sat
-
-    def _allocate(self, slot: int, scheme_index: int, satellite: int):
-        key = (slot, scheme_index, satellite)
-        hit = self._alloc_cache.get(key)
-        if hit is not None:
-            return hit
-        scheme = self.schemes[scheme_index]
-        dist = self.distances[slot, satellite - 1]
-        powers = channel.solve_p2(dist, self.scenario.rf, scheme, self.scenario.slot_seconds)
-        rate = channel.achievable_rate(channel.snr(powers, dist, self.scenario.rf), self.scenario.rf)
-        self._alloc_cache[key] = (powers, rate)
-        return powers, rate
-
-    def rate_at_max_power(self, slot: int, satellite: int) -> float:
-        """Uplink rate with every terminal at p_max (scheme index 0)."""
-        return self._allocate(slot, 0, satellite)[1]
 
     # -- agent-facing encodings -------------------------------------------
 

@@ -1,9 +1,9 @@
 """Independent oracles shared by the module and acceptance tests.
 
 Everything here checks implementation paths from the outside: exhaustive
-grid search, finite differences, brute-force dominance, and scalar
-per-point geometry against the env's array geometry. None of it calls
-the solver/gradient code it is used to verify.
+grid search, projected gradient descent, finite differences, brute-force
+dominance, and scalar per-point geometry against the env's array geometry.
+None of it calls the solver/gradient code it is used to verify.
 """
 
 import math
@@ -70,6 +70,71 @@ def p2_objective(powers, distances, rf: RfConstants, scheme, slot_seconds: float
     p = np.asarray(powers, dtype=float)
     energy_term = scheme.a * rf.rho0 * float(p.sum()) * slot_seconds
     return energy_term - scheme.b * channel.snr(p, distances, rf)
+
+
+def _p2_gradient(p, gains, a_coef, b_coef):
+    coherent = gains @ np.sqrt(p)
+    return a_coef - b_coef * coherent * gains / np.sqrt(p)
+
+
+def pgd_p2(
+    distances,
+    rf: RfConstants,
+    scheme,
+    slot_seconds: float,
+    grad_tol: float = 1e-8,
+    max_iters: int = 10_000,
+) -> np.ndarray:
+    """Minimize the per-slot objective over the power box by projected
+    gradient descent: an approximate check on the exact ``channel.solve_p2``
+    that shares none of its code.
+
+    Backtracking line search from the box midpoint; stops when the unit-step
+    projected-gradient norm drops below ``grad_tol``. That test is absolute,
+    so where |f| is tiny it can stop at the midpoint itself. Pure a- or
+    b-only schemes short-circuit to the exact box corner.
+    """
+    d = np.asarray(distances, dtype=float)
+    if d.size == 0:
+        raise DomainError("distances must be nonempty")
+    lo, hi = rf.p_min, rf.p_max
+    if scheme.b == 0.0:
+        return np.full(d.shape, lo)
+    if scheme.a == 0.0:
+        return np.full(d.shape, hi)
+
+    gains = channel.amplitude_gains(d, rf)
+    a_coef = scheme.a * rf.rho0 * slot_seconds
+    b_coef = scheme.b / rf.noise_power
+
+    def value(p):
+        coherent = gains @ np.sqrt(p)
+        return a_coef * p.sum() - b_coef * coherent * coherent
+
+    p = np.full(d.shape, 0.5 * (lo + hi))
+    f = value(p)
+    grad = _p2_gradient(p, gains, a_coef, b_coef)
+    # Initial step sized to cross the box in one move.
+    step = (hi - lo) / max(float(np.linalg.norm(grad)), 1e-300)
+    for _ in range(max_iters):
+        if np.linalg.norm(p - np.clip(p - grad, lo, hi)) < grad_tol:
+            break
+        while True:
+            candidate = np.clip(p - step * grad, lo, hi)
+            delta = candidate - p
+            f_candidate = value(candidate)
+            if f_candidate <= f + 1e-4 * float(grad @ delta):
+                break
+            if float(np.linalg.norm(delta)) < 1e-15:
+                # Pinned against the box; nothing left to move.
+                f_candidate = f
+                candidate = p
+                break
+            step *= 0.5
+        p, f = candidate, f_candidate
+        grad = _p2_gradient(p, gains, a_coef, b_coef)
+        step *= 2.0
+    return p
 
 
 def grid_search_p2(distances, rf, scheme, slot_seconds, points=201):

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import grid_search_p2, link_distance, make_rf, p2_objective
+from oracles import grid_search_p2, link_distance, make_rf, p2_objective, pgd_p2
 
 from leodcb.channel import (
     MAX_POWER_SCHEME,
     RfConstants,
     WeightScheme,
     achievable_rate,
+    amplitude_gains,
     snr,
     solve_p2,
     weight_set,
@@ -202,3 +203,45 @@ class TestSolveP2:
     def test_empty_distances_rejected(self):
         with pytest.raises(DomainError):
             solve_p2([], make_rf(1), WeightScheme(0.5, 0.5, 5), 60.0)
+
+
+class TestExactP2:
+    def test_no_worse_than_pgd_or_corners_off_regime(self):
+        # Terminals spread over 5e5-3e6 m, unlike a scenario's 100 m
+        # cluster, so that interior optima occur.
+        rng = np.random.default_rng(60)
+        schemes = [MAX_POWER_SCHEME, *weight_set(10)]
+        interior = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 11))
+            rf = make_rf(n)
+            d = rng.uniform(5e5, 3e6, size=n)
+            scheme = schemes[rng.integers(len(schemes))]
+            powers = solve_p2(d, rf, scheme, 60.0)
+            exact = p2_objective(powers, d, rf, scheme, 60.0)
+            scale = (
+                scheme.a * rf.rho0 * 60.0 * n * rf.p_max
+                + scheme.b / rf.noise_power * amplitude_gains(d, rf).sum() ** 2 * rf.p_max
+            )
+            pgd = p2_objective(pgd_p2(d, rf, scheme, 60.0), d, rf, scheme, 60.0)
+            assert exact <= pgd + 1e-12 * scale
+            for corner in (rf.p_min, rf.p_max):
+                assert exact <= p2_objective(np.full(n, corner), d, rf, scheme, 60.0)
+            interior += bool(np.any((powers > rf.p_min) & (powers < rf.p_max)))
+        assert interior > 0
+
+    def test_batch_equals_rows_bitwise(self):
+        rng = np.random.default_rng(61)
+        rf = make_rf(6)
+        d = rng.uniform(5e5, 3e6, size=(4, 5, 6))
+        for scheme in [MAX_POWER_SCHEME, *weight_set(10)]:
+            batch = solve_p2(d, rf, scheme, 60.0)
+            assert batch.shape == d.shape
+            rows = np.array([[solve_p2(r, rf, scheme, 60.0) for r in block] for block in d])
+            assert np.array_equal(batch, rows)
+            rates = achievable_rate(snr(batch, d, rf), rf)
+            assert rates.shape == d.shape[:-1]
+            assert np.array_equal(rates, [
+                [achievable_rate(snr(p, r, rf), rf) for p, r in zip(pb, block)]
+                for pb, block in zip(batch, d)
+            ])

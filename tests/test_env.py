@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import is_geometrically_visible, link_distance
+from oracles import is_geometrically_visible, link_distance, p2_objective, pgd_p2
 
+from leodcb.channel import achievable_rate, amplitude_gains, snr, solve_p2
 from leodcb.env import (
     DcbUplinkEnv,
     EpisodeLedger,
@@ -354,7 +355,7 @@ class TestFlatActionValidation:
         blocked_env.step(blocked_env.idle_index + sat)
         row = blocked_env.ledger.trace[-1]
         assert (row.scheme, row.satellite) == (0, sat)
-        assert row.rate_bps == blocked_env.rate_at_max_power(0, sat)
+        assert row.rate_bps == blocked_env.rates[0, 0, sat - 1]
         assert row.total_power_w == blocked_env.n_terminals * blocked_env.scenario.rf.p_max
 
 
@@ -381,3 +382,50 @@ class TestGeometryOracles:
                     assert env.distances[t, j, i] == pytest.approx(
                         link_distance(terminal, local), rel=1e-12
                     )
+
+
+class TestP2Table:
+    @pytest.fixture(scope="class", params=[desk_scenario, default_scenario])
+    def table_env(self, request):
+        return DcbUplinkEnv(request.param(42))
+
+    def test_nan_exactly_where_not_visible(self, table_env):
+        hidden = np.broadcast_to(~table_env.visibility[:, None, :], table_env.rates.shape)
+        assert np.array_equal(np.isnan(table_env.rates), hidden)
+        assert np.array_equal(np.isnan(table_env.total_powers), hidden)
+
+    def test_every_visible_entry_against_pgd_and_corners(self, table_env):
+        env = table_env
+        rf, tau = env.scenario.rf, env.scenario.slot_seconds
+        slots, sats = np.nonzero(env.visibility)
+        visible = env.distances[slots, sats]
+        n = env.n_terminals
+        for k, scheme in enumerate(env.schemes):
+            powers = solve_p2(visible, rf, scheme, tau)
+            assert np.array_equal(env.total_powers[slots, k, sats], powers.sum(axis=1))
+            for row, (p, d) in enumerate(zip(powers, visible)):
+                # The table's rate is the scalar callers' rate, bit for bit.
+                assert env.rates[slots[row], k, sats[row]] == achievable_rate(snr(p, d, rf), rf)
+                exact = p2_objective(p, d, rf, scheme, tau)
+                scale = (
+                    scheme.a * rf.rho0 * tau * n * rf.p_max
+                    + scheme.b / rf.noise_power * amplitude_gains(d, rf).sum() ** 2 * rf.p_max
+                )
+                pgd = p2_objective(pgd_p2(d, rf, scheme, tau), d, rf, scheme, tau)
+                assert exact <= pgd + 1e-12 * scale
+                for corner in (rf.p_min, rf.p_max):
+                    assert exact <= p2_objective(np.full(n, corner), d, rf, scheme, tau)
+
+    def test_midpoint_stop_fixed(self):
+        # Projected gradient descent stops at its 1.5 W starting midpoint at
+        # these entries: its absolute stop test fires where |f| is tiny.
+        env = DcbUplinkEnv(desk_scenario(42))
+        rf, tau = env.scenario.rf, env.scenario.slot_seconds
+        scheme = env.schemes[5]
+        midpoint = np.full(env.n_terminals, 0.5 * (rf.p_min + rf.p_max))
+        for slot, sat in [(0, 1), (21, 9)]:
+            d = env.distances[slot, sat - 1]
+            assert pgd_p2(d, rf, scheme, tau).sum() == 15.0
+            exact = p2_objective(solve_p2(d, rf, scheme, tau), d, rf, scheme, tau)
+            assert exact < p2_objective(midpoint, d, rf, scheme, tau)
+            assert env.total_powers[slot, 5, sat - 1] == env.n_terminals * rf.p_min == 10.0
