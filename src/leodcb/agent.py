@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import neural
-from .env import DcbUplinkEnv, legitimate_masks
+from .env import DcbUplinkEnv
 from .errors import ConfigError, DomainError, StateError
 from .neural import AdamState, QNetworkParams
 
@@ -22,7 +22,7 @@ class ReplayBatch(NamedTuple):
     state: np.ndarray           # (n, STATE_DIM) encodings at decision time
     action: np.ndarray          # (n,) flat action indices, legitimate when taken
     reward: np.ndarray          # (n, 3) reward vectors
-    next_state: np.ndarray      # (n, STATE_DIM)
+    next_index: np.ndarray      # (n,) state index of the next state (env.state_index)
     next_available: np.ndarray  # (n, N_L) satellite availability of the next state
     terminal: np.ndarray        # (n,) bools
 
@@ -123,25 +123,54 @@ def select_action(
     return int(legit[np.argmax(q[legit])])
 
 
+def target_table(
+    target_params: QNetworkParams,
+    encodings: np.ndarray,
+    n_satellites: int,
+    chunk: int,
+) -> np.ndarray:
+    """Target Q of every state, reduced to what a TD target reads.
+
+    Row i belongs to ``encodings[i]``: column s - 1 is the best Q over the
+    schemes on satellite s, the last column the Q of IDLE. The network runs
+    over ``chunk`` rows at a time. The table is read-only.
+    """
+    table = np.empty((len(encodings), n_satellites + 1))
+    for start in range(0, len(encodings), chunk):
+        _, _, q = neural.forward(target_params, encodings[start : start + chunk])
+        rows = table[start : start + chunk]
+        q[:, :-1].reshape(len(q), -1, n_satellites).max(axis=1, out=rows[:, :-1])
+        rows[:, -1] = q[:, -1]
+    table.flags.writeable = False
+    return table
+
+
 def td_targets(
     batch: ReplayBatch,
-    target_params: QNetworkParams,
+    table: np.ndarray,
     weight: np.ndarray,
     gamma: float,
 ) -> np.ndarray:
     """Scalarized one-step targets, maximized over the next state's
-    legitimate actions; terminal transitions bootstrap nothing."""
+    legitimate actions (the schemes of its available satellites, or IDLE
+    when none is) from a ``target_table``; terminal transitions bootstrap
+    nothing."""
     rewards = batch.reward @ np.asarray(weight, dtype=float)
-    n_schemes = (target_params.n_actions - 1) // batch.next_available.shape[1]
-    legit = legitimate_masks(batch.next_available, n_schemes)
-    _, _, next_q = neural.forward(target_params, batch.next_state)
-    best_next = np.where(legit, next_q, -np.inf).max(axis=1)
+    available = batch.next_available
+    legit = np.concatenate([available, ~available.any(axis=1, keepdims=True)], axis=1)
+    best_next = np.where(legit, table[batch.next_index], -np.inf).max(axis=1)
     return rewards + gamma * np.where(batch.terminal, 0.0, best_next)
 
 
 @dataclass(eq=False)
 class EnhancedD3qnAgent:
-    """One learning task's policy carrier: network, target, replay, Adam."""
+    """One learning task's policy carrier: network, target, replay, Adam.
+
+    ``target_q`` is the ``target_table`` of ``target_params`` over the
+    states of the env last trained on. It is built at the first TD target
+    after creation, a target sync, or a change to an env of another state
+    space, and is None until then.
+    """
 
     config: AgentConfig
     params: QNetworkParams
@@ -152,6 +181,7 @@ class EnhancedD3qnAgent:
     iteration: int = 0
     grad_steps_done: int = 0
     last_loss: float = field(default=0.0)
+    target_q: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def create(cls, config: AgentConfig, n_actions: int, rng: np.random.Generator):
@@ -183,6 +213,8 @@ class EnhancedD3qnAgent:
             rng=np.random.default_rng(int(self.rng.integers(2**63))),
             iteration=self.iteration,
             grad_steps_done=self.grad_steps_done,
+            # Read-only, so the twin can share it until its own next sync.
+            target_q=self.target_q,
         )
 
     def collect_episode(self, env: DcbUplinkEnv) -> None:
@@ -196,7 +228,7 @@ class EnhancedD3qnAgent:
             state, reward, done = env.step(action)
             self.replay.push(
                 encoding, action, reward,
-                env.encode_state(state), env.current_mask, done,
+                env.state_index(state), env.current_mask, done,
             )
 
     def train_iteration(self, env: DcbUplinkEnv, weight: np.ndarray) -> None:
@@ -209,11 +241,17 @@ class EnhancedD3qnAgent:
         for _ in range(cfg.episodes_per_iteration):
             self.collect_episode(env)
         grads = QNetworkParams(self.params.sizes)
+        table_shape = (len(env.state_encodings), env.n_satellites + 1)
         for _ in range(cfg.grad_steps_per_iteration):
             if len(self.replay) < cfg.batch_size:
                 break
             batch = self.replay.sample(cfg.batch_size, self.rng)
-            targets = td_targets(batch, self.target_params, weight, cfg.gamma)
+            if self.target_q is None or self.target_q.shape != table_shape:
+                self.target_q = target_table(
+                    self.target_params, env.state_encodings, env.n_satellites,
+                    cfg.batch_size,
+                )
+            targets = td_targets(batch, self.target_q, weight, cfg.gamma)
             _, self.last_loss = neural.backward(
                 self.params, batch.state, batch.action, targets, grads
             )
@@ -222,6 +260,7 @@ class EnhancedD3qnAgent:
             self.grad_steps_done += 1
             if self.grad_steps_done % cfg.target_sync_period == 0:
                 self.target_params.flat[:] = self.params.flat
+                self.target_q = None
         self.iteration += 1
 
 
@@ -258,6 +297,7 @@ def load_agent_state(path, agent: EnhancedD3qnAgent) -> EnhancedD3qnAgent:
         agent.target_params.flat[:] = data["target"]
         agent.adam.first_moment[:] = data["adam_m"]
         agent.adam.second_moment[:] = data["adam_v"]
+    agent.target_q = None
     return agent
 
 

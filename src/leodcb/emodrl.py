@@ -80,7 +80,7 @@ class ArchiveMember:
 
 
 class ParetoArchive:
-    """Mutually nondominated policy snapshots."""
+    """Mutually nondominated policy snapshots with distinct objectives."""
 
     def __init__(self):
         self.members: list[ArchiveMember] = []
@@ -89,14 +89,18 @@ class ParetoArchive:
         return len(self.members)
 
     def update(self, tasks) -> int:
-        """Insert each evaluated task unless dominated; evict the dominated.
+        """Insert each evaluated task unless dominated or equal to a member;
+        evict the dominated.
 
         Returns the number of insertions.
         """
         added = 0
         for task in tasks:
             candidate = np.asarray(task.objectives, dtype=float)
-            if any(dominates(m.objectives, candidate) for m in self.members):
+            if any(
+                dominates(m.objectives, candidate) or np.array_equal(m.objectives, candidate)
+                for m in self.members
+            ):
                 continue
             self.members = [
                 m for m in self.members if not dominates(candidate, m.objectives)

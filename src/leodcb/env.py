@@ -96,7 +96,9 @@ class DcbUplinkEnv:
     P2 outcome of every action are precomputed at construction; only the
     availability draws are stochastic. ``rates`` and ``total_powers`` have
     shape (slot, scheme index, satellite), the max-power corner in scheme
-    column 0, and are NaN where the satellite is not visible.
+    column 0, and are NaN where the satellite is not visible. States
+    (slot, previous satellite) have a flat index (``state_index``) into
+    ``state_encodings``, the network inputs of all (T + 1)·(N_L + 1) states.
     """
 
     def __init__(self, scenario: Scenario):
@@ -149,6 +151,16 @@ class DcbUplinkEnv:
             snr = channel.snr(powers, visible, rf)
             self.rates[slots, k, sats] = channel.achievable_rate(snr, rf)
             self.total_powers[slots, k, sats] = powers.sum(axis=1)
+
+        # One encoding row per state index (see ``state_index``), over
+        # slots 0..T so that the terminal states have rows too.
+        slot_col, prev_col = np.divmod(
+            np.arange((scenario.n_slots + 1) * (self.n_satellites + 1)), self.n_satellites + 1
+        )
+        self.state_encodings = np.stack(
+            [slot_col / scenario.n_slots, prev_col / self.n_satellites], axis=1
+        )
+        self.state_encodings.flags.writeable = False
 
         self._rng: np.random.Generator | None = None
         self._state: MomdpState | None = None
@@ -273,12 +285,16 @@ class DcbUplinkEnv:
 
     # -- agent-facing encodings -------------------------------------------
 
-    def encode_state(self, state: MomdpState) -> np.ndarray:
-        """Normalized (slot / T, prev_satellite / N_L); no previous -> 0."""
+    def state_index(self, state: MomdpState) -> int:
+        """Row of ``state`` in ``state_encodings``: slot * (N_L + 1) + prev,
+        with prev 0 before the first transmission."""
         prev = 0 if state.prev_satellite is None else state.prev_satellite
-        return np.array(
-            [state.slot / self.scenario.n_slots, prev / self.n_satellites]
-        )
+        return state.slot * (self.n_satellites + 1) + prev
+
+    def encode_state(self, state: MomdpState) -> np.ndarray:
+        """Normalized (slot / T, prev_satellite / N_L), no previous -> 0;
+        a read-only row of ``state_encodings``."""
+        return self.state_encodings[self.state_index(state)]
 
     def legitimate_mask(self) -> np.ndarray:
         """Read-only boolean mask over the flat action space for the current

@@ -2,8 +2,9 @@
 
 Everything here checks implementation paths from the outside: exhaustive
 grid search, projected gradient descent, finite differences, brute-force
-dominance, and scalar per-point geometry against the env's array geometry.
-None of it calls the solver/gradient code it is used to verify.
+dominance, TD targets from a per-batch forward, and scalar per-point
+geometry against the env's array geometry. None of it calls the
+solver/gradient code it is used to verify.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 from leodcb import channel
 from leodcb.channel import RfConstants
 from leodcb.emodrl import dominates
+from leodcb.env import legitimate_masks
 from leodcb.errors import DomainError
 from leodcb.neural import forward
 
@@ -164,6 +166,19 @@ def batch_loss(params, x, actions, targets):
     picked = q[np.arange(len(actions)), actions]
     residual = picked - targets
     return 0.5 * float(residual @ residual) / len(actions)
+
+
+def forward_td_targets(batch, next_state, target_params, weight, gamma):
+    """Scalarized one-step targets from a fresh forward over the batch's
+    next-state encodings ``next_state``, maximized over the next state's
+    legitimate actions; terminal transitions bootstrap nothing. The
+    table-free check on ``agent.td_targets``."""
+    rewards = batch.reward @ np.asarray(weight, dtype=float)
+    n_schemes = (target_params.n_actions - 1) // batch.next_available.shape[1]
+    legit = legitimate_masks(batch.next_available, n_schemes)
+    _, _, next_q = forward(target_params, next_state)
+    best_next = np.where(legit, next_q, -np.inf).max(axis=1)
+    return rewards + gamma * np.where(batch.terminal, 0.0, best_next)
 
 
 def numeric_gradients(params, x, actions, targets, eps=1e-5):

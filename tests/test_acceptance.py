@@ -294,6 +294,47 @@ def test_criterion_7_archive_soundness_and_monotonicity(desk_run_cache):
     )
 
 
+class DuplicateKeepingArchive(emodrl.ParetoArchive):
+    """The archive before equal-objective candidates were skipped."""
+
+    def update(self, tasks) -> int:
+        added = 0
+        for task in tasks:
+            candidate = np.asarray(task.objectives, dtype=float)
+            if any(emodrl.dominates(m.objectives, candidate) for m in self.members):
+                continue
+            self.members = [
+                m for m in self.members if not emodrl.dominates(candidate, m.objectives)
+            ]
+            self.members.append(
+                emodrl.ArchiveMember(
+                    params=task.agent.params.clone(),
+                    objectives=candidate.copy(),
+                    weight=np.array(task.weight, dtype=float),
+                )
+            )
+            added += 1
+        return added
+
+
+def test_skipping_equal_objectives_keeps_hypervolumes_and_favor_rate(
+    desk_run_cache, monkeypatch
+):
+    scenario, result, _ = desk_run_cache(DESK_SEEDS[0])
+    monkeypatch.setattr(emodrl, "ParetoArchive", DuplicateKeepingArchive)
+    kept = emodrl.run(scenario, desk_emodrl_config())
+    matrix = result.archive.objective_matrix()
+    assert len(np.unique(matrix, axis=0)) == len(matrix)
+    assert np.array_equal(np.unique(kept.archive.objective_matrix(), axis=0),
+                          np.unique(matrix, axis=0))
+    assert [g.hypervolume for g in result.generations] == [
+        g.hypervolume for g in kept.generations
+    ]
+    ours, theirs = (select_policy(r.archive, "favor-rate") for r in (result, kept))
+    assert ours.objectives.tobytes() == theirs.objectives.tobytes()
+    assert np.array_equal(ours.params.flat, theirs.params.flat)
+
+
 def test_criterion_8_threshold_directionality():
     started = time.perf_counter()
     scenario = default_scenario()

@@ -11,12 +11,16 @@ from leodcb.agent import (
     ReplayBatch,
     ReplayBuffer,
     evaluate_policy,
+    load_agent_state,
+    save_agent_state,
     select_action,
+    target_table,
     td_targets,
 )
 from leodcb.env import DcbUplinkEnv
 from leodcb.errors import ConfigError, DomainError, StateError
 from leodcb.scenario import desk_scenario, micro_scenario
+from oracles import forward_td_targets
 
 
 def tiny_config(**overrides):
@@ -34,6 +38,7 @@ def tiny_config(**overrides):
 
 
 N_SATELLITES = 3  # the batches below have n_actions = n_schemes * 3 + 1
+N_STATES = 12    # and their next states index a space of this many states
 
 
 def make_batch(rng, n_actions, terminal=False, all_available=True):
@@ -45,17 +50,23 @@ def make_batch(rng, n_actions, terminal=False, all_available=True):
         state=rng.random((1, 2)),
         action=rng.integers(n_actions, size=1),
         reward=rng.normal(size=(1, 3)),
-        next_state=rng.random((1, 2)),
+        next_index=rng.integers(N_STATES, size=1),
         next_available=available[None, :],
         terminal=np.array([terminal]),
     )
+
+
+def random_space(rng, params):
+    """Random encodings of N_STATES states and their target table."""
+    encodings = rng.random((N_STATES, 2))
+    return encodings, target_table(params, encodings, N_SATELLITES, chunk=5)
 
 
 def push_numbered(buffer, numbers):
     """Push transitions whose every field encodes their number."""
     for n in numbers:
         buffer.push(
-            np.full(2, n), n, np.full(3, n), np.full(2, n + 0.5),
+            np.full(2, n), n, np.full(3, n), n + 1,
             np.array([n % 2 == 0, True, False]), n % 3 == 0,
         )
 
@@ -64,7 +75,7 @@ def assert_rows_intact(batch):
     n = batch.action
     assert np.array_equal(batch.state, np.stack([n, n], axis=1))
     assert np.array_equal(batch.reward, np.stack([n, n, n], axis=1))
-    assert np.array_equal(batch.next_state, np.stack([n, n], axis=1) + 0.5)
+    assert np.array_equal(batch.next_index, n + 1)
     assert np.array_equal(batch.next_available[:, 0], n % 2 == 0)
     assert np.array_equal(batch.terminal, n % 3 == 0)
 
@@ -126,48 +137,52 @@ class TestTdTargets:
     def test_terminal_is_scalarized_reward(self):
         rng = np.random.default_rng(5)
         params = neural.init_params(2, (8,), 4, rng)
+        _, table = random_space(rng, params)
         batch = make_batch(rng, 4, terminal=True)
         w = np.array([0.5, 0.3, 0.2])
-        (target,) = td_targets(batch, params, w, gamma=0.9)
+        (target,) = td_targets(batch, table, w, gamma=0.9)
         assert target == pytest.approx(float(batch.reward[0] @ w))
 
     def test_rate_only_weight(self):
         rng = np.random.default_rng(6)
         params = neural.init_params(2, (8,), 4, rng)
+        _, table = random_space(rng, params)
         batch = make_batch(rng, 4, terminal=True)
-        (target,) = td_targets(batch, params, np.array([1.0, 0.0, 0.0]), gamma=0.9)
+        (target,) = td_targets(batch, table, np.array([1.0, 0.0, 0.0]), gamma=0.9)
         assert target == pytest.approx(batch.reward[0, 0])
 
     def test_masked_max_never_exceeds_unmasked(self):
         rng = np.random.default_rng(7)
         params = neural.init_params(2, (8,), 10, rng)
+        _, table = random_space(rng, params)
         w = np.array([0.4, 0.3, 0.3])
         for _ in range(50):
             batch = make_batch(rng, 10, all_available=False)
             if not batch.next_available.any():
                 continue
             unmasked = batch._replace(next_available=np.ones((1, N_SATELLITES), dtype=bool))
-            (masked_target,) = td_targets(batch, params, w, gamma=0.9)
-            (full_target,) = td_targets(unmasked, params, w, gamma=0.9)
+            (masked_target,) = td_targets(batch, table, w, gamma=0.9)
+            (full_target,) = td_targets(unmasked, table, w, gamma=0.9)
             assert masked_target <= full_target + 1e-12
 
     def test_bootstraps_over_schemes_of_available_satellites_or_idle(self):
         rng = np.random.default_rng(17)
         n_schemes = 3
         params = neural.init_params(2, (8,), n_schemes * N_SATELLITES + 1, rng)
+        encodings, table = random_space(rng, params)
         w = np.array([0.2, 0.5, 0.3])
         for available in ([False, True, True], [True, False, False], [False] * 3):
             batch = make_batch(rng, params.n_actions)._replace(
                 next_available=np.array([available])
             )
-            _, _, q = neural.forward(params, batch.next_state[0])
+            _, _, q = neural.forward(params, encodings[batch.next_index[0]])
             legit = [
                 k * N_SATELLITES + s
                 for k in range(n_schemes)
                 for s in range(N_SATELLITES)
                 if available[s]
             ] or [params.n_actions - 1]
-            (target,) = td_targets(batch, params, w, gamma=0.9)
+            (target,) = td_targets(batch, table, w, gamma=0.9)
             expected = batch.reward[0] @ w + 0.9 * q[legit].max()
             assert target == pytest.approx(expected, rel=1e-12)
 
@@ -177,22 +192,147 @@ class TestTdTargets:
         rng = np.random.default_rng(300 + draw)
         n_schemes, rows = 4, 40
         params = neural.init_params(2, (8,), n_schemes * N_SATELLITES + 1, rng)
+        encodings = rng.random((N_STATES, 2))
+        # One chunk, so the table rows come from the forward call below.
+        table = target_table(params, encodings, N_SATELLITES, chunk=N_STATES)
         batch = ReplayBatch(
             state=rng.random((rows, 2)),
             action=rng.integers(params.n_actions, size=rows),
             reward=rng.normal(size=(rows, 3)),
-            next_state=rng.random((rows, 2)),
+            next_index=rng.integers(N_STATES, size=rows),
             next_available=rng.random((rows, N_SATELLITES)) < 0.4,
             terminal=rng.random(rows) < 0.2,
         )
         w = np.array([0.2, 0.5, 0.3])
-        _, _, next_q = neural.forward(params, batch.next_state)
+        _, _, q_all = neural.forward(params, encodings)
+        next_q = q_all[batch.next_index]
         # Best scheme per satellite, then best available satellite or IDLE.
         per_satellite = next_q[:, :-1].reshape(rows, n_schemes, N_SATELLITES).max(axis=1)
         best_next = np.where(batch.next_available, per_satellite, -np.inf).max(axis=1)
         best_next = np.where(batch.next_available.any(axis=1), best_next, next_q[:, -1])
         expected = batch.reward @ w + 0.9 * np.where(batch.terminal, 0.0, best_next)
-        assert td_targets(batch, params, w, 0.9).tobytes() == expected.tobytes()
+        assert td_targets(batch, table, w, 0.9).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("hidden", [(64, 64), (512, 512)])
+    def test_matches_forward_oracle_on_desk_batches(self, hidden):
+        # Table rows and batch rows come from differently shaped matrix
+        # products, so they may differ in the last bits; the tolerance is
+        # norm-wise, relative to the batch's largest target.
+        env = DcbUplinkEnv(desk_scenario())
+        rng = np.random.default_rng(31)
+        params = neural.init_params(2, hidden, env.n_actions, rng)
+        table = target_table(params, env.state_encodings, env.n_satellites, chunk=64)
+        w = np.array([0.5, 0.3, 0.2])
+        for _ in range(8):
+            rows = 64
+            batch = ReplayBatch(
+                state=rng.random((rows, 2)),
+                action=rng.integers(env.n_actions, size=rows),
+                reward=rng.normal(size=(rows, 3)),
+                next_index=rng.integers(len(env.state_encodings), size=rows),
+                next_available=rng.random((rows, env.n_satellites)) < 0.3,
+                terminal=rng.random(rows) < 0.1,
+            )
+            got = td_targets(batch, table, w, 0.96)
+            want = forward_td_targets(
+                batch, env.state_encodings[batch.next_index], params, w, 0.96
+            )
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestTargetTable:
+    @pytest.mark.parametrize("chunk", [64, 403, 1000])
+    def test_rows_are_the_per_satellite_max_of_forward_over_the_same_chunks(self, chunk):
+        env = DcbUplinkEnv(desk_scenario())
+        params = neural.init_params(2, (64, 64), env.n_actions, np.random.default_rng(32))
+        encodings = env.state_encodings
+        pieces = []
+        for start in range(0, len(encodings), chunk):
+            _, _, q = neural.forward(params, encodings[start : start + chunk])
+            per_satellite = q[:, :-1].reshape(len(q), env.n_schemes, env.n_satellites)
+            pieces.append(np.column_stack([per_satellite.max(axis=1), q[:, -1]]))
+        table = target_table(params, encodings, env.n_satellites, chunk)
+        assert table.shape == (len(encodings), env.n_satellites + 1)
+        assert not table.flags.writeable
+        assert table.tobytes() == np.concatenate(pieces).tobytes()
+
+
+def trained_desk_agent(seed, **overrides):
+    """A desk agent whose replay holds 3 episodes, so every step trains."""
+    env = DcbUplinkEnv(desk_scenario())
+    cfg = tiny_config(**{"batch_size": 16, "target_sync_period": 100, **overrides})
+    agent = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(seed))
+    for _ in range(3):
+        agent.collect_episode(env)
+    return env, agent
+
+
+def rebuilt_table(agent, env):
+    return target_table(
+        agent.target_params, env.state_encodings, env.n_satellites, agent.config.batch_size
+    )
+
+
+class TestTargetTableLifecycle:
+    def test_one_build_per_target_sync(self, monkeypatch):
+        env, agent = trained_desk_agent(40, grad_steps_per_iteration=10)
+        assert agent.target_q is None   # collecting episodes builds nothing
+        batch_calls = []
+        real_forward = neural.forward
+
+        def counting_forward(p, encoding):
+            if np.ndim(encoding) == 2:
+                batch_calls.append(len(encoding))
+            return real_forward(p, encoding)
+
+        monkeypatch.setattr(neural, "forward", counting_forward)
+        for _ in range(25):
+            agent.train_iteration(env, np.full(3, 1 / 3))
+        assert agent.grad_steps_done == 250
+        # Built at step 1 and after the syncs at steps 100 and 200.
+        chunks = -(-len(env.state_encodings) // agent.config.batch_size)
+        assert len(batch_calls) == 3 * chunks
+        assert sum(batch_calls) == 3 * len(env.state_encodings)
+        monkeypatch.undo()
+        assert agent.target_q.tobytes() == rebuilt_table(agent, env).tobytes()
+
+    def test_clone_table_equals_a_rebuild_from_its_target(self):
+        env, agent = trained_desk_agent(42, grad_steps_per_iteration=8)
+        agent.train_iteration(env, np.full(3, 1 / 3))
+        twin = agent.clone()
+        assert twin.target_q.tobytes() == rebuilt_table(twin, env).tobytes()
+        kept = agent.target_q.tobytes()
+        for _ in range(15):   # past the twin's sync at step 100
+            twin.train_iteration(env, np.full(3, 1 / 3))
+        assert twin.grad_steps_done > 100
+        assert agent.target_q.tobytes() == kept
+        assert twin.target_q.tobytes() == rebuilt_table(twin, env).tobytes()
+
+    def test_load_agent_state_clears_the_table(self, tmp_path):
+        env, agent = trained_desk_agent(43, grad_steps_per_iteration=4)
+        agent.train_iteration(env, np.full(3, 1 / 3))
+        path = tmp_path / "task.npz"
+        save_agent_state(path, agent)
+        _, other = trained_desk_agent(44, grad_steps_per_iteration=4)
+        other.train_iteration(env, np.full(3, 1 / 3))
+        assert other.target_q is not None
+        load_agent_state(path, other)
+        assert other.target_q is None
+        other.train_iteration(env, np.full(3, 1 / 3))
+        assert other.target_q.tobytes() == rebuilt_table(agent, env).tobytes()
+
+    def test_other_state_space_forces_a_rebuild(self):
+        env, agent = trained_desk_agent(45, grad_steps_per_iteration=4)
+        agent.train_iteration(env, np.full(3, 1 / 3))
+        longer = DcbUplinkEnv(dataclasses.replace(desk_scenario(), n_slots=40))
+        same = DcbUplinkEnv(desk_scenario())
+        built = agent.target_q
+        agent.train_iteration(same, np.full(3, 1 / 3))
+        assert agent.target_q is built
+        agent.train_iteration(longer, np.full(3, 1 / 3))
+        assert agent.grad_steps_done == 12
+        assert agent.target_q.shape == (41 * 13, 13)
+        assert agent.target_q.tobytes() == rebuilt_table(agent, longer).tobytes()
 
 
 class TestReplayBuffer:
@@ -324,8 +464,6 @@ class TestTrainIteration:
 
 class TestCheckpoint:
     def test_agent_state_round_trip(self, tmp_path):
-        from leodcb.agent import load_agent_state, save_agent_state
-
         env = DcbUplinkEnv(micro_scenario())
         cfg = tiny_config(batch_size=4)
         agent = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(11))
@@ -346,8 +484,6 @@ class TestCheckpoint:
         assert np.array_equal(agent.adam.second_moment, fresh.adam.second_moment)
 
     def test_agent_state_rejects_other_network_sizes(self, tmp_path):
-        from leodcb.agent import load_agent_state, save_agent_state
-
         env = DcbUplinkEnv(micro_scenario())
         # An unresolved epsilon schedule does not stop the dump.
         cfg = tiny_config(epsilon_decay_iters=None)

@@ -129,6 +129,14 @@ class TestArchive:
         assert (2.0, 2.0, 2.0) in objectives
         assert (0.5, 2.0, 1.0) not in objectives  # dominated by (2,2,2)
 
+    def test_equal_candidate_skipped_and_first_member_kept(self):
+        archive = ParetoArchive()
+        first = stub_task([1, 2, 3])
+        assert archive.update([first, stub_task([1, 2, 3]), stub_task([3, 2, 1])]) == 2
+        assert archive.update([stub_task([1.0, 2.0, 3.0])]) == 0
+        assert [tuple(m.objectives) for m in archive.members] == [(1, 2, 3), (3, 2, 1)]
+        assert np.array_equal(archive.members[0].params.flat, first.agent.params.flat)
+
     def test_random_stream_matches_brute_force(self):
         rng = np.random.default_rng(42)
         stream_points = rng.random(size=(50, 3))

@@ -302,6 +302,26 @@ class TestEncodings:
         assert 0.0 < enc[0] <= 1.0
         assert 0.0 < enc[1] <= 1.0
 
+    def test_state_encodings_rows_are_the_encoding_formula(self, desk_env):
+        n_slots, n_sats = desk_env.scenario.n_slots, desk_env.n_satellites
+        assert desk_env.state_encodings.shape == ((n_slots + 1) * (n_sats + 1), 2)
+        assert not desk_env.state_encodings.flags.writeable
+        state = desk_env.reset(5)
+        seen = set()
+        while True:
+            index = desk_env.state_index(state)
+            prev = 0 if state.prev_satellite is None else state.prev_satellite
+            assert index == state.slot * (n_sats + 1) + prev
+            formula = np.array([state.slot / n_slots, prev / n_sats])
+            row = desk_env.state_encodings[index]
+            assert row.tobytes() == desk_env.encode_state(state).tobytes()
+            assert row.tobytes() == formula.tobytes()
+            seen.add(index)
+            if desk_env.done:
+                break
+            state, _, _ = desk_env.step(first_available_action(desk_env))
+        assert len(seen) == n_slots + 1
+
     def test_every_legitimate_index_steps_as_its_divmod(self):
         env = DcbUplinkEnv(dataclasses.replace(desk_scenario(), unavailability=0.0))
 
