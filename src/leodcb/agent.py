@@ -10,7 +10,7 @@ import numpy as np
 
 from . import neural
 from .env import DcbUplinkEnv
-from .errors import ConfigError, DomainError, StateError
+from .errors import ConfigError, StateError
 from .neural import AdamState, QNetworkParams
 
 STATE_DIM = 2  # (slot / T, prev_satellite / N_L)
@@ -262,43 +262,6 @@ class EnhancedD3qnAgent:
                 self.target_params.flat[:] = self.params.flat
                 self.target_q = None
         self.iteration += 1
-
-
-def save_agent_state(path, agent: EnhancedD3qnAgent) -> None:
-    """Fault-recovery dump of one agent: network sizes, parameters, target
-    parameters, Adam moments and step, and the schedule counters.
-
-    The replay buffer and the RNG state are not stored, so training
-    restarted from a dump does not reproduce the uninterrupted run.
-    """
-    np.savez(
-        path,
-        sizes=np.array(agent.params.sizes),
-        iteration=np.array(agent.iteration),
-        grad_steps_done=np.array(agent.grad_steps_done),
-        adam_step=np.array(agent.adam.step),
-        params=agent.params.flat,
-        target=agent.target_params.flat,
-        adam_m=agent.adam.first_moment,
-        adam_v=agent.adam.second_moment,
-    )
-
-
-def load_agent_state(path, agent: EnhancedD3qnAgent) -> EnhancedD3qnAgent:
-    """Restore a dump into a freshly created agent of matching sizes."""
-    with np.load(path) as data:
-        sizes = tuple(data["sizes"].tolist())
-        if sizes != agent.params.sizes:
-            raise DomainError(f"dump network sizes {sizes} != {agent.params.sizes}")
-        agent.iteration = int(data["iteration"])
-        agent.grad_steps_done = int(data["grad_steps_done"])
-        agent.adam.step = int(data["adam_step"])
-        agent.params.flat[:] = data["params"]
-        agent.target_params.flat[:] = data["target"]
-        agent.adam.first_moment[:] = data["adam_m"]
-        agent.adam.second_moment[:] = data["adam_v"]
-    agent.target_q = None
-    return agent
 
 
 def greedy_rollout(params: QNetworkParams, env: DcbUplinkEnv, seed: int, q_rows=None):

@@ -265,25 +265,13 @@ def _train_tasks(
         task.objectives = evaluate_policy(task.agent.params, env, eval_seeds)
 
 
-def run(
-    scenario: Scenario,
-    config: EmodrlConfig,
-    progress=None,
-    checkpoint_dir=None,
-) -> RunResult:
+def run(scenario: Scenario, config: EmodrlConfig) -> RunResult:
     """Warm-up plus evolutionary stages; returns the final Pareto archive.
 
     Fully reproducible from (scenario, scenario.master_seed): agent init,
     exploration, episode seeds and evaluation seeds all come from tagged
     streams of the master seed. Tasks train sequentially in task order;
     they are mutually independent, so this matches any parallel schedule.
-
-    If ``checkpoint_dir`` is given and any generation fails, a fault-recovery
-    dump is written there before the error propagates: each offspring
-    task's agent state (see ``agent.save_agent_state``) and a manifest with
-    the failed generation and the archive size. Replay buffers, RNG
-    states, the population and the archive are not stored, so the dump
-    cannot resume the run.
     """
     master = scenario.master_seed
     weights = generate_weights(config.n_tasks)
@@ -296,7 +284,7 @@ def run(
         )
 
     # One env serves every task and the evaluation: reset re-seeds all
-    # episode state, and the allocation memo depends only on geometry.
+    # episode state, and the P2 tables are built once, at construction.
     env = DcbUplinkEnv(scenario)
     tasks = [
         LearningTask(
@@ -313,58 +301,31 @@ def run(
     archive = ParetoArchive()
     bank = PerformanceBufferBank(config.buffer_count, config.buffer_size)
     reference = hypervolume_reference(scenario)
-    records: list[GenerationRecord] = []
+
+    _train_tasks(tasks, env, config.t_warm, eval_seeds)
+    bank.observe([t.objectives for t in tasks])
+    archive.update(tasks)
+    records = [
+        GenerationRecord(0, len(tasks), len(archive),
+                         hypervolume(archive.objective_matrix(), reference))
+    ]
+
     population: list[LearningTask] = []
     offspring = tasks
-    generation = 0
-
-    try:
-        _train_tasks(tasks, env, config.t_warm, eval_seeds)
-        bank.observe([t.objectives for t in tasks])
-        archive.update(tasks)
+    for generation in range(1, config.t_evo + 1):
+        population = tpu(population, offspring, bank)
+        selected = task_selection(weights, population)
+        _train_tasks(selected, env, config.t_task, eval_seeds)
+        bank.observe([t.objectives for t in selected])
+        archive.update(selected)
+        offspring = selected
         records.append(
-            GenerationRecord(0, len(offspring), len(archive),
+            GenerationRecord(generation, len(population), len(archive),
                              hypervolume(archive.objective_matrix(), reference))
         )
-        if progress is not None:
-            progress(records[-1])
-
-        for generation in range(1, config.t_evo + 1):
-            population = tpu(population, offspring, bank)
-            selected = task_selection(weights, population)
-            _train_tasks(selected, env, config.t_task, eval_seeds)
-            bank.observe([t.objectives for t in selected])
-            archive.update(selected)
-            offspring = selected
-            records.append(
-                GenerationRecord(generation, len(population), len(archive),
-                                 hypervolume(archive.objective_matrix(), reference))
-            )
-            if progress is not None:
-                progress(records[-1])
-    except Exception:
-        if checkpoint_dir is not None:
-            _dump_crash_checkpoint(checkpoint_dir, generation, offspring, archive)
-        raise
     return RunResult(
         archive=archive,
         generations=records,
         hypervolume_reference=reference,
         eval_seeds=eval_seeds,
     )
-
-
-def _dump_crash_checkpoint(checkpoint_dir, generation, tasks, archive) -> None:
-    """Write each task's agent state and a crash manifest under ``checkpoint_dir``."""
-    from pathlib import Path
-
-    from .agent import save_agent_state
-
-    root = Path(checkpoint_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    lines = [f"failed_generation,{generation}", f"archive_size,{len(archive)}"]
-    for i, task in enumerate(tasks):
-        path = root / f"task_{i:02d}.npz"
-        save_agent_state(path, task.agent)
-        lines.append(f"task_{i:02d},{path}")
-    (root / "crash_manifest.csv").write_text("\n".join(lines) + "\n")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import emodrl, svgplot
-from .agent import greedy_rollout
+from .agent import evaluate_policy, greedy_rollout
 from .baselines import BaselineKind, run_baseline_episode
 from .emodrl import ArchiveMember, EmodrlConfig, ParetoArchive, RunResult
 from .env import DcbUplinkEnv, EpisodeLedger, episode_objectives
@@ -117,13 +117,9 @@ def replay_policy(params: QNetworkParams, scenario: Scenario, overrides: dict, s
         n_terminals=overrides.get("n_terminals"),
         rate_threshold=overrides.get("rate_threshold"),
     )
-    env = DcbUplinkEnv(modified)
-    totals = np.zeros(3)
-    q_rows = {}
-    for seed in seeds:
-        ledger = greedy_rollout(params, env, seed, q_rows)
-        totals += episode_objectives(ledger, modified.n_slots, modified.slot_seconds)
-    return tuple(totals / len(seeds))
+    f = evaluate_policy(params, DcbUplinkEnv(modified), seeds)
+    # + 0.0 normalizes the negative zero produced by flipping a zero
+    return f[0], -f[1] + 0.0, -f[2] + 0.0
 
 
 @dataclass
@@ -166,7 +162,7 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
     (out / "plots").mkdir(exist_ok=True)
     emitted: list[str] = []
 
-    result: RunResult = emodrl.run(scenario, config, checkpoint_dir=out / "crash")
+    result: RunResult = emodrl.run(scenario, config)
     archive = result.archive
     try:
         checkpoints = []

@@ -102,11 +102,6 @@ def angular_velocity(elements: OrbitalElements, constants: PhysicalConstants) ->
     return math.sqrt(constants.mu / radius**3)
 
 
-def orbital_period(elements: OrbitalElements, constants: PhysicalConstants) -> float:
-    """Orbital period 2*pi / angular_velocity, seconds."""
-    return TWO_PI / angular_velocity(elements, constants)
-
-
 def position_at(
     elements: OrbitalElements,
     t,

@@ -2,9 +2,9 @@
 
 Everything here checks implementation paths from the outside: exhaustive
 grid search, projected gradient descent, finite differences, brute-force
-dominance, TD targets from a per-batch forward, and scalar per-point
-geometry against the env's array geometry. None of it calls the
-solver/gradient code it is used to verify.
+dominance, TD targets from a per-batch forward, Kepler's third law, and
+scalar per-point geometry against the env's array geometry. None of it
+calls the solver/gradient code it is used to verify.
 """
 
 import math
@@ -41,6 +41,11 @@ def make_rf(n_terminals=3, reference_distance=5e5, bandwidth=1e7):
         p_max=2.0,
         rho0=rho0,
     )
+
+
+def orbital_period(elements, constants) -> float:
+    """Circular-orbit period by Kepler's third law, 2*pi*sqrt(H^3 / mu), seconds."""
+    return 2.0 * math.pi * math.sqrt(elements.semi_major_axis**3 / constants.mu)
 
 
 def elevation_angle(sat_local, terminal_local) -> float:

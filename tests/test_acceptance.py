@@ -17,6 +17,7 @@ from oracles import (
     make_rf,
     max_relative_error,
     numeric_gradients,
+    orbital_period,
     p2_objective,
 )
 
@@ -27,7 +28,7 @@ from leodcb.channel import snr, solve_p2, weight_set
 from leodcb.emodrl import EmodrlConfig
 from leodcb.env import DcbUplinkEnv, episode_objectives
 from leodcb.harness import replay_policy, select_policy
-from leodcb.orbits import PhysicalConstants, circular_orbit, orbital_period, position_at
+from leodcb.orbits import PhysicalConstants, circular_orbit, position_at
 from leodcb.scenario import Scenario, default_scenario, desk_scenario
 from leodcb.seeding import stream
 

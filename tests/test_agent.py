@@ -11,14 +11,12 @@ from leodcb.agent import (
     ReplayBatch,
     ReplayBuffer,
     evaluate_policy,
-    load_agent_state,
-    save_agent_state,
     select_action,
     target_table,
     td_targets,
 )
 from leodcb.env import DcbUplinkEnv
-from leodcb.errors import ConfigError, DomainError, StateError
+from leodcb.errors import ConfigError, StateError
 from leodcb.scenario import desk_scenario, micro_scenario
 from oracles import forward_td_targets
 
@@ -308,19 +306,6 @@ class TestTargetTableLifecycle:
         assert agent.target_q.tobytes() == kept
         assert twin.target_q.tobytes() == rebuilt_table(twin, env).tobytes()
 
-    def test_load_agent_state_clears_the_table(self, tmp_path):
-        env, agent = trained_desk_agent(43, grad_steps_per_iteration=4)
-        agent.train_iteration(env, np.full(3, 1 / 3))
-        path = tmp_path / "task.npz"
-        save_agent_state(path, agent)
-        _, other = trained_desk_agent(44, grad_steps_per_iteration=4)
-        other.train_iteration(env, np.full(3, 1 / 3))
-        assert other.target_q is not None
-        load_agent_state(path, other)
-        assert other.target_q is None
-        other.train_iteration(env, np.full(3, 1 / 3))
-        assert other.target_q.tobytes() == rebuilt_table(agent, env).tobytes()
-
     def test_other_state_space_forces_a_rebuild(self):
         env, agent = trained_desk_agent(45, grad_steps_per_iteration=4)
         agent.train_iteration(env, np.full(3, 1 / 3))
@@ -427,6 +412,22 @@ class TestTrainIteration:
         assert twin.iteration == agent.iteration + 1
         assert not np.array_equal(agent.params.flat, twin.params.flat)
 
+    def test_counters_and_params_after_training(self):
+        # The micro run's warm-up plus one generation: t = 2 + 1 iterations.
+        env = DcbUplinkEnv(micro_scenario())
+        cfg = tiny_config(batch_size=8, target_sync_period=10, grad_steps_per_iteration=2,
+                          hidden_sizes=(8, 8))
+        agent = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(0))
+        initial = agent.params.flat.copy()
+        t = 3
+        for _ in range(t):
+            agent.train_iteration(env, np.array([0.5, 0.3, 0.2]))
+        assert agent.iteration == t
+        assert agent.adam.step == agent.grad_steps_done > 0
+        assert agent.params.sizes == (2, 8, 8, env.n_actions)
+        assert agent.params.all_finite()
+        assert not np.array_equal(agent.params.flat, initial)
+
     def test_gradient_steps_allocate_one_buffer(self):
         # One gradient-sized buffer plus batch temporaries; keeping the last
         # step's gradient alive while the next is made would add another.
@@ -460,41 +461,6 @@ class TestTrainIteration:
         assert len(agent.replay) == 5 and len(twin.replay) == 12
         for a, b in zip(before, after):
             assert np.array_equal(a, b)
-
-
-class TestCheckpoint:
-    def test_agent_state_round_trip(self, tmp_path):
-        env = DcbUplinkEnv(micro_scenario())
-        cfg = tiny_config(batch_size=4)
-        agent = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(11))
-        for _ in range(3):
-            agent.train_iteration(env, np.array([0.5, 0.3, 0.2]))
-        path = tmp_path / "task.npz"
-        save_agent_state(path, agent)
-
-        fresh = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(99))
-        load_agent_state(path, fresh)
-        assert fresh.iteration == agent.iteration
-        assert fresh.grad_steps_done == agent.grad_steps_done
-        assert fresh.adam.step == agent.adam.step
-        assert fresh.epsilon() == agent.epsilon()
-        assert np.array_equal(agent.params.flat, fresh.params.flat)
-        assert np.array_equal(agent.target_params.flat, fresh.target_params.flat)
-        assert np.array_equal(agent.adam.first_moment, fresh.adam.first_moment)
-        assert np.array_equal(agent.adam.second_moment, fresh.adam.second_moment)
-
-    def test_agent_state_rejects_other_network_sizes(self, tmp_path):
-        env = DcbUplinkEnv(micro_scenario())
-        # An unresolved epsilon schedule does not stop the dump.
-        cfg = tiny_config(epsilon_decay_iters=None)
-        agent = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(1))
-        path = tmp_path / "task.npz"
-        save_agent_state(path, agent)
-        other = EnhancedD3qnAgent.create(
-            tiny_config(hidden_sizes=(16, 8)), env.n_actions, np.random.default_rng(2)
-        )
-        with pytest.raises(DomainError):
-            load_agent_state(path, other)
 
 
 class TestEvaluatePolicy:

@@ -1,7 +1,9 @@
 """The package's public names."""
 
+import inspect
+
 import leodcb
-from leodcb import env
+from leodcb import emodrl, env
 
 
 def test_every_exported_name_resolves():
@@ -16,3 +18,6 @@ def test_object_actions_and_rewards_are_gone():
         assert not hasattr(leodcb, name)
         assert not hasattr(env, name)
 
+
+def test_run_takes_only_scenario_and_config():
+    assert list(inspect.signature(emodrl.run).parameters) == ["scenario", "config"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leodcb import emodrl, neural
-from leodcb.agent import AgentConfig, EnhancedD3qnAgent, load_agent_state
+from leodcb.agent import AgentConfig
 from leodcb.emodrl import (
     EmodrlConfig,
     LearningTask,
@@ -304,39 +304,6 @@ class TestRun:
         for member in result.archive.members:
             assert np.all(member.weight > 0)
             assert member.weight.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_generation_failure_leaves_resumable_checkpoint(self, tmp_path):
-        calls = {"n": 0}
-
-        def explode_at_second_generation(record):
-            calls["n"] += 1
-            if record.generation == 1:
-                raise RuntimeError("synthetic generation failure")
-
-        with pytest.raises(RuntimeError, match="synthetic"):
-            run(
-                micro_scenario(),
-                tiny_emodrl_config(),
-                progress=explode_at_second_generation,
-                checkpoint_dir=tmp_path / "crash",
-            )
-        manifest = (tmp_path / "crash" / "crash_manifest.csv").read_text()
-        assert "failed_generation,1" in manifest
-
-        config = tiny_emodrl_config()
-        scenario = micro_scenario()
-        fresh = EnhancedD3qnAgent.create(
-            config.agent, scenario.n_schemes * scenario.n_satellites + 1,
-            np.random.default_rng(0),
-        )
-        initial = fresh.params.flat.copy()
-        load_agent_state(tmp_path / "crash" / "task_00.npz", fresh)
-        # The dumped offspring trained through warm-up and one generation.
-        assert fresh.iteration == config.t_warm + config.t_task
-        assert fresh.adam.step == fresh.grad_steps_done > 0
-        assert fresh.params.sizes == (2, *config.agent.hidden_sizes, 10)
-        assert fresh.params.all_finite()
-        assert not np.array_equal(fresh.params.flat, initial)
 
     def test_one_env_serves_every_task_and_the_evaluation(self, monkeypatch):
         built = []

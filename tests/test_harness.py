@@ -248,6 +248,23 @@ class TestPartialManifest:
             assert Path(path).exists()
 
 
+class TestTrainingFailure:
+    def test_error_propagates_and_writes_nothing(self, tmp_path, monkeypatch):
+        from leodcb import emodrl
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("synthetic generation failure")
+
+        monkeypatch.setattr(emodrl, "tpu", explode)
+        out = tmp_path / "run"
+        with pytest.raises(RuntimeError, match="synthetic"):
+            run_experiment(micro_scenario(), tiny_config(), out)
+        # Only the directories made before training, all empty.
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+            "checkpoints", "plots", "traces",
+        ]
+
+
 class TestCli:
     def test_baseline_and_select_commands(self, tmp_path, capsys):
         from leodcb.cli import main

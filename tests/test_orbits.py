@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import elevation_angle, is_geometrically_visible
+from oracles import elevation_angle, is_geometrically_visible, orbital_period
 
 from leodcb.errors import DomainError
 from leodcb.orbits import (
@@ -11,7 +11,6 @@ from leodcb.orbits import (
     PhysicalConstants,
     angular_velocity,
     circular_orbit,
-    orbital_period,
     position_at,
 )
 
