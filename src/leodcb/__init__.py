@@ -6,7 +6,7 @@ from .agent import AgentConfig, EnhancedD3qnAgent, evaluate_policy
 from .baselines import BaselineKind, run_baseline_episode
 from .channel import RfConstants, WeightScheme, achievable_rate, snr, solve_p2, weight_set
 from .emodrl import EmodrlConfig, ParetoArchive, generate_weights, hypervolume, run
-from .env import DcbUplinkEnv, MomdpState
+from .env import DcbUplinkEnv
 from .harness import RunReport, replay_policy, run_experiment, select_policy
 from .orbits import OrbitalElements, PhysicalConstants, angular_velocity, position_at
 from .scenario import Scenario, default_scenario, desk_scenario, load_scenario, save_scenario
@@ -19,7 +19,6 @@ __all__ = [
     "DcbUplinkEnv",
     "EmodrlConfig",
     "EnhancedD3qnAgent",
-    "MomdpState",
     "OrbitalElements",
     "ParetoArchive",
     "PhysicalConstants",

@@ -19,10 +19,10 @@ STATE_DIM = 2  # (slot / T, prev_satellite / N_L)
 class ReplayBatch(NamedTuple):
     """Transitions as row-aligned arrays, one row per transition."""
 
-    state: np.ndarray           # (n, STATE_DIM) encodings at decision time
+    state: np.ndarray           # (n,) state indices at decision time
     action: np.ndarray          # (n,) flat action indices, legitimate when taken
     reward: np.ndarray          # (n, 3) reward vectors
-    next_index: np.ndarray      # (n,) state index of the next state (env.state_index)
+    next_state: np.ndarray      # (n,) state indices of the next states
     next_available: np.ndarray  # (n, N_L) satellite availability of the next state
     terminal: np.ndarray        # (n,) bools
 
@@ -158,7 +158,7 @@ def td_targets(
     rewards = batch.reward @ np.asarray(weight, dtype=float)
     available = batch.next_available
     legit = np.concatenate([available, ~available.any(axis=1, keepdims=True)], axis=1)
-    best_next = np.where(legit, table[batch.next_index], -np.inf).max(axis=1)
+    best_next = np.where(legit, table[batch.next_state], -np.inf).max(axis=1)
     return rewards + gamma * np.where(batch.terminal, 0.0, best_next)
 
 
@@ -222,14 +222,13 @@ class EnhancedD3qnAgent:
         state = env.reset(seed)
         eps = self.epsilon()
         while not env.done:
-            encoding = env.encode_state(state)
             mask = env.legitimate_mask()
-            action = select_action(self.params, encoding, mask, eps, self.rng)
-            state, reward, done = env.step(action)
-            self.replay.push(
-                encoding, action, reward,
-                env.state_index(state), env.current_mask, done,
+            action = select_action(
+                self.params, env.state_encodings[state], mask, eps, self.rng
             )
+            next_state, reward, done = env.step(action)
+            self.replay.push(state, action, reward, next_state, env.current_mask, done)
+            state = next_state
 
     def train_iteration(self, env: DcbUplinkEnv, weight: np.ndarray) -> None:
         """Collect episodes, then run the configured gradient steps.
@@ -253,7 +252,7 @@ class EnhancedD3qnAgent:
                 )
             targets = td_targets(batch, self.target_q, weight, cfg.gamma)
             _, self.last_loss = neural.backward(
-                self.params, batch.state, batch.action, targets, grads
+                self.params, env.state_encodings[batch.state], batch.action, targets, grads
             )
             neural.clip_gradients(grads, cfg.max_grad_norm)
             neural.adam_step(self.params, grads, self.adam, cfg.learning_rate)
@@ -276,7 +275,7 @@ def greedy_rollout(params: QNetworkParams, env: DcbUplinkEnv, seed: int, q_rows=
     while not env.done:
         q = q_rows.get(state)
         if q is None:
-            _, _, q = neural.forward(params, env.encode_state(state))
+            _, _, q = neural.forward(params, env.state_encodings[state])
             q_rows[state] = q
         legit = np.flatnonzero(env.legitimate_mask())
         action = int(legit[np.argmax(q[legit])])

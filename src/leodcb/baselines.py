@@ -6,9 +6,7 @@ import enum
 
 import numpy as np
 
-from .env import DcbUplinkEnv, EpisodeLedger, MomdpState
-from .errors import ConfigError
-from .scenario import Scenario
+from .env import DcbUplinkEnv, EpisodeLedger
 from .seeding import stream
 
 
@@ -18,17 +16,18 @@ class BaselineKind(enum.Enum):
     RANDOM = "random"
 
 
-def argp_action(env: DcbUplinkEnv, state: MomdpState, mask: np.ndarray) -> int:
-    """Max transmit power on the satellite with the best achievable rate.
+def argp_action(env: DcbUplinkEnv) -> int:
+    """Max transmit power on the available satellite of the current slot
+    with the best achievable rate.
 
     Returns the flat index ``idle_index + s`` of the scheme-0 corner (all
     terminals at p_max) on satellite s; ties break to the lowest satellite
     index; IDLE when nothing is available.
     """
-    available = np.flatnonzero(mask) + 1
+    available = np.flatnonzero(env.current_mask) + 1
     if available.size == 0:
         return env.idle_index
-    rates = env.rates[state.slot, 0, available - 1]
+    rates = env.rates[env.slot, 0, available - 1]
     return env.idle_index + int(available[np.argmax(rates)])
 
 
@@ -38,31 +37,23 @@ def random_policy_action(env: DcbUplinkEnv, rng: np.random.Generator) -> int:
     return int(legit[rng.integers(legit.size)])
 
 
-def run_baseline_episode(
-    kind: BaselineKind,
-    scenario: Scenario,
-    seed: int,
-    env: DcbUplinkEnv | None = None,
-) -> EpisodeLedger:
-    """One full episode of the named baseline; returns the finished ledger.
+def run_baseline_episode(kind: BaselineKind, env: DcbUplinkEnv, seed: int) -> EpisodeLedger:
+    """One full episode of the named baseline on ``env``; returns the
+    finished ledger.
 
     The non-DCB strategy replaces the array with terminal 1 alone (at max
-    power, greedy satellite choice) on an otherwise identical scenario.
+    power, greedy satellite choice) on an env of an otherwise identical
+    scenario, built for the episode.
     """
     if kind is BaselineKind.NON_DCB:
-        scenario = scenario.subset_terminals([0])
-        env = DcbUplinkEnv(scenario)
-    elif env is None:
-        env = DcbUplinkEnv(scenario)
-    elif env.scenario != scenario:
-        raise ConfigError("provided environment was built from a different scenario")
+        env = DcbUplinkEnv(env.scenario.subset_terminals([0]))
 
     rng = stream(seed, "random-policy")
-    state = env.reset(seed)
+    env.reset(seed)
     while not env.done:
         if kind is BaselineKind.RANDOM:
             action = random_policy_action(env, rng)
         else:
-            action = argp_action(env, state, env.current_mask)
-        state, _, _ = env.step(action)
+            action = argp_action(env)
+        env.step(action)
     return env.ledger

@@ -10,8 +10,9 @@ from pathlib import Path
 from .agent import AgentConfig
 from .baselines import BaselineKind, run_baseline_episode
 from .emodrl import EmodrlConfig
-from .env import episode_objectives
+from .env import DcbUplinkEnv, episode_objectives
 from .harness import (
+    PREFERENCE_WEIGHTS,
     load_archive,
     raw_objectives,
     replay_policy,
@@ -74,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     select_p.add_argument(
         "--preference",
         default="balanced",
-        help="favor-rate | favor-energy | favor-switching | balanced",
+        choices=sorted(PREFERENCE_WEIGHTS),
+        help="named tendency (default balanced)",
     )
     return parser
 
@@ -112,7 +114,7 @@ def _run_command(args) -> int:
 def _baseline_command(args) -> int:
     scenario = resolve_scenario(args.scenario)
     kind = BaselineKind(args.kind)
-    ledger = run_baseline_episode(kind, scenario, args.seed)
+    ledger = run_baseline_episode(kind, DcbUplinkEnv(scenario), args.seed)
     f1, f2, f3 = episode_objectives(ledger, scenario.n_slots, scenario.slot_seconds)
     print(f"{kind.value}: f1={f1:.4g} bps  f2={f2:.4g} J  f3={f3:.4g}")
     out = Path(args.out or _default_out())

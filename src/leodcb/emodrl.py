@@ -265,14 +265,18 @@ def _train_tasks(
         task.objectives = evaluate_policy(task.agent.params, env, eval_seeds)
 
 
-def run(scenario: Scenario, config: EmodrlConfig) -> RunResult:
-    """Warm-up plus evolutionary stages; returns the final Pareto archive.
+def run(env: DcbUplinkEnv, config: EmodrlConfig) -> RunResult:
+    """Warm-up plus evolutionary stages on ``env``; returns the final
+    Pareto archive.
 
-    Fully reproducible from (scenario, scenario.master_seed): agent init,
-    exploration, episode seeds and evaluation seeds all come from tagged
-    streams of the master seed. Tasks train sequentially in task order;
-    they are mutually independent, so this matches any parallel schedule.
+    One env serves every task and the evaluation, as reset re-seeds all
+    episode state. Fully reproducible from (env.scenario, its master_seed):
+    agent init, exploration, episode seeds and evaluation seeds all come
+    from tagged streams of the master seed. Tasks train sequentially in task
+    order; they are mutually independent, so this matches any parallel
+    schedule.
     """
+    scenario = env.scenario
     master = scenario.master_seed
     weights = generate_weights(config.n_tasks)
     total_iterations = config.t_warm + config.t_evo * config.t_task
@@ -283,9 +287,6 @@ def run(scenario: Scenario, config: EmodrlConfig) -> RunResult:
             agent_cfg, epsilon_decay_iters=max(1, total_iterations // 2)
         )
 
-    # One env serves every task and the evaluation: reset re-seeds all
-    # episode state, and the P2 tables are built once, at construction.
-    env = DcbUplinkEnv(scenario)
     tasks = [
         LearningTask(
             weight=weights[n],

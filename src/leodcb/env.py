@@ -23,12 +23,6 @@ from .scenario import Scenario
 from .seeding import stream
 
 
-@dataclass(frozen=True)
-class MomdpState:
-    slot: int
-    prev_satellite: int | None  # 1-based satellite index, None at episode start
-
-
 @dataclass
 class TraceRow:
     slot: int
@@ -96,8 +90,9 @@ class DcbUplinkEnv:
     P2 outcome of every action are precomputed at construction; only the
     availability draws are stochastic. ``rates`` and ``total_powers`` have
     shape (slot, scheme index, satellite), the max-power corner in scheme
-    column 0, and are NaN where the satellite is not visible. States
-    (slot, previous satellite) have a flat index (``state_index``) into
+    column 0, and are NaN where the satellite is not visible. A state is
+    the int slot·(N_L + 1) + prev, where prev is the 1-based previous
+    satellite or 0 before the first transmission; it indexes
     ``state_encodings``, the network inputs of all (T + 1)·(N_L + 1) states.
     """
 
@@ -152,8 +147,8 @@ class DcbUplinkEnv:
             self.rates[slots, k, sats] = channel.achievable_rate(snr, rf)
             self.total_powers[slots, k, sats] = powers.sum(axis=1)
 
-        # One encoding row per state index (see ``state_index``), over
-        # slots 0..T so that the terminal states have rows too.
+        # Row state = (slot / T, prev / N_L), over slots 0..T so that the
+        # terminal states have rows too.
         slot_col, prev_col = np.divmod(
             np.arange((scenario.n_slots + 1) * (self.n_satellites + 1)), self.n_satellites + 1
         )
@@ -163,17 +158,17 @@ class DcbUplinkEnv:
         self.state_encodings.flags.writeable = False
 
         self._rng: np.random.Generator | None = None
-        self._state: MomdpState | None = None
+        self._state: int | None = None
         self._mask: np.ndarray | None = None
         self._legit: np.ndarray | None = None
         self.ledger = EpisodeLedger()
 
     # -- episode control -------------------------------------------------
 
-    def reset(self, seed: int) -> MomdpState:
+    def reset(self, seed: int) -> int:
         """Start an episode; the availability stream is keyed by ``seed``."""
         self._rng = stream(seed, "availability")
-        self._state = MomdpState(slot=0, prev_satellite=None)
+        self._state = 0
         self.ledger = EpisodeLedger()
         self._set_mask(draw_availability(
             self.visibility[0], self.scenario.unavailability, self._rng
@@ -181,10 +176,14 @@ class DcbUplinkEnv:
         return self._state
 
     @property
-    def state(self) -> MomdpState:
+    def state(self) -> int:
         if self._state is None:
             raise StateError("environment not reset")
         return self._state
+
+    @property
+    def slot(self) -> int:
+        return self.state // (self.n_satellites + 1)
 
     @property
     def current_mask(self) -> np.ndarray:
@@ -194,15 +193,15 @@ class DcbUplinkEnv:
 
     @property
     def done(self) -> bool:
-        return self.state.slot >= self.scenario.n_slots
+        return self.slot >= self.scenario.n_slots
 
     def step(self, action: int):
         """Apply a flat action index; returns (next_state, reward, done).
 
         The reward is the array (rate, energy, switch).
         """
-        state = self.state
-        if state.slot >= self.scenario.n_slots:
+        slot, prev = divmod(self.state, self.n_satellites + 1)
+        if slot >= self.scenario.n_slots:
             raise StateError("episode already complete")
         scheme, sat = self._decode(action)
         n_available = int(self.current_mask.sum())
@@ -211,15 +210,13 @@ class DcbUplinkEnv:
             reward = np.zeros(3)
             rate = total_power = 0.0
             switched = 0
-            next_prev = state.prev_satellite
+            next_prev = prev
         else:
-            rate = float(self.rates[state.slot, scheme, sat - 1])
-            total_power = float(self.total_powers[state.slot, scheme, sat - 1])
+            rate = float(self.rates[slot, scheme, sat - 1])
+            total_power = float(self.total_powers[slot, scheme, sat - 1])
             slot_energy = total_power * self.scenario.slot_seconds
             gated_rate = rate if rate > self.scenario.rate_threshold else 0.0
-            switched = int(
-                state.prev_satellite is not None and sat != state.prev_satellite
-            )
+            switched = int(prev != 0 and sat != prev)
             reward = np.array([
                 self.rho1 * gated_rate,
                 -self.rho2 * slot_energy,
@@ -230,11 +227,11 @@ class DcbUplinkEnv:
             self.ledger.switch_count += switched
             next_prev = sat
         self.ledger.trace.append(
-            TraceRow(state.slot, sat, scheme, rate, total_power, switched, n_available)
+            TraceRow(slot, sat, scheme, rate, total_power, switched, n_available)
         )
 
-        next_slot = state.slot + 1
-        self._state = MomdpState(slot=next_slot, prev_satellite=next_prev)
+        next_slot = slot + 1
+        self._state = next_slot * (self.n_satellites + 1) + next_prev
         if next_slot < self.scenario.n_slots:
             self._set_mask(draw_availability(
                 self.visibility[next_slot], self.scenario.unavailability, self._rng
@@ -279,22 +276,9 @@ class DcbUplinkEnv:
             )
         if not self.current_mask[sat - 1]:
             raise IllegalActionError(
-                f"satellite {sat} is unavailable at slot {self.state.slot}"
+                f"satellite {sat} is unavailable at slot {self.slot}"
             )
         return scheme, sat
-
-    # -- agent-facing encodings -------------------------------------------
-
-    def state_index(self, state: MomdpState) -> int:
-        """Row of ``state`` in ``state_encodings``: slot * (N_L + 1) + prev,
-        with prev 0 before the first transmission."""
-        prev = 0 if state.prev_satellite is None else state.prev_satellite
-        return state.slot * (self.n_satellites + 1) + prev
-
-    def encode_state(self, state: MomdpState) -> np.ndarray:
-        """Normalized (slot / T, prev_satellite / N_L), no previous -> 0;
-        a read-only row of ``state_encodings``."""
-        return self.state_encodings[self.state_index(state)]
 
     def legitimate_mask(self) -> np.ndarray:
         """Read-only boolean mask over the flat action space for the current

@@ -162,7 +162,8 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
     (out / "plots").mkdir(exist_ok=True)
     emitted: list[str] = []
 
-    result: RunResult = emodrl.run(scenario, config)
+    env = DcbUplinkEnv(scenario)
+    result: RunResult = emodrl.run(env, config)
     archive = result.archive
     try:
         checkpoints = []
@@ -179,11 +180,8 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
         emitted.append(str(generations_csv))
 
         episode_seed = int(stream(scenario.master_seed, "trace-episode").integers(2**31))
-        env = DcbUplinkEnv(scenario)
         ledgers: dict[str, EpisodeLedger] = {
-            "argp": run_baseline_episode(BaselineKind.ARGP, scenario, episode_seed, env),
-            "non_dcb": run_baseline_episode(BaselineKind.NON_DCB, scenario, episode_seed),
-            "random": run_baseline_episode(BaselineKind.RANDOM, scenario, episode_seed, env),
+            kind.value: run_baseline_episode(kind, env, episode_seed) for kind in BaselineKind
         }
         favored = select_policy(archive, "favor-rate")
         ledgers["ed3qn_favor_rate"] = greedy_rollout(favored.params, env, episode_seed)

@@ -173,15 +173,15 @@ def batch_loss(params, x, actions, targets):
     return 0.5 * float(residual @ residual) / len(actions)
 
 
-def forward_td_targets(batch, next_state, target_params, weight, gamma):
+def forward_td_targets(batch, next_encodings, target_params, weight, gamma):
     """Scalarized one-step targets from a fresh forward over the batch's
-    next-state encodings ``next_state``, maximized over the next state's
+    next-state encodings ``next_encodings``, maximized over the next state's
     legitimate actions; terminal transitions bootstrap nothing. The
     table-free check on ``agent.td_targets``."""
     rewards = batch.reward @ np.asarray(weight, dtype=float)
     n_schemes = (target_params.n_actions - 1) // batch.next_available.shape[1]
     legit = legitimate_masks(batch.next_available, n_schemes)
-    _, _, next_q = forward(target_params, next_state)
+    _, _, next_q = forward(target_params, next_encodings)
     best_next = np.where(legit, next_q, -np.inf).max(axis=1)
     return rewards + gamma * np.where(batch.terminal, 0.0, best_next)
 

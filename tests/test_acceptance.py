@@ -67,7 +67,7 @@ def desk_run_cache():
         if seed not in cache:
             scenario = desk_scenario(master_seed=seed)
             started = time.perf_counter()
-            result = emodrl.run(scenario, desk_emodrl_config())
+            result = emodrl.run(DcbUplinkEnv(scenario), desk_emodrl_config())
             cache[seed] = (scenario, result, time.perf_counter() - started)
         return cache[seed]
 
@@ -170,7 +170,7 @@ def test_criterion_5_mask_safety():
         while not env.done:
             epsilon = (steps % 100) / 100.0  # sweep the whole mix
             mask = env.legitimate_mask()
-            action = select_action(params, env.encode_state(state), mask, epsilon, rng)
+            action = select_action(params, env.state_encodings[state], mask, epsilon, rng)
             if not mask[action]:
                 violations += 1
             # Availability checked from the index layout, apart from the mask.
@@ -230,7 +230,7 @@ def _greedy_scalarized_return(params, scenario, weight, gamma):
     total, discount = 0.0, 1.0
     while not env.done:
         legit = np.flatnonzero(env.legitimate_mask())
-        _, _, q = neural.forward(params, env.encode_state(state))
+        _, _, q = neural.forward(params, env.state_encodings[state])
         action = int(legit[np.argmax(q[legit])])
         state, reward, _ = env.step(action)
         total += discount * float(reward @ weight)
@@ -323,7 +323,7 @@ def test_skipping_equal_objectives_keeps_hypervolumes_and_favor_rate(
 ):
     scenario, result, _ = desk_run_cache(DESK_SEEDS[0])
     monkeypatch.setattr(emodrl, "ParetoArchive", DuplicateKeepingArchive)
-    kept = emodrl.run(scenario, desk_emodrl_config())
+    kept = emodrl.run(DcbUplinkEnv(scenario), desk_emodrl_config())
     matrix = result.archive.objective_matrix()
     assert len(np.unique(matrix, axis=0)) == len(matrix)
     assert np.array_equal(np.unique(kept.archive.objective_matrix(), axis=0),
@@ -347,13 +347,14 @@ def test_criterion_8_threshold_directionality():
             grad_steps_per_iteration=16, learning_rate=1e-3, hidden_sizes=(64, 64),
         ),
     )
-    result = emodrl.run(scenario, config)
+    env = DcbUplinkEnv(scenario)
+    result = emodrl.run(env, config)
     favored = select_policy(result.archive, "favor-rate")
 
     episode_seed = int(stream(scenario.master_seed, "trace-episode").integers(2**31))
-    argp = run_baseline_episode(BaselineKind.ARGP, scenario, episode_seed)
-    non_dcb = run_baseline_episode(BaselineKind.NON_DCB, scenario, episode_seed)
-    policy = greedy_rollout(favored.params, DcbUplinkEnv(scenario), episode_seed)
+    argp = run_baseline_episode(BaselineKind.ARGP, env, episode_seed)
+    non_dcb = run_baseline_episode(BaselineKind.NON_DCB, env, episode_seed)
+    policy = greedy_rollout(favored.params, env, episode_seed)
 
     threshold = scenario.rate_threshold
     non_dcb_max = max(r.rate_bps for r in non_dcb.trace)
@@ -381,7 +382,7 @@ def test_criterion_9_near_optimal_rate_low_switching(desk_run_cache):
         env = DcbUplinkEnv(scenario)
         argp = np.zeros(3)
         for eval_seed in result.eval_seeds:
-            ledger = run_baseline_episode(BaselineKind.ARGP, scenario, eval_seed, env=env)
+            ledger = run_baseline_episode(BaselineKind.ARGP, env, eval_seed)
             argp += episode_objectives(ledger, scenario.n_slots, scenario.slot_seconds)
         argp /= len(result.eval_seeds)
         ratio = member.objectives[0] / argp[0]

@@ -45,10 +45,10 @@ def make_batch(rng, n_actions, terminal=False, all_available=True):
     if not all_available:
         available = rng.random(N_SATELLITES) < 0.5
     return ReplayBatch(
-        state=rng.random((1, 2)),
+        state=rng.integers(N_STATES, size=1),
         action=rng.integers(n_actions, size=1),
         reward=rng.normal(size=(1, 3)),
-        next_index=rng.integers(N_STATES, size=1),
+        next_state=rng.integers(N_STATES, size=1),
         next_available=available[None, :],
         terminal=np.array([terminal]),
     )
@@ -64,16 +64,16 @@ def push_numbered(buffer, numbers):
     """Push transitions whose every field encodes their number."""
     for n in numbers:
         buffer.push(
-            np.full(2, n), n, np.full(3, n), n + 1,
+            n, n, np.full(3, n), n + 1,
             np.array([n % 2 == 0, True, False]), n % 3 == 0,
         )
 
 
 def assert_rows_intact(batch):
     n = batch.action
-    assert np.array_equal(batch.state, np.stack([n, n], axis=1))
+    assert np.array_equal(batch.state, n)
     assert np.array_equal(batch.reward, np.stack([n, n, n], axis=1))
-    assert np.array_equal(batch.next_index, n + 1)
+    assert np.array_equal(batch.next_state, n + 1)
     assert np.array_equal(batch.next_available[:, 0], n % 2 == 0)
     assert np.array_equal(batch.terminal, n % 3 == 0)
 
@@ -173,7 +173,7 @@ class TestTdTargets:
             batch = make_batch(rng, params.n_actions)._replace(
                 next_available=np.array([available])
             )
-            _, _, q = neural.forward(params, encodings[batch.next_index[0]])
+            _, _, q = neural.forward(params, encodings[batch.next_state[0]])
             legit = [
                 k * N_SATELLITES + s
                 for k in range(n_schemes)
@@ -194,16 +194,16 @@ class TestTdTargets:
         # One chunk, so the table rows come from the forward call below.
         table = target_table(params, encodings, N_SATELLITES, chunk=N_STATES)
         batch = ReplayBatch(
-            state=rng.random((rows, 2)),
+            state=rng.integers(N_STATES, size=rows),
             action=rng.integers(params.n_actions, size=rows),
             reward=rng.normal(size=(rows, 3)),
-            next_index=rng.integers(N_STATES, size=rows),
+            next_state=rng.integers(N_STATES, size=rows),
             next_available=rng.random((rows, N_SATELLITES)) < 0.4,
             terminal=rng.random(rows) < 0.2,
         )
         w = np.array([0.2, 0.5, 0.3])
         _, _, q_all = neural.forward(params, encodings)
-        next_q = q_all[batch.next_index]
+        next_q = q_all[batch.next_state]
         # Best scheme per satellite, then best available satellite or IDLE.
         per_satellite = next_q[:, :-1].reshape(rows, n_schemes, N_SATELLITES).max(axis=1)
         best_next = np.where(batch.next_available, per_satellite, -np.inf).max(axis=1)
@@ -224,16 +224,16 @@ class TestTdTargets:
         for _ in range(8):
             rows = 64
             batch = ReplayBatch(
-                state=rng.random((rows, 2)),
+                state=rng.integers(len(env.state_encodings), size=rows),
                 action=rng.integers(env.n_actions, size=rows),
                 reward=rng.normal(size=(rows, 3)),
-                next_index=rng.integers(len(env.state_encodings), size=rows),
+                next_state=rng.integers(len(env.state_encodings), size=rows),
                 next_available=rng.random((rows, env.n_satellites)) < 0.3,
                 terminal=rng.random(rows) < 0.1,
             )
             got = td_targets(batch, table, w, 0.96)
             want = forward_td_targets(
-                batch, env.state_encodings[batch.next_index], params, w, 0.96
+                batch, env.state_encodings[batch.next_state], params, w, 0.96
             )
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 

@@ -12,12 +12,13 @@ def test_every_exported_name_resolves():
 
 
 def test_object_actions_and_rewards_are_gone():
-    # Actions are flat indices and rewards are (rate, energy, switch) arrays.
-    for name in ("MomdpAction", "RewardVector"):
+    # Actions and states are flat indices and rewards are (rate, energy,
+    # switch) arrays.
+    for name in ("MomdpAction", "MomdpState", "RewardVector"):
         assert name not in leodcb.__all__
         assert not hasattr(leodcb, name)
         assert not hasattr(env, name)
 
 
-def test_run_takes_only_scenario_and_config():
-    assert list(inspect.signature(emodrl.run).parameters) == ["scenario", "config"]
+def test_run_takes_only_env_and_config():
+    assert list(inspect.signature(emodrl.run).parameters) == ["env", "config"]

@@ -20,41 +20,55 @@ def desk_env():
     return DcbUplinkEnv(desk_scenario())
 
 
+def slots_with(env, seed, condition):
+    """Reset ``env`` and step IDLE through the episode, yielding at each
+    slot whose drawn mask meets ``condition``."""
+    env.reset(seed)
+    while not env.done:
+        if condition(env.current_mask.sum()):
+            yield env.current_mask
+        env.step(env.idle_index)
+
+
 class TestArgpAction:
     def test_single_available_satellite(self, desk_env):
-        state = desk_env.reset(0)
-        mask = np.zeros(desk_env.n_satellites, dtype=bool)
-        mask[4] = True
-        action = argp_action(desk_env, state, mask)
-        assert action == desk_env.idle_index + 5  # max-power corner on satellite 5
+        cases = 0
+        for seed in range(3):
+            for mask in slots_with(desk_env, seed, lambda n: n == 1):
+                sat = int(np.flatnonzero(mask)[0]) + 1
+                # The max-power corner on the one available satellite.
+                assert argp_action(desk_env) == desk_env.idle_index + sat
+                cases += 1
+        assert cases > 0
 
     def test_prefers_nearer_satellite(self, desk_env):
-        state = desk_env.reset(0)
-        # Pick the two closest visible satellites at slot 0.
-        visible = np.flatnonzero(desk_env.visibility[0])
-        mean_d = desk_env.distances[0].mean(axis=1)
-        pair = visible[np.argsort(mean_d[visible])][:2]
-        mask = np.zeros(desk_env.n_satellites, dtype=bool)
-        mask[pair] = True
-        action = argp_action(desk_env, state, mask)
-        assert action - desk_env.idle_index == int(pair[np.argmin(mean_d[pair])]) + 1
+        cases = 0
+        for seed in range(3):
+            for mask in slots_with(desk_env, seed, lambda n: n >= 2):
+                available = np.flatnonzero(mask)
+                mean_d = desk_env.distances[desk_env.slot].mean(axis=1)
+                nearest = int(available[np.argmin(mean_d[available])]) + 1
+                assert argp_action(desk_env) - desk_env.idle_index == nearest
+                cases += 1
+        assert cases > 0
 
-    def test_idle_when_empty(self, desk_env):
-        state = desk_env.reset(0)
-        action = argp_action(desk_env, state, np.zeros(desk_env.n_satellites, dtype=bool))
-        assert action == desk_env.idle_index
+    def test_idle_when_empty(self):
+        env = DcbUplinkEnv(dataclasses.replace(desk_scenario(), unavailability=1.0))
+        env.reset(0)
+        while not env.done:
+            assert argp_action(env) == env.idle_index
+            env.step(env.idle_index)
 
     def test_per_slot_rate_dominates_all_legitimate_actions(self):
         # Exhaustive comparison: the greedy max-power rate is an upper bound
         # on what any scheme/satellite pair can achieve in the same slot.
         scenario = desk_scenario()
         env = DcbUplinkEnv(scenario)
-        state = env.reset(13)
+        env.reset(13)
         while not env.done:
             mask = env.current_mask.copy()
-            slot = state.slot
-            action = argp_action(env, state, mask)
-            state, _, _ = env.step(action)
+            slot = env.slot
+            env.step(argp_action(env))
             argp_rate = env.ledger.trace[-1].rate_bps
             for alt in range(1, scenario.n_satellites + 1):
                 if not mask[alt - 1]:
@@ -66,7 +80,7 @@ class TestArgpAction:
 class TestNonDcb:
     def test_rate_matches_single_terminal_closed_form(self):
         scenario = micro_scenario()
-        ledger = run_baseline_episode(BaselineKind.NON_DCB, scenario, seed=3)
+        ledger = run_baseline_episode(BaselineKind.NON_DCB, DcbUplinkEnv(scenario), seed=3)
         single = scenario.subset_terminals([0])
         env = DcbUplinkEnv(single)
         rf = scenario.rf
@@ -87,8 +101,9 @@ class TestNonDcb:
         n = 5
         scenario = dataclasses.replace(base, terminals=((0.0, 0.0),) * n)
         seed = 11
-        dcb = run_baseline_episode(BaselineKind.ARGP, scenario, seed)
-        single = run_baseline_episode(BaselineKind.NON_DCB, scenario, seed)
+        env = DcbUplinkEnv(scenario)
+        dcb = run_baseline_episode(BaselineKind.ARGP, env, seed)
+        single = run_baseline_episode(BaselineKind.NON_DCB, env, seed)
         rf = scenario.rf
         for row_d, row_s in zip(dcb.trace, single.trace):
             assert row_d.satellite == row_s.satellite
@@ -102,8 +117,9 @@ class TestNonDcb:
         # Array rates clear the threshold; the lone terminal never does.
         scenario = desk_scenario()
         seed = 29
-        argp = run_baseline_episode(BaselineKind.ARGP, scenario, seed)
-        single = run_baseline_episode(BaselineKind.NON_DCB, scenario, seed)
+        env = DcbUplinkEnv(scenario)
+        argp = run_baseline_episode(BaselineKind.ARGP, env, seed)
+        single = run_baseline_episode(BaselineKind.NON_DCB, env, seed)
         argp_rates = [r.rate_bps for r in argp.trace if r.satellite != 0]
         assert argp_rates, "expected at least one transmitting slot"
         assert min(argp_rates) > scenario.rate_threshold
@@ -119,7 +135,7 @@ class TestRandomPolicy:
 
     def test_never_unavailable(self):
         env = DcbUplinkEnv(desk_scenario())
-        ledger = run_baseline_episode(BaselineKind.RANDOM, desk_scenario(), 5, env=env)
+        ledger = run_baseline_episode(BaselineKind.RANDOM, env, 5)
         for row in ledger.trace:
             if row.satellite != 0:
                 assert env.visibility[row.slot, row.satellite - 1]
@@ -149,5 +165,5 @@ class TestBaselineMaskSafety:
         env = DcbUplinkEnv(scenario)
         # run_baseline_episode raises IllegalActionError on any violation
         for seed in range(5):
-            ledger = run_baseline_episode(kind, scenario, seed, env=env)
+            ledger = run_baseline_episode(kind, env, seed)
             assert len(ledger.trace) == scenario.n_slots

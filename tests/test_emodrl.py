@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from leodcb import emodrl, neural
+from leodcb import neural
 from leodcb.agent import AgentConfig
 from leodcb.emodrl import (
     EmodrlConfig,
@@ -17,6 +17,7 @@ from leodcb.emodrl import (
     task_selection,
     tpu,
 )
+from leodcb.env import DcbUplinkEnv
 from leodcb.errors import ConfigError, DomainError
 from leodcb.scenario import micro_scenario
 
@@ -272,13 +273,13 @@ class TestHypervolume:
 
 class TestRun:
     def test_zero_generations_returns_warmup_archive(self):
-        result = run(micro_scenario(), tiny_emodrl_config(t_evo=0))
+        result = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config(t_evo=0))
         assert len(result.generations) == 1
         assert result.generations[0].generation == 0
         assert len(result.archive) >= 1
 
     def test_desk_scale_invariants(self):
-        result = run(micro_scenario(), tiny_emodrl_config())
+        result = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config())
         archive = result.archive
         assert len(archive) >= 1
         for i, a in enumerate(archive.members):
@@ -292,36 +293,43 @@ class TestRun:
             assert record.population_size <= max(bound, 2)
 
     def test_reproducible_from_master_seed(self):
-        first = run(micro_scenario(), tiny_emodrl_config())
-        second = run(micro_scenario(), tiny_emodrl_config())
+        first = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config())
+        second = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config())
         assert np.array_equal(first.archive.objective_matrix(), second.archive.objective_matrix())
         assert [g.hypervolume for g in first.generations] == [
             g.hypervolume for g in second.generations
         ]
 
     def test_live_task_weights_on_strict_simplex(self):
-        result = run(micro_scenario(), tiny_emodrl_config())
+        result = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config())
         for member in result.archive.members:
             assert np.all(member.weight > 0)
             assert member.weight.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_one_env_serves_every_task_and_the_evaluation(self, monkeypatch):
-        built = []
+        env = DcbUplinkEnv(micro_scenario())
+        built, stepped = [], set()
+        init, step = DcbUplinkEnv.__init__, DcbUplinkEnv.step
 
-        class CountingEnv(emodrl.DcbUplinkEnv):
-            def __init__(self, scenario):
-                super().__init__(scenario)
-                built.append(self)
+        def counting_init(self, scenario):
+            built.append(scenario)
+            init(self, scenario)
 
-        monkeypatch.setattr(emodrl, "DcbUplinkEnv", CountingEnv)
-        run(micro_scenario(), tiny_emodrl_config())
-        assert len(built) == 1
+        def recording_step(self, action):
+            stepped.add(id(self))
+            return step(self, action)
+
+        monkeypatch.setattr(DcbUplinkEnv, "__init__", counting_init)
+        monkeypatch.setattr(DcbUplinkEnv, "step", recording_step)
+        run(env, tiny_emodrl_config())
+        assert built == []
+        assert stepped == {id(env)}
 
     def test_different_seed_changes_training(self):
         base = micro_scenario()
         other = dataclasses.replace(base, master_seed=base.master_seed + 1)
-        first = run(base, tiny_emodrl_config())
-        second = run(other, tiny_emodrl_config())
+        first = run(DcbUplinkEnv(base), tiny_emodrl_config())
+        second = run(DcbUplinkEnv(other), tiny_emodrl_config())
         assert not np.array_equal(
             first.archive.objective_matrix(), second.archive.objective_matrix()
         )

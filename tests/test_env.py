@@ -71,8 +71,8 @@ class TestReset:
         desk_env.reset(3)
         desk_env.step(first_available_action(desk_env))
         state = desk_env.reset(3)
-        assert state.slot == 0
-        assert state.prev_satellite is None
+        assert state == desk_env.state == 0
+        assert desk_env.slot == 0
         assert desk_env.ledger.rate_bits == 0.0
         assert desk_env.ledger.energy_joules == 0.0
         assert desk_env.ledger.switch_count == 0
@@ -90,10 +90,10 @@ class TestAvailability:
     def test_p_zero_equals_visibility(self):
         scenario = dataclasses.replace(desk_scenario(), unavailability=0.0)
         env = DcbUplinkEnv(scenario)
-        state = env.reset(0)
+        env.reset(0)
         while not env.done:
-            assert np.array_equal(env.current_mask, env.visibility[state.slot])
-            state, _, _ = env.step(first_available_action(env))
+            assert np.array_equal(env.current_mask, env.visibility[env.slot])
+            env.step(first_available_action(env))
 
     def test_bernoulli_frequency(self):
         p = 0.3
@@ -169,8 +169,9 @@ class TestStep:
             state = desk_env.reset(seed)
             while not desk_env.done:
                 avail = np.flatnonzero(desk_env.current_mask) + 1
-                if state.prev_satellite is not None and len(avail) >= 1:
-                    other = [s for s in avail if s != state.prev_satellite]
+                prev = state % (desk_env.n_satellites + 1)
+                if prev != 0 and len(avail) >= 1:
+                    other = [s for s in avail if s != prev]
                     if other:
                         _, reward, _ = desk_env.step(int(other[0]) - 1)
                         assert reward[2] == -desk_env.rho3
@@ -192,12 +193,13 @@ class TestStep:
         assert env.ledger.energy_joules > 0.0
 
     def test_idle_keeps_previous_satellite(self, desk_env):
-        state = desk_env.reset(12)
+        desk_env.reset(12)
         action = first_available_action(desk_env)
         state, _, _ = desk_env.step(action)
-        prev = state.prev_satellite
+        prev = state % (desk_env.n_satellites + 1)
+        assert prev == action % desk_env.n_satellites + 1
         state, reward, _ = desk_env.step(desk_env.idle_index)
-        assert state.prev_satellite == prev
+        assert state == 2 * (desk_env.n_satellites + 1) + prev
         assert reward.tolist() == [0.0, 0.0, 0.0]
 
     def test_idle_steps_while_satellites_are_available(self, desk_env):
@@ -207,7 +209,8 @@ class TestStep:
         assert desk_env.current_mask.any()
         assert not desk_env.legitimate_mask()[desk_env.idle_index]
         state, reward, _ = desk_env.step(desk_env.idle_index)
-        assert state.slot == 1 and state.prev_satellite is None
+        assert state == desk_env.n_satellites + 1      # slot 1, no previous satellite
+        assert desk_env.slot == 1
         assert reward.tolist() == [0.0, 0.0, 0.0]
         assert desk_env.ledger.trace[-1].satellite == 0
 
@@ -295,10 +298,10 @@ class TestEpisodeObjectives:
 class TestEncodings:
     def test_state_encoding_normalized(self, desk_env):
         state = desk_env.reset(0)
-        enc = desk_env.encode_state(state)
+        enc = desk_env.state_encodings[state]
         assert enc[0] == 0.0 and enc[1] == 0.0
         state, _, _ = desk_env.step(first_available_action(desk_env))
-        enc = desk_env.encode_state(state)
+        enc = desk_env.state_encodings[state]
         assert 0.0 < enc[0] <= 1.0
         assert 0.0 < enc[1] <= 1.0
 
@@ -307,19 +310,22 @@ class TestEncodings:
         assert desk_env.state_encodings.shape == ((n_slots + 1) * (n_sats + 1), 2)
         assert not desk_env.state_encodings.flags.writeable
         state = desk_env.reset(5)
+        slot, prev = 0, 0
         seen = set()
         while True:
-            index = desk_env.state_index(state)
-            prev = 0 if state.prev_satellite is None else state.prev_satellite
-            assert index == state.slot * (n_sats + 1) + prev
-            formula = np.array([state.slot / n_slots, prev / n_sats])
-            row = desk_env.state_encodings[index]
-            assert row.tobytes() == desk_env.encode_state(state).tobytes()
-            assert row.tobytes() == formula.tobytes()
-            seen.add(index)
+            assert type(state) is int
+            assert state == desk_env.state == slot * (n_sats + 1) + prev
+            assert desk_env.slot == slot
+            formula = np.array([slot / n_slots, prev / n_sats])
+            assert desk_env.state_encodings[state].tobytes() == formula.tobytes()
+            seen.add(state)
             if desk_env.done:
                 break
-            state, _, _ = desk_env.step(first_available_action(desk_env))
+            action = first_available_action(desk_env)
+            state, _, _ = desk_env.step(action)
+            slot += 1
+            if action != desk_env.idle_index:
+                prev = action % n_sats + 1
         assert len(seen) == n_slots + 1
 
     def test_every_legitimate_index_steps_as_its_divmod(self):
@@ -359,7 +365,7 @@ class TestFlatActionValidation:
     def test_negative_index_rejected_without_stepping(self, blocked_env):
         with pytest.raises(IllegalActionError):
             blocked_env.step(-1)
-        assert blocked_env.state.slot == 0
+        assert blocked_env.state == 0
         assert blocked_env.ledger.trace == []
 
     def test_non_integer_index_rejected(self, blocked_env):

@@ -15,6 +15,7 @@ import numpy as np
 
 from leodcb.agent import AgentConfig
 from leodcb.emodrl import EmodrlConfig, run
+from leodcb.env import DcbUplinkEnv
 from leodcb.scenario import micro_scenario
 
 GOLDEN = Path(__file__).parent / "data" / "golden_micro_emodrl.json"
@@ -45,7 +46,7 @@ def sha256(array: np.ndarray) -> str:
 
 
 def digests() -> dict:
-    result = run(micro_scenario(), CONFIG)
+    result = run(DcbUplinkEnv(micro_scenario()), CONFIG)
     return {
         "archive_size": len(result.archive),
         "generations": len(result.generations),

@@ -48,7 +48,7 @@ def record():
         {name: geometry_digests(build) for name, build in SCENARIOS.items()}, indent=1
     ) + "\n")
     for kind in TRACED_KINDS:
-        write_trace(trace_path(kind), run_baseline_episode(kind, micro_scenario(), seed=0))
+        write_trace(trace_path(kind), run_baseline_episode(kind, DcbUplinkEnv(micro_scenario()), seed=0))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -60,5 +60,5 @@ def test_geometry_matches_recorded_digests(name):
 @pytest.mark.parametrize("kind", TRACED_KINDS, ids=lambda kind: kind.value)
 def test_micro_baseline_trace_matches_recorded_file(kind, tmp_path):
     path = tmp_path / "trace.csv"
-    write_trace(path, run_baseline_episode(kind, micro_scenario(), seed=0))
+    write_trace(path, run_baseline_episode(kind, DcbUplinkEnv(micro_scenario()), seed=0))
     assert path.read_bytes() == trace_path(kind).read_bytes()

@@ -9,12 +9,14 @@ from leodcb import neural
 from leodcb.agent import AgentConfig
 from leodcb.baselines import BaselineKind, run_baseline_episode
 from leodcb.emodrl import ArchiveMember, EmodrlConfig, ParetoArchive, dominates
+from leodcb.env import DcbUplinkEnv
 from leodcb.errors import ConfigError, StateError
 from leodcb.harness import (
     load_archive,
     replay_policy,
     run_experiment,
     select_policy,
+    write_archive_csv,
     write_trace,
 )
 from leodcb.scenario import (
@@ -110,7 +112,7 @@ class TestSeedPlumbing:
 
 class TestTraceGolden:
     def test_micro_argp_trace_matches_golden(self, tmp_path):
-        ledger = run_baseline_episode(BaselineKind.ARGP, micro_scenario(), seed=0)
+        ledger = run_baseline_episode(BaselineKind.ARGP, DcbUplinkEnv(micro_scenario()), seed=0)
         path = tmp_path / "trace.csv"
         write_trace(path, ledger)
         assert path.read_bytes() == GOLDEN_TRACE.read_bytes()
@@ -224,6 +226,21 @@ class TestRunExperiment:
                 second.trace_csvs[name]
             ).read_bytes()
 
+    def test_one_env_for_the_run_and_one_for_the_lone_terminal(self, tmp_path, monkeypatch):
+        built = []
+        init = DcbUplinkEnv.__init__
+
+        def counting_init(self, scenario):
+            built.append(scenario.n_terminals)
+            init(self, scenario)
+
+        monkeypatch.setattr(DcbUplinkEnv, "__init__", counting_init)
+        scenario = micro_scenario()
+        run_experiment(scenario, tiny_config(), tmp_path)
+        # Training, ARGP, RANDOM and the favor-rate rollout share one env;
+        # the single-terminal NON_DCB episode needs its own.
+        assert built == [scenario.n_terminals, 1]
+
     def test_svgs_are_valid_documents(self, report):
         for path in report.svg_paths:
             text = Path(path).read_text()
@@ -286,6 +303,29 @@ class TestCli:
         assert main(["select", "--archive", str(run_dir / "archive.csv"),
                      "--preference", "favor-rate"]) == 0
         assert "policy" in capsys.readouterr().out
+
+    def test_select_rejects_unknown_preference_with_a_usage_error(self, tmp_path, capsys):
+        from leodcb.cli import main
+        from leodcb.neural import save_params
+
+        scenario = micro_scenario()
+        params = neural.init_params(
+            2, (8,), scenario.n_schemes * scenario.n_satellites + 1,
+            np.random.default_rng(0),
+        )
+        checkpoint = tmp_path / "policy.npz"
+        save_params(checkpoint, params)
+        archive = ParetoArchive()
+        archive.members.append(
+            ArchiveMember(params=params, objectives=np.array([1.0, -1.0, -0.5]),
+                          weight=np.full(3, 1.0 / 3.0))
+        )
+        write_archive_csv(tmp_path / "archive.csv", archive, [str(checkpoint)])
+        with pytest.raises(SystemExit) as exited:
+            main(["select", "--archive", str(tmp_path / "archive.csv"),
+                  "--preference", "favour-rate"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'favour-rate'" in capsys.readouterr().err
 
     def test_baseline_writes_trace_to_default_out(self, tmp_path, monkeypatch, capsys):
         from leodcb.cli import OUT_DIR_ENV, main
