@@ -43,9 +43,10 @@ def run_baseline_episode(kind: BaselineKind, env: DcbUplinkEnv, seed: int) -> Ep
 
     The non-DCB strategy replaces the array with terminal 1 alone (at max
     power, greedy satellite choice) on an env of an otherwise identical
-    scenario, built for the episode.
+    scenario, built for the episode unless ``env`` already has that one
+    terminal.
     """
-    if kind is BaselineKind.NON_DCB:
+    if kind is BaselineKind.NON_DCB and env.scenario.n_terminals > 1:
         env = DcbUplinkEnv(env.scenario.subset_terminals([0]))
 
     rng = stream(seed, "random-policy")

@@ -114,6 +114,9 @@ def _run_command(args) -> int:
 def _baseline_command(args) -> int:
     scenario = resolve_scenario(args.scenario)
     kind = BaselineKind(args.kind)
+    if kind is BaselineKind.NON_DCB:
+        # The episode runs terminal 1 alone, so only that env is built.
+        scenario = scenario.subset_terminals([0])
     ledger = run_baseline_episode(kind, DcbUplinkEnv(scenario), args.seed)
     f1, f2, f3 = episode_objectives(ledger, scenario.n_slots, scenario.slot_seconds)
     print(f"{kind.value}: f1={f1:.4g} bps  f2={f2:.4g} J  f3={f3:.4g}")

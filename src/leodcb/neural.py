@@ -4,6 +4,12 @@ Tanh trunk, a scalar value head and an advantage head combined as
 Q = V + A - mean(A); the mean subtraction removes the constant-shift
 ambiguity between the two heads without changing the argmax. Training
 minimizes the mean squared TD error on the combined Q.
+
+Each TD term reads one Q per row, so dL/dQ has one nonzero per row. The
+backward pass uses that: the advantage-head gradient is a rank-one fill
+of every column plus a scatter into the taken columns, and the hidden
+gradient gathers the B taken columns, instead of two dense
+(B, n_actions) products.
 """
 
 from __future__ import annotations
@@ -121,37 +127,53 @@ def backward(
     Loss = mean over the batch of 0.5 * (Q(s, a) - target)^2. The gradient
     is written into ``grads`` when given: every entry is overwritten, so a
     caller can reuse one buffer across steps. Otherwise a new one is made.
+    Each row needs one integer action in [0, n_actions), else DomainError.
     """
     x = np.asarray(encodings, dtype=float)
-    acts = np.asarray(actions, dtype=int)
+    acts = np.asarray(actions)
     y = np.asarray(targets, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DomainError("batch must be a nonempty 2-D array")
+    batch, n_actions = x.shape[0], params.n_actions
+    if acts.dtype.kind not in "iu" or acts.shape != (batch,):
+        raise DomainError(
+            f"need one integer action per batch row, got {acts.dtype} of shape {acts.shape}"
+        )
+    if acts.min() < 0 or acts.max() >= n_actions:
+        raise DomainError(f"actions must lie in [0, {n_actions})")
     if grads is None:
         grads = QNetworkParams(params.sizes)
 
-    batch = x.shape[0]
-    activations, v, a, q = _forward_full(params, x)
-    picked = q[np.arange(batch), acts]
-    residual = picked - y
+    activations, _, _, q = _forward_full(params, x)
+    residual = q[np.arange(batch), acts] - y
     loss = 0.5 * float(residual @ residual) / batch
 
-    d_q = np.zeros_like(q)
-    d_q[np.arange(batch), acts] = residual / batch
-    d_v = d_q.sum(axis=1, keepdims=True)
-    d_a = d_q
-    d_a -= d_v / params.n_actions
-
+    # dL/dQ is r_i at (i, a_i) and zero elsewhere, with r = residual / B.
+    # Through Q = V + A - mean(A) that gives dL/dV_i = r_i and
+    # dL/dA[i, j] = r_i ([j = a_i] - 1/n): a rank-one fill of every
+    # advantage column plus a scatter into the taken ones.
+    r = residual / batch
     h_last = activations[-1]
-    np.matmul(h_last.T, d_v, out=grads.value_weight)
-    d_v.sum(axis=0, out=grads.value_bias)
-    np.matmul(h_last.T, d_a, out=grads.adv_weight)
-    d_a.sum(axis=0, out=grads.adv_bias)
+    np.matmul(h_last.T, r[:, None], out=grads.value_weight)
+    grads.value_bias[0] = r.sum()
+    np.divide(grads.value_weight, -n_actions, out=grads.adv_weight)
+    np.divide(grads.value_bias, -n_actions, out=grads.adv_bias)
+    # Column a_i of adv_weight gains h_i r_i; in the flat row-major view
+    # its cells are k n + a_i. np.add.at sums repeated actions. Both
+    # (B, H) operands are temporaries, freed before d_h is made.
+    np.add.at(
+        grads.adv_weight.reshape(-1),
+        (acts[:, None] + n_actions * np.arange(h_last.shape[1])).reshape(-1),
+        (h_last * r[:, None]).reshape(-1),
+    )
+    np.add.at(grads.adv_bias, acts, r)
 
-    # d_v @ value_weight.T has inner dimension 1, so it is the outer
-    # product d_v * value_weight.T, bit for bit.
-    d_h = d_a @ params.adv_weight.T
-    d_h += d_v * params.value_weight.T
+    # dL/dh_i = r_i (adv_weight[:, a_i] + value_weight - mean_j adv_weight[:, j]),
+    # a gather of the B taken columns.
+    shift = params.value_weight[:, 0] - np.add.reduce(params.adv_weight, axis=1) / n_actions
+    d_h = params.adv_weight.T[acts]
+    d_h += shift
+    d_h *= r[:, None]
     for layer in reversed(range(len(params.trunk_weights))):
         # tanh' = 1 - h^2, over the activation no later step reads; the
         # layer's input gradient d_pre then takes the place of d_h.

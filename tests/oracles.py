@@ -1,10 +1,11 @@
 """Independent oracles shared by the module and acceptance tests.
 
 Everything here checks implementation paths from the outside: exhaustive
-grid search, projected gradient descent, finite differences, brute-force
-dominance, TD targets from a per-batch forward, Kepler's third law, and
-scalar per-point geometry against the env's array geometry. None of it
-calls the solver/gradient code it is used to verify.
+grid search, projected gradient descent, finite differences, the dense
+head backward, brute-force dominance, TD targets from a per-batch
+forward, Kepler's third law, and scalar per-point geometry against the
+env's array geometry. None of it calls the solver/gradient code it is
+used to verify.
 """
 
 import math
@@ -16,7 +17,7 @@ from leodcb.channel import RfConstants
 from leodcb.emodrl import dominates
 from leodcb.env import legitimate_masks
 from leodcb.errors import DomainError
-from leodcb.neural import forward
+from leodcb.neural import QNetworkParams, _forward_full, forward
 
 
 def make_rf(n_terminals=3, reference_distance=5e5, bandwidth=1e7):
@@ -171,6 +172,67 @@ def batch_loss(params, x, actions, targets):
     picked = q[np.arange(len(actions)), actions]
     residual = picked - targets
     return 0.5 * float(residual @ residual) / len(actions)
+
+
+def dense_backward(
+    params: QNetworkParams,
+    encodings: np.ndarray,
+    actions: np.ndarray,
+    targets: np.ndarray,
+    grads: QNetworkParams | None = None,
+):
+    """Gradient of the mean squared TD loss; returns (grads, loss).
+
+    The dense reference for ``neural.backward``: it builds the full
+    (B, n_actions) dL/dQ and multiplies it through both head products.
+
+    Loss = mean over the batch of 0.5 * (Q(s, a) - target)^2. The gradient
+    is written into ``grads`` when given: every entry is overwritten, so a
+    caller can reuse one buffer across steps. Otherwise a new one is made.
+    """
+    x = np.asarray(encodings, dtype=float)
+    acts = np.asarray(actions, dtype=int)
+    y = np.asarray(targets, dtype=float)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise DomainError("batch must be a nonempty 2-D array")
+    if grads is None:
+        grads = QNetworkParams(params.sizes)
+
+    batch = x.shape[0]
+    activations, v, a, q = _forward_full(params, x)
+    picked = q[np.arange(batch), acts]
+    residual = picked - y
+    loss = 0.5 * float(residual @ residual) / batch
+
+    d_q = np.zeros_like(q)
+    d_q[np.arange(batch), acts] = residual / batch
+    d_v = d_q.sum(axis=1, keepdims=True)
+    d_a = d_q
+    d_a -= d_v / params.n_actions
+
+    h_last = activations[-1]
+    np.matmul(h_last.T, d_v, out=grads.value_weight)
+    d_v.sum(axis=0, out=grads.value_bias)
+    np.matmul(h_last.T, d_a, out=grads.adv_weight)
+    d_a.sum(axis=0, out=grads.adv_bias)
+
+    # d_v @ value_weight.T has inner dimension 1, so it is the outer
+    # product d_v * value_weight.T, bit for bit.
+    d_h = d_a @ params.adv_weight.T
+    d_h += d_v * params.value_weight.T
+    for layer in reversed(range(len(params.trunk_weights))):
+        # tanh' = 1 - h^2, over the activation no later step reads; the
+        # layer's input gradient d_pre then takes the place of d_h.
+        tanh_grad = activations[layer + 1]
+        np.multiply(tanh_grad, tanh_grad, out=tanh_grad)
+        np.subtract(1.0, tanh_grad, out=tanh_grad)
+        d_pre = d_h
+        d_pre *= tanh_grad
+        np.matmul(activations[layer].T, d_pre, out=grads.trunk_weights[layer])
+        d_pre.sum(axis=0, out=grads.trunk_biases[layer])
+        if layer > 0:
+            d_h = d_pre @ params.trunk_weights[layer].T
+    return grads, loss
 
 
 def forward_td_targets(batch, next_encodings, target_params, weight, gamma):

@@ -304,6 +304,26 @@ class TestCli:
                      "--preference", "favor-rate"]) == 0
         assert "policy" in capsys.readouterr().out
 
+    def test_non_dcb_baseline_builds_only_the_single_terminal_env(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from leodcb.cli import main
+
+        built = []
+        init = DcbUplinkEnv.__init__
+
+        def counting_init(self, scenario):
+            built.append(scenario.n_terminals)
+            init(self, scenario)
+
+        monkeypatch.setattr(DcbUplinkEnv, "__init__", counting_init)
+        assert main(["baseline", "--kind", "non_dcb", "--scenario", "micro",
+                     "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert built == [1]
+        assert "non_dcb: f1=" in capsys.readouterr().out
+        golden = GOLDEN_TRACE.with_name("golden_micro_non_dcb_trace.csv")
+        assert (tmp_path / "non_dcb_seed0.csv").read_bytes() == golden.read_bytes()
+
     def test_select_rejects_unknown_preference_with_a_usage_error(self, tmp_path, capsys):
         from leodcb.cli import main
         from leodcb.neural import save_params

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import max_relative_error, numeric_gradients
+from oracles import dense_backward, max_relative_error, numeric_gradients
 
 from leodcb import neural
 from leodcb.errors import DomainError
@@ -136,14 +136,76 @@ class TestBackward:
 
     @pytest.mark.parametrize("draw", range(10))
     def test_rank_one_product_equals_matmul_bitwise(self, draw):
-        # backward forms d_v @ value_weight.T, a (B, 1) @ (1, H) product, as
-        # the elementwise outer product; the two must agree bit for bit.
+        # The dense oracle (oracles.dense_backward) forms d_v @ value_weight.T,
+        # a (B, 1) @ (1, H) product, as the elementwise outer product; the
+        # two must agree bit for bit for it to be the plain dense gradient.
         # Draw 0 is the paper's shape: batch 256, width 2048.
         rng = np.random.default_rng(2000 + draw)
         rows, width = (256, 2048) if draw == 0 else rng.integers(1, 300, size=2)
         d_v = rng.normal(size=(rows, 1)) * 10.0 ** rng.integers(-8, 8)
         weight = rng.normal(size=(width, 1))
         assert (d_v * weight.T).tobytes() == (d_v @ weight.T).tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, "n_actions"])
+    def test_out_of_range_action_rejected(self, bad):
+        rng = np.random.default_rng(10)
+        params = small_net(rng)
+        x, actions, targets = random_batch(rng, params)
+        actions[1] = params.n_actions if bad == "n_actions" else bad
+        with pytest.raises(DomainError):
+            backward(params, x, actions, targets)
+
+    def test_one_integer_action_per_row_required(self):
+        rng = np.random.default_rng(11)
+        params = small_net(rng)
+        x, actions, targets = random_batch(rng, params)
+        with pytest.raises(DomainError):
+            backward(params, x, actions[:-1], targets)
+        with pytest.raises(DomainError):
+            backward(params, x, actions - 0.5, targets)    # -0.5 would truncate to 0
+
+
+# Desk and paper-like head widths: (batch, hidden, n_actions).
+ORACLE_SHAPES = [(64, (64, 64), 121), (256, (512, 512), 1101)]
+ACTION_KINDS = ["distinct", "same", "half_idle"]
+
+
+def oracle_batch(rng, params, batch, kind):
+    n = params.n_actions
+    if kind == "distinct":
+        actions = rng.permutation(n)[:batch]
+    elif kind == "same":
+        actions = np.full(batch, rng.integers(n))
+    else:
+        actions = rng.integers(n - 1, size=batch)
+        actions[rng.permutation(batch)[: batch // 2]] = n - 1   # IDLE is last
+    x = rng.uniform(size=(batch, params.input_dim))
+    return x, actions, rng.normal(size=batch)
+
+
+class TestAgainstDenseOracle:
+    """The structured head gradient against the dense (B, n_actions) one.
+
+    Tolerance: max |delta| / max |g| <= 1e-13 over the whole flat
+    gradient, and a bitwise-equal loss (both read the loss off the same
+    forward pass).
+    """
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=["desk", "paper_like"])
+    @pytest.mark.parametrize("kind", ACTION_KINDS)
+    @pytest.mark.parametrize("draw", range(2))
+    def test_matches_dense_backward(self, shape, kind, draw):
+        batch, hidden, n_actions = shape
+        rng = np.random.default_rng(3000 + draw)
+        params = init_params(2, hidden, n_actions, rng)
+        params.flat += 0.01 * rng.normal(size=params.flat.size)   # nonzero biases
+        x, actions, targets = oracle_batch(rng, params, batch, kind)
+        grads, loss = backward(params, x, actions, targets)
+        dense, dense_loss = dense_backward(params, x, actions, targets)
+        assert loss == dense_loss
+        scale = np.max(np.abs(dense.flat))
+        assert scale > 0.0
+        assert np.max(np.abs(grads.flat - dense.flat)) / scale <= 1e-13
 
 
 class TestAdam:
