@@ -86,7 +86,6 @@ class WeightScheme:
 
     a: float
     b: float
-    index: int
 
     def __post_init__(self):
         if not (0.0 <= self.a <= 1.0):
@@ -97,7 +96,7 @@ class WeightScheme:
 
 # Corner scheme for max-power baselines; never produced by weight_set and
 # not part of the agent's action space (its indices start at 1).
-MAX_POWER_SCHEME = WeightScheme(a=0.0, b=1.0, index=0)
+MAX_POWER_SCHEME = WeightScheme(a=0.0, b=1.0)
 
 
 def weight_set(cardinality: int) -> list[WeightScheme]:
@@ -105,7 +104,7 @@ def weight_set(cardinality: int) -> list[WeightScheme]:
     if cardinality < 1:
         raise DomainError("weight set cardinality must be >= 1")
     return [
-        WeightScheme(a=k / cardinality, b=1.0 - k / cardinality, index=k)
+        WeightScheme(a=k / cardinality, b=1.0 - k / cardinality)
         for k in range(1, cardinality + 1)
     ]
 

@@ -129,14 +129,10 @@ def _baseline_command(args) -> int:
 
 
 def _evaluate_command(args) -> int:
-    scenario = resolve_scenario(args.scenario)
-    params = load_params(args.checkpoint)
-    overrides = {}
-    if args.p is not None:
-        overrides["unavailability"] = args.p
-    if args.terminals is not None:
-        overrides["n_terminals"] = args.terminals
-    f1, f2, f3 = replay_policy(params, scenario, overrides, args.seeds)
+    scenario = resolve_scenario(args.scenario).with_overrides(
+        unavailability=args.p, n_terminals=args.terminals
+    )
+    f1, f2, f3 = replay_policy(load_params(args.checkpoint), scenario, args.seeds)
     print(f"f1={f1:.4g} bps  f2={f2:.4g} J  f3={f3:.4g}")
     return 0
 

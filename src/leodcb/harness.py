@@ -106,18 +106,14 @@ def select_policy(archive: ParetoArchive, preference) -> ArchiveMember:
     return archive.members[int(np.argmax(scores))]
 
 
-def replay_policy(params: QNetworkParams, scenario: Scenario, overrides: dict, seeds):
-    """Evaluate a frozen policy under modified p / terminal count.
+def replay_policy(params: QNetworkParams, scenario: Scenario, seeds):
+    """Mean (f1_bar, f2_bar, f3_bar) of a frozen policy on ``scenario``.
 
-    The state and action encodings do not depend on the terminal count, so
-    no re-shaping or retraining happens; returns mean (f1_bar, f2_bar, f3_bar).
+    Pass a ``Scenario.with_overrides`` variant of the training scenario to
+    test portability: the state and action encodings do not depend on the
+    terminal count, so no re-shaping or retraining happens.
     """
-    modified = scenario.with_overrides(
-        unavailability=overrides.get("unavailability"),
-        n_terminals=overrides.get("n_terminals"),
-        rate_threshold=overrides.get("rate_threshold"),
-    )
-    f = evaluate_policy(params, DcbUplinkEnv(modified), seeds)
+    f = evaluate_policy(params, DcbUplinkEnv(scenario), seeds)
     # + 0.0 normalizes the negative zero produced by flipping a zero
     return f[0], -f[1] + 0.0, -f[2] + 0.0
 

@@ -9,7 +9,7 @@ the constellation near-equatorial). All functions here are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,9 +27,9 @@ class PhysicalConstants:
     earth_mass: float = 5.972e24               # kg
 
     def __post_init__(self):
-        for name in ("earth_radius", "gravitational_constant", "earth_mass"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be strictly positive")
+        for field in fields(self):
+            if getattr(self, field.name) <= 0.0:
+                raise DomainError(f"{field.name} must be strictly positive")
 
     @property
     def mu(self) -> float:
@@ -46,26 +46,22 @@ def wrap_angle(theta: float) -> float:
 
 @dataclass(frozen=True)
 class OrbitalElements:
-    """Keplerian tuple of one circular LEO satellite.
+    """Circular LEO orbit of one satellite: plane, initial phase, altitude.
 
-    Eccentricity is pinned to zero and the semi-major axis must equal
-    altitude + earth radius exactly; use :func:`circular_orbit` to build
-    instances with that invariant satisfied.
+    The orbit radius is altitude + earth radius, taken from the scenario's
+    constants where it is needed. Use :func:`circular_orbit` to build
+    instances from angles outside [0, 2*pi).
     """
 
     inclination: float          # rad
     raan: float                 # rad
     arg_perigee: float          # rad, initial in-plane phase
-    eccentricity: float         # always 0 in scope
-    semi_major_axis: float      # m, orbit radius for circular orbits
     true_anomaly: float         # rad
     altitude: float             # m above the surface
 
     def __post_init__(self):
-        if self.eccentricity != 0.0:
-            raise DomainError("only circular orbits are supported (eccentricity must be 0)")
-        if self.semi_major_axis <= 0.0:
-            raise DomainError("semi-major axis must be strictly positive")
+        if self.altitude <= 0.0:
+            raise DomainError("altitude must be strictly positive")
         for name in ("inclination", "raan", "arg_perigee", "true_anomaly"):
             angle = getattr(self, name)
             if not (0.0 <= angle < TWO_PI):
@@ -78,17 +74,12 @@ def circular_orbit(
     arg_perigee: float,
     true_anomaly: float,
     altitude: float,
-    constants: PhysicalConstants,
 ) -> OrbitalElements:
-    """Build circular elements with radius = altitude + earth radius."""
-    if altitude <= 0.0:
-        raise DomainError("altitude must be strictly positive")
+    """Circular elements with every angle wrapped into [0, 2*pi)."""
     return OrbitalElements(
         inclination=wrap_angle(inclination),
         raan=wrap_angle(raan),
         arg_perigee=wrap_angle(arg_perigee),
-        eccentricity=0.0,
-        semi_major_axis=altitude + constants.earth_radius,
         true_anomaly=wrap_angle(true_anomaly),
         altitude=altitude,
     )
@@ -96,9 +87,7 @@ def circular_orbit(
 
 def angular_velocity(elements: OrbitalElements, constants: PhysicalConstants) -> float:
     """Mean angular rate sqrt(mu / H^3) of a circular orbit, rad/s."""
-    radius = elements.semi_major_axis
-    if radius <= 0.0:
-        raise DomainError("orbit radius must be strictly positive")
+    radius = elements.altitude + constants.earth_radius
     return math.sqrt(constants.mu / radius**3)
 
 
@@ -121,7 +110,7 @@ def position_at(
     rate = angular_velocity(elements, constants)
     phase = (elements.arg_perigee + t * slot_seconds * rate) % TWO_PI
     u = phase + elements.true_anomaly
-    radius = elements.semi_major_axis
+    radius = elements.altitude + constants.earth_radius
     cos_u, sin_u = np.cos(u), np.sin(u)
     cos_raan, sin_raan = math.cos(elements.raan), math.sin(elements.raan)
     cos_inc = math.cos(elements.inclination)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +47,12 @@ class Scenario:
     terminal_area: float = 100.0  # side of the square terminal area, m
 
     def __post_init__(self):
+        for value, constraint in (
+            (self.n_slots, "n_slots is an integer"),
+            (self.n_schemes, "n_schemes is an integer"),
+            (self.master_seed, "master_seed is an integer"),
+        ):
+            _require(_is_integer(value), constraint)
         _require(len(self.terminals) >= 1, "n_terminals >= 1")
         _require(len(self.constellation) >= 1, "n_satellites >= 1")
         _require(0.0 <= self.unavailability <= 1.0, "0 <= unavailability <= 1")
@@ -72,7 +79,6 @@ class Scenario:
         self,
         unavailability: float | None = None,
         n_terminals: int | None = None,
-        rate_threshold: float | None = None,
     ) -> "Scenario":
         """Scenario variant for portability studies.
 
@@ -85,9 +91,9 @@ class Scenario:
         changes = {}
         if unavailability is not None:
             changes["unavailability"] = unavailability
-        if rate_threshold is not None:
-            changes["rate_threshold"] = rate_threshold
         if n_terminals is not None:
+            _require(_is_integer(n_terminals), "n_terminals is an integer")
+            _require(n_terminals >= 1, "n_terminals >= 1")
             changes["terminals"] = _draw_terminals(
                 self.master_seed, n_terminals, self.terminal_area
             )
@@ -104,66 +110,69 @@ def _require(condition: bool, constraint: str) -> None:
         raise ConfigError(f"scenario constraint violated: {constraint}")
 
 
+def _is_integer(value) -> bool:
+    # bool is an int subclass, but true is no count or seed.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _draw_terminals(master_seed: int, count: int, area: float):
     rng = stream(master_seed, "terminals", count)
     points = rng.uniform(-area / 2.0, area / 2.0, size=(count, 2))
     return tuple((float(x), float(y)) for x, y in points)
 
 
-def _resolve_rho0(rf_fields: dict, constellation, slot_seconds: float, n_terminals: int) -> float:
-    reference = min(sat.altitude for sat in constellation)
-    return channel.default_rho0(
-        beta0=rf_fields["beta0"],
-        path_loss_exponent=rf_fields["path_loss_exponent"],
-        noise_power=rf_fields["noise_power"],
-        p_max=rf_fields["p_max"],
-        reference_distance=reference,
-        slot_seconds=slot_seconds,
-        n_terminals=n_terminals,
+def _rf(
+    constellation, slot_seconds: float, n_terminals: int, *,
+    beta0, path_loss_exponent, noise_power, p_max, rho0=None, **fields,
+) -> RfConstants:
+    """RF constants; a rho0 of None is derived for full power over a link
+    as long as the lowest orbit altitude (see ``channel.default_rho0``)."""
+    if rho0 is None:
+        reference = min(sat.altitude for sat in constellation)
+        rho0 = channel.default_rho0(
+            beta0, path_loss_exponent, noise_power, p_max, reference, slot_seconds, n_terminals
+        )
+    return RfConstants(
+        beta0=beta0, path_loss_exponent=path_loss_exponent, noise_power=noise_power,
+        p_max=p_max, rho0=rho0, **fields,
     )
 
 
-def _evenly_spaced_plane(
-    count: int,
-    inclination: float,
-    altitude: float,
-    constants: PhysicalConstants,
-    raan: float = 0.0,
-    phase_offset: float = 0.0,
-):
+def _scenario(constellation, terminals, slot_seconds: float, rf: dict, **fields) -> Scenario:
+    """Scenario whose ``rf`` is given as RfConstants fields (see ``_rf``)."""
+    return Scenario(
+        constellation=tuple(constellation),
+        terminals=terminals,
+        slot_seconds=slot_seconds,
+        rf=_rf(constellation, slot_seconds, len(terminals), **rf),
+        **fields,
+    )
+
+
+def _evenly_spaced_plane(count: int, inclination: float, altitude: float, phase_offset=0.0):
     step = 2.0 * math.pi / count
     return [
         circular_orbit(
             inclination=inclination,
-            raan=raan,
+            raan=0.0,
             arg_perigee=phase_offset + i * step,
             true_anomaly=0.0,
             altitude=altitude,
-            constants=constants,
         )
         for i in range(count)
     ]
 
 
-def _default_rf(constellation, slot_seconds, n_terminals, p_min=1.0, p_max=2.0) -> RfConstants:
-    beta0 = channel.free_space_reference_gain(DEFAULT_CARRIER)
-    noise = 10.0 ** (DEFAULT_NOISE_PSD_DBM_PER_HZ / 10.0) * 1e-3 * DEFAULT_BANDWIDTH
-    fields = {
-        "beta0": beta0,
-        "path_loss_exponent": 2.0,
-        "noise_power": noise,
-        "p_max": p_max,
-    }
-    return RfConstants(
-        beta0=beta0,
-        path_loss_exponent=2.0,
-        noise_power=noise,
-        bandwidth=DEFAULT_BANDWIDTH,
-        carrier_frequency=DEFAULT_CARRIER,
-        p_min=p_min,
-        p_max=p_max,
-        rho0=_resolve_rho0(fields, constellation, slot_seconds, n_terminals),
-    )
+# RF fields of the named scenarios; their rho0 is derived.
+DEFAULT_RF = dict(
+    beta0=channel.free_space_reference_gain(DEFAULT_CARRIER),
+    path_loss_exponent=2.0,
+    noise_power=10.0 ** (DEFAULT_NOISE_PSD_DBM_PER_HZ / 10.0) * 1e-3 * DEFAULT_BANDWIDTH,
+    bandwidth=DEFAULT_BANDWIDTH,
+    carrier_frequency=DEFAULT_CARRIER,
+    p_min=1.0,
+    p_max=2.0,
+)
 
 
 def default_scenario(master_seed: int = 42) -> Scenario:
@@ -176,26 +185,22 @@ def default_scenario(master_seed: int = 42) -> Scenario:
     coherent gain keeps any visible-satellite transmission above
     ~9.3e3 bps at this geometry.
     """
-    constants = PhysicalConstants()
     low, high = 5.0e5, 1.0e6
     tilt = math.pi / 8.0
-    constellation = (
-        _evenly_spaced_plane(60, 0.0, low, constants)
-        + _evenly_spaced_plane(10, tilt, low, constants, phase_offset=0.1)
-        + _evenly_spaced_plane(10, -tilt, low, constants, phase_offset=0.2)
-        + _evenly_spaced_plane(20, 0.0, high, constants, phase_offset=0.05)
-        + _evenly_spaced_plane(5, tilt, high, constants, phase_offset=0.15)
-        + _evenly_spaced_plane(5, -tilt, high, constants, phase_offset=0.25)
-    )
-    slot_seconds = 60.0
-    terminals = _draw_terminals(master_seed, 10, 100.0)
-    return Scenario(
-        constants=constants,
-        constellation=tuple(constellation),
-        terminals=terminals,
-        rf=_default_rf(constellation, slot_seconds, len(terminals)),
+    return _scenario(
+        constants=PhysicalConstants(),
+        constellation=(
+            _evenly_spaced_plane(60, 0.0, low)
+            + _evenly_spaced_plane(10, tilt, low, phase_offset=0.1)
+            + _evenly_spaced_plane(10, -tilt, low, phase_offset=0.2)
+            + _evenly_spaced_plane(20, 0.0, high, phase_offset=0.05)
+            + _evenly_spaced_plane(5, tilt, high, phase_offset=0.15)
+            + _evenly_spaced_plane(5, -tilt, high, phase_offset=0.25)
+        ),
+        terminals=_draw_terminals(master_seed, 10, 100.0),
+        rf=DEFAULT_RF,
         n_slots=60,
-        slot_seconds=slot_seconds,
+        slot_seconds=60.0,
         rate_threshold=7.5e3,
         unavailability=0.1,
         min_elevation=DEFAULT_MIN_ELEVATION,
@@ -206,21 +211,17 @@ def default_scenario(master_seed: int = 42) -> Scenario:
 
 def desk_scenario(master_seed: int = 42) -> Scenario:
     """Small constellation for fast training runs: 12 satellites, 30 slots."""
-    constants = PhysicalConstants()
-    constellation = (
-        _evenly_spaced_plane(10, 0.0, 1.0e6, constants)
-        + _evenly_spaced_plane(1, math.pi / 8.0, 1.0e6, constants, phase_offset=0.3)
-        + _evenly_spaced_plane(1, -math.pi / 8.0, 1.0e6, constants, phase_offset=0.6)
-    )
-    slot_seconds = 60.0
-    terminals = _draw_terminals(master_seed, 10, 100.0)
-    return Scenario(
-        constants=constants,
-        constellation=tuple(constellation),
-        terminals=terminals,
-        rf=_default_rf(constellation, slot_seconds, len(terminals)),
+    return _scenario(
+        constants=PhysicalConstants(),
+        constellation=(
+            _evenly_spaced_plane(10, 0.0, 1.0e6)
+            + _evenly_spaced_plane(1, math.pi / 8.0, 1.0e6, phase_offset=0.3)
+            + _evenly_spaced_plane(1, -math.pi / 8.0, 1.0e6, phase_offset=0.6)
+        ),
+        terminals=_draw_terminals(master_seed, 10, 100.0),
+        rf=DEFAULT_RF,
         n_slots=30,
-        slot_seconds=slot_seconds,
+        slot_seconds=60.0,
         rate_threshold=5.0e3,
         unavailability=0.2,
         min_elevation=DEFAULT_MIN_ELEVATION,
@@ -231,17 +232,13 @@ def desk_scenario(master_seed: int = 42) -> Scenario:
 
 def micro_scenario(master_seed: int = 7) -> Scenario:
     """Tiny deterministic-geometry scenario for golden-file tests."""
-    constants = PhysicalConstants()
-    constellation = tuple(_evenly_spaced_plane(3, 0.0, 1.0e6, constants))
-    slot_seconds = 60.0
-    terminals = _draw_terminals(master_seed, 2, 100.0)
-    return Scenario(
-        constants=constants,
-        constellation=constellation,
-        terminals=terminals,
-        rf=_default_rf(constellation, slot_seconds, len(terminals)),
+    return _scenario(
+        constants=PhysicalConstants(),
+        constellation=_evenly_spaced_plane(3, 0.0, 1.0e6),
+        terminals=_draw_terminals(master_seed, 2, 100.0),
+        rf=DEFAULT_RF,
         n_slots=5,
-        slot_seconds=slot_seconds,
+        slot_seconds=60.0,
         rate_threshold=1.0e3,
         unavailability=0.3,
         min_elevation=DEFAULT_MIN_ELEVATION,
@@ -256,143 +253,102 @@ NAMED_SCENARIOS = {
     "micro": micro_scenario,
 }
 
+# The JSON document: a format tag and four sections, then the top-level
+# scalars. Each table maps a field to its JSON key, in document order; the
+# fields are keywords, so each key string is written once in the package.
+FORMAT, CONSTANTS, CONSTELLATION, TERMINALS, RF = (
+    "format", "constants", "constellation", "terminals_m", "rf"
+)
+CONSTANTS_KEYS = dict(
+    earth_radius="earth_radius_m",
+    gravitational_constant="gravitational_constant",
+    earth_mass="earth_mass_kg",
+)
+ORBIT_KEYS = dict(
+    inclination="inclination_rad",
+    raan="raan_rad",
+    arg_perigee="arg_perigee_rad",
+    true_anomaly="true_anomaly_rad",
+    altitude="altitude_m",
+)
+RF_KEYS = dict(
+    beta0="beta0",
+    path_loss_exponent="path_loss_exponent",
+    noise_power="noise_power_w",
+    bandwidth="bandwidth_hz",
+    carrier_frequency="carrier_frequency_hz",
+    p_min="p_min_w",
+    p_max="p_max_w",
+    rho0="rho0",
+)
+SCALAR_KEYS = dict(
+    n_slots="n_slots",
+    slot_seconds="slot_seconds",
+    rate_threshold="rate_threshold_bps",
+    unavailability="unavailability_p",
+    min_elevation="min_elevation_rad",
+    n_schemes="n_schemes",
+    master_seed="master_seed",
+    reference_longitude="reference_longitude_rad",
+    terminal_area="terminal_area_m",
+)
+
+
+def _encode(obj, keys: dict) -> dict:
+    return {key: getattr(obj, name) for name, key in keys.items()}
+
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     return {
-        "format": FORMAT_TAG,
-        "constants": {
-            "earth_radius_m": scenario.constants.earth_radius,
-            "gravitational_constant": scenario.constants.gravitational_constant,
-            "earth_mass_kg": scenario.constants.earth_mass,
-        },
-        "constellation": [
-            {
-                "inclination_rad": sat.inclination,
-                "raan_rad": sat.raan,
-                "arg_perigee_rad": sat.arg_perigee,
-                "true_anomaly_rad": sat.true_anomaly,
-                "altitude_m": sat.altitude,
-            }
-            for sat in scenario.constellation
-        ],
-        "terminals_m": [list(t) for t in scenario.terminals],
-        "rf": {
-            "beta0": scenario.rf.beta0,
-            "path_loss_exponent": scenario.rf.path_loss_exponent,
-            "noise_power_w": scenario.rf.noise_power,
-            "bandwidth_hz": scenario.rf.bandwidth,
-            "carrier_frequency_hz": scenario.rf.carrier_frequency,
-            "p_min_w": scenario.rf.p_min,
-            "p_max_w": scenario.rf.p_max,
-            "rho0": scenario.rf.rho0,
-        },
-        "n_slots": scenario.n_slots,
-        "slot_seconds": scenario.slot_seconds,
-        "rate_threshold_bps": scenario.rate_threshold,
-        "unavailability_p": scenario.unavailability,
-        "min_elevation_rad": scenario.min_elevation,
-        "n_schemes": scenario.n_schemes,
-        "master_seed": scenario.master_seed,
-        "reference_longitude_rad": scenario.reference_longitude,
-        "terminal_area_m": scenario.terminal_area,
+        FORMAT: FORMAT_TAG,
+        CONSTANTS: _encode(scenario.constants, CONSTANTS_KEYS),
+        CONSTELLATION: [_encode(sat, ORBIT_KEYS) for sat in scenario.constellation],
+        TERMINALS: [list(t) for t in scenario.terminals],
+        RF: _encode(scenario.rf, RF_KEYS),
+        **_encode(scenario, SCALAR_KEYS),
     }
 
 
-def _take(section: dict, keys: set[str], where: str) -> None:
-    unknown = set(section) - keys
+def _object(section, keys, where: str) -> dict:
+    """``section``, if it is a JSON object holding exactly ``keys``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = keys - set(section)
+    missing = set(keys) - set(section)
     if missing:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+    return section
+
+
+def _decode(section, keys: dict, where: str) -> dict:
+    """Field values, by field name, of a JSON object holding ``keys``."""
+    section = _object(section, keys.values(), where)
+    return {name: section[key] for name, key in keys.items()}
+
+
+def _list(section, where: str) -> list:
+    if not isinstance(section, list):
+        raise ConfigError(f"{where} must be a JSON list")
+    return section
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    _take(
-        doc,
-        {
-            "format", "constants", "constellation", "terminals_m", "rf",
-            "n_slots", "slot_seconds", "rate_threshold_bps", "unavailability_p",
-            "min_elevation_rad", "n_schemes", "master_seed",
-            "reference_longitude_rad", "terminal_area_m",
-        },
-        "scenario",
-    )
-    if doc["format"] != FORMAT_TAG:
-        raise ConfigError(f"unsupported scenario format: {doc['format']!r}")
-    _take(
-        doc["constants"],
-        {"earth_radius_m", "gravitational_constant", "earth_mass_kg"},
-        "constants",
-    )
-    constants = PhysicalConstants(
-        earth_radius=doc["constants"]["earth_radius_m"],
-        gravitational_constant=doc["constants"]["gravitational_constant"],
-        earth_mass=doc["constants"]["earth_mass_kg"],
-    )
-    constellation = []
-    for i, sat in enumerate(doc["constellation"]):
-        _take(
-            sat,
-            {"inclination_rad", "raan_rad", "arg_perigee_rad", "true_anomaly_rad", "altitude_m"},
-            f"constellation[{i}]",
-        )
-        constellation.append(
-            circular_orbit(
-                inclination=sat["inclination_rad"],
-                raan=sat["raan_rad"],
-                arg_perigee=sat["arg_perigee_rad"],
-                true_anomaly=sat["true_anomaly_rad"],
-                altitude=sat["altitude_m"],
-                constants=constants,
-            )
-        )
-    rf_doc = dict(doc["rf"])
-    _take(
-        rf_doc,
-        {
-            "beta0", "path_loss_exponent", "noise_power_w", "bandwidth_hz",
-            "carrier_frequency_hz", "p_min_w", "p_max_w", "rho0",
-        },
-        "rf",
-    )
-    rho0 = rf_doc["rho0"]
-    if rho0 is None:
-        rho0 = _resolve_rho0(
-            {
-                "beta0": rf_doc["beta0"],
-                "path_loss_exponent": rf_doc["path_loss_exponent"],
-                "noise_power": rf_doc["noise_power_w"],
-                "p_max": rf_doc["p_max_w"],
-            },
-            constellation,
-            doc["slot_seconds"],
-            len(doc["terminals_m"]),
-        )
-    rf = RfConstants(
-        beta0=rf_doc["beta0"],
-        path_loss_exponent=rf_doc["path_loss_exponent"],
-        noise_power=rf_doc["noise_power_w"],
-        bandwidth=rf_doc["bandwidth_hz"],
-        carrier_frequency=rf_doc["carrier_frequency_hz"],
-        p_min=rf_doc["p_min_w"],
-        p_max=rf_doc["p_max_w"],
-        rho0=rho0,
-    )
-    return Scenario(
-        constants=constants,
-        constellation=tuple(constellation),
-        terminals=tuple((float(x), float(y)) for x, y in doc["terminals_m"]),
-        rf=rf,
-        n_slots=doc["n_slots"],
-        slot_seconds=doc["slot_seconds"],
-        rate_threshold=doc["rate_threshold_bps"],
-        unavailability=doc["unavailability_p"],
-        min_elevation=doc["min_elevation_rad"],
-        n_schemes=doc["n_schemes"],
-        master_seed=doc["master_seed"],
-        reference_longitude=doc["reference_longitude_rad"],
-        terminal_area=doc["terminal_area_m"],
+    """Inverse of :func:`scenario_to_dict`; an rf rho0 of null is derived."""
+    top_level = [FORMAT, CONSTANTS, CONSTELLATION, TERMINALS, RF, *SCALAR_KEYS.values()]
+    _object(doc, top_level, "scenario")
+    if doc[FORMAT] != FORMAT_TAG:
+        raise ConfigError(f"unsupported scenario format: {doc[FORMAT]!r}")
+    return _scenario(
+        constants=PhysicalConstants(**_decode(doc[CONSTANTS], CONSTANTS_KEYS, CONSTANTS)),
+        constellation=[
+            circular_orbit(**_decode(sat, ORBIT_KEYS, f"{CONSTELLATION}[{i}]"))
+            for i, sat in enumerate(_list(doc[CONSTELLATION], CONSTELLATION))
+        ],
+        terminals=tuple((float(x), float(y)) for x, y in _list(doc[TERMINALS], TERMINALS)),
+        rf=_decode(doc[RF], RF_KEYS, RF),
+        **{name: doc[key] for name, key in SCALAR_KEYS.items()},
     )
 
 

@@ -46,7 +46,8 @@ def make_rf(n_terminals=3, reference_distance=5e5, bandwidth=1e7):
 
 def orbital_period(elements, constants) -> float:
     """Circular-orbit period by Kepler's third law, 2*pi*sqrt(H^3 / mu), seconds."""
-    return 2.0 * math.pi * math.sqrt(elements.semi_major_axis**3 / constants.mu)
+    radius = elements.altitude + constants.earth_radius
+    return 2.0 * math.pi * math.sqrt(radius**3 / constants.mu)
 
 
 def elevation_angle(sat_local, terminal_local) -> float:

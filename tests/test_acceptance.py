@@ -76,14 +76,14 @@ def desk_run_cache():
 
 def test_criterion_1_orbit_oracle():
     started = time.perf_counter()
-    elements = circular_orbit(0.0, 0.0, 0.0, 0.0, 5e5, CONSTANTS)
+    elements = circular_orbit(0.0, 0.0, 0.0, 0.0, 5e5)
     period = orbital_period(elements, CONSTANTS)
     period_ok = abs(period - EXPECTED_PERIOD_500KM) < 1e-3 * EXPECTED_PERIOD_500KM
 
-    tilted = circular_orbit(0.3, 1.2, 0.4, 0.0, 5e5, CONSTANTS)
+    tilted = circular_orbit(0.3, 1.2, 0.4, 0.0, 5e5)
     slot_seconds = 60.0
     period_slots = orbital_period(tilted, CONSTANTS) / slot_seconds
-    radius = tilted.semi_major_axis
+    radius = tilted.altitude + CONSTANTS.earth_radius
     rng = np.random.default_rng(1)
     worst = 0.0
     for t in rng.uniform(0, 100, size=10):
@@ -189,10 +189,9 @@ def test_criterion_5_mask_safety():
 
 def micro_mdp_scenario() -> Scenario:
     """2 slots, 2 satellites, 2 schemes, deterministic availability."""
-    constants = PhysicalConstants()
     constellation = (
-        circular_orbit(0.0, 0.0, -0.05, 0.0, 1e6, constants),
-        circular_orbit(0.0, 0.0, 0.08, 0.0, 1e6, constants),
+        circular_orbit(0.0, 0.0, -0.05, 0.0, 1e6),
+        circular_orbit(0.0, 0.0, 0.08, 0.0, 1e6),
     )
     beta0 = channel.free_space_reference_gain(2.4e9)
     noise = 10.0 ** (-157.0 / 10.0) * 1e-3 * 1e7
@@ -200,7 +199,7 @@ def micro_mdp_scenario() -> Scenario:
     # power and the energy scheme picks min power: scheme choice matters.
     rho0 = channel.default_rho0(beta0, 2.0, noise, 2.0, 1.2e6, 60.0, 4)
     return Scenario(
-        constants=constants,
+        constants=PhysicalConstants(),
         constellation=constellation,
         terminals=((10.0, 5.0), (-8.0, 2.0), (3.0, -7.0), (-1.0, 9.0)),
         rf=channel.RfConstants(beta0, 2.0, noise, 1e7, 2.4e9, 1.0, 2.0, rho0),
@@ -409,10 +408,9 @@ def test_criterion_10_terminal_count_portability(desk_run_cache):
     replay_seeds = [7, 8]
     rates = {}
     for count in (8, 12):
+        modified = scenario.with_overrides(n_terminals=count)
         for tendency, member in members.items():
-            f1, _, _ = replay_policy(
-                member.params, scenario, {"n_terminals": count}, replay_seeds
-            )
+            f1, _, _ = replay_policy(member.params, modified, replay_seeds)
             rates[(tendency, count)] = f1
     ordering_ok = all(
         rates[("favor-rate", count)] >= rates[(t, count)]

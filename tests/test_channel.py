@@ -91,7 +91,8 @@ class TestAchievableRate:
 class TestWeightSet:
     def test_midpoint_scheme(self):
         schemes = weight_set(10)
-        assert schemes[4].index == 5
+        # Scheme k = 5 of 10 sits at position 4: a = 5 / 10.
+        assert (schemes[4].a, schemes[4].b) == (5 / 10, 1.0 - 5 / 10)
         assert schemes[4].a == pytest.approx(0.5)
         assert schemes[4].b == pytest.approx(0.5)
 
@@ -108,7 +109,7 @@ class TestWeightSet:
             weight_set(0)
 
     def test_max_power_scheme_is_reserved_corner(self):
-        assert MAX_POWER_SCHEME.index == 0
+        assert (MAX_POWER_SCHEME.a, MAX_POWER_SCHEME.b) == (0.0, 1.0)
         assert MAX_POWER_SCHEME.a == 0.0
         assert all(s.a > 0 for s in weight_set(10))
 
@@ -116,7 +117,7 @@ class TestWeightSet:
 class TestP2Objective:
     def test_pure_energy_monotone_increasing(self):
         rf = make_rf(2)
-        scheme = WeightScheme(1.0, 0.0, 1)
+        scheme = WeightScheme(1.0, 0.0)
         d = [5e5, 6e5]
         low = p2_objective([1.0, 1.0], d, rf, scheme, 60.0)
         high = p2_objective([1.5, 1.0], d, rf, scheme, 60.0)
@@ -131,7 +132,7 @@ class TestP2Objective:
 
     def test_matches_independent_expression(self):
         rf = make_rf(3)
-        scheme = WeightScheme(0.5, 0.5, 5)
+        scheme = WeightScheme(0.5, 0.5)
         powers = np.array([1.2, 1.8, 1.5])
         distances = np.array([5e5, 6e5, 7e5])
         amplitude = sum(
@@ -147,7 +148,7 @@ class TestP2Objective:
 class TestSolveP2:
     def test_pure_energy_scheme_hits_lower_corner(self):
         rf = make_rf(3)
-        powers = solve_p2([5e5, 6e5, 7e5], rf, WeightScheme(1.0, 0.0, 1), 60.0)
+        powers = solve_p2([5e5, 6e5, 7e5], rf, WeightScheme(1.0, 0.0), 60.0)
         assert np.all(powers == rf.p_min)
 
     def test_pure_snr_scheme_hits_upper_corner(self):
@@ -191,7 +192,7 @@ class TestSolveP2:
         rng = np.random.default_rng(21)
         base = rng.uniform(5e5, 2e6)
         d = base + rng.uniform(-50.0, 50.0, size=10)
-        scheme = WeightScheme(0.5, 0.5, 5)
+        scheme = WeightScheme(0.5, 0.5)
         for _ in range(200):
             x = rng.uniform(rf.p_min, rf.p_max, size=10)
             y = rng.uniform(rf.p_min, rf.p_max, size=10)
@@ -202,7 +203,7 @@ class TestSolveP2:
 
     def test_empty_distances_rejected(self):
         with pytest.raises(DomainError):
-            solve_p2([], make_rf(1), WeightScheme(0.5, 0.5, 5), 60.0)
+            solve_p2([], make_rf(1), WeightScheme(0.5, 0.5), 60.0)
 
 
 class TestExactP2:

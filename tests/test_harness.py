@@ -25,6 +25,7 @@ from leodcb.scenario import (
     load_scenario,
     micro_scenario,
     save_scenario,
+    scenario_from_dict,
     scenario_to_dict,
 )
 from leodcb.seeding import stream
@@ -96,6 +97,42 @@ class TestScenarioIO:
         path.write_text("{\n  broken\n}")
         with pytest.raises(ConfigError, match="line"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("build", [micro_scenario, desk_scenario, default_scenario])
+    def test_null_rho0_is_derived_as_in_the_named_scenario(self, build):
+        scenario = build()
+        doc = scenario_to_dict(scenario)
+        doc["rf"]["rho0"] = None
+        loaded = scenario_from_dict(doc)
+        assert loaded == scenario
+        assert loaded.rf.rho0.hex() == scenario.rf.rho0.hex()
+
+    @pytest.mark.parametrize("key", ["n_slots", "n_schemes", "master_seed"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_count_or_seed_rejected(self, key, value):
+        doc = scenario_to_dict(micro_scenario())
+        doc[key] = value
+        with pytest.raises(ConfigError, match=f"{key} is an integer"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        ("section", "value", "kind"),
+        [("rf", None, "object"), ("constants", [], "object"),
+         ("constellation", 3, "list"), ("terminals_m", {}, "list")],
+    )
+    def test_section_of_the_wrong_type_rejected(self, section, value, kind):
+        doc = scenario_to_dict(micro_scenario())
+        doc[section] = value
+        with pytest.raises(ConfigError, match=f"{section} must be a JSON {kind}"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        ("count", "constraint"),
+        [(0, "n_terminals >= 1"), (-1, "n_terminals >= 1"), (2.5, "n_terminals is an integer")],
+    )
+    def test_bad_terminal_count_override_rejected(self, count, constraint):
+        with pytest.raises(ConfigError, match=constraint):
+            micro_scenario().with_overrides(n_terminals=count)
 
 
 class TestSeedPlumbing:
@@ -171,19 +208,19 @@ class TestReplayPolicy:
         scenario = desk_scenario()
         for n in (8, 12):
             f1, f2, f3 = replay_policy(
-                frozen_policy, scenario, {"n_terminals": n}, seeds=[1, 2]
+                frozen_policy, scenario.with_overrides(n_terminals=n), seeds=[1, 2]
             )
             assert np.isfinite([f1, f2, f3]).all()
 
     def test_p_zero_is_deterministic_across_seeds(self, frozen_policy):
-        scenario = desk_scenario()
-        a = replay_policy(frozen_policy, scenario, {"unavailability": 0.0}, seeds=[1])
-        b = replay_policy(frozen_policy, scenario, {"unavailability": 0.0}, seeds=[99])
+        scenario = desk_scenario().with_overrides(unavailability=0.0)
+        a = replay_policy(frozen_policy, scenario, seeds=[1])
+        b = replay_policy(frozen_policy, scenario, seeds=[99])
         assert a == b
 
     def test_p_one_gives_zero_objectives(self, frozen_policy):
-        scenario = desk_scenario()
-        triple = replay_policy(frozen_policy, scenario, {"unavailability": 1.0}, seeds=[1])
+        scenario = desk_scenario().with_overrides(unavailability=1.0)
+        triple = replay_policy(frozen_policy, scenario, seeds=[1])
         assert triple == (0.0, 0.0, 0.0)
 
 
@@ -370,3 +407,10 @@ class TestCli:
                      "--scenario", "micro", "--p", "0.5", "--terminals", "3",
                      "--seeds", "1", "2"]) == 0
         assert "f1=" in capsys.readouterr().out
+
+    def test_evaluate_rejects_a_negative_terminal_count(self, tmp_path):
+        from leodcb.cli import main
+
+        with pytest.raises(ConfigError, match="n_terminals >= 1"):
+            main(["evaluate", "--checkpoint", str(tmp_path / "policy.npz"),
+                  "--scenario", "micro", "--terminals", "-1"])

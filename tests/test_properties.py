@@ -33,10 +33,10 @@ def test_wrap_angle_lands_in_range(theta):
 )
 @settings(max_examples=50)
 def test_orbit_norm_preserved(inclination, raan, altitude, slot):
-    elements = circular_orbit(inclination, raan, 0.3, 0.1, altitude, CONSTANTS)
+    elements = circular_orbit(inclination, raan, 0.3, 0.1, altitude)
     pos = position_at(elements, slot, 60.0, CONSTANTS)
     radius = float(np.linalg.norm(pos))
-    assert math.isclose(radius, elements.semi_major_axis, rel_tol=1e-9)
+    assert math.isclose(radius, altitude + CONSTANTS.earth_radius, rel_tol=1e-9)
 
 
 @given(
