@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import neural
-from .env import DcbUplinkEnv
+from .env import DcbUplinkEnv, episode_objectives
 from .errors import ConfigError, StateError
 from .neural import AdamState, QNetworkParams
 
@@ -44,10 +44,19 @@ class AgentConfig:
     max_grad_norm: float = 10.0
 
     def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise ConfigError("discount factor must lie in (0, 1)")
-        if self.replay_capacity < 1 or self.batch_size < 1:
-            raise ConfigError("replay capacity and batch size must be >= 1")
+        for holds, constraint in (
+            (0.0 < self.gamma < 1.0, "0 < gamma < 1"),
+            (0.0 <= self.epsilon_start <= 1.0, "0 <= epsilon_start <= 1"),
+            (0.0 <= self.epsilon_end <= 1.0, "0 <= epsilon_end <= 1"),
+            (min(self.replay_capacity, self.batch_size) >= 1, "replay_capacity, batch_size >= 1"),
+            (self.target_sync_period >= 1, "target_sync_period >= 1"),
+            (self.episodes_per_iteration >= 1, "episodes_per_iteration >= 1"),
+            (0.0 <= self.learning_rate < float("inf"), "learning_rate is finite and >= 0"),
+            (all(width >= 1 for width in self.hidden_sizes), "hidden widths >= 1"),
+            (self.max_grad_norm > 0.0, "max_grad_norm > 0"),
+        ):
+            if not holds:
+                raise ConfigError(f"agent constraint violated: {constraint}")
 
 
 class ReplayBuffer:
@@ -264,7 +273,7 @@ class EnhancedD3qnAgent:
 
 
 def greedy_rollout(params: QNetworkParams, env: DcbUplinkEnv, seed: int, q_rows=None):
-    """One epsilon = 0 episode; returns the finished environment ledger.
+    """One epsilon = 0 episode; returns its trace.
 
     Q depends only on the state, so rollouts of one policy can share a
     ``q_rows`` dict from state to Q row; each row is computed once.
@@ -280,7 +289,7 @@ def greedy_rollout(params: QNetworkParams, env: DcbUplinkEnv, seed: int, q_rows=
         legit = np.flatnonzero(env.legitimate_mask())
         action = int(legit[np.argmax(q[legit])])
         state, _, _ = env.step(action)
-    return env.ledger
+    return env.trace
 
 
 def evaluate_policy(params: QNetworkParams, env: DcbUplinkEnv, seeds) -> np.ndarray:
@@ -291,7 +300,6 @@ def evaluate_policy(params: QNetworkParams, env: DcbUplinkEnv, seeds) -> np.ndar
     totals = np.zeros(3)
     q_rows = {}
     for seed in seeds:
-        greedy_rollout(params, env, seed, q_rows)
-        f1, f2, f3 = env.episode_objectives()
+        f1, f2, f3 = episode_objectives(greedy_rollout(params, env, seed, q_rows), env.scenario)
         totals += (f1, -f2, -f3)
     return totals / len(seeds)

@@ -6,7 +6,7 @@ import enum
 
 import numpy as np
 
-from .env import DcbUplinkEnv, EpisodeLedger
+from .env import DcbUplinkEnv
 from .seeding import stream
 
 
@@ -37,9 +37,8 @@ def random_policy_action(env: DcbUplinkEnv, rng: np.random.Generator) -> int:
     return int(legit[rng.integers(legit.size)])
 
 
-def run_baseline_episode(kind: BaselineKind, env: DcbUplinkEnv, seed: int) -> EpisodeLedger:
-    """One full episode of the named baseline on ``env``; returns the
-    finished ledger.
+def run_baseline_episode(kind: BaselineKind, env: DcbUplinkEnv, seed: int) -> np.ndarray:
+    """One full episode of the named baseline on ``env``; returns its trace.
 
     The non-DCB strategy replaces the array with terminal 1 alone (at max
     power, greedy satellite choice) on an env of an otherwise identical
@@ -57,4 +56,4 @@ def run_baseline_episode(kind: BaselineKind, env: DcbUplinkEnv, seed: int) -> Ep
         else:
             action = argp_action(env)
         env.step(action)
-    return env.ledger
+    return env.trace

@@ -10,7 +10,7 @@ from pathlib import Path
 from .agent import AgentConfig
 from .baselines import BaselineKind, run_baseline_episode
 from .emodrl import EmodrlConfig
-from .env import DcbUplinkEnv, episode_objectives
+from .env import TRACE_DTYPE, DcbUplinkEnv, episode_objectives
 from .harness import (
     PREFERENCE_WEIGHTS,
     load_archive,
@@ -18,7 +18,7 @@ from .harness import (
     replay_policy,
     run_experiment,
     select_policy,
-    write_trace,
+    write_csv,
 )
 from .neural import load_params
 from .scenario import resolve_scenario
@@ -117,13 +117,13 @@ def _baseline_command(args) -> int:
     if kind is BaselineKind.NON_DCB:
         # The episode runs terminal 1 alone, so only that env is built.
         scenario = scenario.subset_terminals([0])
-    ledger = run_baseline_episode(kind, DcbUplinkEnv(scenario), args.seed)
-    f1, f2, f3 = episode_objectives(ledger, scenario.n_slots, scenario.slot_seconds)
+    trace = run_baseline_episode(kind, DcbUplinkEnv(scenario), args.seed)
+    f1, f2, f3 = episode_objectives(trace, scenario)
     print(f"{kind.value}: f1={f1:.4g} bps  f2={f2:.4g} J  f3={f3:.4g}")
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / f"{kind.value}_seed{args.seed}.csv"
-    write_trace(trace_path, ledger)
+    write_csv(trace_path, TRACE_DTYPE.names, trace.tolist())
     print(f"trace: {trace_path}")
     return 0
 

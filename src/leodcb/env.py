@@ -1,17 +1,17 @@
 """MOMDP environment for the collaborative-beamforming uplink.
 
-Each slot the environment draws an availability mask (geometric visibility
-gated by a Bernoulli spectrum outage), accepts a flat action index (power
-scheme and satellite, or IDLE), looks up the solved per-slot power
-subproblem, and emits a three-component reward array (rate, negative
-energy, negative switch) plus running objective accounting.
+Each reset draws the episode's availability masks for every slot at once
+(geometric visibility gated by a Bernoulli spectrum outage). Each step
+accepts a flat action index (power scheme and satellite, or IDLE), looks
+up the solved per-slot power subproblem, emits a three-component reward
+array (rate, negative energy, negative switch) and writes one row of the
+episode trace, from which ``episode_objectives`` derives the objectives.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,49 +22,29 @@ from .orbits import GroundFrame, position_at
 from .scenario import Scenario
 from .seeding import stream
 
-
-@dataclass
-class TraceRow:
-    slot: int
-    satellite: int              # 0 when idle
-    scheme: int
-    rate_bps: float
-    total_power_w: float
-    switched: int
-    n_available: int
+# One row per stepped slot. The satellite is 1-based, 0 when idle; the
+# rate is the achieved rate, before the threshold gates it in f1.
+TRACE_DTYPE = np.dtype([
+    ("slot", "i8"), ("satellite", "i8"), ("scheme", "i8"), ("rate_bps", "f8"),
+    ("total_power_w", "f8"), ("switched", "i8"), ("n_available", "i8"),
+])
 
 
-@dataclass
-class EpisodeLedger:
-    """Objective accounting over one episode."""
-
-    rate_bits: float = 0.0      # sum of above-threshold rate * slot_seconds
-    energy_joules: float = 0.0
-    switch_count: int = 0
-    trace: list[TraceRow] = field(default_factory=list)
-
-
-def episode_objectives(ledger: EpisodeLedger, n_slots: int, slot_seconds: float):
-    """Per-slot averages (f1_bar bps, f2_bar J, f3_bar switches/slot)."""
-    if len(ledger.trace) != n_slots:
-        raise StateError(
-            f"episode incomplete: {len(ledger.trace)} of {n_slots} slots stepped"
-        )
-    return (
-        ledger.rate_bits / (n_slots * slot_seconds),
-        ledger.energy_joules / n_slots,
-        ledger.switch_count / n_slots,
-    )
-
-
-def draw_availability(visible_row: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Visibility gated by independent Bernoulli(1 - p) spectrum draws.
-
-    One uniform draw is consumed per satellite regardless of visibility so
-    the stream stays aligned across slots.
+def episode_objectives(trace: np.ndarray, scenario: Scenario):
+    """Per-slot averages (f1_bar bps, f2_bar J, f3_bar switches/slot) of a
+    finished episode's trace. Bits and joules are summed left to right, as
+    running totals are; ``np.sum`` adds pairwise and can move the last bit.
     """
-    draws = rng.random(visible_row.shape[0])
-    return visible_row & (draws >= p)
+    n_slots, slot_seconds = scenario.n_slots, scenario.slot_seconds
+    if len(trace) != n_slots:
+        raise StateError(f"episode incomplete: {len(trace)} of {n_slots} slots stepped")
+    rate = trace["rate_bps"]
+    gated_rate = np.where(rate > scenario.rate_threshold, rate, 0.0)
+    return (
+        float(np.cumsum(gated_rate * slot_seconds)[-1]) / (n_slots * slot_seconds),
+        float(np.cumsum(trace["total_power_w"] * slot_seconds)[-1]) / n_slots,
+        int(trace["switched"].sum()) / n_slots,
+    )
 
 
 def legitimate_masks(available: np.ndarray, n_schemes: int) -> np.ndarray:
@@ -157,22 +137,28 @@ class DcbUplinkEnv:
         )
         self.state_encodings.flags.writeable = False
 
-        self._rng: np.random.Generator | None = None
-        self._state: int | None = None
-        self._mask: np.ndarray | None = None
-        self._legit: np.ndarray | None = None
-        self.ledger = EpisodeLedger()
+        # Set by reset. Until then ``self.state`` raises, and it is read first.
+        self._available = self._legit = self._n_available = self._trace = self._state = None
 
     # -- episode control -------------------------------------------------
 
     def reset(self, seed: int) -> int:
-        """Start an episode; the availability stream is keyed by ``seed``."""
-        self._rng = stream(seed, "availability")
+        """Start an episode whose availability is keyed by ``seed``.
+
+        One uniform per (slot, satellite), visible or not, is drawn in slot
+        order. Row T of the availability and mask tables, after the last
+        slot, has nothing available.
+        """
+        scenario = self.scenario
+        draws = stream(seed, "availability").random(self.visibility.shape)
+        available = np.zeros((scenario.n_slots + 1, self.n_satellites), dtype=bool)
+        available[:-1] = self.visibility & (draws >= scenario.unavailability)
+        self._available = available
+        self._legit = legitimate_masks(available, self.n_schemes)
+        available.flags.writeable = self._legit.flags.writeable = False
+        self._n_available = available.sum(axis=1)
+        self._trace = np.zeros(scenario.n_slots, TRACE_DTYPE)
         self._state = 0
-        self.ledger = EpisodeLedger()
-        self._set_mask(draw_availability(
-            self.visibility[0], self.scenario.unavailability, self._rng
-        ))
         return self._state
 
     @property
@@ -187,13 +173,20 @@ class DcbUplinkEnv:
 
     @property
     def current_mask(self) -> np.ndarray:
-        if self._mask is None:
-            raise StateError("environment not reset")
-        return self._mask
+        """Read-only satellite availability of the current slot."""
+        return self._available[self.slot]
 
     @property
     def done(self) -> bool:
         return self.slot >= self.scenario.n_slots
+
+    @property
+    def trace(self) -> np.ndarray:
+        """Read-only view of this episode's trace rows stepped so far; the
+        next reset starts a new array, so a finished trace stays as it is."""
+        rows = self._trace[: self.slot]
+        rows.flags.writeable = False
+        return rows
 
     def step(self, action: int):
         """Apply a flat action index; returns (next_state, reward, done).
@@ -204,7 +197,6 @@ class DcbUplinkEnv:
         if slot >= self.scenario.n_slots:
             raise StateError("episode already complete")
         scheme, sat = self._decode(action)
-        n_available = int(self.current_mask.sum())
 
         if sat == 0:
             reward = np.zeros(3)
@@ -222,32 +214,12 @@ class DcbUplinkEnv:
                 -self.rho2 * slot_energy,
                 -self.rho3 * switched,
             ])
-            self.ledger.rate_bits += gated_rate * self.scenario.slot_seconds
-            self.ledger.energy_joules += slot_energy
-            self.ledger.switch_count += switched
             next_prev = sat
-        self.ledger.trace.append(
-            TraceRow(slot, sat, scheme, rate, total_power, switched, n_available)
+        self._trace[slot] = (
+            slot, sat, scheme, rate, total_power, switched, self._n_available[slot]
         )
-
-        next_slot = slot + 1
-        self._state = next_slot * (self.n_satellites + 1) + next_prev
-        if next_slot < self.scenario.n_slots:
-            self._set_mask(draw_availability(
-                self.visibility[next_slot], self.scenario.unavailability, self._rng
-            ))
-        else:
-            self._set_mask(np.zeros(self.n_satellites, dtype=bool))
+        self._state = (slot + 1) * (self.n_satellites + 1) + next_prev
         return self._state, reward, self.done
-
-    def _set_mask(self, available: np.ndarray) -> None:
-        """Take a slot's availability and build its flat action mask once."""
-        self._mask = available
-        self._legit = legitimate_masks(available[None, :], self.n_schemes)[0]
-        self._legit.flags.writeable = False
-
-    def episode_objectives(self):
-        return episode_objectives(self.ledger, self.scenario.n_slots, self.scenario.slot_seconds)
 
     # -- actions --------------------------------------------------------------
 
@@ -282,11 +254,9 @@ class DcbUplinkEnv:
 
     def legitimate_mask(self) -> np.ndarray:
         """Read-only boolean mask over the flat action space for the current
-        slot, built once when the slot's availability is drawn.
+        slot, a row of the table built at reset.
 
         IDLE is marked only where no satellite is available, although
         ``step`` accepts it in any slot (see ``_decode``).
         """
-        if self._legit is None:
-            raise StateError("environment not reset")
-        return self._legit
+        return self._legit[self.slot]

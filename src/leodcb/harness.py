@@ -14,15 +14,12 @@ from . import emodrl, svgplot
 from .agent import evaluate_policy, greedy_rollout
 from .baselines import BaselineKind, run_baseline_episode
 from .emodrl import ArchiveMember, EmodrlConfig, ParetoArchive, RunResult
-from .env import DcbUplinkEnv, EpisodeLedger, episode_objectives
+from .env import TRACE_DTYPE, DcbUplinkEnv, episode_objectives
 from .errors import StateError
 from .neural import QNetworkParams, load_params, save_params
 from .scenario import Scenario
 from .seeding import stream
 
-TRACE_COLUMNS = (
-    "slot", "satellite", "scheme", "rate_bps", "total_power_w", "switched", "n_available"
-)
 ARCHIVE_COLUMNS = (
     "policy", "f1_bps", "f2_joules", "f3_switches_per_slot", "w1", "w2", "w3", "checkpoint"
 )
@@ -51,14 +48,6 @@ def write_csv(path, columns, rows) -> None:
     lines = [",".join(columns)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_trace(path, ledger: EpisodeLedger) -> None:
-    rows = [
-        (r.slot, r.satellite, r.scheme, r.rate_bps, r.total_power_w, r.switched, r.n_available)
-        for r in ledger.trace
-    ]
-    write_csv(path, TRACE_COLUMNS, rows)
 
 
 def write_archive_csv(path, archive: ParetoArchive, checkpoint_paths) -> None:
@@ -176,27 +165,25 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
         emitted.append(str(generations_csv))
 
         episode_seed = int(stream(scenario.master_seed, "trace-episode").integers(2**31))
-        ledgers: dict[str, EpisodeLedger] = {
+        traces: dict[str, np.ndarray] = {
             kind.value: run_baseline_episode(kind, env, episode_seed) for kind in BaselineKind
         }
         favored = select_policy(archive, "favor-rate")
-        ledgers["ed3qn_favor_rate"] = greedy_rollout(favored.params, env, episode_seed)
+        traces["ed3qn_favor_rate"] = greedy_rollout(favored.params, env, episode_seed)
 
         objectives: dict[str, tuple] = {}
         trace_csvs: dict[str, str] = {}
-        for name, ledger in ledgers.items():
+        for name, trace in traces.items():
             path = out / "traces" / f"{name}.csv"
-            write_trace(path, ledger)
+            write_csv(path, TRACE_DTYPE.names, trace.tolist())
             trace_csvs[name] = str(path)
             emitted.append(str(path))
-            objectives[name] = episode_objectives(
-                ledger, scenario.n_slots, scenario.slot_seconds
-            )
+            objectives[name] = episode_objectives(trace, scenario)
 
         rate_svg = out / "plots" / "rate_vs_threshold.svg"
         svgplot.plot_rate_series(
             rate_svg,
-            {name: [row.rate_bps for row in ledger.trace] for name, ledger in ledgers.items()},
+            {name: trace["rate_bps"] for name, trace in traces.items()},
             scenario.rate_threshold,
             "Per-slot uplink achievable rate",
         )

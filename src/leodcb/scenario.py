@@ -8,6 +8,7 @@ construction.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import channel
 from .channel import RfConstants
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .orbits import OrbitalElements, PhysicalConstants, circular_orbit
 from .seeding import stream
 
@@ -26,6 +27,9 @@ DEFAULT_MIN_ELEVATION = math.radians(10.0)  # S-band visibility cutoff
 DEFAULT_NOISE_PSD_DBM_PER_HZ = -157.0
 DEFAULT_BANDWIDTH = 1.0e7
 DEFAULT_CARRIER = 2.4e9
+
+# Scenario fields that hold counts or seeds; every other scalar is a real.
+INTEGER_FIELDS = ("n_slots", "n_schemes", "master_seed")
 
 
 @dataclass(frozen=True)
@@ -47,12 +51,8 @@ class Scenario:
     terminal_area: float = 100.0  # side of the square terminal area, m
 
     def __post_init__(self):
-        for value, constraint in (
-            (self.n_slots, "n_slots is an integer"),
-            (self.n_schemes, "n_schemes is an integer"),
-            (self.master_seed, "master_seed is an integer"),
-        ):
-            _require(_is_integer(value), constraint)
+        for name in INTEGER_FIELDS:
+            _require(_is_integer(getattr(self, name)), f"{name} is an integer")
         _require(len(self.terminals) >= 1, "n_terminals >= 1")
         _require(len(self.constellation) >= 1, "n_satellites >= 1")
         _require(0.0 <= self.unavailability <= 1.0, "0 <= unavailability <= 1")
@@ -322,10 +322,27 @@ def _object(section, keys, where: str) -> dict:
     return section
 
 
-def _decode(section, keys: dict, where: str) -> dict:
-    """Field values, by field name, of a JSON object holding ``keys``."""
+def _number(value, where: str):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where} must be a JSON number")
+    return value
+
+
+def _section(build, section, keys: dict, where: str):
+    """``build`` called on the fields of a JSON object holding ``keys``: each
+    a number, or null for an rf rho0 that is to be derived (see ``_rf``). A
+    ``DomainError`` from ``build`` becomes a ``ConfigError`` starting ``where``.
+    """
     section = _object(section, keys.values(), where)
-    return {name: section[key] for name, key in keys.items()}
+    fields = {
+        name: None if name == "rho0" and section[key] is None
+        else _number(section[key], f"{where}.{key}")
+        for name, key in keys.items()
+    }
+    try:
+        return build(**fields)
+    except DomainError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _list(section, where: str) -> list:
@@ -334,21 +351,38 @@ def _list(section, where: str) -> list:
     return section
 
 
+def _terminal(entry, where: str) -> tuple[float, float]:
+    if not (isinstance(entry, list) and len(entry) == 2):
+        raise ConfigError(f"{where} must be a JSON list of two numbers")
+    return tuple(float(_number(value, f"{where}[{j}]")) for j, value in enumerate(entry))
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Inverse of :func:`scenario_to_dict`; an rf rho0 of null is derived."""
     top_level = [FORMAT, CONSTANTS, CONSTELLATION, TERMINALS, RF, *SCALAR_KEYS.values()]
     _object(doc, top_level, "scenario")
     if doc[FORMAT] != FORMAT_TAG:
         raise ConfigError(f"unsupported scenario format: {doc[FORMAT]!r}")
-    return _scenario(
-        constants=PhysicalConstants(**_decode(doc[CONSTANTS], CONSTANTS_KEYS, CONSTANTS)),
-        constellation=[
-            circular_orbit(**_decode(sat, ORBIT_KEYS, f"{CONSTELLATION}[{i}]"))
-            for i, sat in enumerate(_list(doc[CONSTELLATION], CONSTELLATION))
-        ],
-        terminals=tuple((float(x), float(y)) for x, y in _list(doc[TERMINALS], TERMINALS)),
-        rf=_decode(doc[RF], RF_KEYS, RF),
-        **{name: doc[key] for name, key in SCALAR_KEYS.items()},
+    constellation = [
+        _section(circular_orbit, sat, ORBIT_KEYS, f"{CONSTELLATION}[{i}]")
+        for i, sat in enumerate(_list(doc[CONSTELLATION], CONSTELLATION))
+    ]
+    terminals = tuple(
+        _terminal(entry, f"{TERMINALS}[{i}]")
+        for i, entry in enumerate(_list(doc[TERMINALS], TERMINALS))
+    )
+    # Counts and seeds are checked as integers by Scenario itself.
+    scalars = {
+        name: doc[key] if name in INTEGER_FIELDS else _number(doc[key], key)
+        for name, key in SCALAR_KEYS.items()
+    }
+    rf = functools.partial(_rf, constellation, scalars["slot_seconds"], len(terminals))
+    return Scenario(
+        constants=_section(PhysicalConstants, doc[CONSTANTS], CONSTANTS_KEYS, CONSTANTS),
+        constellation=tuple(constellation),
+        terminals=terminals,
+        rf=_section(rf, doc[RF], RF_KEYS, RF),
+        **scalars,
     )
 
 

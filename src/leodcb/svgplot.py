@@ -70,7 +70,7 @@ def _draw_frame(canvas: SvgCanvas, title: str, x_label: str, y_label: str):
     canvas.text(16, HEIGHT / 2, y_label, anchor="middle")
 
 
-def plot_rate_series(path, series: dict[str, list[float]], threshold: float, title: str):
+def plot_rate_series(path, series: dict, threshold: float, title: str):
     """Per-slot rates (log10 y-axis) with a dashed threshold line.
 
     Zero-rate (idle) slots are clamped to the bottom decade.

@@ -3,9 +3,9 @@
 Everything here checks implementation paths from the outside: exhaustive
 grid search, projected gradient descent, finite differences, the dense
 head backward, brute-force dominance, TD targets from a per-batch
-forward, Kepler's third law, and scalar per-point geometry against the
-env's array geometry. None of it calls the solver/gradient code it is
-used to verify.
+forward, Kepler's third law, scalar per-point geometry against the
+env's array geometry, and running-sum objectives of an episode trace.
+None of it calls the solver/gradient code it is used to verify.
 """
 
 import math
@@ -247,6 +247,28 @@ def forward_td_targets(batch, next_encodings, target_params, weight, gamma):
     _, _, next_q = forward(target_params, next_encodings)
     best_next = np.where(legit, next_q, -np.inf).max(axis=1)
     return rewards + gamma * np.where(batch.terminal, 0.0, best_next)
+
+
+def running_objectives(trace, scenario):
+    """(f1_bar, f2_bar, f3_bar) of a finished trace from ``+=`` running sums
+    over its rows in slot order, skipping idle slots; the loop check on
+    ``env.episode_objectives``."""
+    rate_bits = energy_joules = 0.0
+    switch_count = 0
+    for row in trace:
+        if row["satellite"] == 0:
+            continue
+        rate = float(row["rate_bps"])
+        gated_rate = rate if rate > scenario.rate_threshold else 0.0
+        rate_bits += gated_rate * scenario.slot_seconds
+        energy_joules += float(row["total_power_w"]) * scenario.slot_seconds
+        switch_count += int(row["switched"])
+    n_slots = scenario.n_slots
+    return (
+        rate_bits / (n_slots * scenario.slot_seconds),
+        energy_joules / n_slots,
+        switch_count / n_slots,
+    )
 
 
 def numeric_gradients(params, x, actions, targets, eps=1e-5):

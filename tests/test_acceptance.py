@@ -356,9 +356,9 @@ def test_criterion_8_threshold_directionality():
     policy = greedy_rollout(favored.params, env, episode_seed)
 
     threshold = scenario.rate_threshold
-    non_dcb_max = max(r.rate_bps for r in non_dcb.trace)
-    argp_tx = [r.rate_bps for r in argp.trace if r.satellite != 0]
-    policy_tx = [r.rate_bps for r in policy.trace if r.satellite != 0]
+    non_dcb_max = non_dcb["rate_bps"].max()
+    argp_tx = argp["rate_bps"][argp["satellite"] != 0].tolist()
+    policy_tx = policy["rate_bps"][policy["satellite"] != 0].tolist()
     separated = non_dcb_max < threshold < min(argp_tx + policy_tx)
     elapsed = time.perf_counter() - started
     _report(
@@ -381,8 +381,8 @@ def test_criterion_9_near_optimal_rate_low_switching(desk_run_cache):
         env = DcbUplinkEnv(scenario)
         argp = np.zeros(3)
         for eval_seed in result.eval_seeds:
-            ledger = run_baseline_episode(BaselineKind.ARGP, env, eval_seed)
-            argp += episode_objectives(ledger, scenario.n_slots, scenario.slot_seconds)
+            trace = run_baseline_episode(BaselineKind.ARGP, env, eval_seed)
+            argp += episode_objectives(trace, scenario)
         argp /= len(result.eval_seeds)
         ratio = member.objectives[0] / argp[0]
         policy_f3 = -member.objectives[2]

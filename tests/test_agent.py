@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -76,6 +77,33 @@ def assert_rows_intact(batch):
     assert np.array_equal(batch.next_state, n + 1)
     assert np.array_equal(batch.next_available[:, 0], n % 2 == 0)
     assert np.array_equal(batch.terminal, n % 3 == 0)
+
+
+class TestAgentConfig:
+    @pytest.mark.parametrize(
+        ("field", "value", "constraint"),
+        [
+            ("hidden_sizes", (0,), "hidden widths >= 1"),
+            ("hidden_sizes", (64, -1), "hidden widths >= 1"),
+            ("learning_rate", -5.0, "learning_rate is finite and >= 0"),
+            ("learning_rate", float("inf"), "learning_rate is finite and >= 0"),
+            ("learning_rate", float("nan"), "learning_rate is finite and >= 0"),
+            ("target_sync_period", 0, "target_sync_period >= 1"),
+            ("episodes_per_iteration", 0, "episodes_per_iteration >= 1"),
+            ("max_grad_norm", 0.0, "max_grad_norm > 0"),
+            ("max_grad_norm", -1.0, "max_grad_norm > 0"),
+            ("epsilon_start", 1.5, "0 <= epsilon_start <= 1"),
+            ("epsilon_end", -0.1, "0 <= epsilon_end <= 1"),
+        ],
+    )
+    def test_named_constraint_violated(self, field, value, constraint):
+        message = f"agent constraint violated: {re.escape(constraint)}"
+        with pytest.raises(ConfigError, match=message):
+            AgentConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        # A zero learning rate freezes the net; the tests use it.
+        AgentConfig(learning_rate=0.0, epsilon_start=0.0, epsilon_end=1.0, hidden_sizes=(1,))
 
 
 class TestSelectAction:

@@ -69,7 +69,7 @@ class TestArgpAction:
             mask = env.current_mask.copy()
             slot = env.slot
             env.step(argp_action(env))
-            argp_rate = env.ledger.trace[-1].rate_bps
+            argp_rate = env.trace[-1]["rate_bps"]
             for alt in range(1, scenario.n_satellites + 1):
                 if not mask[alt - 1]:
                     continue
@@ -80,19 +80,19 @@ class TestArgpAction:
 class TestNonDcb:
     def test_rate_matches_single_terminal_closed_form(self):
         scenario = micro_scenario()
-        ledger = run_baseline_episode(BaselineKind.NON_DCB, DcbUplinkEnv(scenario), seed=3)
+        trace = run_baseline_episode(BaselineKind.NON_DCB, DcbUplinkEnv(scenario), seed=3)
         single = scenario.subset_terminals([0])
         env = DcbUplinkEnv(single)
         rf = scenario.rf
-        for row in ledger.trace:
-            if row.satellite == 0:
+        for row in trace:
+            if row["satellite"] == 0:
                 continue
-            d = env.distances[row.slot, row.satellite - 1][0]
+            d = env.distances[row["slot"], row["satellite"] - 1][0]
             expected = channel.achievable_rate(
                 channel.snr([rf.p_max], [d], rf), rf
             )
-            assert row.rate_bps == pytest.approx(expected, rel=1e-12)
-            assert row.total_power_w == rf.p_max
+            assert row["rate_bps"] == pytest.approx(expected, rel=1e-12)
+            assert row["total_power_w"] == rf.p_max
 
     def test_colocated_coherent_gain(self):
         # All terminals at the same point: the array SNR is exactly N^2
@@ -105,12 +105,12 @@ class TestNonDcb:
         dcb = run_baseline_episode(BaselineKind.ARGP, env, seed)
         single = run_baseline_episode(BaselineKind.NON_DCB, env, seed)
         rf = scenario.rf
-        for row_d, row_s in zip(dcb.trace, single.trace):
-            assert row_d.satellite == row_s.satellite
-            if row_d.satellite == 0:
+        for row_d, row_s in zip(dcb, single):
+            assert row_d["satellite"] == row_s["satellite"]
+            if row_d["satellite"] == 0:
                 continue
-            snr_dcb = 2.0 ** (row_d.rate_bps / rf.bandwidth) - 1.0
-            snr_one = 2.0 ** (row_s.rate_bps / rf.bandwidth) - 1.0
+            snr_dcb = 2.0 ** (row_d["rate_bps"] / rf.bandwidth) - 1.0
+            snr_one = 2.0 ** (row_s["rate_bps"] / rf.bandwidth) - 1.0
             assert snr_dcb / snr_one == pytest.approx(n * n, rel=1e-9)
 
     def test_regime_separation_at_default_geometry(self):
@@ -120,10 +120,10 @@ class TestNonDcb:
         env = DcbUplinkEnv(scenario)
         argp = run_baseline_episode(BaselineKind.ARGP, env, seed)
         single = run_baseline_episode(BaselineKind.NON_DCB, env, seed)
-        argp_rates = [r.rate_bps for r in argp.trace if r.satellite != 0]
-        assert argp_rates, "expected at least one transmitting slot"
-        assert min(argp_rates) > scenario.rate_threshold
-        assert max(r.rate_bps for r in single.trace) < scenario.rate_threshold
+        argp_rates = argp["rate_bps"][argp["satellite"] != 0]
+        assert argp_rates.size, "expected at least one transmitting slot"
+        assert argp_rates.min() > scenario.rate_threshold
+        assert single["rate_bps"].max() < scenario.rate_threshold
 
 
 class TestRandomPolicy:
@@ -135,10 +135,10 @@ class TestRandomPolicy:
 
     def test_never_unavailable(self):
         env = DcbUplinkEnv(desk_scenario())
-        ledger = run_baseline_episode(BaselineKind.RANDOM, env, 5)
-        for row in ledger.trace:
-            if row.satellite != 0:
-                assert env.visibility[row.slot, row.satellite - 1]
+        trace = run_baseline_episode(BaselineKind.RANDOM, env, 5)
+        for row in trace:
+            if row["satellite"] != 0:
+                assert env.visibility[row["slot"], row["satellite"] - 1]
 
     def test_uniform_over_legitimate_actions(self, desk_env):
         desk_env.reset(41)
@@ -165,5 +165,5 @@ class TestBaselineMaskSafety:
         env = DcbUplinkEnv(scenario)
         # run_baseline_episode raises IllegalActionError on any violation
         for seed in range(5):
-            ledger = run_baseline_episode(kind, env, seed)
-            assert len(ledger.trace) == scenario.n_slots
+            trace = run_baseline_episode(kind, env, seed)
+            assert len(trace) == scenario.n_slots

@@ -2,21 +2,22 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import is_geometrically_visible, link_distance, p2_objective, pgd_p2
-
-from leodcb.channel import achievable_rate, amplitude_gains, snr, solve_p2
-from leodcb.env import (
-    DcbUplinkEnv,
-    EpisodeLedger,
-    TraceRow,
-    draw_availability,
-    episode_objectives,
-    legitimate_masks,
+from oracles import (
+    is_geometrically_visible,
+    link_distance,
+    p2_objective,
+    pgd_p2,
+    running_objectives,
 )
+
+from leodcb import neural
+from leodcb.agent import greedy_rollout
+from leodcb.baselines import BaselineKind, run_baseline_episode
+from leodcb.channel import achievable_rate, amplitude_gains, snr, solve_p2
+from leodcb.env import TRACE_DTYPE, DcbUplinkEnv, episode_objectives, legitimate_masks
 from leodcb.errors import IllegalActionError, StateError
 from leodcb.orbits import GroundFrame, position_at
 from leodcb.scenario import default_scenario, desk_scenario, micro_scenario
-from leodcb.seeding import stream
 
 
 @pytest.fixture(scope="module")
@@ -67,15 +68,14 @@ class TestReset:
                 second.append(desk_env.current_mask.copy())
         assert not np.array_equal(np.stack(first), np.stack(second))
 
-    def test_ledger_zeroed(self, desk_env):
+    def test_trace_emptied(self, desk_env):
         desk_env.reset(3)
         desk_env.step(first_available_action(desk_env))
+        assert len(desk_env.trace) == 1
         state = desk_env.reset(3)
         assert state == desk_env.state == 0
         assert desk_env.slot == 0
-        assert desk_env.ledger.rate_bits == 0.0
-        assert desk_env.ledger.energy_joules == 0.0
-        assert desk_env.ledger.switch_count == 0
+        assert len(desk_env.trace) == 0
 
 
 class TestAvailability:
@@ -97,11 +97,26 @@ class TestAvailability:
 
     def test_bernoulli_frequency(self):
         p = 0.3
-        rng = stream(99, "availability-check")
-        visible = np.ones(1, dtype=bool)
-        draws = np.array([draw_availability(visible, p, rng)[0] for _ in range(10_000)])
-        unavailable_freq = 1.0 - draws.mean()
+        env = DcbUplinkEnv(dataclasses.replace(desk_scenario(), unavailability=p))
+        available = visible = 0
+        seed = 0
+        while visible < 10_000:
+            env.reset(seed)
+            while not env.done:
+                available += int(env.current_mask.sum())
+                visible += int(env.visibility[env.slot].sum())
+                env.step(env.idle_index)
+            seed += 1
+        unavailable_freq = 1.0 - available / visible
         assert abs(unavailable_freq - p) < 0.02
+
+    def test_unavailable_is_never_visible(self, desk_env):
+        for seed in range(5):
+            desk_env.reset(seed)
+            while not desk_env.done:
+                assert not (desk_env.current_mask & ~desk_env.visibility[desk_env.slot]).any()
+                desk_env.step(desk_env.idle_index)
+            assert not desk_env.current_mask.any()
 
 
 class TestLegitimateActions:
@@ -130,19 +145,30 @@ class TestLegitimateActions:
 
     def test_env_mask_is_cached_and_read_only(self, desk_env):
         desk_env.reset(3)
-        mask = desk_env.legitimate_mask()
-        assert desk_env.legitimate_mask() is mask
-        with pytest.raises(ValueError):
-            mask[0] = not mask[0]
-        desk_env.step(first_available_action(desk_env))
-        assert np.array_equal(
-            desk_env.legitimate_mask(),
-            legitimate_masks(desk_env.current_mask[None, :], desk_env.n_schemes)[0],
-        )
+        while True:
+            mask, available = desk_env.legitimate_mask(), desk_env.current_mask
+            # Built once at reset: every call reads the same memory.
+            assert np.shares_memory(desk_env.legitimate_mask(), mask)
+            for array in (mask, available):
+                with pytest.raises(ValueError):
+                    array[0] = not array[0]
+            assert np.array_equal(
+                mask, legitimate_masks(available[None, :], desk_env.n_schemes)[0]
+            )
+            if desk_env.done:
+                break
+            desk_env.step(first_available_action(desk_env))
+        # After the last slot only IDLE is marked.
+        assert np.flatnonzero(desk_env.legitimate_mask()).tolist() == [desk_env.idle_index]
 
     def test_mask_before_reset_rejected(self):
         with pytest.raises(StateError):
             DcbUplinkEnv(micro_scenario()).legitimate_mask()
+
+    @pytest.mark.parametrize("read", ["current_mask", "trace"])
+    def test_episode_record_before_reset_rejected(self, read):
+        with pytest.raises(StateError):
+            getattr(DcbUplinkEnv(micro_scenario()), read)
 
     def test_scheme_blocks_repeat_availability(self, desk_env):
         desk_env.reset(17)
@@ -189,8 +215,10 @@ class TestStep:
             assert reward[0] == 0.0
             if action != env.idle_index:
                 assert reward[1] < 0.0
-        assert env.ledger.rate_bits == 0.0
-        assert env.ledger.energy_joules > 0.0
+        f1, f2, _ = episode_objectives(env.trace, scenario)
+        assert (env.trace["rate_bps"] > 0.0).any()
+        assert f1 == 0.0
+        assert f2 > 0.0
 
     def test_idle_keeps_previous_satellite(self, desk_env):
         desk_env.reset(12)
@@ -212,7 +240,7 @@ class TestStep:
         assert state == desk_env.n_satellites + 1      # slot 1, no previous satellite
         assert desk_env.slot == 1
         assert reward.tolist() == [0.0, 0.0, 0.0]
-        assert desk_env.ledger.trace[-1].satellite == 0
+        assert desk_env.trace[-1]["satellite"] == 0
 
     def test_unavailable_satellite_rejected(self, desk_env):
         desk_env.reset(9)
@@ -233,66 +261,102 @@ class TestStep:
             desk_env.step(desk_env.idle_index)
 
 
-class TestLedgerConsistency:
-    def test_reward_sums_match_ledger(self, desk_env):
+class TestTraceConsistency:
+    def test_reward_sums_match_objectives(self, desk_env):
         rewards = run_episode(desk_env, 31, lambda env, s: first_available_action(env))
-        ledger = desk_env.ledger
-        dt = desk_env.scenario.slot_seconds
+        f1, f2, f3 = episode_objectives(desk_env.trace, desk_env.scenario)
+        n_slots = desk_env.scenario.n_slots
         rate_sum = sum(r[0] for r in rewards) / desk_env.rho1
         energy_sum = -sum(r[1] for r in rewards) / desk_env.rho2
         switch_sum = -sum(r[2] for r in rewards) / desk_env.rho3
-        assert rate_sum == pytest.approx(ledger.rate_bits / dt, rel=1e-9, abs=1e-12)
-        assert energy_sum == pytest.approx(ledger.energy_joules, rel=1e-9)
-        assert switch_sum == pytest.approx(ledger.switch_count)
+        assert rate_sum == pytest.approx(f1 * n_slots, rel=1e-9, abs=1e-12)
+        assert energy_sum == pytest.approx(f2 * n_slots, rel=1e-9)
+        assert switch_sum == pytest.approx(f3 * n_slots)
 
     def test_trajectories_bit_for_bit_reproducible(self):
         def run(seed):
             env = DcbUplinkEnv(desk_scenario())
             run_episode(env, seed, lambda e, s: first_available_action(e))
-            return env.ledger
+            return env.trace
 
         a, b = run(77), run(77)
-        assert a.rate_bits == b.rate_bits
-        assert a.energy_joules == b.energy_joules
-        assert a.switch_count == b.switch_count
-        assert a.trace == b.trace
+        assert a.dtype == b.dtype == TRACE_DTYPE
+        assert a.tobytes() == b.tobytes()
+        assert episode_objectives(a, desk_scenario()) == episode_objectives(b, desk_scenario())
+
+    def test_trace_rows_are_the_steps(self, desk_env):
+        desk_env.reset(6)
+        while not desk_env.done:
+            slot, n_available = desk_env.slot, int(desk_env.current_mask.sum())
+            desk_env.step(first_available_action(desk_env))
+            row = desk_env.trace[-1]
+            assert len(desk_env.trace) == slot + 1
+            assert (row["slot"], row["n_available"]) == (slot, n_available)
+        with pytest.raises(ValueError):
+            desk_env.trace[0] = desk_env.trace[1]
+
+    def test_finished_trace_survives_the_next_episode(self, desk_env):
+        first = run_baseline_episode(BaselineKind.ARGP, desk_env, 1)
+        kept = first.copy()
+        run_baseline_episode(BaselineKind.RANDOM, desk_env, 2)
+        assert first.tobytes() == kept.tobytes()
 
 
 class TestEpisodeObjectives:
+    SIXTY_SLOTS = dataclasses.replace(desk_scenario(), n_slots=60)
+
+    @staticmethod
+    def transmitting_trace(n_slots):
+        trace = np.zeros(n_slots, TRACE_DTYPE)
+        trace["slot"] = np.arange(n_slots)
+        trace["satellite"] = trace["scheme"] = trace["n_available"] = 1
+        return trace
+
     def test_all_idle_episode(self):
         scenario = dataclasses.replace(desk_scenario(), unavailability=1.0)
         env = DcbUplinkEnv(scenario)
         env.reset(0)
         while not env.done:
             env.step(env.idle_index)
-        assert env.episode_objectives() == (0.0, 0.0, 0.0)
+        assert episode_objectives(env.trace, scenario) == (0.0, 0.0, 0.0)
 
     def test_single_switch_rate(self):
-        ledger = EpisodeLedger(
-            rate_bits=0.0,
-            energy_joules=0.0,
-            switch_count=1,
-            trace=[TraceRow(t, 1, 1, 0.0, 0.0, 0, 1) for t in range(60)],
-        )
-        _, _, f3 = episode_objectives(ledger, 60, 60.0)
+        trace = self.transmitting_trace(60)
+        trace["switched"][30] = 1
+        _, _, f3 = episode_objectives(trace, self.SIXTY_SLOTS)
         assert f3 == pytest.approx(1 / 60)
+
+    def test_switching_every_slot_gives_f3_of_one(self):
+        trace = self.transmitting_trace(60)
+        trace["switched"] = 1
+        assert episode_objectives(trace, self.SIXTY_SLOTS)[2] == 1.0
 
     def test_constant_rate_above_threshold(self):
         rate = 2.5e5
-        ledger = EpisodeLedger(
-            rate_bits=rate * 60.0 * 60,
-            energy_joules=0.0,
-            switch_count=0,
-            trace=[TraceRow(t, 1, 1, rate, 0.0, 0, 1) for t in range(60)],
-        )
-        f1, _, _ = episode_objectives(ledger, 60, 60.0)
+        assert rate > self.SIXTY_SLOTS.rate_threshold
+        trace = self.transmitting_trace(60)
+        trace["rate_bps"] = rate
+        f1, _, _ = episode_objectives(trace, self.SIXTY_SLOTS)
         assert f1 == pytest.approx(rate)
 
     def test_incomplete_episode_rejected(self, desk_env):
         desk_env.reset(2)
         desk_env.step(first_available_action(desk_env))
-        with pytest.raises(StateError):
-            desk_env.episode_objectives()
+        with pytest.raises(StateError, match="1 of 30 slots"):
+            episode_objectives(desk_env.trace, desk_env.scenario)
+
+    @pytest.mark.parametrize("build", [micro_scenario, desk_scenario, default_scenario])
+    def test_equal_to_running_sums_oracle(self, build):
+        scenario = build()
+        env = DcbUplinkEnv(scenario)
+        params = neural.init_params(2, (16, 16), env.n_actions, np.random.default_rng(0))
+        for seed in range(4):
+            traces = [run_baseline_episode(kind, env, seed) for kind in BaselineKind]
+            traces.append(greedy_rollout(params, env, seed))
+            for trace in traces:
+                f = episode_objectives(trace, scenario)
+                assert f == running_objectives(trace, scenario)
+                assert 0.0 <= f[2] <= 1.0
 
 
 class TestEncodings:
@@ -342,12 +406,12 @@ class TestEncodings:
             for action in np.flatnonzero(env.legitimate_mask()):
                 advance_to(slot)
                 env.step(int(action))
-                row = env.ledger.trace[-1]
+                row = env.trace[-1]
                 if action == env.idle_index:
-                    assert (row.scheme, row.satellite) == (1, 0)
+                    assert (row["scheme"], row["satellite"]) == (1, 0)
                 else:
                     scheme, sat = divmod(int(action), env.n_satellites)
-                    assert (row.scheme, row.satellite) == (scheme + 1, sat + 1)
+                    assert (row["scheme"], row["satellite"]) == (scheme + 1, sat + 1)
                 stepped.add(int(action))
         ever_visible = int(env.visibility.any(axis=0).sum())
         idle_slots = int((~env.visibility.any(axis=1)).any())
@@ -366,7 +430,7 @@ class TestFlatActionValidation:
         with pytest.raises(IllegalActionError):
             blocked_env.step(-1)
         assert blocked_env.state == 0
-        assert blocked_env.ledger.trace == []
+        assert len(blocked_env.trace) == 0
 
     def test_non_integer_index_rejected(self, blocked_env):
         with pytest.raises(TypeError):
@@ -379,10 +443,10 @@ class TestFlatActionValidation:
     def test_max_power_index_steps_scheme_zero(self, blocked_env):
         sat = int(np.flatnonzero(blocked_env.current_mask)[0]) + 1
         blocked_env.step(blocked_env.idle_index + sat)
-        row = blocked_env.ledger.trace[-1]
-        assert (row.scheme, row.satellite) == (0, sat)
-        assert row.rate_bps == blocked_env.rates[0, 0, sat - 1]
-        assert row.total_power_w == blocked_env.n_terminals * blocked_env.scenario.rf.p_max
+        row = blocked_env.trace[-1]
+        assert (row["scheme"], row["satellite"]) == (0, sat)
+        assert row["rate_bps"] == blocked_env.rates[0, 0, sat - 1]
+        assert row["total_power_w"] == blocked_env.n_terminals * blocked_env.scenario.rf.p_max
 
 
 class TestGeometryOracles:

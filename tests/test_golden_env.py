@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from leodcb.baselines import BaselineKind, run_baseline_episode
-from leodcb.env import DcbUplinkEnv
-from leodcb.harness import write_trace
+from leodcb.env import TRACE_DTYPE, DcbUplinkEnv
+from leodcb.harness import write_csv
 from leodcb.scenario import default_scenario, desk_scenario, micro_scenario
 
 DATA = Path(__file__).parent / "data"
@@ -37,6 +37,11 @@ def sha256(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
+def write_micro_trace(path, kind: BaselineKind) -> None:
+    trace = run_baseline_episode(kind, DcbUplinkEnv(micro_scenario()), seed=0)
+    write_csv(path, TRACE_DTYPE.names, trace.tolist())
+
+
 def geometry_digests(build) -> dict:
     env = DcbUplinkEnv(build())
     return {"visibility": sha256(env.visibility), "distances": sha256(env.distances)}
@@ -48,7 +53,7 @@ def record():
         {name: geometry_digests(build) for name, build in SCENARIOS.items()}, indent=1
     ) + "\n")
     for kind in TRACED_KINDS:
-        write_trace(trace_path(kind), run_baseline_episode(kind, DcbUplinkEnv(micro_scenario()), seed=0))
+        write_micro_trace(trace_path(kind), kind)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -60,5 +65,5 @@ def test_geometry_matches_recorded_digests(name):
 @pytest.mark.parametrize("kind", TRACED_KINDS, ids=lambda kind: kind.value)
 def test_micro_baseline_trace_matches_recorded_file(kind, tmp_path):
     path = tmp_path / "trace.csv"
-    write_trace(path, run_baseline_episode(kind, DcbUplinkEnv(micro_scenario()), seed=0))
+    write_micro_trace(path, kind)
     assert path.read_bytes() == trace_path(kind).read_bytes()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,15 +10,15 @@ from leodcb import neural
 from leodcb.agent import AgentConfig
 from leodcb.baselines import BaselineKind, run_baseline_episode
 from leodcb.emodrl import ArchiveMember, EmodrlConfig, ParetoArchive, dominates
-from leodcb.env import DcbUplinkEnv
-from leodcb.errors import ConfigError, StateError
+from leodcb.env import TRACE_DTYPE, DcbUplinkEnv
+from leodcb.errors import ConfigError, DomainError, StateError
 from leodcb.harness import (
     load_archive,
     replay_policy,
     run_experiment,
     select_policy,
     write_archive_csv,
-    write_trace,
+    write_csv,
 )
 from leodcb.scenario import (
     default_scenario,
@@ -31,6 +32,14 @@ from leodcb.scenario import (
 from leodcb.seeding import stream
 
 GOLDEN_TRACE = Path(__file__).parent / "data" / "golden_micro_argp_trace.csv"
+
+
+def set_at(doc, location, value):
+    """Set the value at a JSON location such as "constellation[1].altitude_m"."""
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", location)]
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
 
 
 def tiny_config():
@@ -118,13 +127,34 @@ class TestScenarioIO:
     @pytest.mark.parametrize(
         ("section", "value", "kind"),
         [("rf", None, "object"), ("constants", [], "object"),
-         ("constellation", 3, "list"), ("terminals_m", {}, "list")],
+         ("constellation", 3, "list"), ("terminals_m", {}, "list"),
+         ("terminals_m[0]", [1, 2, 3], "list of two numbers"),
+         ("terminals_m[0][1]", "b", "number"),
+         ("terminals_m[1]", [1.0], "list of two numbers"),
+         ("slot_seconds", "x", "number"), ("unavailability_p", None, "number"),
+         ("constants.earth_mass_kg", "x", "number"),
+         ("constellation[2].altitude_m", None, "number"), ("rf.p_max_w", True, "number")],
     )
     def test_section_of_the_wrong_type_rejected(self, section, value, kind):
         doc = scenario_to_dict(micro_scenario())
-        doc[section] = value
-        with pytest.raises(ConfigError, match=f"{section} must be a JSON {kind}"):
+        set_at(doc, section, value)
+        with pytest.raises(ConfigError, match=re.escape(f"{section} must be a JSON {kind}")):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        ("location", "value", "message"),
+        [("constellation[1].altitude_m", -1.0,
+          "constellation[1]: altitude must be strictly positive"),
+         ("rf.p_min_w", 5.0, "rf: power bounds must satisfy 0 < p_min <= p_max"),
+         ("constants.earth_radius_m", 0.0, "constants: earth_radius must be strictly positive")],
+    )
+    def test_bad_section_value_names_its_location(self, location, value, message):
+        doc = scenario_to_dict(micro_scenario())
+        set_at(doc, location, value)
+        with pytest.raises(ConfigError) as raised:
+            scenario_from_dict(doc)
+        assert str(raised.value) == message
+        assert isinstance(raised.value.__cause__, DomainError)
 
     @pytest.mark.parametrize(
         ("count", "constraint"),
@@ -149,14 +179,15 @@ class TestSeedPlumbing:
 
 class TestTraceGolden:
     def test_micro_argp_trace_matches_golden(self, tmp_path):
-        ledger = run_baseline_episode(BaselineKind.ARGP, DcbUplinkEnv(micro_scenario()), seed=0)
+        trace = run_baseline_episode(BaselineKind.ARGP, DcbUplinkEnv(micro_scenario()), seed=0)
         path = tmp_path / "trace.csv"
-        write_trace(path, ledger)
+        write_csv(path, TRACE_DTYPE.names, trace.tolist())
         assert path.read_bytes() == GOLDEN_TRACE.read_bytes()
 
     def test_column_schema(self):
         header = GOLDEN_TRACE.read_text().splitlines()[0]
         assert header == "slot,satellite,scheme,rate_bps,total_power_w,switched,n_available"
+        assert header == ",".join(TRACE_DTYPE.names)
 
 
 class TestSelectPolicy:
