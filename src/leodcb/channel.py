@@ -27,7 +27,9 @@ class RfConstants:
     beta0 is the channel power gain at the 1 m reference distance,
     noise_power is sigma^2 in watts over the full bandwidth, and rho0
     scales the energy term of the power subproblem into the same order
-    of magnitude as the SNR term.
+    of magnitude as the SNR term. A rho0 of None asks for it to be derived
+    (see ``default_rho0``); such an instance is complete only inside a
+    ``Scenario``, which derives it once its own inputs are checked.
     """
 
     beta0: float
@@ -37,7 +39,7 @@ class RfConstants:
     carrier_frequency: float
     p_min: float
     p_max: float
-    rho0: float
+    rho0: float | None
 
     def __post_init__(self):
         if not (0.0 < self.p_min <= self.p_max):
@@ -50,7 +52,7 @@ class RfConstants:
             raise DomainError("bandwidth must be strictly positive")
         if self.beta0 <= 0.0:
             raise DomainError("beta0 must be strictly positive")
-        if self.rho0 <= 0.0:
+        if self.rho0 is not None and self.rho0 <= 0.0:
             raise DomainError("rho0 must be strictly positive")
 
 

@@ -11,6 +11,7 @@ from .agent import AgentConfig
 from .baselines import BaselineKind, run_baseline_episode
 from .emodrl import EmodrlConfig
 from .env import TRACE_DTYPE, DcbUplinkEnv, episode_objectives
+from .errors import ConfigError
 from .harness import (
     PREFERENCE_WEIGHTS,
     load_archive,
@@ -56,12 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--hidden", type=int, nargs="+", default=None, help="hidden layer widths")
     run_p.add_argument("--batch", type=int, default=None)
     run_p.add_argument("--lr", type=float, default=None)
+    run_p.set_defaults(handler=_run_command, parser=run_p)
 
     base_p = sub.add_parser("baseline", help="run a baseline episode and dump its trace")
     base_p.add_argument("--kind", choices=[k.value for k in BaselineKind], required=True)
     _add_scenario_arg(base_p)
     base_p.add_argument("--seed", type=int, default=0)
     base_p.add_argument("--out", default=None, help=f"output dir (default ${OUT_DIR_ENV} or ./out)")
+    base_p.set_defaults(handler=_baseline_command, parser=base_p)
 
     eval_p = sub.add_parser("evaluate", help="replay a frozen policy under scenario overrides")
     eval_p.add_argument("--checkpoint", required=True)
@@ -69,6 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--p", type=float, default=None, help="override unavailability probability")
     eval_p.add_argument("--terminals", type=int, default=None, help="override terminal count")
     eval_p.add_argument("--seeds", type=int, nargs="+", default=[0])
+    eval_p.set_defaults(handler=_evaluate_command, parser=eval_p)
 
     select_p = sub.add_parser("select", help="pick a policy from an archive CSV")
     select_p.add_argument("--archive", required=True, help="path to archive.csv")
@@ -78,6 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(PREFERENCE_WEIGHTS),
         help="named tendency (default balanced)",
     )
+    select_p.set_defaults(handler=_select_command, parser=select_p)
     return parser
 
 
@@ -140,7 +145,7 @@ def _evaluate_command(args) -> int:
 def _select_command(args) -> int:
     archive = load_archive(args.archive)
     member = select_policy(archive, args.preference)
-    f1, f2, f3 = raw_objectives(member)
+    f1, f2, f3 = raw_objectives(member.objectives)
     index = next(i for i, m in enumerate(archive.members) if m is member)
     print(f"policy {index}: f1={f1:.4g} bps  f2={f2:.4g} J  f3={f3:.4g}")
     return 0
@@ -148,13 +153,11 @@ def _select_command(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _run_command,
-        "baseline": _baseline_command,
-        "evaluate": _evaluate_command,
-        "select": _select_command,
-    }
-    return handlers[args.command](args)
+    try:
+        return args.handler(args)
+    except ConfigError as exc:
+        # A bad setting is a usage error of its command: one message, exit 2.
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

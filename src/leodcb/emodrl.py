@@ -243,7 +243,6 @@ class GenerationRecord:
 class RunResult:
     archive: ParetoArchive
     generations: list[GenerationRecord]
-    hypervolume_reference: np.ndarray
     eval_seeds: list[int]
 
 
@@ -327,6 +326,5 @@ def run(env: DcbUplinkEnv, config: EmodrlConfig) -> RunResult:
     return RunResult(
         archive=archive,
         generations=records,
-        hypervolume_reference=reference,
         eval_seeds=eval_seeds,
     )

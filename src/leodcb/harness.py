@@ -53,7 +53,7 @@ def write_csv(path, columns, rows) -> None:
 def write_archive_csv(path, archive: ParetoArchive, checkpoint_paths) -> None:
     rows = []
     for i, member in enumerate(archive.members):
-        f1, f2, f3 = raw_objectives(member)
+        f1, f2, f3 = raw_objectives(member.objectives)
         w = member.weight
         rows.append((i, f1, f2, f3, w[0], w[1], w[2], checkpoint_paths[i]))
     write_csv(path, ARCHIVE_COLUMNS, rows)
@@ -67,9 +67,9 @@ def write_generation_log(path, records) -> None:
     write_csv(path, GENERATION_COLUMNS, rows)
 
 
-def raw_objectives(member: ArchiveMember):
-    """Back out (f1_bar bps, f2_bar J, f3_bar) from the maximized F vector."""
-    f = member.objectives
+def raw_objectives(f):
+    """Back out (f1_bar bps, f2_bar J, f3_bar) from the maximized
+    F = (f1_bar, -f2_bar, -f3_bar)."""
     # + 0.0 normalizes the negative zero produced by flipping a zero
     return float(f[0]), float(-f[1] + 0.0), float(-f[2] + 0.0)
 
@@ -102,9 +102,7 @@ def replay_policy(params: QNetworkParams, scenario: Scenario, seeds):
     test portability: the state and action encodings do not depend on the
     terminal count, so no re-shaping or retraining happens.
     """
-    f = evaluate_policy(params, DcbUplinkEnv(scenario), seeds)
-    # + 0.0 normalizes the negative zero produced by flipping a zero
-    return f[0], -f[1] + 0.0, -f[2] + 0.0
+    return raw_objectives(evaluate_policy(params, DcbUplinkEnv(scenario), seeds))
 
 
 @dataclass
@@ -192,7 +190,7 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
         svgplot.plot_pareto_scatter(
             pareto_svg,
             {
-                "archive": [raw_objectives(m) for m in archive.members],
+                "archive": [raw_objectives(m.objectives) for m in archive.members],
                 "argp": [objectives["argp"]],
                 "random": [objectives["random"]],
             },
@@ -203,7 +201,7 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
         tendencies = ["favor-rate", "favor-energy", "favor-switching", "balanced"]
         bar_labels = ["argp"] + tendencies
         bar_triples = [objectives["argp"]] + [
-            raw_objectives(select_policy(archive, t)) for t in tendencies
+            raw_objectives(select_policy(archive, t).objectives) for t in tendencies
         ]
         svgplot.plot_objective_bars(
             bars_svg, bar_labels, bar_triples, "Objective values by policy"

@@ -8,7 +8,6 @@ construction.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import numbers
@@ -34,7 +33,12 @@ INTEGER_FIELDS = ("n_slots", "n_schemes", "master_seed")
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full experiment configuration."""
+    """Full experiment configuration.
+
+    An ``rf`` whose rho0 is None gets it derived, once every other input
+    is checked, for full power over a link as long as the lowest orbit
+    altitude (see ``channel.default_rho0``).
+    """
 
     constants: PhysicalConstants
     constellation: tuple[OrbitalElements, ...]
@@ -66,6 +70,14 @@ class Scenario:
         )
         _require(self.master_seed >= 0, "master_seed >= 0")
         _require(self.terminal_area > 0.0, "terminal_area > 0")
+        rf = self.rf
+        if rf.rho0 is None:
+            rho0 = channel.default_rho0(
+                rf.beta0, rf.path_loss_exponent, rf.noise_power, rf.p_max,
+                min(sat.altitude for sat in self.constellation),
+                self.slot_seconds, self.n_terminals,
+            )
+            object.__setattr__(self, "rf", dataclasses.replace(rf, rho0=rho0))
 
     @property
     def n_terminals(self) -> int:
@@ -121,37 +133,9 @@ def _draw_terminals(master_seed: int, count: int, area: float):
     return tuple((float(x), float(y)) for x, y in points)
 
 
-def _rf(
-    constellation, slot_seconds: float, n_terminals: int, *,
-    beta0, path_loss_exponent, noise_power, p_max, rho0=None, **fields,
-) -> RfConstants:
-    """RF constants; a rho0 of None is derived for full power over a link
-    as long as the lowest orbit altitude (see ``channel.default_rho0``)."""
-    if rho0 is None:
-        reference = min(sat.altitude for sat in constellation)
-        rho0 = channel.default_rho0(
-            beta0, path_loss_exponent, noise_power, p_max, reference, slot_seconds, n_terminals
-        )
-    return RfConstants(
-        beta0=beta0, path_loss_exponent=path_loss_exponent, noise_power=noise_power,
-        p_max=p_max, rho0=rho0, **fields,
-    )
-
-
-def _scenario(constellation, terminals, slot_seconds: float, rf: dict, **fields) -> Scenario:
-    """Scenario whose ``rf`` is given as RfConstants fields (see ``_rf``)."""
-    return Scenario(
-        constellation=tuple(constellation),
-        terminals=terminals,
-        slot_seconds=slot_seconds,
-        rf=_rf(constellation, slot_seconds, len(terminals), **rf),
-        **fields,
-    )
-
-
 def _evenly_spaced_plane(count: int, inclination: float, altitude: float, phase_offset=0.0):
     step = 2.0 * math.pi / count
-    return [
+    return tuple(
         circular_orbit(
             inclination=inclination,
             raan=0.0,
@@ -160,11 +144,11 @@ def _evenly_spaced_plane(count: int, inclination: float, altitude: float, phase_
             altitude=altitude,
         )
         for i in range(count)
-    ]
+    )
 
 
-# RF fields of the named scenarios; their rho0 is derived.
-DEFAULT_RF = dict(
+# RF constants of the named scenarios; their rho0 is derived by Scenario.
+DEFAULT_RF = RfConstants(
     beta0=channel.free_space_reference_gain(DEFAULT_CARRIER),
     path_loss_exponent=2.0,
     noise_power=10.0 ** (DEFAULT_NOISE_PSD_DBM_PER_HZ / 10.0) * 1e-3 * DEFAULT_BANDWIDTH,
@@ -172,6 +156,7 @@ DEFAULT_RF = dict(
     carrier_frequency=DEFAULT_CARRIER,
     p_min=1.0,
     p_max=2.0,
+    rho0=None,
 )
 
 
@@ -187,7 +172,7 @@ def default_scenario(master_seed: int = 42) -> Scenario:
     """
     low, high = 5.0e5, 1.0e6
     tilt = math.pi / 8.0
-    return _scenario(
+    return Scenario(
         constants=PhysicalConstants(),
         constellation=(
             _evenly_spaced_plane(60, 0.0, low)
@@ -211,7 +196,7 @@ def default_scenario(master_seed: int = 42) -> Scenario:
 
 def desk_scenario(master_seed: int = 42) -> Scenario:
     """Small constellation for fast training runs: 12 satellites, 30 slots."""
-    return _scenario(
+    return Scenario(
         constants=PhysicalConstants(),
         constellation=(
             _evenly_spaced_plane(10, 0.0, 1.0e6)
@@ -232,7 +217,7 @@ def desk_scenario(master_seed: int = 42) -> Scenario:
 
 def micro_scenario(master_seed: int = 7) -> Scenario:
     """Tiny deterministic-geometry scenario for golden-file tests."""
-    return _scenario(
+    return Scenario(
         constants=PhysicalConstants(),
         constellation=_evenly_spaced_plane(3, 0.0, 1.0e6),
         terminals=_draw_terminals(master_seed, 2, 100.0),
@@ -330,7 +315,7 @@ def _number(value, where: str):
 
 def _section(build, section, keys: dict, where: str):
     """``build`` called on the fields of a JSON object holding ``keys``: each
-    a number, or null for an rf rho0 that is to be derived (see ``_rf``). A
+    a number, or null for an rf rho0 that is to be derived (see ``Scenario``). A
     ``DomainError`` from ``build`` becomes a ``ConfigError`` starting ``where``.
     """
     section = _object(section, keys.values(), where)
@@ -358,15 +343,16 @@ def _terminal(entry, where: str) -> tuple[float, float]:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Inverse of :func:`scenario_to_dict`; an rf rho0 of null is derived."""
+    """Inverse of :func:`scenario_to_dict`; an rf rho0 of null is derived
+    by ``Scenario``."""
     top_level = [FORMAT, CONSTANTS, CONSTELLATION, TERMINALS, RF, *SCALAR_KEYS.values()]
     _object(doc, top_level, "scenario")
     if doc[FORMAT] != FORMAT_TAG:
         raise ConfigError(f"unsupported scenario format: {doc[FORMAT]!r}")
-    constellation = [
+    constellation = tuple(
         _section(circular_orbit, sat, ORBIT_KEYS, f"{CONSTELLATION}[{i}]")
         for i, sat in enumerate(_list(doc[CONSTELLATION], CONSTELLATION))
-    ]
+    )
     terminals = tuple(
         _terminal(entry, f"{TERMINALS}[{i}]")
         for i, entry in enumerate(_list(doc[TERMINALS], TERMINALS))
@@ -376,12 +362,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         name: doc[key] if name in INTEGER_FIELDS else _number(doc[key], key)
         for name, key in SCALAR_KEYS.items()
     }
-    rf = functools.partial(_rf, constellation, scalars["slot_seconds"], len(terminals))
     return Scenario(
         constants=_section(PhysicalConstants, doc[CONSTANTS], CONSTANTS_KEYS, CONSTANTS),
-        constellation=tuple(constellation),
+        constellation=constellation,
         terminals=terminals,
-        rf=_section(rf, doc[RF], RF_KEYS, RF),
+        rf=_section(RfConstants, doc[RF], RF_KEYS, RF),
         **scalars,
     )
 

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import leodcb
 from leodcb import neural
 from leodcb.agent import AgentConfig
 from leodcb.baselines import BaselineKind, run_baseline_episode
@@ -21,6 +25,8 @@ from leodcb.harness import (
     write_csv,
 )
 from leodcb.scenario import (
+    DEFAULT_RF,
+    Scenario,
     default_scenario,
     desk_scenario,
     load_scenario,
@@ -115,6 +121,30 @@ class TestScenarioIO:
         loaded = scenario_from_dict(doc)
         assert loaded == scenario
         assert loaded.rf.rho0.hex() == scenario.rf.rho0.hex()
+
+    @pytest.mark.parametrize(
+        ("location", "value", "message"),
+        [("slot_seconds", 0, "scenario constraint violated: slot_seconds > 0"),
+         ("rf.noise_power_w", 0.0, "rf: noise_power must be strictly positive"),
+         ("rf.p_max_w", -1.0, "rf: power bounds must satisfy 0 < p_min <= p_max"),
+         ("constellation", [], "scenario constraint violated: n_satellites >= 1")],
+    )
+    def test_null_rho0_is_derived_only_after_its_inputs_are_checked(
+        self, location, value, message
+    ):
+        doc = scenario_to_dict(micro_scenario())
+        doc["rf"]["rho0"] = None
+        set_at(doc, location, value)
+        with pytest.raises(ConfigError) as raised:
+            scenario_from_dict(doc)
+        assert str(raised.value) == message
+
+    def test_scenario_checks_its_inputs_before_deriving_rho0(self):
+        micro = micro_scenario()
+        fields = {f.name: getattr(micro, f.name) for f in dataclasses.fields(Scenario)}
+        assert DEFAULT_RF.rho0 is None
+        with pytest.raises(ConfigError, match=re.escape("slot_seconds > 0")):
+            Scenario(**{**fields, "rf": DEFAULT_RF, "slot_seconds": 0.0})
 
     @pytest.mark.parametrize("key", ["n_slots", "n_schemes", "master_seed"])
     @pytest.mark.parametrize("value", [2.5, True])
@@ -439,9 +469,42 @@ class TestCli:
                      "--seeds", "1", "2"]) == 0
         assert "f1=" in capsys.readouterr().out
 
-    def test_evaluate_rejects_a_negative_terminal_count(self, tmp_path):
+    def test_evaluate_rejects_a_negative_terminal_count(self, tmp_path, capsys):
         from leodcb.cli import main
 
-        with pytest.raises(ConfigError, match="n_terminals >= 1"):
+        with pytest.raises(SystemExit) as exited:
             main(["evaluate", "--checkpoint", str(tmp_path / "policy.npz"),
                   "--scenario", "micro", "--terminals", "-1"])
+        assert exited.value.code == 2
+        assert "n_terminals >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("argv", "constraint"),
+        [(["run", "--scenario", "micro", "--hidden", "0"], "hidden widths >= 1"),
+         (["run", "--scenario", "{bad_json}"], "slot_seconds > 0")],
+    )
+    def test_bad_setting_is_a_usage_error(self, tmp_path, capsys, argv, constraint):
+        from leodcb.cli import main
+
+        doc = scenario_to_dict(micro_scenario())
+        doc["rf"]["rho0"] = None
+        doc["slot_seconds"] = 0
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exited:
+            main([arg.format(bad_json=bad_json) for arg in argv])
+        assert exited.value.code == 2
+        last_line = capsys.readouterr().err.splitlines()[-1]
+        assert last_line.startswith("leodcb run: error: ")
+        assert last_line.endswith(constraint)
+
+    def test_module_entry_point_prints_no_traceback_for_a_bad_setting(self):
+        src = str(Path(leodcb.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "leodcb.cli", "run", "--scenario", "micro", "--hidden", "0"],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "leodcb run: error: agent constraint violated: hidden widths >= 1" in done.stderr
