@@ -3,6 +3,7 @@ target network, scalarized TD learning under a task weight vector."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -263,7 +264,13 @@ class EnhancedD3qnAgent:
             _, self.last_loss = neural.backward(
                 self.params, env.state_encodings[batch.state], batch.action, targets, grads
             )
-            neural.clip_gradients(grads, cfg.max_grad_norm)
+            norm = neural.clip_gradients(grads, cfg.max_grad_norm)
+            if not (math.isfinite(self.last_loss) and math.isfinite(norm)):
+                # Stop before Adam writes the non-finite step into the params.
+                raise StateError(
+                    f"gradient step {self.grad_steps_done + 1}: TD loss {self.last_loss}, "
+                    f"pre-clip gradient norm {norm}; both must be finite"
+                )
             neural.adam_step(self.params, grads, self.adam, cfg.learning_rate)
             self.grad_steps_done += 1
             if self.grad_steps_done % cfg.target_sync_period == 0:

@@ -158,6 +158,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         # A bad setting is a usage error of its command: one message, exit 2.
         args.parser.error(str(exc))
+    except FileNotFoundError as exc:
+        # So is a missing input file (--scenario, --checkpoint, --archive).
+        args.parser.error(f"cannot read {exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":

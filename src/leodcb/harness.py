@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from . import emodrl, svgplot
-from .agent import evaluate_policy, greedy_rollout
+from .agent import STATE_DIM, evaluate_policy, greedy_rollout
 from .baselines import BaselineKind, run_baseline_episode
 from .emodrl import ArchiveMember, EmodrlConfig, ParetoArchive, RunResult
 from .env import TRACE_DTYPE, DcbUplinkEnv, episode_objectives
-from .errors import StateError
+from .errors import ConfigError, StateError
 from .neural import QNetworkParams, load_params, save_params
 from .scenario import Scenario
 from .seeding import stream
@@ -100,9 +100,17 @@ def replay_policy(params: QNetworkParams, scenario: Scenario, seeds):
 
     Pass a ``Scenario.with_overrides`` variant of the training scenario to
     test portability: the state and action encodings do not depend on the
-    terminal count, so no re-shaping or retraining happens.
+    terminal count, so no re-shaping or retraining happens. The action
+    count K N_L + 1 does, so a network of another count is a ConfigError.
     """
-    return raw_objectives(evaluate_policy(params, DcbUplinkEnv(scenario), seeds))
+    env = DcbUplinkEnv(scenario)
+    for what, have, need in (
+        ("input width", params.input_dim, STATE_DIM),
+        ("action count", params.n_actions, env.n_actions),
+    ):
+        if have != need:
+            raise ConfigError(f"checkpoint {what} {have} does not match the scenario's {need}")
+    return raw_objectives(evaluate_policy(params, env, seeds))
 
 
 @dataclass

@@ -5,11 +5,15 @@ Q = V + A - mean(A); the mean subtraction removes the constant-shift
 ambiguity between the two heads without changing the argmax. Training
 minimizes the mean squared TD error on the combined Q.
 
-Each TD term reads one Q per row, so dL/dQ has one nonzero per row. The
-backward pass uses that: the advantage-head gradient is a rank-one fill
-of every column plus a scatter into the taken columns, and the hidden
-gradient gathers the B taken columns, instead of two dense
-(B, n_actions) products.
+Each TD term reads one Q per row, and the TD step uses that in both
+passes. Forward, Q(s, a) is the last hidden layer dotted with the taken
+advantage column (shifted by the value weight and the column mean) plus
+the matching biases, so no (B, n_actions) head product is formed.
+Backward, dL/dQ has one nonzero per row: the advantage-head gradient is
+a rank-one fill of every column plus a scatter into the taken columns,
+and the hidden gradient is the same gathered columns scaled by the
+residuals. Adam folds its two bias corrections into two scalars, so each
+entry takes one division.
 """
 
 from __future__ import annotations
@@ -80,8 +84,8 @@ def init_params(
     return params
 
 
-def _forward_full(params: QNetworkParams, x: np.ndarray):
-    # Bias, tanh and the mean subtraction work in place on fresh products.
+def _trunk(params: QNetworkParams, x: np.ndarray) -> list[np.ndarray]:
+    """Input then each tanh layer's output; bias and tanh work in place."""
     activations = [x]
     h = x
     for w, b in zip(params.trunk_weights, params.trunk_biases):
@@ -89,6 +93,12 @@ def _forward_full(params: QNetworkParams, x: np.ndarray):
         h += b
         np.tanh(h, out=h)
         activations.append(h)
+    return activations
+
+
+def _forward_full(params: QNetworkParams, x: np.ndarray):
+    activations = _trunk(params, x)
+    h = activations[-1]
     v = h @ params.value_weight                              # (B, 1)
     v += params.value_bias
     a = h @ params.adv_weight                                # (B, n_actions)
@@ -144,8 +154,20 @@ def backward(
     if grads is None:
         grads = QNetworkParams(params.sizes)
 
-    activations, _, _, q = _forward_full(params, x)
-    residual = q[np.arange(batch), acts] - y
+    # Q(s_i, a_i) = h_i . c_i + beta_i with c_i = adv_weight[:, a_i] +
+    # value_weight - mean_j adv_weight[:, j] and beta_i = value_bias +
+    # adv_bias[a_i] - mean(adv_bias): a gather of the B taken columns, so
+    # no (B, n_actions) product is formed.
+    activations = _trunk(params, x)
+    h_last = activations[-1]
+    shift = params.value_weight[:, 0] - np.add.reduce(params.adv_weight, axis=1) / n_actions
+    d_h = params.adv_weight.T[acts]
+    d_h += shift
+    beta = params.value_bias + params.adv_bias[acts]
+    beta -= np.add.reduce(params.adv_bias) / n_actions
+    residual = np.einsum("ij,ij->i", h_last, d_h)
+    residual += beta
+    residual -= y
     loss = 0.5 * float(residual @ residual) / batch
 
     # dL/dQ is r_i at (i, a_i) and zero elsewhere, with r = residual / B.
@@ -153,14 +175,13 @@ def backward(
     # dL/dA[i, j] = r_i ([j = a_i] - 1/n): a rank-one fill of every
     # advantage column plus a scatter into the taken ones.
     r = residual / batch
-    h_last = activations[-1]
     np.matmul(h_last.T, r[:, None], out=grads.value_weight)
     grads.value_bias[0] = r.sum()
-    np.divide(grads.value_weight, -n_actions, out=grads.adv_weight)
-    np.divide(grads.value_bias, -n_actions, out=grads.adv_bias)
+    grads.adv_weight[...] = grads.value_weight / -n_actions
+    grads.adv_bias[...] = grads.value_bias / -n_actions
     # Column a_i of adv_weight gains h_i r_i; in the flat row-major view
     # its cells are k n + a_i. np.add.at sums repeated actions. Both
-    # (B, H) operands are temporaries, freed before d_h is made.
+    # (B, H) operands are temporaries, freed before the trunk gradients.
     np.add.at(
         grads.adv_weight.reshape(-1),
         (acts[:, None] + n_actions * np.arange(h_last.shape[1])).reshape(-1),
@@ -168,11 +189,7 @@ def backward(
     )
     np.add.at(grads.adv_bias, acts, r)
 
-    # dL/dh_i = r_i (adv_weight[:, a_i] + value_weight - mean_j adv_weight[:, j]),
-    # a gather of the B taken columns.
-    shift = params.value_weight[:, 0] - np.add.reduce(params.adv_weight, axis=1) / n_actions
-    d_h = params.adv_weight.T[acts]
-    d_h += shift
+    # dL/dh_i = r_i c_i.
     d_h *= r[:, None]
     for layer in reversed(range(len(params.trunk_weights))):
         # tanh' = 1 - h^2, over the activation no later step reads; the
@@ -225,10 +242,16 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> QNetworkParams:
-    """Standard Adam update applied in place; returns the params."""
+    """Standard Adam update applied in place; returns the params.
+
+    The bias corrections fold into two scalars: with step = lr / (1 - b1^t)
+    and root = 1 / sqrt(1 - b2^t), the textbook
+    theta -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) becomes
+    theta -= step (m / (sqrt(v) root + eps)), one division per entry.
+    """
     state.step += 1
-    bias1 = 1.0 - beta1**state.step
-    bias2 = 1.0 - beta2**state.step
+    step = lr / (1.0 - beta1**state.step)
+    root = 1.0 / math.sqrt(1.0 - beta2**state.step)
     scratch = np.empty(min(_ADAM_BLOCK, params.flat.size))
     denom = np.empty_like(scratch)
     for start in range(0, params.flat.size, _ADAM_BLOCK):
@@ -236,9 +259,7 @@ def adam_step(
         theta, grad = params.flat[block], grads.flat[block]
         m, v = state.first_moment[block], state.second_moment[block]
         tmp, den = scratch[: theta.size], denom[: theta.size]
-        # The textbook expressions below, in their evaluation order:
-        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;
-        # theta -= (lr (m / bias1)) / (sqrt(v / bias2) + eps).
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g.
         m *= beta1
         np.multiply(1.0 - beta1, grad, out=tmp)
         m += tmp
@@ -246,12 +267,11 @@ def adam_step(
         np.multiply(1.0 - beta2, grad, out=tmp)
         tmp *= grad
         v += tmp
-        np.divide(m, bias1, out=tmp)
-        np.multiply(lr, tmp, out=tmp)
-        np.divide(v, bias2, out=den)
-        np.sqrt(den, out=den)
+        np.sqrt(v, out=den)
+        den *= root
         den += eps
-        tmp /= den
+        np.divide(m, den, out=tmp)
+        tmp *= step
         theta -= tmp
     return params
 

@@ -476,6 +476,22 @@ class TestTrainIteration:
         assert agent.grad_steps_done == 6
         assert peak - before < 2.0 * agent.params.flat.nbytes
 
+    @pytest.mark.parametrize("tensor", ["trunk_weights", "value_bias", "adv_bias"])
+    def test_non_finite_step_stops_before_the_update(self, tensor):
+        # A NaN anywhere in the params reaches the TD loss, so the first
+        # gradient step must stop before Adam touches params or moments.
+        env = DcbUplinkEnv(micro_scenario())
+        cfg = tiny_config(batch_size=4)
+        agent = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(8))
+        target = getattr(agent.params, tensor)
+        (target[0] if tensor == "trunk_weights" else target).reshape(-1)[-1] = np.nan
+        before = agent.params.flat.tobytes()
+        with pytest.raises(StateError, match=r"gradient step 1: TD loss nan"):
+            agent.train_iteration(env, np.array([0.5, 0.3, 0.2]))
+        assert agent.params.flat.tobytes() == before
+        assert agent.adam.step == agent.grad_steps_done == 0
+        assert not agent.adam.first_moment.any() and not agent.adam.second_moment.any()
+
     def test_clone_replay_is_independent(self):
         env = DcbUplinkEnv(micro_scenario())
         cfg = tiny_config(batch_size=4, replay_capacity=12)

@@ -284,6 +284,14 @@ class TestReplayPolicy:
         triple = replay_policy(frozen_policy, scenario, seeds=[1])
         assert triple == (0.0, 0.0, 0.0)
 
+    def test_network_of_another_shape_rejected(self, frozen_policy):
+        # The desk policy has 121 actions; micro has K N_L + 1 = 10.
+        with pytest.raises(ConfigError, match="checkpoint action count 121 does not match the scenario's 10"):
+            replay_policy(frozen_policy, micro_scenario(), seeds=[1])
+        wide = neural.init_params(3, (4,), frozen_policy.n_actions, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="checkpoint input width 3 does not match the scenario's 2"):
+            replay_policy(wide, desk_scenario(), seeds=[1])
+
 
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
@@ -477,6 +485,38 @@ class TestCli:
                   "--scenario", "micro", "--terminals", "-1"])
         assert exited.value.code == 2
         assert "n_terminals >= 1" in capsys.readouterr().err
+
+    def test_evaluate_rejects_a_checkpoint_of_another_action_count(
+        self, tmp_path, capsys, frozen_policy
+    ):
+        from leodcb.cli import main
+        from leodcb.neural import save_params
+
+        checkpoint = tmp_path / "desk_policy.npz"
+        save_params(checkpoint, frozen_policy)
+        with pytest.raises(SystemExit) as exited:
+            main(["evaluate", "--checkpoint", str(checkpoint), "--scenario", "micro"])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "leodcb evaluate: error: checkpoint action count 121 does not match the scenario's 10"
+        )
+
+    @pytest.mark.parametrize(
+        ("argv", "missing"),
+        [(["run", "--scenario", "{tmp}/nosuch.json"], "nosuch.json"),
+         (["evaluate", "--checkpoint", "{tmp}/nosuch.npz", "--scenario", "micro"], "nosuch.npz")],
+    )
+    def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys, argv, missing):
+        from leodcb.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"leodcb {argv[0]}: error: cannot read {tmp_path / missing}: No such file or directory"
+        )
 
     @pytest.mark.parametrize(
         ("argv", "constraint"),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import dense_backward, max_relative_error, numeric_gradients
+from oracles import batch_loss, dense_backward, max_relative_error, numeric_gradients
 
 from leodcb import neural
 from leodcb.errors import DomainError
@@ -85,8 +85,14 @@ class TestBackward:
         assert max_relative_error(analytic.flat, numeric) < 1e-4
 
     def test_zero_residual_gives_zero_gradient(self):
+        # With zero head weights both passes read Q as the same bias sums,
+        # so a target equal to forward's Q leaves an exactly zero residual.
         rng = np.random.default_rng(5)
         params = small_net(rng)
+        params.adv_bias[:] = rng.normal(size=params.n_actions)
+        params.value_bias[0] = rng.normal()
+        params.value_weight[:] = 0.0
+        params.adv_weight[:] = 0.0
         x = rng.normal(size=(3, 2))
         actions = np.array([0, 1, 2])
         _, _, q = forward(params, x)
@@ -94,6 +100,42 @@ class TestBackward:
         grads, loss = backward(params, x, actions, targets)
         assert loss == 0.0
         assert np.all(grads.flat == 0.0)
+
+    @pytest.mark.parametrize("draw", range(5))
+    def test_forward_q_as_target_gives_rounding_level_gradient(self, draw):
+        # With generic weights backward reads Q(s, a) in another summation
+        # order than forward, so each residual is rounding-sized: at most
+        # 1e-13 of max |Q|. The gradient is sum_i r_i J_i / B, with J_i the
+        # gradient of one row at unit residual, so it is bounded by that
+        # residual bound times mean_i |J_i|, entry by entry.
+        rng = np.random.default_rng(50 + draw)
+        params = small_net(rng, hidden=(6, 5), n_actions=4)
+        params.flat += 0.1 * rng.normal(size=params.flat.size)
+        x, actions, _ = random_batch(rng, params, size=5)
+        _, _, q = forward(params, x)
+        picked = q[np.arange(5), actions]
+        bound = 1e-13 * np.max(np.abs(q))
+        grads, loss = backward(params, x, actions, picked)
+        assert loss <= 0.5 * bound**2
+        per_row = [
+            backward(params, x[i : i + 1], actions[i : i + 1], picked[i : i + 1] - 1.0)[0].flat
+            for i in range(5)
+        ]
+        assert np.all(np.abs(grads.flat) <= bound * np.mean(np.abs(per_row), axis=0))
+
+    def test_no_full_forward_pass(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        params = small_net(rng, hidden=(6, 5), n_actions=7)
+        batch = random_batch(rng, params, size=9)
+        expected, expected_loss = backward(params, *batch)
+
+        def dense_head(*_):
+            raise AssertionError("backward formed the (batch, n_actions) head product")
+
+        monkeypatch.setattr(neural, "_forward_full", dense_head)
+        grads, loss = backward(params, *batch)
+        assert loss == expected_loss
+        assert grads.flat.tobytes() == expected.flat.tobytes()
 
     def test_gradient_linear_in_residual(self):
         rng = np.random.default_rng(6)
@@ -184,11 +226,13 @@ def oracle_batch(rng, params, batch, kind):
 
 
 class TestAgainstDenseOracle:
-    """The structured head gradient against the dense (B, n_actions) one.
+    """The structured TD step against the dense (B, n_actions) one.
 
     Tolerance: max |delta| / max |g| <= 1e-13 over the whole flat
-    gradient, and a bitwise-equal loss (both read the loss off the same
-    forward pass).
+    gradient, and a loss within 1e-13 relative. The loss is not bitwise
+    equal: ``backward`` reads Q(s, a) as a row-wise dot with the gathered
+    advantage columns, in another summation order than the dense head
+    product of the oracle and of ``forward``.
     """
 
     @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=["desk", "paper_like"])
@@ -202,10 +246,21 @@ class TestAgainstDenseOracle:
         x, actions, targets = oracle_batch(rng, params, batch, kind)
         grads, loss = backward(params, x, actions, targets)
         dense, dense_loss = dense_backward(params, x, actions, targets)
-        assert loss == dense_loss
+        assert loss == pytest.approx(dense_loss, rel=1e-13, abs=0.0)
         scale = np.max(np.abs(dense.flat))
         assert scale > 0.0
         assert np.max(np.abs(grads.flat - dense.flat)) / scale <= 1e-13
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=["desk", "paper_like"])
+    @pytest.mark.parametrize("kind", ACTION_KINDS)
+    def test_loss_matches_forward_pass_loss(self, shape, kind):
+        batch, hidden, n_actions = shape
+        rng = np.random.default_rng(3100)
+        params = init_params(2, hidden, n_actions, rng)
+        params.flat += 0.01 * rng.normal(size=params.flat.size)
+        x, actions, targets = oracle_batch(rng, params, batch, kind)
+        _, loss = backward(params, x, actions, targets)
+        assert loss == pytest.approx(batch_loss(params, x, actions, targets), rel=1e-13, abs=0.0)
 
 
 class TestAdam:
