@@ -144,9 +144,8 @@ def _evaluate_command(args) -> int:
 
 def _select_command(args) -> int:
     archive = load_archive(args.archive)
-    member = select_policy(archive, args.preference)
-    f1, f2, f3 = raw_objectives(member.objectives)
-    index = next(i for i, m in enumerate(archive.members) if m is member)
+    index = select_policy(archive, args.preference)
+    f1, f2, f3 = raw_objectives(archive.objectives[index])
     print(f"policy {index}: f1={f1:.4g} bps  f2={f2:.4g} J  f3={f3:.4g}")
     return 0
 
@@ -158,8 +157,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         # A bad setting is a usage error of its command: one message, exit 2.
         args.parser.error(str(exc))
-    except FileNotFoundError as exc:
-        # So is a missing input file (--scenario, --checkpoint, --archive).
+    except OSError as exc:
+        # So is an input file that cannot be opened (missing, a directory,
+        # not permitted): --scenario, --checkpoint, --archive.
+        if exc.filename is None:
+            raise
         args.parser.error(f"cannot read {exc.filename}: {exc.strerror}")
 
 

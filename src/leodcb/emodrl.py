@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,59 +65,48 @@ class LearningTask:
     agent: EnhancedD3qnAgent
     objectives: np.ndarray | None = None  # F(pi) after the last evaluation
 
-    def clone_with_weight(self, weight: np.ndarray) -> "LearningTask":
-        return LearningTask(
-            weight=np.array(weight, dtype=float),
-            agent=self.agent.clone(),
-            objectives=None if self.objectives is None else self.objectives.copy(),
-        )
 
-
-@dataclass(frozen=True, eq=False)
-class ArchiveMember:
-    params: QNetworkParams      # frozen snapshot, never trained further
-    objectives: np.ndarray      # (f1_bar, -f2_bar, -f3_bar)
-    weight: np.ndarray
-
-
+@dataclass(eq=False)
 class ParetoArchive:
-    """Mutually nondominated policy snapshots with distinct objectives."""
+    """Mutually nondominated policy snapshots with distinct objectives.
 
-    def __init__(self):
-        self.members: list[ArchiveMember] = []
+    Row i of ``objectives`` (the maximized F = (f1_bar, -f2_bar, -f3_bar))
+    and of ``weights`` belongs to ``params[i]``, a frozen snapshot that is
+    never trained further.
+    """
+
+    objectives: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    weights: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    params: list[QNetworkParams] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.objectives = np.asarray(self.objectives, dtype=float)
+        self.weights = np.asarray(self.weights, dtype=float)
+        if not self.objectives.shape == self.weights.shape == (len(self.params), 3):
+            raise DomainError("archive objectives and weights must be (n, 3) for n params")
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.params)
 
     def update(self, tasks) -> int:
-        """Insert each evaluated task unless dominated or equal to a member;
-        evict the dominated.
+        """Insert each evaluated task unless dominated by or equal to a row;
+        evict the rows it dominates.
 
         Returns the number of insertions.
         """
         added = 0
         for task in tasks:
-            candidate = np.asarray(task.objectives, dtype=float)
-            if any(
-                dominates(m.objectives, candidate) or np.array_equal(m.objectives, candidate)
-                for m in self.members
-            ):
+            f = np.asarray(task.objectives, dtype=float)
+            rows = self.objectives
+            if np.all(rows >= f, axis=1).any():
                 continue
-            self.members = [
-                m for m in self.members if not dominates(candidate, m.objectives)
-            ]
-            self.members.append(
-                ArchiveMember(
-                    params=task.agent.params.clone(),
-                    objectives=candidate.copy(),
-                    weight=np.array(task.weight, dtype=float),
-                )
-            )
+            keep = ~(np.all(f >= rows, axis=1) & np.any(f > rows, axis=1))
+            self.objectives = np.vstack([rows[keep], f])
+            self.weights = np.vstack([self.weights[keep], task.weight])
+            self.params = [p for p, kept in zip(self.params, keep) if kept]
+            self.params.append(task.agent.params.clone())
             added += 1
         return added
-
-    def objective_matrix(self) -> np.ndarray:
-        return np.stack([m.objectives for m in self.members])
 
 
 class PerformanceBufferBank:
@@ -128,8 +118,6 @@ class PerformanceBufferBank:
     """
 
     def __init__(self, buffer_count: int, buffer_size: int):
-        if buffer_count < 1 or buffer_size < 1:
-            raise ConfigError("buffer count and size must be >= 1")
         self.buffer_count = buffer_count
         self.buffer_size = buffer_size
         self.directions = np.stack(generate_weights(buffer_count))
@@ -175,8 +163,9 @@ def task_selection(
     objective_rows = np.stack([t.objectives for t in population])
     selected = []
     for w in weights:
-        best = int(np.argmax(objective_rows @ np.asarray(w, dtype=float)))
-        selected.append(population[best].clone_with_weight(w))
+        w = np.array(w, dtype=float)
+        best = int(np.argmax(objective_rows @ w))
+        selected.append(LearningTask(w, population[best].agent.clone(), objective_rows[best]))
     return selected
 
 
@@ -223,16 +212,18 @@ class EmodrlConfig:
     agent: AgentConfig = field(default_factory=AgentConfig)
 
     def __post_init__(self):
-        if self.n_tasks < 1:
-            raise ConfigError("n_tasks must be >= 1")
-        if min(self.t_warm, self.t_task) < 1 or self.t_evo < 0:
-            raise ConfigError("iteration counts must be positive (t_evo may be 0)")
-        if self.eval_episodes < 1:
-            raise ConfigError("eval_episodes must be >= 1")
+        for holds, constraint in (
+            (self.n_tasks >= 1, "n_tasks >= 1"),
+            (min(self.t_warm, self.t_task) >= 1, "t_warm, t_task >= 1"),
+            (self.t_evo >= 0, "t_evo >= 0"),
+            (min(self.buffer_count, self.buffer_size) >= 1, "buffer_count, buffer_size >= 1"),
+            (self.eval_episodes >= 1, "eval_episodes >= 1"),
+        ):
+            if not holds:
+                raise ConfigError(f"emodrl constraint violated: {constraint}")
 
 
-@dataclass
-class GenerationRecord:
+class GenerationRecord(NamedTuple):
     generation: int
     population_size: int
     archive_size: int
@@ -307,7 +298,7 @@ def run(env: DcbUplinkEnv, config: EmodrlConfig) -> RunResult:
     archive.update(tasks)
     records = [
         GenerationRecord(0, len(tasks), len(archive),
-                         hypervolume(archive.objective_matrix(), reference))
+                         hypervolume(archive.objectives, reference))
     ]
 
     population: list[LearningTask] = []
@@ -321,7 +312,7 @@ def run(env: DcbUplinkEnv, config: EmodrlConfig) -> RunResult:
         offspring = selected
         records.append(
             GenerationRecord(generation, len(population), len(archive),
-                             hypervolume(archive.objective_matrix(), reference))
+                             hypervolume(archive.objectives, reference))
         )
     return RunResult(
         archive=archive,

@@ -13,7 +13,7 @@ import numpy as np
 from . import emodrl, svgplot
 from .agent import STATE_DIM, evaluate_policy, greedy_rollout
 from .baselines import BaselineKind, run_baseline_episode
-from .emodrl import ArchiveMember, EmodrlConfig, ParetoArchive, RunResult
+from .emodrl import EmodrlConfig, GenerationRecord, ParetoArchive, RunResult
 from .env import TRACE_DTYPE, DcbUplinkEnv, episode_objectives
 from .errors import ConfigError, StateError
 from .neural import QNetworkParams, load_params, save_params
@@ -23,7 +23,7 @@ from .seeding import stream
 ARCHIVE_COLUMNS = (
     "policy", "f1_bps", "f2_joules", "f3_switches_per_slot", "w1", "w2", "w3", "checkpoint"
 )
-GENERATION_COLUMNS = ("generation", "population_size", "archive_size", "hypervolume")
+GENERATION_COLUMNS = GenerationRecord._fields
 
 PREFERENCE_WEIGHTS = {
     "favor-rate": np.array([1.0, 0.0, 0.0]),
@@ -51,33 +51,27 @@ def write_csv(path, columns, rows) -> None:
 
 
 def write_archive_csv(path, archive: ParetoArchive, checkpoint_paths) -> None:
-    rows = []
-    for i, member in enumerate(archive.members):
-        f1, f2, f3 = raw_objectives(member.objectives)
-        w = member.weight
-        rows.append((i, f1, f2, f3, w[0], w[1], w[2], checkpoint_paths[i]))
-    write_csv(path, ARCHIVE_COLUMNS, rows)
-
-
-def write_generation_log(path, records) -> None:
     rows = [
-        (r.generation, r.population_size, r.archive_size, r.hypervolume)
-        for r in records
+        (i, *raw_objectives(f), *w, checkpoint)
+        for i, (f, w, checkpoint) in enumerate(
+            zip(archive.objectives, archive.weights, checkpoint_paths, strict=True)
+        )
     ]
-    write_csv(path, GENERATION_COLUMNS, rows)
+    write_csv(path, ARCHIVE_COLUMNS, rows)
 
 
 def raw_objectives(f):
     """Back out (f1_bar bps, f2_bar J, f3_bar) from the maximized
-    F = (f1_bar, -f2_bar, -f3_bar)."""
+    F = (f1_bar, -f2_bar, -f3_bar); its own inverse, so also F from them."""
     # + 0.0 normalizes the negative zero produced by flipping a zero
     return float(f[0]), float(-f[1] + 0.0), float(-f[2] + 0.0)
 
 
-def select_policy(archive: ParetoArchive, preference) -> ArchiveMember:
-    """Archive member maximizing w . F for a weight vector or named tendency.
+def select_policy(archive: ParetoArchive, preference) -> int:
+    """Row of the archive maximizing w . F for a weight vector or named
+    tendency: the ``policy`` column of ``archive.csv``.
 
-    Ties break to the lowest archive index.
+    Ties break to the lowest row.
     """
     if len(archive) == 0:
         raise StateError("cannot select from an empty archive")
@@ -91,8 +85,7 @@ def select_policy(archive: ParetoArchive, preference) -> ArchiveMember:
             ) from None
     else:
         weight = np.asarray(preference, dtype=float)
-    scores = archive.objective_matrix() @ weight
-    return archive.members[int(np.argmax(scores))]
+    return int(np.argmax(archive.objectives @ weight))
 
 
 def replay_policy(params: QNetworkParams, scenario: Scenario, seeds):
@@ -125,15 +118,6 @@ class RunReport:
     svg_paths: list[str]
     checkpoints: list[str] = field(default_factory=list)
 
-    def all_files(self) -> list[str]:
-        return [
-            self.archive_csv,
-            self.generations_csv,
-            *self.trace_csvs.values(),
-            *self.svg_paths,
-            *self.checkpoints,
-        ]
-
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(dataclasses.asdict(self), indent=2) + "\n")
 
@@ -158,24 +142,24 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
     archive = result.archive
     try:
         checkpoints = []
-        for i, member in enumerate(archive.members):
+        for i, params in enumerate(archive.params):
             path = out / "checkpoints" / f"policy_{i:03d}.npz"
-            save_params(path, member.params)
+            save_params(path, params)
             checkpoints.append(str(path))
             emitted.append(str(path))
         archive_csv = out / "archive.csv"
         write_archive_csv(archive_csv, archive, checkpoints)
         emitted.append(str(archive_csv))
         generations_csv = out / "generations.csv"
-        write_generation_log(generations_csv, result.generations)
+        write_csv(generations_csv, GENERATION_COLUMNS, result.generations)
         emitted.append(str(generations_csv))
 
         episode_seed = int(stream(scenario.master_seed, "trace-episode").integers(2**31))
         traces: dict[str, np.ndarray] = {
             kind.value: run_baseline_episode(kind, env, episode_seed) for kind in BaselineKind
         }
-        favored = select_policy(archive, "favor-rate")
-        traces["ed3qn_favor_rate"] = greedy_rollout(favored.params, env, episode_seed)
+        favored = archive.params[select_policy(archive, "favor-rate")]
+        traces["ed3qn_favor_rate"] = greedy_rollout(favored, env, episode_seed)
 
         objectives: dict[str, tuple] = {}
         trace_csvs: dict[str, str] = {}
@@ -198,7 +182,7 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
         svgplot.plot_pareto_scatter(
             pareto_svg,
             {
-                "archive": [raw_objectives(m.objectives) for m in archive.members],
+                "archive": [raw_objectives(f) for f in archive.objectives],
                 "argp": [objectives["argp"]],
                 "random": [objectives["random"]],
             },
@@ -209,7 +193,7 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
         tendencies = ["favor-rate", "favor-energy", "favor-switching", "balanced"]
         bar_labels = ["argp"] + tendencies
         bar_triples = [objectives["argp"]] + [
-            raw_objectives(select_policy(archive, t).objectives) for t in tendencies
+            raw_objectives(archive.objectives[select_policy(archive, t)]) for t in tendencies
         ]
         svgplot.plot_objective_bars(
             bars_svg, bar_labels, bar_triples, "Objective values by policy"
@@ -237,18 +221,29 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
 
 
 def load_archive(archive_csv) -> ParetoArchive:
-    """Rebuild an archive from its CSV and the referenced checkpoints."""
-    archive = ParetoArchive()
-    lines = Path(archive_csv).read_text().strip().split("\n")
-    for line in lines[1:]:
+    """Rebuild an archive from its CSV and the referenced checkpoints.
+
+    A header other than ``ARCHIVE_COLUMNS``, a row of another length or a
+    field that is not a number is a ConfigError naming the file and line.
+    """
+    header, *lines = Path(archive_csv).read_text().strip().split("\n")
+    if header != ",".join(ARCHIVE_COLUMNS):
+        raise ConfigError(f"{archive_csv}:1: header is not {','.join(ARCHIVE_COLUMNS)}")
+    numbers, checkpoints = [], []
+    for line_no, line in enumerate(lines, start=2):
         fields = line.split(",")
-        f1, f2, f3 = (float(v) for v in fields[1:4])
-        weight = np.array([float(v) for v in fields[4:7]])
-        archive.members.append(
-            ArchiveMember(
-                params=load_params(fields[7]),
-                objectives=np.array([f1, -f2, -f3]),
-                weight=weight,
+        if len(fields) != len(ARCHIVE_COLUMNS):
+            raise ConfigError(
+                f"{archive_csv}:{line_no}: {len(fields)} fields, expected {len(ARCHIVE_COLUMNS)}"
             )
-        )
-    return archive
+        try:
+            numbers.append([float(v) for v in fields[:-1]])
+        except ValueError:
+            raise ConfigError(f"{archive_csv}:{line_no}: a field is not a number") from None
+        checkpoints.append(fields[-1])
+    table = np.array(numbers).reshape(-1, len(ARCHIVE_COLUMNS) - 1)
+    return ParetoArchive(
+        objectives=np.array([raw_objectives(f) for f in table[:, 1:4]]).reshape(-1, 3),
+        weights=table[:, 4:7],
+        params=[load_params(path) for path in checkpoints],
+    )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 FORMAT_VERSION = 1
 
@@ -62,9 +62,6 @@ class QNetworkParams:
 
     def clone(self) -> "QNetworkParams":
         return QNetworkParams(self.sizes, self.flat.copy())
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
 
 
 def init_params(
@@ -300,16 +297,28 @@ def save_params(path, params: QNetworkParams) -> None:
 
 
 def load_params(path) -> QNetworkParams:
-    with np.load(path) as archive:
-        data = dict(archive)
-    version = int(data["format_version"])
-    if version != FORMAT_VERSION:
-        raise DomainError(f"unsupported checkpoint version {version}")
-    layers = int(data["n_trunk_layers"])
-    widths = [data[f"trunk_w{i}"].shape[1] for i in range(layers)]
-    params = QNetworkParams((data["trunk_w0"].shape[0], *widths, data["adv_w"].shape[1]))
-    for key, tensor in _v1_tensors(params).items():
-        if data[key].shape != tensor.shape:
-            raise DomainError(f"checkpoint tensor {key} has shape {data[key].shape}")
-        tensor[...] = data[key]
+    """Read a ``save_params`` checkpoint. A file that is not an npz without
+    pickles, a missing v1 key or another format version is a ConfigError
+    naming ``path``; a tensor of the wrong shape is a DomainError."""
+    with open(path, "rb") as file:
+        try:
+            loaded = np.load(file)
+            data = dict(loaded) if isinstance(loaded, np.lib.npyio.NpzFile) else None
+        except ValueError:
+            data = None
+    if data is None:
+        raise ConfigError(f"checkpoint {path} is not an npz file without pickles")
+    try:
+        version = int(data["format_version"])
+        if version != FORMAT_VERSION:
+            raise ConfigError(f"checkpoint {path} has unsupported format version {version}")
+        layers = int(data["n_trunk_layers"])
+        widths = [data[f"trunk_w{i}"].shape[1] for i in range(layers)]
+        params = QNetworkParams((data["trunk_w0"].shape[0], *widths, data["adv_w"].shape[1]))
+        for key, tensor in _v1_tensors(params).items():
+            if data[key].shape != tensor.shape:
+                raise DomainError(f"checkpoint tensor {key} has shape {data[key].shape}")
+            tensor[...] = data[key]
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint {path} has no {exc.args[0]} entry") from None
     return params

@@ -2,9 +2,10 @@
 
 Everything here checks implementation paths from the outside: exhaustive
 grid search, projected gradient descent, finite differences, the dense
-head backward, brute-force dominance, TD targets from a per-batch
-forward, Kepler's third law, scalar per-point geometry against the
-env's array geometry, and running-sum objectives of an episode trace.
+head backward, brute-force dominance, a list-of-members Pareto archive,
+TD targets from a per-batch forward, Kepler's third law, scalar
+per-point geometry against the env's array geometry, and running-sum
+objectives of an episode trace.
 None of it calls the solver/gradient code it is used to verify.
 """
 
@@ -298,6 +299,31 @@ def brute_force_nondominated(points):
         if not any(dominates(q, p) for j, q in enumerate(points) if j != i):
             keep.append(tuple(p))
     return set(keep)
+
+
+class ListArchive:
+    """The Pareto archive as a list of (params, objectives, weight) members,
+    updated one member comparison at a time with ``dominates``: the
+    reference for ``emodrl.ParetoArchive``'s row-aligned arrays."""
+
+    def __init__(self):
+        self.members = []
+
+    def update(self, tasks) -> int:
+        added = 0
+        for task in tasks:
+            candidate = np.asarray(task.objectives, dtype=float)
+            if any(
+                dominates(f, candidate) or np.array_equal(f, candidate)
+                for _, f, _ in self.members
+            ):
+                continue
+            self.members = [m for m in self.members if not dominates(candidate, m[1])]
+            self.members.append(
+                (task.agent.params.clone(), candidate.copy(), np.array(task.weight, dtype=float))
+            )
+            added += 1
+        return added
 
 
 def assert_pairwise_nondominated(objective_rows):

@@ -283,7 +283,7 @@ def test_criterion_6_micro_mdp_optimality():
 
 def test_criterion_7_archive_soundness_and_monotonicity(desk_run_cache):
     scenario, result, run_seconds = desk_run_cache(DESK_SEEDS[0])
-    assert_pairwise_nondominated([m.objectives for m in result.archive.members])
+    assert_pairwise_nondominated(result.archive.objectives)
     volumes = [g.hypervolume for g in result.generations]
     monotone = all(b >= a - 1e-12 for a, b in zip(volumes, volumes[1:]))
     _report(
@@ -301,18 +301,14 @@ class DuplicateKeepingArchive(emodrl.ParetoArchive):
         added = 0
         for task in tasks:
             candidate = np.asarray(task.objectives, dtype=float)
-            if any(emodrl.dominates(m.objectives, candidate) for m in self.members):
+            if any(emodrl.dominates(row, candidate) for row in self.objectives):
                 continue
-            self.members = [
-                m for m in self.members if not emodrl.dominates(candidate, m.objectives)
-            ]
-            self.members.append(
-                emodrl.ArchiveMember(
-                    params=task.agent.params.clone(),
-                    objectives=candidate.copy(),
-                    weight=np.array(task.weight, dtype=float),
-                )
-            )
+            keep = np.array([not emodrl.dominates(candidate, row) for row in self.objectives],
+                            dtype=bool)
+            self.objectives = np.vstack([self.objectives[keep], candidate])
+            self.weights = np.vstack([self.weights[keep], task.weight])
+            self.params = [p for p, kept in zip(self.params, keep) if kept]
+            self.params.append(task.agent.params.clone())
             added += 1
         return added
 
@@ -323,16 +319,17 @@ def test_skipping_equal_objectives_keeps_hypervolumes_and_favor_rate(
     scenario, result, _ = desk_run_cache(DESK_SEEDS[0])
     monkeypatch.setattr(emodrl, "ParetoArchive", DuplicateKeepingArchive)
     kept = emodrl.run(DcbUplinkEnv(scenario), desk_emodrl_config())
-    matrix = result.archive.objective_matrix()
+    matrix = result.archive.objectives
     assert len(np.unique(matrix, axis=0)) == len(matrix)
-    assert np.array_equal(np.unique(kept.archive.objective_matrix(), axis=0),
+    assert np.array_equal(np.unique(kept.archive.objectives, axis=0),
                           np.unique(matrix, axis=0))
     assert [g.hypervolume for g in result.generations] == [
         g.hypervolume for g in kept.generations
     ]
     ours, theirs = (select_policy(r.archive, "favor-rate") for r in (result, kept))
-    assert ours.objectives.tobytes() == theirs.objectives.tobytes()
-    assert np.array_equal(ours.params.flat, theirs.params.flat)
+    assert (result.archive.objectives[ours].tobytes()
+            == kept.archive.objectives[theirs].tobytes())
+    assert np.array_equal(result.archive.params[ours].flat, kept.archive.params[theirs].flat)
 
 
 def test_criterion_8_threshold_directionality():
@@ -348,12 +345,12 @@ def test_criterion_8_threshold_directionality():
     )
     env = DcbUplinkEnv(scenario)
     result = emodrl.run(env, config)
-    favored = select_policy(result.archive, "favor-rate")
+    favored = result.archive.params[select_policy(result.archive, "favor-rate")]
 
     episode_seed = int(stream(scenario.master_seed, "trace-episode").integers(2**31))
     argp = run_baseline_episode(BaselineKind.ARGP, env, episode_seed)
     non_dcb = run_baseline_episode(BaselineKind.NON_DCB, env, episode_seed)
-    policy = greedy_rollout(favored.params, env, episode_seed)
+    policy = greedy_rollout(favored, env, episode_seed)
 
     threshold = scenario.rate_threshold
     non_dcb_max = non_dcb["rate_bps"].max()
@@ -377,15 +374,15 @@ def test_criterion_9_near_optimal_rate_low_switching(desk_run_cache):
     for seed in DESK_SEEDS:
         scenario, result, run_seconds = desk_run_cache(seed)
         total_run_seconds += run_seconds
-        member = select_policy(result.archive, "favor-rate")
+        favored = result.archive.objectives[select_policy(result.archive, "favor-rate")]
         env = DcbUplinkEnv(scenario)
         argp = np.zeros(3)
         for eval_seed in result.eval_seeds:
             trace = run_baseline_episode(BaselineKind.ARGP, env, eval_seed)
             argp += episode_objectives(trace, scenario)
         argp /= len(result.eval_seeds)
-        ratio = member.objectives[0] / argp[0]
-        policy_f3 = -member.objectives[2]
+        ratio = favored[0] / argp[0]
+        policy_f3 = -favored[2]
         ok = ratio >= 0.7 and policy_f3 <= argp[2]
         outcomes.append(ok)
         print(
@@ -404,13 +401,13 @@ def test_criterion_10_terminal_count_portability(desk_run_cache):
     started = time.perf_counter()
     scenario, result, _ = desk_run_cache(DESK_SEEDS[0])
     tendencies = ["favor-rate", "favor-energy", "favor-switching", "balanced"]
-    members = {t: select_policy(result.archive, t) for t in tendencies}
+    policies = {t: result.archive.params[select_policy(result.archive, t)] for t in tendencies}
     replay_seeds = [7, 8]
     rates = {}
     for count in (8, 12):
         modified = scenario.with_overrides(n_terminals=count)
-        for tendency, member in members.items():
-            f1, _, _ = replay_policy(member.params, modified, replay_seeds)
+        for tendency, params in policies.items():
+            f1, _, _ = replay_policy(params, modified, replay_seeds)
             rates[(tendency, count)] = f1
     ordering_ok = all(
         rates[("favor-rate", count)] >= rates[(t, count)]

@@ -1,7 +1,9 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from oracles import ListArchive, brute_force_nondominated
 
 from leodcb import neural
 from leodcb.agent import AgentConfig
@@ -44,15 +46,6 @@ def stub_task(objectives, weight=(1 / 3, 1 / 3, 1 / 3)):
     )
 
 
-def brute_force_nondominated(points):
-    points = [np.asarray(p) for p in points]
-    keep = []
-    for i, p in enumerate(points):
-        if not any(dominates(q, p) for j, q in enumerate(points) if j != i):
-            keep.append(tuple(p))
-    return set(keep)
-
-
 def tiny_emodrl_config(**overrides):
     agent = AgentConfig(
         epsilon_decay_iters=None,
@@ -69,6 +62,29 @@ def tiny_emodrl_config(**overrides):
     )
     base.update(overrides)
     return EmodrlConfig(**base)
+
+
+class TestEmodrlConfig:
+    @pytest.mark.parametrize(
+        ("field", "value", "constraint"),
+        [
+            ("n_tasks", 0, "n_tasks >= 1"),
+            ("t_warm", 0, "t_warm, t_task >= 1"),
+            ("t_task", 0, "t_warm, t_task >= 1"),
+            ("t_evo", -1, "t_evo >= 0"),
+            ("buffer_count", 0, "buffer_count, buffer_size >= 1"),
+            ("buffer_size", 0, "buffer_count, buffer_size >= 1"),
+            ("eval_episodes", 0, "eval_episodes >= 1"),
+        ],
+    )
+    def test_named_constraint_violated(self, field, value, constraint):
+        message = f"emodrl constraint violated: {re.escape(constraint)}"
+        with pytest.raises(ConfigError, match=message):
+            EmodrlConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        EmodrlConfig(n_tasks=1, t_warm=1, t_task=1, t_evo=0, buffer_count=1, buffer_size=1,
+                     eval_episodes=1)
 
 
 class TestGenerateWeights:
@@ -125,7 +141,7 @@ class TestArchive:
         archive = ParetoArchive()
         archive.update([stub_task([1, 1, 1]), stub_task([0.5, 2, 1])])
         archive.update([stub_task([2, 2, 2])])
-        objectives = {tuple(m.objectives) for m in archive.members}
+        objectives = {tuple(f) for f in archive.objectives}
         assert (1.0, 1.0, 1.0) not in objectives
         assert (2.0, 2.0, 2.0) in objectives
         assert (0.5, 2.0, 1.0) not in objectives  # dominated by (2,2,2)
@@ -135,8 +151,8 @@ class TestArchive:
         first = stub_task([1, 2, 3])
         assert archive.update([first, stub_task([1, 2, 3]), stub_task([3, 2, 1])]) == 2
         assert archive.update([stub_task([1.0, 2.0, 3.0])]) == 0
-        assert [tuple(m.objectives) for m in archive.members] == [(1, 2, 3), (3, 2, 1)]
-        assert np.array_equal(archive.members[0].params.flat, first.agent.params.flat)
+        assert [tuple(f) for f in archive.objectives] == [(1, 2, 3), (3, 2, 1)]
+        assert np.array_equal(archive.params[0].flat, first.agent.params.flat)
 
     def test_random_stream_matches_brute_force(self):
         rng = np.random.default_rng(42)
@@ -144,20 +160,58 @@ class TestArchive:
         archive = ParetoArchive()
         for p in stream_points:
             archive.update([stub_task(p)])
-        archived = {tuple(m.objectives) for m in archive.members}
+        archived = {tuple(f) for f in archive.objectives}
         assert archived == brute_force_nondominated(stream_points)
-        for i, a in enumerate(archive.members):
-            for j, b in enumerate(archive.members):
+        for i, a in enumerate(archive.objectives):
+            for j, b in enumerate(archive.objectives):
                 if i != j:
-                    assert not dominates(a.objectives, b.objectives)
+                    assert not dominates(a, b)
+
+    def test_empty_by_default_and_rows_must_align(self):
+        archive = ParetoArchive()
+        assert archive.objectives.shape == archive.weights.shape == (0, 3)
+        assert archive.params == [] and len(archive) == 0
+        with pytest.raises(DomainError):
+            ParetoArchive(objectives=np.zeros((1, 3)), weights=np.zeros((1, 3)))
+        with pytest.raises(DomainError):
+            ParetoArchive(objectives=np.zeros((1, 2)), weights=np.zeros((1, 2)),
+                          params=[_StubAgent().params])
+
+    def test_matches_list_archive_on_streams_with_ties_and_nan(self):
+        # Objectives on a coarse grid give exact ties, equal rows and
+        # partial dominance; one NaN row per stream is never dominated and
+        # never dominates. Each task carries its own params, so the order
+        # of the kept snapshots is checked too.
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            points = rng.integers(0, 4, size=(40, 3)).astype(float)
+            points[rng.integers(40)] = [np.nan, 1.0, 2.0]
+            tasks = []
+            for k, f in enumerate(points):
+                task = stub_task(f, weight=rng.dirichlet(np.ones(3)))
+                task.agent.params = neural.QNetworkParams((2, 3, 2))
+                task.agent.params.flat[:] = k
+                tasks.append(task)
+            archive, oracle = ParetoArchive(), ListArchive()
+            cuts = np.sort(rng.choice(np.arange(1, 40), size=6, replace=False))
+            for chunk in np.split(np.arange(40), cuts):
+                batch = [tasks[i] for i in chunk]
+                assert archive.update(batch) == oracle.update(batch)
+                assert len(archive) == len(oracle.members)
+                members = oracle.members
+                assert archive.objectives.tobytes() == np.reshape(
+                    [f for _, f, _ in members], (-1, 3)).tobytes()
+                assert archive.weights.tobytes() == np.reshape(
+                    [w for _, _, w in members], (-1, 3)).tobytes()
+                assert [q.flat[0] for q in archive.params] == [q.flat[0] for q, _, _ in members]
+            assert all(q is not t.agent.params for q in archive.params for t in tasks)
 
     def test_snapshots_frozen_against_later_training(self):
         archive = ParetoArchive()
         task = stub_task([1, 1, 1])
         archive.update([task])
         task.agent.params.trunk_weights[0][:] = 123.0
-        member = archive.members[0]
-        assert not np.any(member.params.trunk_weights[0] == 123.0)
+        assert not np.any(archive.params[0].trunk_weights[0] == 123.0)
 
 
 class TestBufferBank:
@@ -282,10 +336,10 @@ class TestRun:
         result = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config())
         archive = result.archive
         assert len(archive) >= 1
-        for i, a in enumerate(archive.members):
-            for j, b in enumerate(archive.members):
+        for i, a in enumerate(archive.objectives):
+            for j, b in enumerate(archive.objectives):
                 if i != j:
-                    assert not dominates(a.objectives, b.objectives)
+                    assert not dominates(a, b)
         volumes = [g.hypervolume for g in result.generations]
         assert all(b >= a - 1e-12 for a, b in zip(volumes, volumes[1:]))
         for record in result.generations:
@@ -295,16 +349,16 @@ class TestRun:
     def test_reproducible_from_master_seed(self):
         first = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config())
         second = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config())
-        assert np.array_equal(first.archive.objective_matrix(), second.archive.objective_matrix())
+        assert np.array_equal(first.archive.objectives, second.archive.objectives)
         assert [g.hypervolume for g in first.generations] == [
             g.hypervolume for g in second.generations
         ]
 
     def test_live_task_weights_on_strict_simplex(self):
         result = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config())
-        for member in result.archive.members:
-            assert np.all(member.weight > 0)
-            assert member.weight.sum() == pytest.approx(1.0, abs=1e-9)
+        for weight in result.archive.weights:
+            assert np.all(weight > 0)
+            assert weight.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_one_env_serves_every_task_and_the_evaluation(self, monkeypatch):
         env = DcbUplinkEnv(micro_scenario())
@@ -330,6 +384,4 @@ class TestRun:
         other = dataclasses.replace(base, master_seed=base.master_seed + 1)
         first = run(DcbUplinkEnv(base), tiny_emodrl_config())
         second = run(DcbUplinkEnv(other), tiny_emodrl_config())
-        assert not np.array_equal(
-            first.archive.objective_matrix(), second.archive.objective_matrix()
-        )
+        assert not np.array_equal(first.archive.objectives, second.archive.objectives)

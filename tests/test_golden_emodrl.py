@@ -50,7 +50,7 @@ def digests() -> dict:
     return {
         "archive_size": len(result.archive),
         "generations": len(result.generations),
-        "objectives_sha256": sha256(result.archive.objective_matrix()),
+        "objectives_sha256": sha256(result.archive.objectives),
         "hypervolumes_sha256": sha256([g.hypervolume for g in result.generations]),
     }
 

@@ -13,11 +13,12 @@ import leodcb
 from leodcb import neural
 from leodcb.agent import AgentConfig
 from leodcb.baselines import BaselineKind, run_baseline_episode
-from leodcb.emodrl import ArchiveMember, EmodrlConfig, ParetoArchive, dominates
+from leodcb.emodrl import EmodrlConfig, ParetoArchive, dominates
 from leodcb.env import TRACE_DTYPE, DcbUplinkEnv
 from leodcb.errors import ConfigError, DomainError, StateError
 from leodcb.harness import (
     load_archive,
+    raw_objectives,
     replay_policy,
     run_experiment,
     select_policy,
@@ -223,29 +224,30 @@ class TestTraceGolden:
 class TestSelectPolicy:
     def _archive(self, objective_rows):
         params = neural.init_params(2, (4,), 3, np.random.default_rng(0))
-        archive = ParetoArchive()
-        for row in objective_rows:
-            archive.members.append(
-                ArchiveMember(params=params, objectives=np.asarray(row, float),
-                              weight=np.array([1 / 3, 1 / 3, 1 / 3]))
-            )
-        return archive
+        return ParetoArchive(
+            objectives=objective_rows,
+            weights=np.full((len(objective_rows), 3), 1 / 3),
+            params=[params] * len(objective_rows),
+        )
 
     def test_favor_rate_returns_max_f1(self):
         archive = self._archive([[1.0, -5.0, 0.0], [3.0, -9.0, -1.0], [2.0, -1.0, 0.0]])
-        member = select_policy(archive, "favor-rate")
-        assert member.objectives[0] == 3.0
+        assert select_policy(archive, "favor-rate") == 1
 
     def test_singleton_archive_for_every_preference(self):
         archive = self._archive([[1.0, -2.0, -0.5]])
         for preference in ("favor-rate", "favor-energy", "favor-switching", "balanced"):
-            assert select_policy(archive, preference) is archive.members[0]
+            assert select_policy(archive, preference) == 0
+
+    def test_ties_break_to_the_lowest_row(self):
+        archive = self._archive([[1.0, -5.0, 0.0], [3.0, -9.0, -1.0], [3.0, -1.0, 0.0]])
+        assert select_policy(archive, [1.0, 0.0, 0.0]) == 1
 
     def test_balanced_invariant_to_positive_rescaling(self):
         rows = [[1.0, -5.0, 0.0], [3.0, -9.0, -1.0], [2.0, -1.0, 0.0]]
         base = select_policy(self._archive(rows), "balanced")
         scaled = select_policy(self._archive([[6 * v for v in r] for r in rows]), "balanced")
-        assert np.array_equal(scaled.objectives, 6 * base.objectives)
+        assert base == scaled == 2
 
     def test_empty_archive_rejected(self):
         with pytest.raises(StateError):
@@ -302,16 +304,23 @@ def report(tmp_path_factory):
 class TestRunExperiment:
 
     def test_report_lists_exactly_emitted_files(self, report):
-        for path in report.all_files():
+        emitted = [
+            report.archive_csv,
+            report.generations_csv,
+            *report.trace_csvs.values(),
+            *report.svg_paths,
+            *report.checkpoints,
+        ]
+        for path in emitted:
             assert Path(path).exists(), path
         assert Path(report.out_dir, "report.json").exists()
 
     def test_archive_rows_pairwise_nondominated(self, report):
         archive = load_archive(report.archive_csv)
-        for i, a in enumerate(archive.members):
-            for j, b in enumerate(archive.members):
+        for i, a in enumerate(archive.objectives):
+            for j, b in enumerate(archive.objectives):
                 if i != j:
-                    assert not dominates(a.objectives, b.objectives)
+                    assert not dominates(a, b)
 
     def test_generation_log_schema(self, report):
         header = Path(report.generations_csv).read_text().splitlines()[0]
@@ -352,6 +361,31 @@ class TestRunExperiment:
             text = Path(path).read_text()
             assert text.startswith("<svg")
             assert text.rstrip().endswith("</svg>")
+
+
+class TestLoadArchive:
+    def test_round_trip(self, report):
+        archive = load_archive(report.archive_csv)
+        lines = Path(report.archive_csv).read_text().splitlines()
+        assert len(archive) == len(lines) - 1 == len(report.checkpoints)
+        for f, w, params, line in zip(archive.objectives, archive.weights, archive.params,
+                                      lines[1:]):
+            fields = line.split(",")
+            assert [*raw_objectives(f), *w] == [float(v) for v in fields[1:7]]
+            assert params.flat.tobytes() == neural.load_params(fields[7]).flat.tobytes()
+
+    @pytest.mark.parametrize(
+        ("edit", "where", "what"),
+        [(lambda lines: ["policy,f1_bps", *lines[1:]], 1, "header is not policy,f1_bps,"),
+         (lambda lines: [lines[0], lines[1] + ",extra"], 2, "9 fields, expected 8"),
+         (lambda lines: [lines[0], lines[1].replace(",", ",x", 1)], 2, "a field is not a number")],
+    )
+    def test_malformed_csv_names_file_and_line(self, report, tmp_path, edit, where, what):
+        lines = Path(report.archive_csv).read_text().splitlines()
+        path = tmp_path / "archive.csv"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:{where}: {what}")):
+            load_archive(path)
 
 
 class TestPartialManifest:
@@ -441,10 +475,8 @@ class TestCli:
         )
         checkpoint = tmp_path / "policy.npz"
         save_params(checkpoint, params)
-        archive = ParetoArchive()
-        archive.members.append(
-            ArchiveMember(params=params, objectives=np.array([1.0, -1.0, -0.5]),
-                          weight=np.full(3, 1.0 / 3.0))
+        archive = ParetoArchive(
+            objectives=[[1.0, -1.0, -0.5]], weights=np.full((1, 3), 1 / 3), params=[params]
         )
         write_archive_csv(tmp_path / "archive.csv", archive, [str(checkpoint)])
         with pytest.raises(SystemExit) as exited:
@@ -516,6 +548,52 @@ class TestCli:
         assert "Traceback" not in err
         assert err.splitlines()[-1] == (
             f"leodcb {argv[0]}: error: cannot read {tmp_path / missing}: No such file or directory"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--scenario", "{dir}"],
+         ["evaluate", "--checkpoint", "{dir}", "--scenario", "micro"],
+         ["select", "--archive", "{dir}"]],
+    )
+    def test_directory_as_input_file_is_a_usage_error(self, tmp_path, capsys, argv):
+        from leodcb.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main([arg.format(dir=tmp_path) for arg in argv])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"leodcb {argv[0]}: error: cannot read {tmp_path}: Is a directory"
+        )
+
+    def test_checkpoint_that_is_not_an_npz_is_a_usage_error(self, tmp_path, capsys):
+        from leodcb.cli import main
+
+        checkpoint = tmp_path / "bad.npz"
+        checkpoint.write_text("{}")
+        with pytest.raises(SystemExit) as exited:
+            main(["evaluate", "--checkpoint", str(checkpoint), "--scenario", "micro"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"leodcb evaluate: error: checkpoint {checkpoint} is not an npz file without pickles"
+        )
+
+    def test_archive_with_a_bad_header_is_a_usage_error(self, tmp_path, capsys):
+        from leodcb.cli import main
+
+        archive_csv = tmp_path / "archive.csv"
+        archive_csv.write_text("generation,population_size,archive_size,hypervolume\n0,2,1,1.0\n")
+        with pytest.raises(SystemExit) as exited:
+            main(["select", "--archive", str(archive_csv)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            f"leodcb select: error: {archive_csv}:1: header is not policy,f1_bps,"
         )
 
     @pytest.mark.parametrize(

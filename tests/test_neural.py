@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from oracles import batch_loss, dense_backward, max_relative_error, numeric_gradients
 
 from leodcb import neural
-from leodcb.errors import DomainError
+from leodcb.errors import ConfigError, DomainError
 from leodcb.neural import (
     QNetworkParams,
     adam_step,
@@ -332,7 +334,7 @@ class TestClipping:
             grads, _ = backward(params, x, actions, targets)
             clip_gradients(grads, max_norm=10.0)
             adam_step(params, grads, state, lr=1e-2)
-        assert params.all_finite()
+        assert np.isfinite(params.flat).all()
 
 
 class TestSerialization:
@@ -365,6 +367,37 @@ class TestSerialization:
         payload["adv_b"] = payload["adv_b"][:1]
         np.savez(path, **payload)
         with pytest.raises(DomainError):
+            load_params(path)
+
+
+    def test_file_that_is_not_an_npz_rejected(self, tmp_path):
+        path = tmp_path / "net.npz"
+        path.write_text("{}")
+        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))} is not an npz"):
+            load_params(path)
+        np.save(tmp_path / "array.npy", np.zeros((2, 2)))
+        with pytest.raises(ConfigError, match="is not an npz"):
+            load_params(tmp_path / "array.npy")
+
+    @pytest.mark.parametrize("key", ["format_version", "n_trunk_layers", "trunk_w1", "adv_b"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        path = tmp_path / "net.npz"
+        save_params(path, init_params(2, (6, 5), 4, np.random.default_rng(16)))
+        with np.load(path) as data:
+            payload = dict(data)
+        del payload[key]
+        np.savez(path, **payload)
+        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))} has no {key}"):
+            load_params(path)
+
+    def test_other_format_version_rejected(self, tmp_path):
+        path = tmp_path / "net.npz"
+        save_params(path, init_params(2, (6,), 4, np.random.default_rng(16)))
+        with np.load(path) as data:
+            payload = dict(data)
+        payload["format_version"] = np.array(2)
+        np.savez(path, **payload)
+        with pytest.raises(ConfigError, match="has unsupported format version 2"):
             load_params(path)
 
 
