@@ -134,7 +134,7 @@ def select_action(
 
 
 def target_table(
-    target_params: QNetworkParams,
+    params: QNetworkParams,
     encodings: np.ndarray,
     n_satellites: int,
     chunk: int,
@@ -147,7 +147,7 @@ def target_table(
     """
     table = np.empty((len(encodings), n_satellites + 1))
     for start in range(0, len(encodings), chunk):
-        _, _, q = neural.forward(target_params, encodings[start : start + chunk])
+        _, _, q = neural.forward(params, encodings[start : start + chunk])
         rows = table[start : start + chunk]
         q[:, :-1].reshape(len(q), -1, n_satellites).max(axis=1, out=rows[:, :-1])
         rows[:, -1] = q[:, -1]
@@ -176,15 +176,15 @@ def td_targets(
 class EnhancedD3qnAgent:
     """One learning task's policy carrier: network, target, replay, Adam.
 
-    ``target_q`` is the ``target_table`` of ``target_params`` over the
-    states of the env last trained on. It is built at the first TD target
-    after creation, a target sync, or a change to an env of another state
-    space, and is None until then.
+    The target network is ``target_q``: the ``target_table`` of ``params``
+    over the env last trained on, built at the first TD target after
+    creation, a target sync (which drops it) or a change of state space,
+    and None until then. Adam runs after each build, so the table is the
+    frozen copy; a change of state space mid-period re-syncs the target.
     """
 
     config: AgentConfig
     params: QNetworkParams
-    target_params: QNetworkParams
     adam: AdamState
     replay: ReplayBuffer
     rng: np.random.Generator
@@ -199,7 +199,6 @@ class EnhancedD3qnAgent:
         return cls(
             config=config,
             params=params,
-            target_params=params.clone(),
             adam=neural.init_adam(params),
             replay=ReplayBuffer(config.replay_capacity),
             rng=rng,
@@ -217,7 +216,6 @@ class EnhancedD3qnAgent:
         return EnhancedD3qnAgent(
             config=self.config,
             params=self.params.clone(),
-            target_params=self.target_params.clone(),
             adam=self.adam.clone(),
             replay=self.replay.copy(),
             rng=np.random.default_rng(int(self.rng.integers(2**63))),
@@ -257,8 +255,7 @@ class EnhancedD3qnAgent:
             batch = self.replay.sample(cfg.batch_size, self.rng)
             if self.target_q is None or self.target_q.shape != table_shape:
                 self.target_q = target_table(
-                    self.target_params, env.state_encodings, env.n_satellites,
-                    cfg.batch_size,
+                    self.params, env.state_encodings, env.n_satellites, cfg.batch_size
                 )
             targets = td_targets(batch, self.target_q, weight, cfg.gamma)
             _, self.last_loss = neural.backward(
@@ -274,7 +271,6 @@ class EnhancedD3qnAgent:
             neural.adam_step(self.params, grads, self.adam, cfg.learning_rate)
             self.grad_steps_done += 1
             if self.grad_steps_done % cfg.target_sync_period == 0:
-                self.target_params.flat[:] = self.params.flat
                 self.target_q = None
         self.iteration += 1
 

@@ -108,8 +108,8 @@ def _run_command(args) -> int:
         if value is not None:
             config = dataclasses.replace(config, **{name: value})
     config = dataclasses.replace(config, agent=agent_cfg)
-    out_dir = args.out or _default_out()
-    report = run_experiment(scenario, config, out_dir)
+    args.writing = True   # from here on an OSError is a failed write
+    report = run_experiment(scenario, config, args.out or _default_out())
     print(f"archive: {report.archive_csv}")
     for name, (f1, f2, f3) in report.objectives.items():
         print(f"{name}: f1={f1:.4g} bps  f2={f2:.4g} J  f3={f3:.4g}")
@@ -125,6 +125,7 @@ def _baseline_command(args) -> int:
     trace = run_baseline_episode(kind, DcbUplinkEnv(scenario), args.seed)
     f1, f2, f3 = episode_objectives(trace, scenario)
     print(f"{kind.value}: f1={f1:.4g} bps  f2={f2:.4g} J  f3={f3:.4g}")
+    args.writing = True
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / f"{kind.value}_seed{args.seed}.csv"
@@ -158,11 +159,13 @@ def main(argv=None) -> int:
         # A bad setting is a usage error of its command: one message, exit 2.
         args.parser.error(str(exc))
     except OSError as exc:
-        # So is an input file that cannot be opened (missing, a directory,
-        # not permitted): --scenario, --checkpoint, --archive.
+        # So is a file that cannot be opened (missing, a directory, not
+        # permitted): an input (--scenario, --checkpoint, --archive) or,
+        # once the command sets ``writing``, an output under --out.
         if exc.filename is None:
             raise
-        args.parser.error(f"cannot read {exc.filename}: {exc.strerror}")
+        verb = "write" if getattr(args, "writing", False) else "read"
+        args.parser.error(f"cannot {verb} {exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":

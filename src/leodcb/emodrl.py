@@ -41,11 +41,8 @@ def generate_weights(count: int, floor: float = 1e-3) -> list[np.ndarray]:
         for j in range(resolution - i + 1)
     ]
     picks = np.round(np.linspace(0, len(lattice) - 1, count)).astype(int)
-    out = []
-    for i in picks:
-        w = np.maximum(lattice[i], floor)
-        out.append(w / w.sum())
-    return out
+    clamped = [np.maximum(lattice[i], floor) for i in picks]
+    return [w / w.sum() for w in clamped]
 
 
 def dominates(fa: np.ndarray, fb: np.ndarray) -> bool:
@@ -240,9 +237,7 @@ class RunResult:
 def hypervolume_reference(scenario: Scenario) -> np.ndarray:
     """Fixed reference strictly dominated by any reachable objective vector."""
     margin = 1e-9
-    worst_energy = (
-        scenario.n_terminals * scenario.rf.p_max * scenario.slot_seconds
-    )
+    worst_energy = scenario.n_terminals * scenario.rf.p_max * scenario.slot_seconds
     return np.array([-margin, -worst_energy - margin, -1.0 - margin])
 
 
@@ -314,8 +309,4 @@ def run(env: DcbUplinkEnv, config: EmodrlConfig) -> RunResult:
             GenerationRecord(generation, len(population), len(archive),
                              hypervolume(archive.objectives, reference))
         )
-    return RunResult(
-        archive=archive,
-        generations=records,
-        eval_seeds=eval_seeds,
-    )
+    return RunResult(archive=archive, generations=records, eval_seeds=eval_seeds)

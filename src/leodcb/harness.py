@@ -36,9 +36,7 @@ PREFERENCE_WEIGHTS = {
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):   # bool is an int
         return str(int(value))
     # repr round-trips doubles exactly and is platform-stable
     return repr(float(value))
@@ -223,12 +221,14 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
 def load_archive(archive_csv) -> ParetoArchive:
     """Rebuild an archive from its CSV and the referenced checkpoints.
 
-    A header other than ``ARCHIVE_COLUMNS``, a row of another length or a
-    field that is not a number is a ConfigError naming the file and line.
+    A header other than ``ARCHIVE_COLUMNS``, no row, a row of another length
+    or a field that is not a number is a ConfigError naming the file and line.
     """
     header, *lines = Path(archive_csv).read_text().strip().split("\n")
     if header != ",".join(ARCHIVE_COLUMNS):
         raise ConfigError(f"{archive_csv}:1: header is not {','.join(ARCHIVE_COLUMNS)}")
+    if not lines:
+        raise ConfigError(f"{archive_csv}:2: no policy rows")
     numbers, checkpoints = [], []
     for line_no, line in enumerate(lines, start=2):
         fields = line.split(",")
@@ -241,9 +241,9 @@ def load_archive(archive_csv) -> ParetoArchive:
         except ValueError:
             raise ConfigError(f"{archive_csv}:{line_no}: a field is not a number") from None
         checkpoints.append(fields[-1])
-    table = np.array(numbers).reshape(-1, len(ARCHIVE_COLUMNS) - 1)
+    table = np.array(numbers)
     return ParetoArchive(
-        objectives=np.array([raw_objectives(f) for f in table[:, 1:4]]).reshape(-1, 3),
+        objectives=np.array([raw_objectives(f) for f in table[:, 1:4]]),
         weights=table[:, 4:7],
         params=[load_params(path) for path in checkpoints],
     )

@@ -18,6 +18,7 @@ entry takes one division.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,6 +123,14 @@ def forward(params: QNetworkParams, encoding: np.ndarray):
     return v[:, 0], a, q
 
 
+@functools.cache
+def _row_offsets(n_actions: int, width: int) -> np.ndarray:
+    """Flat index of each row's first cell in a (width, n_actions) matrix."""
+    offsets = n_actions * np.arange(width)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def backward(
     params: QNetworkParams,
     encodings: np.ndarray,
@@ -181,7 +190,7 @@ def backward(
     # (B, H) operands are temporaries, freed before the trunk gradients.
     np.add.at(
         grads.adv_weight.reshape(-1),
-        (acts[:, None] + n_actions * np.arange(h_last.shape[1])).reshape(-1),
+        (acts[:, None] + _row_offsets(n_actions, h_last.shape[1])).reshape(-1),
         (h_last * r[:, None]).reshape(-1),
     )
     np.add.at(grads.adv_bias, acts, r)

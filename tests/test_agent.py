@@ -293,10 +293,11 @@ def trained_desk_agent(seed, **overrides):
     return env, agent
 
 
-def rebuilt_table(agent, env):
+def table_of(params, env, agent):
+    """The target table ``agent`` builds from ``params`` on ``env``."""
     return target_table(
-        agent.target_params, env.state_encodings, env.n_satellites, agent.config.batch_size
-    )
+        params, env.state_encodings, env.n_satellites, agent.config.batch_size
+    ).tobytes()
 
 
 class TestTargetTableLifecycle:
@@ -312,7 +313,10 @@ class TestTargetTableLifecycle:
             return real_forward(p, encoding)
 
         monkeypatch.setattr(neural, "forward", counting_forward)
-        for _ in range(25):
+        for _ in range(20):
+            agent.train_iteration(env, np.full(3, 1 / 3))
+        synced = agent.params.clone()   # as they stood at the sync at step 200
+        for _ in range(5):
             agent.train_iteration(env, np.full(3, 1 / 3))
         assert agent.grad_steps_done == 250
         # Built at step 1 and after the syncs at steps 100 and 200.
@@ -320,32 +324,65 @@ class TestTargetTableLifecycle:
         assert len(batch_calls) == 3 * chunks
         assert sum(batch_calls) == 3 * len(env.state_encodings)
         monkeypatch.undo()
-        assert agent.target_q.tobytes() == rebuilt_table(agent, env).tobytes()
+        assert agent.target_q.tobytes() == table_of(synced, env, agent)
+        assert agent.target_q.tobytes() != table_of(agent.params, env, agent)
 
     def test_clone_table_equals_a_rebuild_from_its_target(self):
-        env, agent = trained_desk_agent(42, grad_steps_per_iteration=8)
+        env, agent = trained_desk_agent(
+            42, grad_steps_per_iteration=8, target_sync_period=96
+        )
+        initial = agent.params.clone()
         agent.train_iteration(env, np.full(3, 1 / 3))
         twin = agent.clone()
-        assert twin.target_q.tobytes() == rebuilt_table(twin, env).tobytes()
+        assert twin.target_q is agent.target_q
+        assert twin.target_q.tobytes() == table_of(initial, env, twin)
         kept = agent.target_q.tobytes()
-        for _ in range(15):   # past the twin's sync at step 100
+        for _ in range(11):   # up to the twin's sync at step 96
             twin.train_iteration(env, np.full(3, 1 / 3))
-        assert twin.grad_steps_done > 100
+        assert twin.grad_steps_done == 96 and twin.target_q is None
+        synced = twin.params.clone()
+        for _ in range(4):
+            twin.train_iteration(env, np.full(3, 1 / 3))
         assert agent.target_q.tobytes() == kept
-        assert twin.target_q.tobytes() == rebuilt_table(twin, env).tobytes()
+        assert twin.target_q.tobytes() == table_of(synced, env, twin)
 
     def test_other_state_space_forces_a_rebuild(self):
         env, agent = trained_desk_agent(45, grad_steps_per_iteration=4)
+        initial = agent.params.clone()
         agent.train_iteration(env, np.full(3, 1 / 3))
         longer = DcbUplinkEnv(dataclasses.replace(desk_scenario(), n_slots=40))
         same = DcbUplinkEnv(desk_scenario())
         built = agent.target_q
         agent.train_iteration(same, np.full(3, 1 / 3))
         assert agent.target_q is built
+        current = agent.params.clone()
         agent.train_iteration(longer, np.full(3, 1 / 3))
         assert agent.grad_steps_done == 12
         assert agent.target_q.shape == (41 * 13, 13)
-        assert agent.target_q.tobytes() == rebuilt_table(agent, longer).tobytes()
+        # Mid-period, so the rebuild re-syncs the target to the params it
+        # meets, not to those of the last sync.
+        assert agent.target_q.tobytes() == table_of(current, longer, agent)
+        assert agent.target_q.tobytes() != table_of(initial, longer, agent)
+
+    def test_table_after_a_sync_is_that_steps_adam_update(self, monkeypatch):
+        env, agent = trained_desk_agent(
+            46, grad_steps_per_iteration=4, target_sync_period=3
+        )
+        updated = []
+        real_adam_step = neural.adam_step
+
+        def recording_adam_step(params, *args):
+            real_adam_step(params, *args)
+            updated.append(params.clone())
+
+        monkeypatch.setattr(neural, "adam_step", recording_adam_step)
+        for _ in range(2):
+            agent.train_iteration(env, np.full(3, 1 / 3))
+        # Syncs at steps 3 and 6; the table of step 7 on comes from the
+        # params that step 6's Adam update left.
+        assert agent.grad_steps_done == 8
+        assert agent.target_q.tobytes() == table_of(updated[5], env, agent)
+        assert agent.target_q.tobytes() != table_of(updated[6], env, agent)
 
 
 class TestReplayBuffer:
@@ -403,12 +440,21 @@ class TestTrainIteration:
 
     def test_target_sync_period(self):
         env = DcbUplinkEnv(micro_scenario())
-        cfg = tiny_config(batch_size=4, target_sync_period=4, grad_steps_per_iteration=4)
+        cfg = tiny_config(batch_size=4, target_sync_period=4, grad_steps_per_iteration=2)
         agent = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(2))
-        agent.train_iteration(env, np.array([0.4, 0.3, 0.3]))
-        assert agent.grad_steps_done == 4
-        # Hard copy happened exactly at the sync boundary.
-        assert np.array_equal(agent.target_params.flat, agent.params.flat)
+        initial = agent.params.clone()
+        weight = np.array([0.4, 0.3, 0.3])
+        agent.train_iteration(env, weight)
+        assert agent.grad_steps_done == 2
+        assert agent.target_q.tobytes() == table_of(initial, env, agent)
+        agent.train_iteration(env, weight)
+        # The sync happened exactly at the boundary: it dropped the table,
+        # and the next build takes the params as they stand after step 4.
+        assert agent.grad_steps_done == 4 and agent.target_q is None
+        synced = agent.params.clone()
+        agent.train_iteration(env, weight)
+        assert agent.target_q.tobytes() == table_of(synced, env, agent)
+        assert agent.target_q.tobytes() != table_of(initial, env, agent)
 
     def test_epsilon_linear_decay(self):
         env = DcbUplinkEnv(micro_scenario())

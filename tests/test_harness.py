@@ -17,6 +17,7 @@ from leodcb.emodrl import EmodrlConfig, ParetoArchive, dominates
 from leodcb.env import TRACE_DTYPE, DcbUplinkEnv
 from leodcb.errors import ConfigError, DomainError, StateError
 from leodcb.harness import (
+    ARCHIVE_COLUMNS,
     load_archive,
     raw_objectives,
     replay_policy,
@@ -377,6 +378,7 @@ class TestLoadArchive:
     @pytest.mark.parametrize(
         ("edit", "where", "what"),
         [(lambda lines: ["policy,f1_bps", *lines[1:]], 1, "header is not policy,f1_bps,"),
+         (lambda lines: lines[:1], 2, "no policy rows"),
          (lambda lines: [lines[0], lines[1] + ",extra"], 2, "9 fields, expected 8"),
          (lambda lines: [lines[0], lines[1].replace(",", ",x", 1)], 2, "a field is not a number")],
     )
@@ -566,6 +568,39 @@ class TestCli:
         assert "Traceback" not in err
         assert err.splitlines()[-1] == (
             f"leodcb {argv[0]}: error: cannot read {tmp_path}: Is a directory"
+        )
+
+    @pytest.mark.parametrize(
+        ("argv", "failed"),
+        [(["baseline", "--kind", "argp", "--scenario", "micro", "--out", "{file}/sub"], "sub"),
+         (["run", "--scenario", "micro", "--out", "{file}/sub"], "sub/checkpoints")],
+    )
+    def test_unwritable_output_path_is_a_usage_error(self, tmp_path, capsys, argv, failed):
+        from leodcb.cli import main
+
+        file = tmp_path / "file"
+        file.write_text("")
+        with pytest.raises(SystemExit) as exited:
+            main([arg.format(file=file) for arg in argv])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"leodcb {argv[0]}: error: cannot write {file}/{failed}: Not a directory"
+        )
+
+    def test_archive_with_no_rows_is_a_usage_error(self, tmp_path, capsys):
+        from leodcb.cli import main
+
+        archive_csv = tmp_path / "archive.csv"
+        archive_csv.write_text(",".join(ARCHIVE_COLUMNS) + "\n")
+        with pytest.raises(SystemExit) as exited:
+            main(["select", "--archive", str(archive_csv)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"leodcb select: error: {archive_csv}:2: no policy rows"
         )
 
     def test_checkpoint_that_is_not_an_npz_is_a_usage_error(self, tmp_path, capsys):
