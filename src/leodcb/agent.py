@@ -4,6 +4,7 @@ target network, scalarized TD learning under a task weight vector."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -45,6 +46,8 @@ class AgentConfig:
     max_grad_norm: float = 10.0
 
     def __post_init__(self):
+        sizes = self.hidden_sizes
+        integral = isinstance(sizes, tuple) and all(isinstance(w, numbers.Integral) for w in sizes)
         for holds, constraint in (
             (0.0 < self.gamma < 1.0, "0 < gamma < 1"),
             (0.0 <= self.epsilon_start <= 1.0, "0 <= epsilon_start <= 1"),
@@ -53,7 +56,8 @@ class AgentConfig:
             (self.target_sync_period >= 1, "target_sync_period >= 1"),
             (self.episodes_per_iteration >= 1, "episodes_per_iteration >= 1"),
             (0.0 <= self.learning_rate < float("inf"), "learning_rate is finite and >= 0"),
-            (all(width >= 1 for width in self.hidden_sizes), "hidden widths >= 1"),
+            (not integral or all(width >= 1 for width in sizes), "hidden widths >= 1"),
+            (integral and len(sizes) >= 1, "hidden_sizes is a nonempty tuple of integers >= 1"),
             (self.max_grad_norm > 0.0, "max_grad_norm > 0"),
         ):
             if not holds:

@@ -31,6 +31,12 @@ def _default_out() -> str:
     return os.environ.get(OUT_DIR_ENV, "out")
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"a seed is an integer >= 0, not {text!r}")
+    return int(text)
+
+
 def _add_scenario_arg(parser):
     parser.add_argument(
         "--scenario",
@@ -49,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="train the evolutionary multi-objective agent")
     _add_scenario_arg(run_p)
     run_p.add_argument("--out", default=None, help=f"output dir (default ${OUT_DIR_ENV} or ./out)")
-    run_p.add_argument("--seed", type=int, default=None, help="override the scenario master seed")
+    run_p.add_argument("--seed", type=_seed, default=None, help="override the scenario master seed")
     run_p.add_argument("--tasks", type=int, default=None)
     run_p.add_argument("--warm", type=int, default=None, help="warm-up iterations per task")
     run_p.add_argument("--task-iters", type=int, default=None)
@@ -62,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     base_p = sub.add_parser("baseline", help="run a baseline episode and dump its trace")
     base_p.add_argument("--kind", choices=[k.value for k in BaselineKind], required=True)
     _add_scenario_arg(base_p)
-    base_p.add_argument("--seed", type=int, default=0)
+    base_p.add_argument("--seed", type=_seed, default=0)
     base_p.add_argument("--out", default=None, help=f"output dir (default ${OUT_DIR_ENV} or ./out)")
     base_p.set_defaults(handler=_baseline_command, parser=base_p)
 
@@ -71,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scenario_arg(eval_p)
     eval_p.add_argument("--p", type=float, default=None, help="override unavailability probability")
     eval_p.add_argument("--terminals", type=int, default=None, help="override terminal count")
-    eval_p.add_argument("--seeds", type=int, nargs="+", default=[0])
+    eval_p.add_argument("--seeds", type=_seed, nargs="+", default=[0])
     eval_p.set_defaults(handler=_evaluate_command, parser=eval_p)
 
     select_p = sub.add_parser("select", help="pick a policy from an archive CSV")
@@ -144,9 +150,9 @@ def _evaluate_command(args) -> int:
 
 
 def _select_command(args) -> int:
-    archive = load_archive(args.archive)
-    index = select_policy(archive, args.preference)
-    f1, f2, f3 = raw_objectives(archive.objectives[index])
+    objectives, _, _ = load_archive(args.archive)
+    index = select_policy(objectives, args.preference)
+    f1, f2, f3 = raw_objectives(objectives[index])
     print(f"policy {index}: f1={f1:.4g} bps  f2={f2:.4g} J  f3={f3:.4g}")
     return 0
 

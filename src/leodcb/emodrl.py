@@ -1,9 +1,9 @@
 """Evolutionary multi-objective training loop.
 
-A warm-up stage trains one agent per simplex weight vector; the
-evolutionary stage then repeatedly rebalances the task population through
-performance buffers, reselects the best policy per weight, continues
-training, and folds the offspring into a Pareto archive of nondominated
+Generation 0 is the warm-up: one agent per simplex weight vector. Every
+later generation rebalances the task population through performance
+buffers, reselects the best policy per weight and continues training.
+Each generation folds its offspring into a Pareto archive of nondominated
 policy snapshots.
 """
 
@@ -43,15 +43,6 @@ def generate_weights(count: int, floor: float = 1e-3) -> list[np.ndarray]:
     picks = np.round(np.linspace(0, len(lattice) - 1, count)).astype(int)
     clamped = [np.maximum(lattice[i], floor) for i in picks]
     return [w / w.sum() for w in clamped]
-
-
-def dominates(fa: np.ndarray, fb: np.ndarray) -> bool:
-    """Pareto dominance under maximization of every component."""
-    fa = np.asarray(fa, dtype=float)
-    fb = np.asarray(fb, dtype=float)
-    if fa.shape != fb.shape:
-        raise DomainError("objective vectors must have equal length")
-    return bool(np.all(fa >= fb) and np.any(fa > fb))
 
 
 @dataclass(eq=False)
@@ -106,48 +97,26 @@ class ParetoArchive:
         return added
 
 
-class PerformanceBufferBank:
-    """Direction-indexed buffers that keep the task population diverse.
-
-    The bank owns its own evenly spread direction vectors (the task weight
-    set is usually smaller than the buffer count) and a running-nadir
-    reference point updated from every objective vector seen so far.
-    """
-
-    def __init__(self, buffer_count: int, buffer_size: int):
-        self.buffer_count = buffer_count
-        self.buffer_size = buffer_size
-        self.directions = np.stack(generate_weights(buffer_count))
-        self.z_ref: np.ndarray | None = None
-
-    def observe(self, objective_vectors) -> None:
-        """Fold new F values into the running nadir."""
-        for f in objective_vectors:
-            f = np.asarray(f, dtype=float)
-            self.z_ref = f.copy() if self.z_ref is None else np.minimum(self.z_ref, f)
-
-
 def tpu(
     population: list[LearningTask],
     offspring: list[LearningTask],
-    bank: PerformanceBufferBank,
+    directions: np.ndarray,
+    z_ref: np.ndarray,
+    buffer_size: int,
 ) -> list[LearningTask]:
-    """Task population update: bucket by best-aligned direction, keep the
-    farthest-from-nadir tasks in each overfull buffer."""
-    if bank.z_ref is None:
-        raise ConfigError("bank has no reference point; call observe() first")
-    buffers: list[list[tuple[float, LearningTask]]] = [
-        [] for _ in range(bank.buffer_count)
-    ]
+    """Task population update: bucket each task by the row of
+    ``directions`` best aligned with F - ``z_ref`` (the running nadir),
+    keep the farthest-from-nadir tasks in each overfull buffer."""
+    buffers: list[list[tuple[float, LearningTask]]] = [[] for _ in directions]
     for task in population + offspring:
-        f_temp = np.asarray(task.objectives, dtype=float) - bank.z_ref
-        scores = bank.directions @ f_temp
+        f_temp = np.asarray(task.objectives, dtype=float) - z_ref
+        scores = directions @ f_temp
         slot = int(np.argmax(scores))
         buffers[slot].append((float(np.linalg.norm(f_temp)), task))
-        if len(buffers[slot]) > bank.buffer_size:
+        if len(buffers[slot]) > buffer_size:
             # Descending distance, stable on ties; retain the first B_size.
             buffers[slot].sort(key=lambda pair: -pair[0])
-            del buffers[slot][bank.buffer_size :]
+            del buffers[slot][buffer_size:]
     return [task for bucket in buffers for _, task in bucket]
 
 
@@ -176,9 +145,8 @@ def hypervolume(points, reference) -> float:
     ref = np.asarray(reference, dtype=float)
     if pts.shape[1] != 3 or ref.shape != (3,):
         raise DomainError("hypervolume expects 3-D points and reference")
-    for p in pts:
-        if not dominates(p, ref):
-            raise DomainError("reference point must be dominated by every member")
+    if not np.all(np.all(pts >= ref, axis=1) & np.any(pts > ref, axis=1)):
+        raise DomainError("reference point must be dominated by every member")
     z_edges = np.unique(np.concatenate([[ref[2]], pts[:, 2]]))
     total = 0.0
     for z_lo, z_hi in zip(z_edges[:-1], z_edges[1:]):
@@ -251,8 +219,8 @@ def _train_tasks(
 
 
 def run(env: DcbUplinkEnv, config: EmodrlConfig) -> RunResult:
-    """Warm-up plus evolutionary stages on ``env``; returns the final
-    Pareto archive.
+    """Warm-up (generation 0) plus ``t_evo`` evolutionary generations on
+    ``env``; returns the final Pareto archive.
 
     One env serves every task and the evaluation, as reset re-seeds all
     episode state. Fully reproducible from (env.scenario, its master_seed):
@@ -272,7 +240,7 @@ def run(env: DcbUplinkEnv, config: EmodrlConfig) -> RunResult:
             agent_cfg, epsilon_decay_iters=max(1, total_iterations // 2)
         )
 
-    tasks = [
+    offspring = [
         LearningTask(
             weight=weights[n],
             agent=EnhancedD3qnAgent.create(
@@ -285,28 +253,20 @@ def run(env: DcbUplinkEnv, config: EmodrlConfig) -> RunResult:
     eval_seeds = [int(eval_rng.integers(2**31)) for _ in range(config.eval_episodes)]
 
     archive = ParetoArchive()
-    bank = PerformanceBufferBank(config.buffer_count, config.buffer_size)
+    directions = np.stack(generate_weights(config.buffer_count))
+    z_ref = np.full(3, np.inf)   # running nadir of every F evaluated so far
     reference = hypervolume_reference(scenario)
-
-    _train_tasks(tasks, env, config.t_warm, eval_seeds)
-    bank.observe([t.objectives for t in tasks])
-    archive.update(tasks)
-    records = [
-        GenerationRecord(0, len(tasks), len(archive),
-                         hypervolume(archive.objectives, reference))
-    ]
-
     population: list[LearningTask] = []
-    offspring = tasks
-    for generation in range(1, config.t_evo + 1):
-        population = tpu(population, offspring, bank)
-        selected = task_selection(weights, population)
-        _train_tasks(selected, env, config.t_task, eval_seeds)
-        bank.observe([t.objectives for t in selected])
-        archive.update(selected)
-        offspring = selected
+    records = []
+    for generation in range(config.t_evo + 1):
+        if generation:
+            population = tpu(population, offspring, directions, z_ref, config.buffer_size)
+            offspring = task_selection(weights, population)
+        _train_tasks(offspring, env, config.t_task if generation else config.t_warm, eval_seeds)
+        z_ref = np.minimum(z_ref, np.min([t.objectives for t in offspring], axis=0))
+        archive.update(offspring)
         records.append(
-            GenerationRecord(generation, len(population), len(archive),
-                             hypervolume(archive.objectives, reference))
+            GenerationRecord(generation, len(population) if generation else len(offspring),
+                             len(archive), hypervolume(archive.objectives, reference))
         )
     return RunResult(archive=archive, generations=records, eval_seeds=eval_seeds)

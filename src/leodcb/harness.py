@@ -16,7 +16,7 @@ from .baselines import BaselineKind, run_baseline_episode
 from .emodrl import EmodrlConfig, GenerationRecord, ParetoArchive, RunResult
 from .env import TRACE_DTYPE, DcbUplinkEnv, episode_objectives
 from .errors import ConfigError, StateError
-from .neural import QNetworkParams, load_params, save_params
+from .neural import QNetworkParams, save_params
 from .scenario import Scenario
 from .seeding import stream
 
@@ -65,13 +65,13 @@ def raw_objectives(f):
     return float(f[0]), float(-f[1] + 0.0), float(-f[2] + 0.0)
 
 
-def select_policy(archive: ParetoArchive, preference) -> int:
-    """Row of the archive maximizing w . F for a weight vector or named
-    tendency: the ``policy`` column of ``archive.csv``.
+def select_policy(objectives, preference) -> int:
+    """Row of the (n, 3) maximized objectives maximizing w . F for a weight
+    vector or named tendency: the ``policy`` column of ``archive.csv``.
 
     Ties break to the lowest row.
     """
-    if len(archive) == 0:
+    if len(objectives) == 0:
         raise StateError("cannot select from an empty archive")
     if isinstance(preference, str):
         try:
@@ -83,7 +83,7 @@ def select_policy(archive: ParetoArchive, preference) -> int:
             ) from None
     else:
         weight = np.asarray(preference, dtype=float)
-    return int(np.argmax(archive.objectives @ weight))
+    return int(np.argmax(np.asarray(objectives, dtype=float) @ weight))
 
 
 def replay_policy(params: QNetworkParams, scenario: Scenario, seeds):
@@ -92,8 +92,10 @@ def replay_policy(params: QNetworkParams, scenario: Scenario, seeds):
     Pass a ``Scenario.with_overrides`` variant of the training scenario to
     test portability: the state and action encodings do not depend on the
     terminal count, so no re-shaping or retraining happens. The action
-    count K N_L + 1 does, so a network of another count is a ConfigError.
+    count K N_L + 1 does: a network of another count, or no seed, is a ConfigError.
     """
+    if len(seeds) == 0:
+        raise ConfigError("replay needs at least one episode seed")
     env = DcbUplinkEnv(scenario)
     for what, have, need in (
         ("input width", params.input_dim, STATE_DIM),
@@ -139,14 +141,14 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
     result: RunResult = emodrl.run(env, config)
     archive = result.archive
     try:
-        checkpoints = []
-        for i, params in enumerate(archive.params):
-            path = out / "checkpoints" / f"policy_{i:03d}.npz"
+        # archive.csv names each checkpoint relative to its own directory.
+        names = [f"checkpoints/policy_{i:03d}.npz" for i in range(len(archive))]
+        checkpoints = [str(out / name) for name in names]
+        for params, path in zip(archive.params, checkpoints):
             save_params(path, params)
-            checkpoints.append(str(path))
-            emitted.append(str(path))
+            emitted.append(path)
         archive_csv = out / "archive.csv"
-        write_archive_csv(archive_csv, archive, checkpoints)
+        write_archive_csv(archive_csv, archive, names)
         emitted.append(str(archive_csv))
         generations_csv = out / "generations.csv"
         write_csv(generations_csv, GENERATION_COLUMNS, result.generations)
@@ -156,7 +158,7 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
         traces: dict[str, np.ndarray] = {
             kind.value: run_baseline_episode(kind, env, episode_seed) for kind in BaselineKind
         }
-        favored = archive.params[select_policy(archive, "favor-rate")]
+        favored = archive.params[select_policy(archive.objectives, "favor-rate")]
         traces["ed3qn_favor_rate"] = greedy_rollout(favored, env, episode_seed)
 
         objectives: dict[str, tuple] = {}
@@ -191,7 +193,8 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
         tendencies = ["favor-rate", "favor-energy", "favor-switching", "balanced"]
         bar_labels = ["argp"] + tendencies
         bar_triples = [objectives["argp"]] + [
-            raw_objectives(archive.objectives[select_policy(archive, t)]) for t in tendencies
+            raw_objectives(archive.objectives[select_policy(archive.objectives, t)])
+            for t in tendencies
         ]
         svgplot.plot_objective_bars(
             bars_svg, bar_labels, bar_triples, "Objective values by policy"
@@ -218,8 +221,10 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
     return report
 
 
-def load_archive(archive_csv) -> ParetoArchive:
-    """Rebuild an archive from its CSV and the referenced checkpoints.
+def load_archive(archive_csv) -> tuple[np.ndarray, np.ndarray, list[Path]]:
+    """Read an archive CSV, opening no checkpoint: the (n, 3) maximized
+    objectives, the (n, 3) weights and each row's checkpoint path, resolved
+    against the CSV's directory (an older archive's absolute path stays).
 
     A header other than ``ARCHIVE_COLUMNS``, no row, a row of another length
     or a field that is not a number is a ConfigError naming the file and line.
@@ -242,8 +247,5 @@ def load_archive(archive_csv) -> ParetoArchive:
             raise ConfigError(f"{archive_csv}:{line_no}: a field is not a number") from None
         checkpoints.append(fields[-1])
     table = np.array(numbers)
-    return ParetoArchive(
-        objectives=np.array([raw_objectives(f) for f in table[:, 1:4]]),
-        weights=table[:, 4:7],
-        params=[load_params(path) for path in checkpoints],
-    )
+    objectives = np.array([raw_objectives(f) for f in table[:, 1:4]])
+    return objectives, table[:, 4:7], [Path(archive_csv).parent / c for c in checkpoints]

@@ -15,7 +15,6 @@ import numpy as np
 
 from leodcb import channel
 from leodcb.channel import RfConstants
-from leodcb.emodrl import dominates
 from leodcb.env import legitimate_masks
 from leodcb.errors import DomainError
 from leodcb.neural import QNetworkParams, _forward_full, forward
@@ -290,6 +289,16 @@ def numeric_gradients(params, x, actions, targets, eps=1e-5):
 def max_relative_error(analytic, numeric):
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def dominates(fa, fb) -> bool:
+    """Pareto dominance under maximization of every component, one vector
+    pair at a time."""
+    fa = np.asarray(fa, dtype=float)
+    fb = np.asarray(fb, dtype=float)
+    if fa.shape != fb.shape:
+        raise DomainError("objective vectors must have equal length")
+    return bool(np.all(fa >= fb) and np.any(fa > fb))
 
 
 def brute_force_nondominated(points):

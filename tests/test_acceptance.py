@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from oracles import (
     assert_pairwise_nondominated,
+    dominates,
     grid_search_p2,
     make_rf,
     max_relative_error,
@@ -301,9 +302,9 @@ class DuplicateKeepingArchive(emodrl.ParetoArchive):
         added = 0
         for task in tasks:
             candidate = np.asarray(task.objectives, dtype=float)
-            if any(emodrl.dominates(row, candidate) for row in self.objectives):
+            if any(dominates(row, candidate) for row in self.objectives):
                 continue
-            keep = np.array([not emodrl.dominates(candidate, row) for row in self.objectives],
+            keep = np.array([not dominates(candidate, row) for row in self.objectives],
                             dtype=bool)
             self.objectives = np.vstack([self.objectives[keep], candidate])
             self.weights = np.vstack([self.weights[keep], task.weight])
@@ -326,7 +327,7 @@ def test_skipping_equal_objectives_keeps_hypervolumes_and_favor_rate(
     assert [g.hypervolume for g in result.generations] == [
         g.hypervolume for g in kept.generations
     ]
-    ours, theirs = (select_policy(r.archive, "favor-rate") for r in (result, kept))
+    ours, theirs = (select_policy(r.archive.objectives, "favor-rate") for r in (result, kept))
     assert (result.archive.objectives[ours].tobytes()
             == kept.archive.objectives[theirs].tobytes())
     assert np.array_equal(result.archive.params[ours].flat, kept.archive.params[theirs].flat)
@@ -345,7 +346,7 @@ def test_criterion_8_threshold_directionality():
     )
     env = DcbUplinkEnv(scenario)
     result = emodrl.run(env, config)
-    favored = result.archive.params[select_policy(result.archive, "favor-rate")]
+    favored = result.archive.params[select_policy(result.archive.objectives, "favor-rate")]
 
     episode_seed = int(stream(scenario.master_seed, "trace-episode").integers(2**31))
     argp = run_baseline_episode(BaselineKind.ARGP, env, episode_seed)
@@ -374,7 +375,7 @@ def test_criterion_9_near_optimal_rate_low_switching(desk_run_cache):
     for seed in DESK_SEEDS:
         scenario, result, run_seconds = desk_run_cache(seed)
         total_run_seconds += run_seconds
-        favored = result.archive.objectives[select_policy(result.archive, "favor-rate")]
+        favored = result.archive.objectives[select_policy(result.archive.objectives, "favor-rate")]
         env = DcbUplinkEnv(scenario)
         argp = np.zeros(3)
         for eval_seed in result.eval_seeds:
@@ -401,7 +402,8 @@ def test_criterion_10_terminal_count_portability(desk_run_cache):
     started = time.perf_counter()
     scenario, result, _ = desk_run_cache(DESK_SEEDS[0])
     tendencies = ["favor-rate", "favor-energy", "favor-switching", "balanced"]
-    policies = {t: result.archive.params[select_policy(result.archive, t)] for t in tendencies}
+    archive = result.archive
+    policies = {t: archive.params[select_policy(archive.objectives, t)] for t in tendencies}
     replay_seeds = [7, 8]
     rates = {}
     for count in (8, 12):

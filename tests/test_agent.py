@@ -85,6 +85,8 @@ class TestAgentConfig:
         [
             ("hidden_sizes", (0,), "hidden widths >= 1"),
             ("hidden_sizes", (64, -1), "hidden widths >= 1"),
+            ("hidden_sizes", (), "hidden_sizes is a nonempty tuple of integers >= 1"),
+            ("hidden_sizes", (2.5,), "hidden_sizes is a nonempty tuple of integers >= 1"),
             ("learning_rate", -5.0, "learning_rate is finite and >= 0"),
             ("learning_rate", float("inf"), "learning_rate is finite and >= 0"),
             ("learning_rate", float("nan"), "learning_rate is finite and >= 0"),

@@ -3,16 +3,14 @@ import re
 
 import numpy as np
 import pytest
-from oracles import ListArchive, brute_force_nondominated
+from oracles import ListArchive, brute_force_nondominated, dominates
 
-from leodcb import neural
+from leodcb import emodrl, neural
 from leodcb.agent import AgentConfig
 from leodcb.emodrl import (
     EmodrlConfig,
     LearningTask,
     ParetoArchive,
-    PerformanceBufferBank,
-    dominates,
     generate_weights,
     hypervolume,
     run,
@@ -214,53 +212,64 @@ class TestArchive:
         assert not np.any(archive.params[0].trunk_weights[0] == 123.0)
 
 
-class TestBufferBank:
-    def test_requires_reference_point(self):
-        bank = PerformanceBufferBank(3, 1)
-        with pytest.raises(ConfigError):
-            tpu([], [stub_task([1, 0, 0])], bank)
+def bucket(tasks, population=(), buffer_count=3, buffer_size=1):
+    """``tpu`` with ``generate_weights`` directions and the nadir of ``tasks``."""
+    directions = np.stack(generate_weights(buffer_count))
+    z_ref = np.min([t.objectives for t in [*population, *tasks]], axis=0)
+    return tpu(list(population), list(tasks), directions, z_ref, buffer_size)
 
+
+class TestBufferBank:
     def test_single_task_population(self):
-        bank = PerformanceBufferBank(3, 1)
         task = stub_task([1, 0.5, 0.2])
-        bank.observe([task.objectives])
-        population = tpu([], [task], bank)
-        assert population == [task]
+        assert bucket([task]) == [task]
 
     def test_capacity_rule_keeps_one_of_identical(self):
-        bank = PerformanceBufferBank(3, 1)
         a, b = stub_task([1, 1, 1]), stub_task([1, 1, 1])
-        bank.observe([a.objectives, b.objectives])
-        population = tpu([a], [b], bank)
-        assert len(population) == 1
+        assert len(bucket([b], population=[a])) == 1
 
     def test_axis_tasks_land_in_axis_buffers(self):
         # Directions from generate_weights(3) are the clamped simplex
         # corners, so each near-axis objective vector must align with its
         # own direction (argmax computed by hand).
-        bank = PerformanceBufferBank(3, 2)
         tasks = [
             stub_task([1.0, 0.01, 0.01]),
             stub_task([0.01, 1.0, 0.01]),
             stub_task([0.01, 0.01, 1.0]),
         ]
-        bank.observe([t.objectives for t in tasks])
-        population = tpu([], tasks, bank)
+        population = bucket(tasks, buffer_size=2)
         assert len(population) == 3  # one per buffer, none evicted
 
     def test_population_bound(self):
-        bank = PerformanceBufferBank(2, 2)
         rng = np.random.default_rng(3)
         tasks = [stub_task(rng.random(3)) for _ in range(20)]
-        bank.observe([t.objectives for t in tasks])
-        population = tpu([], tasks, bank)
-        assert len(population) <= bank.buffer_count * bank.buffer_size
+        population = bucket(tasks, buffer_count=2, buffer_size=2)
+        assert len(population) <= 2 * 2
 
-    def test_nadir_is_running_minimum(self):
-        bank = PerformanceBufferBank(2, 2)
-        bank.observe([np.array([1.0, 5.0, -2.0])])
-        bank.observe([np.array([3.0, 2.0, -1.0])])
-        assert np.array_equal(bank.z_ref, [1.0, 2.0, -2.0])
+    def test_nadir_is_running_minimum(self, monkeypatch):
+        # Every z_ref that run hands tpu is the elementwise minimum of
+        # every F evaluated up to then, warm-up included. Scripted random F
+        # (inside the hypervolume box) stand in for training, so the
+        # running minimum and the last generation's minimum differ.
+        rng = np.random.default_rng(8)
+        evaluated, seen = [], []
+        real_tpu = emodrl.tpu
+
+        def scripted_train(tasks, *args):
+            for task in tasks:
+                task.objectives = rng.uniform([0.0, -1.0, -1.0], [1.0, 0.0, 0.0])
+                evaluated.append(task.objectives)
+
+        def recording_tpu(population, offspring, directions, z_ref, buffer_size):
+            seen.append((z_ref.copy(), np.min(evaluated, axis=0)))
+            return real_tpu(population, offspring, directions, z_ref, buffer_size)
+
+        monkeypatch.setattr(emodrl, "_train_tasks", scripted_train)
+        monkeypatch.setattr(emodrl, "tpu", recording_tpu)
+        run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config(t_evo=4))
+        assert len(seen) == 4
+        for z_ref, nadir in seen:
+            assert np.array_equal(z_ref, nadir)
 
 
 class TestTaskSelection:
@@ -323,6 +332,11 @@ class TestHypervolume:
     def test_reference_must_be_dominated(self):
         with pytest.raises(DomainError):
             hypervolume([[1, 1, -1]], [0, 0, 0])
+
+    @pytest.mark.parametrize("row", [[0, 0, 0], [np.nan, 1, 1], [1, 1, np.nan]])
+    def test_equal_or_nan_row_rejected(self, row):
+        with pytest.raises(DomainError):
+            hypervolume([[2, 2, 2], row], [0, 0, 0])
 
 
 class TestRun:

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import dominates
 
 import leodcb
 from leodcb import neural
 from leodcb.agent import AgentConfig
 from leodcb.baselines import BaselineKind, run_baseline_episode
-from leodcb.emodrl import EmodrlConfig, ParetoArchive, dominates
+from leodcb.emodrl import EmodrlConfig, ParetoArchive
 from leodcb.env import TRACE_DTYPE, DcbUplinkEnv
 from leodcb.errors import ConfigError, DomainError, StateError
 from leodcb.harness import (
@@ -223,40 +224,29 @@ class TestTraceGolden:
 
 
 class TestSelectPolicy:
-    def _archive(self, objective_rows):
-        params = neural.init_params(2, (4,), 3, np.random.default_rng(0))
-        return ParetoArchive(
-            objectives=objective_rows,
-            weights=np.full((len(objective_rows), 3), 1 / 3),
-            params=[params] * len(objective_rows),
-        )
-
     def test_favor_rate_returns_max_f1(self):
-        archive = self._archive([[1.0, -5.0, 0.0], [3.0, -9.0, -1.0], [2.0, -1.0, 0.0]])
-        assert select_policy(archive, "favor-rate") == 1
+        objectives = [[1.0, -5.0, 0.0], [3.0, -9.0, -1.0], [2.0, -1.0, 0.0]]
+        assert select_policy(objectives, "favor-rate") == 1
 
     def test_singleton_archive_for_every_preference(self):
-        archive = self._archive([[1.0, -2.0, -0.5]])
         for preference in ("favor-rate", "favor-energy", "favor-switching", "balanced"):
-            assert select_policy(archive, preference) == 0
+            assert select_policy([[1.0, -2.0, -0.5]], preference) == 0
 
     def test_ties_break_to_the_lowest_row(self):
-        archive = self._archive([[1.0, -5.0, 0.0], [3.0, -9.0, -1.0], [3.0, -1.0, 0.0]])
-        assert select_policy(archive, [1.0, 0.0, 0.0]) == 1
+        objectives = [[1.0, -5.0, 0.0], [3.0, -9.0, -1.0], [3.0, -1.0, 0.0]]
+        assert select_policy(objectives, [1.0, 0.0, 0.0]) == 1
 
     def test_balanced_invariant_to_positive_rescaling(self):
-        rows = [[1.0, -5.0, 0.0], [3.0, -9.0, -1.0], [2.0, -1.0, 0.0]]
-        base = select_policy(self._archive(rows), "balanced")
-        scaled = select_policy(self._archive([[6 * v for v in r] for r in rows]), "balanced")
-        assert base == scaled == 2
+        rows = np.array([[1.0, -5.0, 0.0], [3.0, -9.0, -1.0], [2.0, -1.0, 0.0]])
+        assert select_policy(rows, "balanced") == select_policy(6 * rows, "balanced") == 2
 
     def test_empty_archive_rejected(self):
         with pytest.raises(StateError):
-            select_policy(ParetoArchive(), "balanced")
+            select_policy(ParetoArchive().objectives, "balanced")
 
     def test_unknown_preference_rejected(self):
         with pytest.raises(StateError, match="favor-rate"):
-            select_policy(self._archive([[1, 1, 1]]), "favor-everything")
+            select_policy([[1, 1, 1]], "favor-everything")
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +276,10 @@ class TestReplayPolicy:
         scenario = desk_scenario().with_overrides(unavailability=1.0)
         triple = replay_policy(frozen_policy, scenario, seeds=[1])
         assert triple == (0.0, 0.0, 0.0)
+
+    def test_no_seed_rejected(self, frozen_policy):
+        with pytest.raises(ConfigError, match="at least one episode seed"):
+            replay_policy(frozen_policy, desk_scenario(), seeds=[])
 
     def test_network_of_another_shape_rejected(self, frozen_policy):
         # The desk policy has 121 actions; micro has K N_L + 1 = 10.
@@ -317,9 +311,9 @@ class TestRunExperiment:
         assert Path(report.out_dir, "report.json").exists()
 
     def test_archive_rows_pairwise_nondominated(self, report):
-        archive = load_archive(report.archive_csv)
-        for i, a in enumerate(archive.objectives):
-            for j, b in enumerate(archive.objectives):
+        objectives, _, _ = load_archive(report.archive_csv)
+        for i, a in enumerate(objectives):
+            for j, b in enumerate(objectives):
                 if i != j:
                     assert not dominates(a, b)
 
@@ -331,9 +325,8 @@ class TestRunExperiment:
         scenario = micro_scenario()
         first = run_experiment(scenario, tiny_config(), tmp_path / "a")
         second = run_experiment(scenario, tiny_config(), tmp_path / "b")
-        assert Path(first.archive_csv).read_text().replace(
-            str(tmp_path / "a"), ""
-        ) == Path(second.archive_csv).read_text().replace(str(tmp_path / "b"), "")
+        # Checkpoints are named relative to archive.csv, so no path differs.
+        assert Path(first.archive_csv).read_bytes() == Path(second.archive_csv).read_bytes()
         assert Path(first.generations_csv).read_bytes() == Path(
             second.generations_csv
         ).read_bytes()
@@ -366,14 +359,44 @@ class TestRunExperiment:
 
 class TestLoadArchive:
     def test_round_trip(self, report):
-        archive = load_archive(report.archive_csv)
+        objectives, weights, checkpoints = load_archive(report.archive_csv)
         lines = Path(report.archive_csv).read_text().splitlines()
-        assert len(archive) == len(lines) - 1 == len(report.checkpoints)
-        for f, w, params, line in zip(archive.objectives, archive.weights, archive.params,
-                                      lines[1:]):
+        assert len(objectives) == len(lines) - 1 == len(report.checkpoints)
+        for i, (f, w, path, saved, line) in enumerate(
+            zip(objectives, weights, checkpoints, report.checkpoints, lines[1:], strict=True)
+        ):
             fields = line.split(",")
             assert [*raw_objectives(f), *w] == [float(v) for v in fields[1:7]]
-            assert params.flat.tobytes() == neural.load_params(fields[7]).flat.tobytes()
+            assert fields[7] == f"checkpoints/policy_{i:03d}.npz"
+            assert path.samefile(saved)
+            assert neural.load_params(path).flat.tobytes() == (
+                neural.load_params(saved).flat.tobytes())
+
+    def test_relative_out_resolves_from_any_directory(self, tmp_path, monkeypatch):
+        from leodcb.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--scenario", "micro", "--out", "o", "--tasks", "2", "--warm", "2",
+                     "--task-iters", "1", "--generations", "1", "--hidden", "8"]) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        for cwd, archive_csv in ((elsewhere, tmp_path / "o" / "archive.csv"),
+                                 (tmp_path / "o", "archive.csv")):
+            monkeypatch.chdir(cwd)
+            _, _, checkpoints = load_archive(archive_csv)
+            assert len(checkpoints) >= 1
+            for path in checkpoints:
+                assert path.is_file(), path
+                assert neural.load_params(path).n_actions == 10
+
+    def test_absolute_checkpoint_paths_still_resolve(self, report, tmp_path):
+        lines = Path(report.archive_csv).read_text().splitlines()
+        absolute = [lines[0], *(line.rsplit(",", 1)[0] + "," + path
+                                for line, path in zip(lines[1:], report.checkpoints))]
+        archive_csv = tmp_path / "archive.csv"
+        archive_csv.write_text("\n".join(absolute) + "\n")
+        _, _, checkpoints = load_archive(archive_csv)
+        assert [str(path) for path in checkpoints] == report.checkpoints
 
     @pytest.mark.parametrize(
         ("edit", "where", "what"),
@@ -465,6 +488,43 @@ class TestCli:
         assert "non_dcb: f1=" in capsys.readouterr().out
         golden = GOLDEN_TRACE.with_name("golden_micro_non_dcb_trace.csv")
         assert (tmp_path / "non_dcb_seed0.csv").read_bytes() == golden.read_bytes()
+
+    def test_select_opens_no_checkpoint(self, tmp_path, capsys, monkeypatch):
+        from leodcb import cli
+        from leodcb.cli import main
+
+        report = run_experiment(micro_scenario(), tiny_config(), tmp_path)
+        argv = ["select", "--archive", report.archive_csv, "--preference", "favor-rate"]
+        assert main(argv) == 0
+        line = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("select opened a checkpoint")
+
+        # Wherever a checkpoint would be read from: the loader and np.load.
+        for module in (neural, cli):
+            monkeypatch.setattr(module, "load_params", refuse)
+        monkeypatch.setattr(np, "load", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["baseline", "--kind", "argp", "--scenario", "micro", "--seed", "-1"],
+         ["evaluate", "--checkpoint", "policy.npz", "--scenario", "micro", "--seeds", "-3"]],
+    )
+    def test_negative_seed_is_a_usage_error(self, capsys, argv):
+        from leodcb.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"leodcb {argv[0]}: error: argument {argv[-2]}: "
+            f"a seed is an integer >= 0, not '{argv[-1]}'"
+        )
 
     def test_select_rejects_unknown_preference_with_a_usage_error(self, tmp_path, capsys):
         from leodcb.cli import main

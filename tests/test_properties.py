@@ -3,12 +3,14 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import make_rf
+from oracles import dominates, make_rf
 
 from leodcb.channel import achievable_rate, snr, weight_set
-from leodcb.emodrl import dominates, generate_weights, hypervolume
+from leodcb.emodrl import generate_weights, hypervolume
+from leodcb.errors import DomainError
 from leodcb.orbits import PhysicalConstants, circular_orbit, position_at, wrap_angle
 
 CONSTANTS = PhysicalConstants()
@@ -109,3 +111,18 @@ def test_hypervolume_bounded_by_box_of_maxima(points):
     bound = float(np.prod(pts.max(axis=0)))
     biggest_single = float(max(np.prod(p) for p in pts))
     assert biggest_single - 1e-9 <= volume <= bound + 1e-9
+
+
+small_ints = st.integers(min_value=-2, max_value=2).map(float)
+
+
+@given(st.lists(st.tuples(small_ints, small_ints, small_ints), min_size=1, max_size=6))
+@settings(max_examples=200)
+def test_hypervolume_accepts_exactly_the_sets_dominating_the_reference(points):
+    # Small integers make equal components, the edge of dominance, common.
+    ref = np.zeros(3)
+    if all(dominates(p, ref) for p in points):
+        assert hypervolume(points, ref) >= 0.0
+    else:
+        with pytest.raises(DomainError):
+            hypervolume(points, ref)
