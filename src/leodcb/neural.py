@@ -14,12 +14,36 @@ a rank-one fill of every column plus a scatter into the taken columns,
 and the hidden gradient is the same gathered columns scaled by the
 residuals. Adam folds its two bias corrections into two scalars, so each
 entry takes one division.
+
+Large steps run on two cores. Each trunk layer (matmul, bias, tanh, split
+by batch rows), the trunk weight-gradient product (split by fan-in rows),
+the hidden-gradient product (split by batch rows), the advantage-head
+gradient fill and scatter (split by hidden rows) and Adam's block loop run
+as two fixed halves: the calling thread does the first, one persistent
+worker thread the second. Each half writes only its own rows, and a call
+returns, or raises, only after both have finished. A step splits only when
+each half holds two rows and at least ``_SPLIT_WORK`` multiply-adds. That
+rule reads the shapes alone, so results do not depend on the core count;
+no setting, flag or environment variable changes it, and no desk-scale
+call splits.
+
+The split is bit-identical to the whole step. Adam is elementwise, and
+the scatter adds into each cell in batch order whichever rows it covers.
+For the products it holds on OpenBLAS 0.3.31 (SkylakeX kernels) when the
+product's output width is a multiple of 8, as every trunk width of the
+paper and desk configs is; the tests pin it at the paper's shapes. So the
+1,101-column advantage-head product of a batch forward stays whole: a row
+split moved 53 of its 281,856 entries, by up to 6e-17 on a freshly
+initialized network. The value head, the clip norm (one dot product, so
+its summation order stays) and single-row forwards stay whole too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,20 +106,124 @@ def init_params(
     return params
 
 
-def _trunk(params: QNetworkParams, x: np.ndarray) -> list[np.ndarray]:
-    """Input then each tanh layer's output; bias and tanh work in place."""
+# A step is split in two only when each half holds at least this many
+# multiply-adds (one per entry for Adam and the head-gradient fill and
+# scatter). Below it the handoff costs more than the half saves, and
+# OpenBLAS runs products of up to 10^6 multiply-adds through small-matrix
+# kernels that sum in another order than the whole product.
+_SPLIT_WORK = 1 << 20
+
+_worker_lock = threading.Lock()
+_worker_jobs: queue.SimpleQueue | None = None
+
+
+def _forget_worker() -> None:
+    # A forked child has no worker thread; it starts its own at its first split.
+    global _worker_jobs
+    _worker_jobs = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """The worker: run each (fn, rows, done) job, then report on ``done``.
+
+    The job is released before its report, so nothing the job's closure
+    holds (a gradient buffer) outlives the call that split it.
+    """
+    while True:
+        fn, rows, done = jobs.get()
+        try:
+            fn(rows)
+            error = None
+        except BaseException as exc:    # handed to the caller, which raises it
+            error = exc
+        fn = rows = None
+        done.put(error)
+        error = done = None
+
+
+def _split(n: int, row_work: int) -> bool:
+    """Whether a step over n rows of ``row_work`` multiply-adds each runs as
+    ``_halves``. A half of one row would run as a matrix-vector product,
+    whose sums differ from the matrix product's, so each half needs two."""
+    return n >= 4 and n // 2 * row_work >= _SPLIT_WORK
+
+
+def _halves(fn, n: int) -> None:
+    """Run ``fn(slice(0, n // 2))`` on this thread and ``fn(slice(n // 2, n))``
+    on the worker; for steps that ``_split`` accepts. The caller runs a
+    smaller step whole itself, which costs no slicing.
+
+    ``fn`` writes only its own rows and calls only numpy, never a function
+    of this package: a tracer that wraps those keeps one call stack, which
+    two threads would corrupt. An exception from either half is raised
+    after both have stopped.
+    """
+    global _worker_jobs
+    import queue    # here, so that a process that never splits does not load it
+
+    with _worker_lock:
+        if _worker_jobs is None:
+            _worker_jobs = queue.SimpleQueue()
+            threading.Thread(
+                target=_serve, args=(_worker_jobs,), name="leodcb-neural-half", daemon=True
+            ).start()
+    done = queue.SimpleQueue()
+    _worker_jobs.put((fn, slice(n // 2, n), done))
+    try:
+        fn(slice(0, n // 2))
+    finally:
+        error = done.get()
+    if error is not None:
+        raise error
+
+
+def _may_split(params: QNetworkParams, rows: int) -> bool:
+    # No step of a forward or TD step over ``rows`` can split below this:
+    # a half holds at most (rows + 1) / 2 multiply-adds per parameter. One
+    # comparison per call spares desk-scale calls every per-step check.
+    return rows * params.flat.size >= _SPLIT_WORK
+
+
+def _trunk(params: QNetworkParams, x: np.ndarray, big: bool) -> list[np.ndarray]:
+    """Input then each tanh layer's output; bias and tanh work in place.
+    ``big`` is ``_may_split(params, len(x))``."""
     activations = [x]
     h = x
     for w, b in zip(params.trunk_weights, params.trunk_biases):
-        h = h @ w
-        h += b
-        np.tanh(h, out=h)
+        if big and _split(len(h), w.size):
+            h = _split_layer(h, w, b)
+        else:
+            h = h @ w
+            h += b
+            np.tanh(h, out=h)
         activations.append(h)
     return activations
 
 
+def _split_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One trunk layer as two halves of the batch rows."""
+    h = np.empty((len(x), w.shape[1]))
+
+    def rows_of(rows):
+        part = h[rows]
+        np.matmul(x[rows], w, out=part)
+        part += b
+        np.tanh(part, out=part)
+
+    _halves(rows_of, len(x))
+    return h
+
+
+def _split_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b as two halves of the rows of a and out."""
+    _halves(lambda rows: np.matmul(a[rows], b, out=out[rows]), len(out))
+
+
 def _forward_full(params: QNetworkParams, x: np.ndarray):
-    activations = _trunk(params, x)
+    activations = _trunk(params, x, _may_split(params, len(x)))
     h = activations[-1]
     v = h @ params.value_weight                              # (B, 1)
     v += params.value_bias
@@ -131,6 +259,25 @@ def _row_offsets(n_actions: int, width: int) -> np.ndarray:
     return offsets
 
 
+def _head_gradient(adv_grad, value_grad, h_last, acts, r, index=None, values=None) -> None:
+    """Fill hidden rows k of the advantage-weight gradient: -value_grad / n
+    in every column, then h_ik r_i added to cell (k, a_i) for each batch
+    row i. np.add.at sums repeated actions in batch order, whichever rows
+    it is given, so two halves of the rows give the whole's bits.
+
+    The (B, rows) scatter operands go to ``index`` and ``values`` when
+    given. The worker's half gets them from the caller and so allocates
+    nothing: memory a thread frees stays in its own malloc arena, which
+    raised the paper-width peak RSS by 2.5 to 4 MB instead of under 1 MB.
+    """
+    width, n_actions = adv_grad.shape
+    adv_grad[...] = value_grad / -n_actions
+    # In the flat row-major view cell (k, a_i) is k n + a_i.
+    index = np.add(acts[:, None], _row_offsets(n_actions, width), out=index)
+    values = np.multiply(h_last, r[:, None], out=values)
+    np.add.at(adv_grad.reshape(-1), index.reshape(-1), values.reshape(-1))
+
+
 def backward(
     params: QNetworkParams,
     encodings: np.ndarray,
@@ -164,7 +311,8 @@ def backward(
     # value_weight - mean_j adv_weight[:, j] and beta_i = value_bias +
     # adv_bias[a_i] - mean(adv_bias): a gather of the B taken columns, so
     # no (B, n_actions) product is formed.
-    activations = _trunk(params, x)
+    big = _may_split(params, batch)
+    activations = _trunk(params, x, big)
     h_last = activations[-1]
     shift = params.value_weight[:, 0] - np.add.reduce(params.adv_weight, axis=1) / n_actions
     d_h = params.adv_weight.T[acts]
@@ -183,16 +331,23 @@ def backward(
     r = residual / batch
     np.matmul(h_last.T, r[:, None], out=grads.value_weight)
     grads.value_bias[0] = r.sum()
-    grads.adv_weight[...] = grads.value_weight / -n_actions
+    width = h_last.shape[1]
+    # Both (B, H) scatter operands are temporaries, freed before the
+    # trunk gradients.
+    if big and _split(width, n_actions + batch):
+        worker_scratch = (np.empty((batch, width - width // 2), np.intp),
+                          np.empty((batch, width - width // 2)))
+        _halves(
+            lambda rows: _head_gradient(
+                grads.adv_weight[rows], grads.value_weight[rows], h_last[:, rows], acts, r,
+                *(worker_scratch if rows.start else ()),
+            ),
+            width,
+        )
+        del worker_scratch
+    else:
+        _head_gradient(grads.adv_weight, grads.value_weight, h_last, acts, r)
     grads.adv_bias[...] = grads.value_bias / -n_actions
-    # Column a_i of adv_weight gains h_i r_i; in the flat row-major view
-    # its cells are k n + a_i. np.add.at sums repeated actions. Both
-    # (B, H) operands are temporaries, freed before the trunk gradients.
-    np.add.at(
-        grads.adv_weight.reshape(-1),
-        (acts[:, None] + _row_offsets(n_actions, h_last.shape[1])).reshape(-1),
-        (h_last * r[:, None]).reshape(-1),
-    )
     np.add.at(grads.adv_bias, acts, r)
 
     # dL/dh_i = r_i c_i.
@@ -205,10 +360,19 @@ def backward(
         np.subtract(1.0, tanh_grad, out=tanh_grad)
         d_pre = d_h
         d_pre *= tanh_grad
-        np.matmul(activations[layer].T, d_pre, out=grads.trunk_weights[layer])
+        weight = params.trunk_weights[layer]
+        if big and _split(len(weight), batch * weight.shape[1]):
+            _split_matmul(activations[layer].T, d_pre, grads.trunk_weights[layer])
+        else:
+            np.matmul(activations[layer].T, d_pre, out=grads.trunk_weights[layer])
         d_pre.sum(axis=0, out=grads.trunk_biases[layer])
-        if layer > 0:
-            d_h = d_pre @ params.trunk_weights[layer].T
+        if layer == 0:
+            break
+        if big and _split(batch, weight.size):
+            d_h = np.empty((batch, len(weight)))
+            _split_matmul(d_pre, weight.T, d_h)
+        else:
+            d_h = d_pre @ weight.T
     return grads, loss
 
 
@@ -258,12 +422,37 @@ def adam_step(
     state.step += 1
     step = lr / (1.0 - beta1**state.step)
     root = 1.0 / math.sqrt(1.0 - beta2**state.step)
-    scratch = np.empty(min(_ADAM_BLOCK, params.flat.size))
-    denom = np.empty_like(scratch)
-    for start in range(0, params.flat.size, _ADAM_BLOCK):
+    vectors = (params.flat, grads.flat, state.first_moment, state.second_moment)
+    n_blocks = -(-params.flat.size // _ADAM_BLOCK)
+    if _split(n_blocks, _ADAM_BLOCK):
+        # The worker's half gets its scratch from here (see _head_gradient).
+        worker_scratch = (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK))
+
+        def half(blocks):
+            entries = slice(blocks.start * _ADAM_BLOCK, blocks.stop * _ADAM_BLOCK)
+            _adam_blocks(
+                [vector[entries] for vector in vectors], beta1, beta2, step, root, eps,
+                *(worker_scratch if blocks.start else ()),
+            )
+
+        _halves(half, n_blocks)
+    else:
+        _adam_blocks(vectors, beta1, beta2, step, root, eps)
+    return params
+
+
+def _adam_blocks(vectors, beta1, beta2, step, root, eps, scratch=None, denom=None) -> None:
+    """``adam_step``'s update of one range of the params, gradient and
+    moment vectors, _ADAM_BLOCK entries at a time, in scratch of its own
+    unless given."""
+    flat, grad_flat, first, second = vectors
+    if scratch is None:
+        scratch = np.empty(min(_ADAM_BLOCK, flat.size))
+        denom = np.empty_like(scratch)
+    for start in range(0, flat.size, _ADAM_BLOCK):
         block = slice(start, start + _ADAM_BLOCK)
-        theta, grad = params.flat[block], grads.flat[block]
-        m, v = state.first_moment[block], state.second_moment[block]
+        theta, grad = flat[block], grad_flat[block]
+        m, v = first[block], second[block]
         tmp, den = scratch[: theta.size], denom[: theta.size]
         # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g.
         m *= beta1
@@ -279,7 +468,6 @@ def adam_step(
         np.divide(m, den, out=tmp)
         tmp *= step
         theta -= tmp
-    return params
 
 
 def _v1_tensors(params: QNetworkParams) -> dict[str, np.ndarray]:
