@@ -4,7 +4,6 @@ target network, scalarized TD learning under a task weight vector."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -14,6 +13,7 @@ from . import neural
 from .env import DcbUplinkEnv, episode_objectives
 from .errors import ConfigError, StateError
 from .neural import AdamState, QNetworkParams
+from .scenario import is_integer, require_integers
 
 STATE_DIM = 2  # (slot / T, prev_satellite / N_L)
 
@@ -46,14 +46,20 @@ class AgentConfig:
     max_grad_norm: float = 10.0
 
     def __post_init__(self):
+        require_integers("agent", self, ("replay_capacity", "batch_size", "target_sync_period",
+                                         "grad_steps_per_iteration", "episodes_per_iteration"))
+        decay = self.epsilon_decay_iters
         sizes = self.hidden_sizes
-        integral = isinstance(sizes, tuple) and all(isinstance(w, numbers.Integral) for w in sizes)
+        integral = isinstance(sizes, tuple) and all(map(is_integer, sizes))
         for holds, constraint in (
             (0.0 < self.gamma < 1.0, "0 < gamma < 1"),
             (0.0 <= self.epsilon_start <= 1.0, "0 <= epsilon_start <= 1"),
             (0.0 <= self.epsilon_end <= 1.0, "0 <= epsilon_end <= 1"),
+            (decay is None or is_integer(decay) and decay >= 1,
+             "epsilon_decay_iters is None or an integer >= 1"),
             (min(self.replay_capacity, self.batch_size) >= 1, "replay_capacity, batch_size >= 1"),
             (self.target_sync_period >= 1, "target_sync_period >= 1"),
+            (self.grad_steps_per_iteration >= 0, "grad_steps_per_iteration >= 0"),
             (self.episodes_per_iteration >= 1, "episodes_per_iteration >= 1"),
             (0.0 <= self.learning_rate < float("inf"), "learning_rate is finite and >= 0"),
             (not integral or all(width >= 1 for width in sizes), "hidden widths >= 1"),
@@ -193,7 +199,6 @@ class EnhancedD3qnAgent:
     replay: ReplayBuffer
     rng: np.random.Generator
     iteration: int = 0
-    grad_steps_done: int = 0
     last_loss: float = field(default=0.0)
     target_q: np.ndarray | None = field(default=None, repr=False)
 
@@ -224,23 +229,21 @@ class EnhancedD3qnAgent:
             replay=self.replay.copy(),
             rng=np.random.default_rng(int(self.rng.integers(2**63))),
             iteration=self.iteration,
-            grad_steps_done=self.grad_steps_done,
             # Read-only, so the twin can share it until its own next sync.
             target_q=self.target_q,
         )
 
     def collect_episode(self, env: DcbUplinkEnv) -> None:
-        seed = int(self.rng.integers(2**31))
-        state = env.reset(seed)
+        """Run one epsilon-greedy episode, then push its transitions to the replay."""
+        states, actions = [env.reset(int(self.rng.integers(2**31)))], []
         eps = self.epsilon()
         while not env.done:
-            mask = env.legitimate_mask()
-            action = select_action(
-                self.params, env.state_encodings[state], mask, eps, self.rng
-            )
-            next_state, reward, done = env.step(action)
-            self.replay.push(state, action, reward, next_state, env.current_mask, done)
-            state = next_state
+            encoding, mask = env.state_encodings[states[-1]], env.legitimate_mask()
+            actions.append(select_action(self.params, encoding, mask, eps, self.rng))
+            states.append(env.step(actions[-1]))
+        rows = zip(states, actions, env.rewards(env.trace), states[1:], env.available[1:])
+        for t, row in enumerate(rows):
+            self.replay.push(*row, t == len(actions) - 1)
 
     def train_iteration(self, env: DcbUplinkEnv, weight: np.ndarray) -> None:
         """Collect episodes, then run the configured gradient steps.
@@ -269,12 +272,11 @@ class EnhancedD3qnAgent:
             if not (math.isfinite(self.last_loss) and math.isfinite(norm)):
                 # Stop before Adam writes the non-finite step into the params.
                 raise StateError(
-                    f"gradient step {self.grad_steps_done + 1}: TD loss {self.last_loss}, "
+                    f"gradient step {self.adam.step + 1}: TD loss {self.last_loss}, "
                     f"pre-clip gradient norm {norm}; both must be finite"
                 )
             neural.adam_step(self.params, grads, self.adam, cfg.learning_rate)
-            self.grad_steps_done += 1
-            if self.grad_steps_done % cfg.target_sync_period == 0:
+            if self.adam.step % cfg.target_sync_period == 0:
                 self.target_q = None
         self.iteration += 1
 
@@ -295,7 +297,7 @@ def greedy_rollout(params: QNetworkParams, env: DcbUplinkEnv, seed: int, q_rows=
             q_rows[state] = q
         legit = np.flatnonzero(env.legitimate_mask())
         action = int(legit[np.argmax(q[legit])])
-        state, _, _ = env.step(action)
+        state = env.step(action)
     return env.trace
 
 

@@ -19,7 +19,7 @@ from .agent import AgentConfig, EnhancedD3qnAgent, evaluate_policy
 from .env import DcbUplinkEnv
 from .errors import ConfigError, DomainError
 from .neural import QNetworkParams
-from .scenario import Scenario
+from .scenario import Scenario, require_integers
 from .seeding import stream
 
 
@@ -177,6 +177,8 @@ class EmodrlConfig:
     agent: AgentConfig = field(default_factory=AgentConfig)
 
     def __post_init__(self):
+        require_integers("emodrl", self, ("n_tasks", "t_warm", "t_task", "t_evo",
+                                          "buffer_count", "buffer_size", "eval_episodes"))
         for holds, constraint in (
             (self.n_tasks >= 1, "n_tasks >= 1"),
             (min(self.t_warm, self.t_task) >= 1, "t_warm, t_task >= 1"),

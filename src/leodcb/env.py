@@ -3,9 +3,10 @@
 Each reset draws the episode's availability masks for every slot at once
 (geometric visibility gated by a Bernoulli spectrum outage). Each step
 accepts a flat action index (power scheme and satellite, or IDLE), looks
-up the solved per-slot power subproblem, emits a three-component reward
-array (rate, negative energy, negative switch) and writes one row of the
-episode trace, from which ``episode_objectives`` derives the objectives.
+up the solved per-slot power subproblem and writes one row of the episode
+trace. ``slot_outcomes`` is the per-slot rule over trace rows: the
+objectives (``episode_objectives``) and the rewards (``rewards``) both
+read the trace through it.
 """
 
 from __future__ import annotations
@@ -30,21 +31,29 @@ TRACE_DTYPE = np.dtype([
 ])
 
 
+def slot_outcomes(trace: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """(rows, 3) array of each trace row's gated rate in bps (the rate, or 0
+    where it does not exceed the threshold), energy in J and switch count.
+    Idle rows are all zero."""
+    rate = trace["rate_bps"]
+    return np.stack([
+        np.where(rate > scenario.rate_threshold, rate, 0.0),
+        trace["total_power_w"] * scenario.slot_seconds,
+        trace["switched"],
+    ], axis=1)
+
+
 def episode_objectives(trace: np.ndarray, scenario: Scenario):
     """Per-slot averages (f1_bar bps, f2_bar J, f3_bar switches/slot) of a
-    finished episode's trace. Bits and joules are summed left to right, as
-    running totals are; ``np.sum`` adds pairwise and can move the last bit.
+    finished episode's ``slot_outcomes``. Bits, joules and switches are
+    summed left to right, as running totals are; ``np.sum`` adds pairwise
+    and can move the last bit.
     """
-    n_slots, slot_seconds = scenario.n_slots, scenario.slot_seconds
-    if len(trace) != n_slots:
-        raise StateError(f"episode incomplete: {len(trace)} of {n_slots} slots stepped")
-    rate = trace["rate_bps"]
-    gated_rate = np.where(rate > scenario.rate_threshold, rate, 0.0)
-    return (
-        float(np.cumsum(gated_rate * slot_seconds)[-1]) / (n_slots * slot_seconds),
-        float(np.cumsum(trace["total_power_w"] * slot_seconds)[-1]) / n_slots,
-        int(trace["switched"].sum()) / n_slots,
-    )
+    if len(trace) != scenario.n_slots:
+        raise StateError(f"episode incomplete: {len(trace)} of {scenario.n_slots} slots stepped")
+    seconds = np.array([scenario.slot_seconds, 1.0, 1.0])
+    totals = np.cumsum(slot_outcomes(trace, scenario) * seconds, axis=0)[-1]
+    return tuple(float(total) for total in totals / (len(trace) * seconds))
 
 
 def legitimate_masks(available: np.ndarray, n_schemes: int) -> np.ndarray:
@@ -111,9 +120,10 @@ class DcbUplinkEnv:
             np.full(self.n_terminals, min(s.altitude for s in scenario.constellation)),
             rf,
         )
-        self.rho1 = 1.0 / float(channel.achievable_rate(snr_max, rf))
-        self.rho2 = 1.0 / (self.n_terminals * rf.p_max * scenario.slot_seconds)
-        self.rho3 = 1.0
+        rho1 = 1.0 / float(channel.achievable_rate(snr_max, rf))
+        rho2 = 1.0 / (self.n_terminals * rf.p_max * scenario.slot_seconds)
+        self.reward_scale = np.array([rho1, -rho2, -1.0])   # slot outcomes -> reward
+        self.reward_scale.flags.writeable = False
 
         # One P2 solve per scheme over all visible (slot, satellite) rows.
         self.rates, self.total_powers = np.full(
@@ -138,7 +148,7 @@ class DcbUplinkEnv:
         self.state_encodings.flags.writeable = False
 
         # Set by reset. Until then ``self.state`` raises, and it is read first.
-        self._available = self._legit = self._n_available = self._trace = self._state = None
+        self.available = self._legit = self._n_available = self._trace = self._state = None
 
     # -- episode control -------------------------------------------------
 
@@ -146,14 +156,14 @@ class DcbUplinkEnv:
         """Start an episode whose availability is keyed by ``seed``.
 
         One uniform per (slot, satellite), visible or not, is drawn in slot
-        order. Row T of the availability and mask tables, after the last
-        slot, has nothing available.
+        order into ``available``, the read-only availability table. Its row
+        T and the mask table's, after the last slot, have nothing available.
         """
         scenario = self.scenario
         draws = stream(seed, "availability").random(self.visibility.shape)
         available = np.zeros((scenario.n_slots + 1, self.n_satellites), dtype=bool)
         available[:-1] = self.visibility & (draws >= scenario.unavailability)
-        self._available = available
+        self.available = available
         self._legit = legitimate_masks(available, self.n_schemes)
         available.flags.writeable = self._legit.flags.writeable = False
         self._n_available = available.sum(axis=1)
@@ -174,7 +184,7 @@ class DcbUplinkEnv:
     @property
     def current_mask(self) -> np.ndarray:
         """Read-only satellite availability of the current slot."""
-        return self._available[self.slot]
+        return self.available[self.slot]
 
     @property
     def done(self) -> bool:
@@ -188,38 +198,28 @@ class DcbUplinkEnv:
         rows.flags.writeable = False
         return rows
 
-    def step(self, action: int):
-        """Apply a flat action index; returns (next_state, reward, done).
-
-        The reward is the array (rate, energy, switch).
-        """
+    def step(self, action: int) -> int:
+        """Apply a flat action index: write the slot's trace row and return
+        the next state. ``rewards`` reads the step's reward off the trace."""
         slot, prev = divmod(self.state, self.n_satellites + 1)
         if slot >= self.scenario.n_slots:
             raise StateError("episode already complete")
         scheme, sat = self._decode(action)
-
-        if sat == 0:
-            reward = np.zeros(3)
-            rate = total_power = 0.0
-            switched = 0
-            next_prev = prev
-        else:
-            rate = float(self.rates[slot, scheme, sat - 1])
-            total_power = float(self.total_powers[slot, scheme, sat - 1])
-            slot_energy = total_power * self.scenario.slot_seconds
-            gated_rate = rate if rate > self.scenario.rate_threshold else 0.0
-            switched = int(prev != 0 and sat != prev)
-            reward = np.array([
-                self.rho1 * gated_rate,
-                -self.rho2 * slot_energy,
-                -self.rho3 * switched,
-            ])
-            next_prev = sat
+        rate = total_power = 0.0
+        if sat:
+            rate = self.rates[slot, scheme, sat - 1]
+            total_power = self.total_powers[slot, scheme, sat - 1]
+        switched = int(sat != 0 and prev != 0 and sat != prev)
         self._trace[slot] = (
             slot, sat, scheme, rate, total_power, switched, self._n_available[slot]
         )
-        self._state = (slot + 1) * (self.n_satellites + 1) + next_prev
-        return self._state, reward, self.done
+        self._state = (slot + 1) * (self.n_satellites + 1) + (sat or prev)
+        return self._state
+
+    def rewards(self, trace: np.ndarray) -> np.ndarray:
+        """(rows, 3) reward vectors (rate, negative energy, negative switch)
+        of trace rows: their ``slot_outcomes`` times ``reward_scale``."""
+        return slot_outcomes(trace, self.scenario) * self.reward_scale
 
     # -- actions --------------------------------------------------------------
 

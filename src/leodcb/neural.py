@@ -44,6 +44,7 @@ import functools
 import math
 import os
 import threading
+from _queue import SimpleQueue  # queue.SimpleQueue; importing queue costs RSS
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,7 @@ def init_params(
 _SPLIT_WORK = 1 << 20
 
 _worker_lock = threading.Lock()
-_worker_jobs: queue.SimpleQueue | None = None
+_worker_jobs: SimpleQueue | None = None
 
 
 def _forget_worker() -> None:
@@ -126,7 +127,7 @@ def _forget_worker() -> None:
 os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _serve(jobs: queue.SimpleQueue) -> None:
+def _serve(jobs: SimpleQueue) -> None:
     """The worker: run each (fn, rows, done) job, then report on ``done``.
 
     The job is released before its report, so nothing the job's closure
@@ -162,15 +163,13 @@ def _halves(fn, n: int) -> None:
     after both have stopped.
     """
     global _worker_jobs
-    import queue    # here, so that a process that never splits does not load it
-
     with _worker_lock:
         if _worker_jobs is None:
-            _worker_jobs = queue.SimpleQueue()
+            _worker_jobs = SimpleQueue()
             threading.Thread(
                 target=_serve, args=(_worker_jobs,), name="leodcb-neural-half", daemon=True
             ).start()
-    done = queue.SimpleQueue()
+    done = SimpleQueue()
     _worker_jobs.put((fn, slice(n // 2, n), done))
     try:
         fn(slice(0, n // 2))

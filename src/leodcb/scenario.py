@@ -55,8 +55,7 @@ class Scenario:
     terminal_area: float = 100.0  # side of the square terminal area, m
 
     def __post_init__(self):
-        for name in INTEGER_FIELDS:
-            _require(_is_integer(getattr(self, name)), f"{name} is an integer")
+        require_integers("scenario", self, INTEGER_FIELDS)
         _require(len(self.terminals) >= 1, "n_terminals >= 1")
         _require(len(self.constellation) >= 1, "n_satellites >= 1")
         _require(0.0 <= self.unavailability <= 1.0, "0 <= unavailability <= 1")
@@ -104,7 +103,7 @@ class Scenario:
         if unavailability is not None:
             changes["unavailability"] = unavailability
         if n_terminals is not None:
-            _require(_is_integer(n_terminals), "n_terminals is an integer")
+            _require(is_integer(n_terminals), "n_terminals is an integer")
             _require(n_terminals >= 1, "n_terminals >= 1")
             changes["terminals"] = _draw_terminals(
                 self.master_seed, n_terminals, self.terminal_area
@@ -122,9 +121,17 @@ def _require(condition: bool, constraint: str) -> None:
         raise ConfigError(f"scenario constraint violated: {constraint}")
 
 
-def _is_integer(value) -> bool:
+def is_integer(value) -> bool:
     # bool is an int subclass, but true is no count or seed.
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_integers(section: str, config, names) -> None:
+    """Raise a ``ConfigError`` naming the first ``names`` field of ``config``
+    that is no integer (a bool is none); run before comparing them."""
+    for name in names:
+        if not is_integer(getattr(config, name)):
+            raise ConfigError(f"{section} constraint violated: {name} is an integer")
 
 
 def _draw_terminals(master_seed: int, count: int, area: float):
@@ -160,6 +167,19 @@ DEFAULT_RF = RfConstants(
 )
 
 
+def _named_scenario(master_seed: int, n_terminals: int, **inputs) -> Scenario:
+    """A named scenario: the inputs all of them share, and ``inputs``."""
+    return Scenario(
+        constants=PhysicalConstants(),
+        terminals=_draw_terminals(master_seed, n_terminals, 100.0),
+        rf=DEFAULT_RF,
+        slot_seconds=60.0,
+        min_elevation=DEFAULT_MIN_ELEVATION,
+        master_seed=master_seed,
+        **inputs,
+    )
+
+
 def default_scenario(master_seed: int = 42) -> Scenario:
     """110-satellite constellation over a 10-terminal equatorial cluster.
 
@@ -172,8 +192,8 @@ def default_scenario(master_seed: int = 42) -> Scenario:
     """
     low, high = 5.0e5, 1.0e6
     tilt = math.pi / 8.0
-    return Scenario(
-        constants=PhysicalConstants(),
+    return _named_scenario(
+        master_seed, 10,
         constellation=(
             _evenly_spaced_plane(60, 0.0, low)
             + _evenly_spaced_plane(10, tilt, low, phase_offset=0.1)
@@ -182,53 +202,29 @@ def default_scenario(master_seed: int = 42) -> Scenario:
             + _evenly_spaced_plane(5, tilt, high, phase_offset=0.15)
             + _evenly_spaced_plane(5, -tilt, high, phase_offset=0.25)
         ),
-        terminals=_draw_terminals(master_seed, 10, 100.0),
-        rf=DEFAULT_RF,
-        n_slots=60,
-        slot_seconds=60.0,
-        rate_threshold=7.5e3,
-        unavailability=0.1,
-        min_elevation=DEFAULT_MIN_ELEVATION,
-        n_schemes=10,
-        master_seed=master_seed,
+        n_slots=60, rate_threshold=7.5e3, unavailability=0.1, n_schemes=10,
     )
 
 
 def desk_scenario(master_seed: int = 42) -> Scenario:
     """Small constellation for fast training runs: 12 satellites, 30 slots."""
-    return Scenario(
-        constants=PhysicalConstants(),
+    return _named_scenario(
+        master_seed, 10,
         constellation=(
             _evenly_spaced_plane(10, 0.0, 1.0e6)
             + _evenly_spaced_plane(1, math.pi / 8.0, 1.0e6, phase_offset=0.3)
             + _evenly_spaced_plane(1, -math.pi / 8.0, 1.0e6, phase_offset=0.6)
         ),
-        terminals=_draw_terminals(master_seed, 10, 100.0),
-        rf=DEFAULT_RF,
-        n_slots=30,
-        slot_seconds=60.0,
-        rate_threshold=5.0e3,
-        unavailability=0.2,
-        min_elevation=DEFAULT_MIN_ELEVATION,
-        n_schemes=10,
-        master_seed=master_seed,
+        n_slots=30, rate_threshold=5.0e3, unavailability=0.2, n_schemes=10,
     )
 
 
 def micro_scenario(master_seed: int = 7) -> Scenario:
     """Tiny deterministic-geometry scenario for golden-file tests."""
-    return Scenario(
-        constants=PhysicalConstants(),
+    return _named_scenario(
+        master_seed, 2,
         constellation=_evenly_spaced_plane(3, 0.0, 1.0e6),
-        terminals=_draw_terminals(master_seed, 2, 100.0),
-        rf=DEFAULT_RF,
-        n_slots=5,
-        slot_seconds=60.0,
-        rate_threshold=1.0e3,
-        unavailability=0.3,
-        min_elevation=DEFAULT_MIN_ELEVATION,
-        n_schemes=3,
-        master_seed=master_seed,
+        n_slots=5, rate_threshold=1.0e3, unavailability=0.3, n_schemes=3,
     )
 
 

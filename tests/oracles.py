@@ -4,8 +4,8 @@ Everything here checks implementation paths from the outside: exhaustive
 grid search, projected gradient descent, finite differences, the dense
 head backward, brute-force dominance, a list-of-members Pareto archive,
 TD targets from a per-batch forward, Kepler's third law, scalar
-per-point geometry against the env's array geometry, and running-sum
-objectives of an episode trace.
+per-point geometry against the env's array geometry, running-sum
+objectives of an episode trace, and the scalar per-step reward rule.
 None of it calls the solver/gradient code it is used to verify.
 """
 
@@ -269,6 +269,40 @@ def running_objectives(trace, scenario):
         energy_joules / n_slots,
         switch_count / n_slots,
     )
+
+
+def reward_weights(scenario):
+    """(rho1, rho2, rho3): the reward's normalizers. rho1 is one over the
+    rate of every terminal at p_max from the lowest altitude, rho2 one over
+    the array's energy at p_max over a slot, rho3 one."""
+    rf, n = scenario.rf, scenario.n_terminals
+    altitude = min(s.altitude for s in scenario.constellation)
+    snr_max = channel.snr(np.full(n, rf.p_max), np.full(n, altitude), rf)
+    rho1 = 1.0 / float(channel.achievable_rate(snr_max, rf))
+    rho2 = 1.0 / (n * rf.p_max * scenario.slot_seconds)
+    return rho1, rho2, 1.0
+
+
+def step_reward(env, state, action):
+    """The reward array (rho1 · gated rate, −rho2 · slot energy, −rho3 ·
+    switch) of taking flat ``action`` in ``state``, one scalar at a time
+    from the env's P2 tables: the check on ``env.rewards``. IDLE earns
+    zeros."""
+    slot, prev = divmod(int(state), env.n_satellites + 1)
+    action = int(action)
+    if action == env.idle_index:
+        return np.zeros(3)
+    if action < env.idle_index:
+        scheme, sat = action // env.n_satellites + 1, action % env.n_satellites + 1
+    else:
+        scheme, sat = 0, action - env.idle_index
+    scenario = env.scenario
+    rho1, rho2, rho3 = reward_weights(scenario)
+    rate = float(env.rates[slot, scheme, sat - 1])
+    slot_energy = float(env.total_powers[slot, scheme, sat - 1]) * scenario.slot_seconds
+    gated_rate = rate if rate > scenario.rate_threshold else 0.0
+    switched = int(prev != 0 and sat != prev)
+    return np.array([rho1 * gated_rate, -rho2 * slot_energy, -rho3 * switched])
 
 
 def numeric_gradients(params, x, actions, targets, eps=1e-5):

@@ -178,7 +178,7 @@ def test_criterion_5_mask_safety():
             satellite = action % env.n_satellites
             if action != env.idle_index and not env.current_mask[satellite]:
                 violations += 1
-            state, _, _ = env.step(action)
+            state = env.step(action)
             steps += 1
     elapsed = time.perf_counter() - started
     _report(
@@ -217,9 +217,10 @@ def micro_mdp_scenario() -> Scenario:
 def _scalarized_rollout(scenario, actions, weight, gamma):
     env = DcbUplinkEnv(scenario)
     env.reset(0)
-    total, discount = 0.0, 1.0
     for action in actions:
-        _, reward, _ = env.step(action)
+        env.step(action)
+    total, discount = 0.0, 1.0
+    for reward in env.rewards(env.trace):
         total += discount * float(reward @ weight)
         discount *= gamma
     return total
@@ -227,12 +228,12 @@ def _scalarized_rollout(scenario, actions, weight, gamma):
 def _greedy_scalarized_return(params, scenario, weight, gamma):
     env = DcbUplinkEnv(scenario)
     state = env.reset(0)
-    total, discount = 0.0, 1.0
     while not env.done:
         legit = np.flatnonzero(env.legitimate_mask())
         _, _, q = neural.forward(params, env.state_encodings[state])
-        action = int(legit[np.argmax(q[legit])])
-        state, reward, _ = env.step(action)
+        state = env.step(int(legit[np.argmax(q[legit])]))
+    total, discount = 0.0, 1.0
+    for reward in env.rewards(env.trace):
         total += discount * float(reward @ weight)
         discount *= gamma
     return total

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import re
 import tracemalloc
@@ -19,7 +20,7 @@ from leodcb.agent import (
 from leodcb.env import DcbUplinkEnv
 from leodcb.errors import ConfigError, StateError
 from leodcb.scenario import desk_scenario, micro_scenario
-from oracles import forward_td_targets
+from oracles import forward_td_targets, step_reward
 
 
 def tiny_config(**overrides):
@@ -96,6 +97,16 @@ class TestAgentConfig:
             ("max_grad_norm", -1.0, "max_grad_norm > 0"),
             ("epsilon_start", 1.5, "0 <= epsilon_start <= 1"),
             ("epsilon_end", -0.1, "0 <= epsilon_end <= 1"),
+            ("target_sync_period", 1.5, "target_sync_period is an integer"),
+            ("batch_size", 2.5, "batch_size is an integer"),
+            ("batch_size", "64", "batch_size is an integer"),
+            ("replay_capacity", True, "replay_capacity is an integer"),
+            ("grad_steps_per_iteration", 2.0, "grad_steps_per_iteration is an integer"),
+            ("grad_steps_per_iteration", -1, "grad_steps_per_iteration >= 0"),
+            ("episodes_per_iteration", False, "episodes_per_iteration is an integer"),
+            ("epsilon_decay_iters", 2.5, "epsilon_decay_iters is None or an integer >= 1"),
+            ("epsilon_decay_iters", 0, "epsilon_decay_iters is None or an integer >= 1"),
+            ("hidden_sizes", (True,), "hidden_sizes is a nonempty tuple of integers >= 1"),
         ],
     )
     def test_named_constraint_violated(self, field, value, constraint):
@@ -105,7 +116,8 @@ class TestAgentConfig:
 
     def test_boundary_values_accepted(self):
         # A zero learning rate freezes the net; the tests use it.
-        AgentConfig(learning_rate=0.0, epsilon_start=0.0, epsilon_end=1.0, hidden_sizes=(1,))
+        AgentConfig(learning_rate=0.0, epsilon_start=0.0, epsilon_end=1.0, hidden_sizes=(1,),
+                    epsilon_decay_iters=1, grad_steps_per_iteration=0, batch_size=np.int64(1))
 
 
 class TestSelectAction:
@@ -320,7 +332,7 @@ class TestTargetTableLifecycle:
         synced = agent.params.clone()   # as they stood at the sync at step 200
         for _ in range(5):
             agent.train_iteration(env, np.full(3, 1 / 3))
-        assert agent.grad_steps_done == 250
+        assert agent.adam.step == 250
         # Built at step 1 and after the syncs at steps 100 and 200.
         chunks = -(-len(env.state_encodings) // agent.config.batch_size)
         assert len(batch_calls) == 3 * chunks
@@ -341,7 +353,7 @@ class TestTargetTableLifecycle:
         kept = agent.target_q.tobytes()
         for _ in range(11):   # up to the twin's sync at step 96
             twin.train_iteration(env, np.full(3, 1 / 3))
-        assert twin.grad_steps_done == 96 and twin.target_q is None
+        assert twin.adam.step == 96 and twin.target_q is None
         synced = twin.params.clone()
         for _ in range(4):
             twin.train_iteration(env, np.full(3, 1 / 3))
@@ -359,7 +371,7 @@ class TestTargetTableLifecycle:
         assert agent.target_q is built
         current = agent.params.clone()
         agent.train_iteration(longer, np.full(3, 1 / 3))
-        assert agent.grad_steps_done == 12
+        assert agent.adam.step == 12
         assert agent.target_q.shape == (41 * 13, 13)
         # Mid-period, so the rebuild re-syncs the target to the params it
         # meets, not to those of the last sync.
@@ -382,7 +394,7 @@ class TestTargetTableLifecycle:
             agent.train_iteration(env, np.full(3, 1 / 3))
         # Syncs at steps 3 and 6; the table of step 7 on comes from the
         # params that step 6's Adam update left.
-        assert agent.grad_steps_done == 8
+        assert agent.adam.step == 8
         assert agent.target_q.tobytes() == table_of(updated[5], env, agent)
         assert agent.target_q.tobytes() != table_of(updated[6], env, agent)
 
@@ -419,13 +431,64 @@ class TestReplayBuffer:
         assert sorted(clone.sample(4, rng).action) == [12, 13, 14, 15]
 
 
+def _first_transmitted_rate(trace):
+    return {"rate_threshold": float(trace["rate_bps"][trace["satellite"] > 0][0])}
+
+
+class TestCollectEpisode:
+    @staticmethod
+    def collected(scenario):
+        """An env, an agent that has collected one half-greedy episode on it,
+        and that episode's seed."""
+        env = DcbUplinkEnv(scenario)
+        cfg = tiny_config(epsilon_start=0.5, epsilon_end=0.5, replay_capacity=64)
+        agent = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(11))
+        seed = int(copy.deepcopy(agent.rng).integers(2**31))
+        agent.collect_episode(env)
+        return env, agent, seed
+
+    @pytest.mark.parametrize(
+        ("build", "changes"),
+        [
+            (desk_scenario, {}),
+            (micro_scenario, {}),
+            (desk_scenario, {"unavailability": 1.0}),       # every slot idle
+            (micro_scenario, {"rate_threshold": 1e12}),     # above every rate
+            (desk_scenario, _first_transmitted_rate),       # equal to a reached rate
+            (micro_scenario, _first_transmitted_rate),
+        ],
+    )
+    def test_replay_rows_are_the_per_step_records(self, build, changes):
+        # Each pushed row is what a loop that pushes after every step would
+        # record: the scalar oracle's reward of (state, action), the next
+        # state, the next slot's availability and whether the episode ended.
+        if callable(changes):
+            changes = changes(self.collected(build())[0].trace)
+        scenario = dataclasses.replace(build(), **changes)
+        _, agent, seed = self.collected(scenario)
+        assert len(agent.replay) == scenario.n_slots
+        batch = agent.replay.sample(scenario.n_slots, np.random.default_rng(0))
+        # A state's slot grows by one per step, so sorting on it restores the order.
+        rows = ReplayBatch(*(column[np.argsort(batch.state)] for column in batch))
+        probe = DcbUplinkEnv(scenario)
+        state = probe.reset(seed)
+        for row in range(scenario.n_slots):
+            action = int(rows.action[row])
+            reward = step_reward(probe, state, action)
+            next_state = probe.step(action)
+            expected = (state, action, reward, next_state, probe.current_mask, probe.done)
+            for field, value in zip(ReplayBatch._fields, expected):
+                assert np.array_equal(getattr(rows, field)[row], value), (row, field)
+            state = next_state
+
+
 class TestTrainIteration:
     def test_warm_fill_skips_gradient_steps(self):
         env = DcbUplinkEnv(micro_scenario())
         cfg = tiny_config(batch_size=10_000)  # never reachable in one episode
         agent = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(0))
         agent.train_iteration(env, np.array([1.0, 0.0, 0.0]))
-        assert agent.grad_steps_done == 0
+        assert agent.adam.step == 0
         assert len(agent.replay) == env.scenario.n_slots
 
     def test_zero_learning_rate_freezes_policy(self):
@@ -438,7 +501,7 @@ class TestTrainIteration:
             agent.train_iteration(env, np.array([0.4, 0.3, 0.3]))
         _, _, q_after = neural.forward(agent.params, probe)
         assert np.array_equal(q_before, q_after)
-        assert agent.grad_steps_done > 0
+        assert agent.adam.step > 0
 
     def test_target_sync_period(self):
         env = DcbUplinkEnv(micro_scenario())
@@ -447,12 +510,12 @@ class TestTrainIteration:
         initial = agent.params.clone()
         weight = np.array([0.4, 0.3, 0.3])
         agent.train_iteration(env, weight)
-        assert agent.grad_steps_done == 2
+        assert agent.adam.step == 2
         assert agent.target_q.tobytes() == table_of(initial, env, agent)
         agent.train_iteration(env, weight)
         # The sync happened exactly at the boundary: it dropped the table,
         # and the next build takes the params as they stand after step 4.
-        assert agent.grad_steps_done == 4 and agent.target_q is None
+        assert agent.adam.step == 4 and agent.target_q is None
         synced = agent.params.clone()
         agent.train_iteration(env, weight)
         assert agent.target_q.tobytes() == table_of(synced, env, agent)
@@ -499,7 +562,7 @@ class TestTrainIteration:
         for _ in range(t):
             agent.train_iteration(env, np.array([0.5, 0.3, 0.2]))
         assert agent.iteration == t
-        assert agent.adam.step == agent.grad_steps_done > 0
+        assert agent.adam.step > 0
         assert agent.params.sizes == (2, 8, 8, env.n_actions)
         assert np.isfinite(agent.params.flat).all()
         assert not np.array_equal(agent.params.flat, initial)
@@ -521,7 +584,7 @@ class TestTrainIteration:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert agent.grad_steps_done == 6
+        assert agent.adam.step == 6
         assert peak - before < 2.0 * agent.params.flat.nbytes
 
     @pytest.mark.parametrize("tensor", ["trunk_weights", "value_bias", "adv_bias"])
@@ -537,7 +600,7 @@ class TestTrainIteration:
         with pytest.raises(StateError, match=r"gradient step 1: TD loss nan"):
             agent.train_iteration(env, np.array([0.5, 0.3, 0.2]))
         assert agent.params.flat.tobytes() == before
-        assert agent.adam.step == agent.grad_steps_done == 0
+        assert agent.adam.step == 0
         assert not agent.adam.first_moment.any() and not agent.adam.second_moment.any()
 
     def test_clone_replay_is_independent(self):

@@ -1,7 +1,12 @@
 """The package's public names."""
 
 import dataclasses
+import importlib
 import inspect
+import pkgutil
+import typing
+
+import pytest
 
 import leodcb
 from leodcb import emodrl, env, harness, orbits
@@ -36,3 +41,30 @@ def test_orbital_elements_hold_the_five_orbit_inputs():
     assert [f.name for f in dataclasses.fields(orbits.OrbitalElements)] == [
         "inclination", "raan", "arg_perigee", "true_anomaly", "altitude"
     ]
+
+
+def _annotated(module):
+    """The module, then every function, class, method and property getter
+    it defines."""
+    yield module
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            for member in vars(obj).values():
+                member = getattr(member, "__func__", member)      # class/staticmethod
+                member = getattr(member, "fget", member)          # property
+                if inspect.isfunction(member):
+                    yield member
+
+
+@pytest.mark.parametrize(
+    "name", sorted(info.name for info in pkgutil.iter_modules(leodcb.__path__))
+)
+def test_every_annotation_resolves(name):
+    module = importlib.import_module(f"leodcb.{name}")
+    for obj in _annotated(module):
+        typing.get_type_hints(obj)

@@ -73,6 +73,13 @@ class TestEmodrlConfig:
             ("buffer_count", 0, "buffer_count, buffer_size >= 1"),
             ("buffer_size", 0, "buffer_count, buffer_size >= 1"),
             ("eval_episodes", 0, "eval_episodes >= 1"),
+            ("n_tasks", True, "n_tasks is an integer"),
+            ("t_warm", 2.5, "t_warm is an integer"),
+            ("t_task", "20", "t_task is an integer"),
+            ("t_evo", 3.0, "t_evo is an integer"),
+            ("buffer_count", None, "buffer_count is an integer"),
+            ("buffer_size", np.float64(2.0), "buffer_size is an integer"),
+            ("eval_episodes", 1.5, "eval_episodes is an integer"),
         ],
     )
     def test_named_constraint_violated(self, field, value, constraint):

@@ -7,7 +7,9 @@ from oracles import (
     link_distance,
     p2_objective,
     pgd_p2,
+    reward_weights,
     running_objectives,
+    step_reward,
 )
 
 from leodcb import neural
@@ -30,13 +32,18 @@ def first_available_action(env):
 
 
 def run_episode(env, seed, policy):
+    """Step one episode; returns the oracle's reward of each step."""
     state = env.reset(seed)
     rewards = []
     while not env.done:
         action = policy(env, state)
-        state, reward, _ = env.step(action)
-        rewards.append(reward)
+        rewards.append(step_reward(env, state, action))
+        state = env.step(action)
     return rewards
+
+
+def last_reward(env):
+    return env.rewards(env.trace)[-1]
 
 
 class TestReset:
@@ -183,11 +190,11 @@ class TestStep:
     def test_repeat_satellite_no_switch_penalty(self, desk_env):
         desk_env.reset(8)
         action = first_available_action(desk_env)
-        _, first, _ = desk_env.step(action)
-        assert first[2] == 0.0  # episode-start selection is free
+        desk_env.step(action)
+        assert last_reward(desk_env)[2] == 0.0  # episode-start selection is free
         if desk_env.current_mask[action % desk_env.n_satellites]:
-            _, second, _ = desk_env.step(action)
-            assert second[2] == 0.0
+            desk_env.step(action)
+            assert last_reward(desk_env)[2] == 0.0
 
     def test_switch_penalised(self, desk_env):
         # Find a slot with two available satellites and change between them.
@@ -199,10 +206,10 @@ class TestStep:
                 if prev != 0 and len(avail) >= 1:
                     other = [s for s in avail if s != prev]
                     if other:
-                        _, reward, _ = desk_env.step(int(other[0]) - 1)
-                        assert reward[2] == -desk_env.rho3
+                        desk_env.step(int(other[0]) - 1)
+                        assert last_reward(desk_env)[2] == -reward_weights(desk_env.scenario)[2]
                         return
-                state, _, _ = desk_env.step(first_available_action(desk_env))
+                state = desk_env.step(first_available_action(desk_env))
         pytest.fail("no switch opportunity found")
 
     def test_below_threshold_rate_zeroed_but_energy_charged(self):
@@ -211,7 +218,8 @@ class TestStep:
         env.reset(0)
         while not env.done:
             action = first_available_action(env)
-            _, reward, _ = env.step(action)
+            env.step(action)
+            reward = last_reward(env)
             assert reward[0] == 0.0
             if action != env.idle_index:
                 assert reward[1] < 0.0
@@ -223,12 +231,12 @@ class TestStep:
     def test_idle_keeps_previous_satellite(self, desk_env):
         desk_env.reset(12)
         action = first_available_action(desk_env)
-        state, _, _ = desk_env.step(action)
+        state = desk_env.step(action)
         prev = state % (desk_env.n_satellites + 1)
         assert prev == action % desk_env.n_satellites + 1
-        state, reward, _ = desk_env.step(desk_env.idle_index)
+        state = desk_env.step(desk_env.idle_index)
         assert state == 2 * (desk_env.n_satellites + 1) + prev
-        assert reward.tolist() == [0.0, 0.0, 0.0]
+        assert last_reward(desk_env).tolist() == [0.0, 0.0, 0.0]
 
     def test_idle_steps_while_satellites_are_available(self, desk_env):
         # IDLE is outside the agents' action set whenever a satellite is
@@ -236,10 +244,10 @@ class TestStep:
         desk_env.reset(12)
         assert desk_env.current_mask.any()
         assert not desk_env.legitimate_mask()[desk_env.idle_index]
-        state, reward, _ = desk_env.step(desk_env.idle_index)
+        state = desk_env.step(desk_env.idle_index)
         assert state == desk_env.n_satellites + 1      # slot 1, no previous satellite
         assert desk_env.slot == 1
-        assert reward.tolist() == [0.0, 0.0, 0.0]
+        assert last_reward(desk_env).tolist() == [0.0, 0.0, 0.0]
         assert desk_env.trace[-1]["satellite"] == 0
 
     def test_unavailable_satellite_rejected(self, desk_env):
@@ -263,12 +271,14 @@ class TestStep:
 
 class TestTraceConsistency:
     def test_reward_sums_match_objectives(self, desk_env):
+        # The oracle's scalar rewards against the objectives' array rule.
         rewards = run_episode(desk_env, 31, lambda env, s: first_available_action(env))
         f1, f2, f3 = episode_objectives(desk_env.trace, desk_env.scenario)
         n_slots = desk_env.scenario.n_slots
-        rate_sum = sum(r[0] for r in rewards) / desk_env.rho1
-        energy_sum = -sum(r[1] for r in rewards) / desk_env.rho2
-        switch_sum = -sum(r[2] for r in rewards) / desk_env.rho3
+        rho1, rho2, rho3 = reward_weights(desk_env.scenario)
+        rate_sum = sum(r[0] for r in rewards) / rho1
+        energy_sum = -sum(r[1] for r in rewards) / rho2
+        switch_sum = -sum(r[2] for r in rewards) / rho3
         assert rate_sum == pytest.approx(f1 * n_slots, rel=1e-9, abs=1e-12)
         assert energy_sum == pytest.approx(f2 * n_slots, rel=1e-9)
         assert switch_sum == pytest.approx(f3 * n_slots)
@@ -364,7 +374,7 @@ class TestEncodings:
         state = desk_env.reset(0)
         enc = desk_env.state_encodings[state]
         assert enc[0] == 0.0 and enc[1] == 0.0
-        state, _, _ = desk_env.step(first_available_action(desk_env))
+        state = desk_env.step(first_available_action(desk_env))
         enc = desk_env.state_encodings[state]
         assert 0.0 < enc[0] <= 1.0
         assert 0.0 < enc[1] <= 1.0
@@ -386,7 +396,7 @@ class TestEncodings:
             if desk_env.done:
                 break
             action = first_available_action(desk_env)
-            state, _, _ = desk_env.step(action)
+            state = desk_env.step(action)
             slot += 1
             if action != desk_env.idle_index:
                 prev = action % n_sats + 1

@@ -66,7 +66,7 @@ def record():
     GOLDEN.write_text(json.dumps({
         "params_sha256": sha256(param_arrays(agent.params)),
         "last_loss": repr(agent.last_loss),
-        "grad_steps_done": agent.grad_steps_done,
+        "grad_steps_done": agent.adam.step,
         "probe_q_sha256": sha256([q]),
     }, indent=1) + "\n")
 
@@ -74,7 +74,7 @@ def record():
 def test_training_reaches_recorded_params_and_loss():
     golden = json.loads(GOLDEN.read_text())
     agent = trained_micro_agent()
-    assert agent.grad_steps_done == golden["grad_steps_done"]
+    assert agent.adam.step == golden["grad_steps_done"]
     assert repr(agent.last_loss) == golden["last_loss"]
     assert sha256(param_arrays(agent.params)) == golden["params_sha256"]
 

@@ -127,7 +127,7 @@ def test_wide_agent_trains_to_the_same_bits(under):
             under(work, agent.train_iteration, env, weight)
         runs.append(agent)
     split, whole = runs
-    assert split.grad_steps_done == whole.grad_steps_done == 6
+    assert split.adam.step == whole.adam.step == 6
     assert split.last_loss == whole.last_loss
     assert np.array_equal(split.params.flat, whole.params.flat)
     assert np.array_equal(split.adam.first_moment, whole.adam.first_moment)
@@ -148,7 +148,7 @@ def test_gradient_buffer_is_freed_when_train_iteration_returns(under, monkeypatc
 
     monkeypatch.setattr(neural, "backward", recording_backward)
     under(SPLIT, agent.train_iteration, env, np.full(3, 1 / 3))
-    assert agent.grad_steps_done == 3
+    assert agent.adam.step == 3
     assert buffers and all(ref() is None for ref in buffers)
 
 
@@ -198,7 +198,7 @@ def test_desk_width_training_starts_no_thread(monkeypatch):
     agent, env = wide_agent(hidden=(64, 64))
     threads = threading.active_count()
     agent.train_iteration(env, np.full(3, 1 / 3))
-    assert agent.grad_steps_done == 3
+    assert agent.adam.step == 3
     assert threading.active_count() == threads
     assert neural._worker_jobs is None
 
