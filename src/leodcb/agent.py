@@ -13,7 +13,7 @@ from . import neural
 from .env import DcbUplinkEnv, episode_objectives
 from .errors import ConfigError, StateError
 from .neural import AdamState, QNetworkParams
-from .scenario import is_integer, require_integers
+from .scenario import is_integer, require_integers, require_numbers
 
 STATE_DIM = 2  # (slot / T, prev_satellite / N_L)
 
@@ -48,6 +48,8 @@ class AgentConfig:
     def __post_init__(self):
         require_integers("agent", self, ("replay_capacity", "batch_size", "target_sync_period",
                                          "grad_steps_per_iteration", "episodes_per_iteration"))
+        require_numbers("agent", self, ("gamma", "epsilon_start", "epsilon_end", "learning_rate",
+                                        "max_grad_norm"))
         decay = self.epsilon_decay_iters
         sizes = self.hidden_sizes
         integral = isinstance(sizes, tuple) and all(map(is_integer, sizes))

@@ -180,6 +180,7 @@ class EmodrlConfig:
         require_integers("emodrl", self, ("n_tasks", "t_warm", "t_task", "t_evo",
                                           "buffer_count", "buffer_size", "eval_episodes"))
         for holds, constraint in (
+            (isinstance(self.agent, AgentConfig), "agent is an AgentConfig"),
             (self.n_tasks >= 1, "n_tasks >= 1"),
             (min(self.t_warm, self.t_task) >= 1, "t_warm, t_task >= 1"),
             (self.t_evo >= 0, "t_evo >= 0"),

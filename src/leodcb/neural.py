@@ -15,6 +15,11 @@ and the hidden gradient is the same gathered columns scaled by the
 residuals. Adam folds its two bias corrections into two scalars, so each
 entry takes one division.
 
+Params and gradients are float64. Adam's two moments are float32, so an
+agent's optimizer state takes half its params' bytes: each block of the
+update casts its gradient to float32 once, works in float32, and lands
+its step on the float64 params. Checkpoints hold the params alone.
+
 Large steps run on two cores. Each trunk layer (matmul, bias, tanh, split
 by batch rows), the trunk weight-gradient product (split by fan-in rows),
 the hidden-gradient product (split by batch rows), the advantage-head
@@ -22,20 +27,22 @@ gradient fill and scatter (split by hidden rows) and Adam's block loop run
 as two fixed halves: the calling thread does the first, one persistent
 worker thread the second. Each half writes only its own rows, and a call
 returns, or raises, only after both have finished. A step splits only when
-each half holds two rows and at least ``_SPLIT_WORK`` multiply-adds. That
-rule reads the shapes alone, so results do not depend on the core count;
-no setting, flag or environment variable changes it, and no desk-scale
-call splits.
+each half holds two rows and at least ``_SPLIT_WORK`` multiply-adds, and a
+product only when its output width is a multiple of 8. Those rules read
+the shapes alone, so results do not depend on the core count; no setting,
+flag or environment variable changes them, and no desk-scale call splits.
 
 The split is bit-identical to the whole step. Adam is elementwise, and
 the scatter adds into each cell in batch order whichever rows it covers.
-For the products it holds on OpenBLAS 0.3.31 (SkylakeX kernels) when the
-product's output width is a multiple of 8, as every trunk width of the
-paper and desk configs is; the tests pin it at the paper's shapes. So the
-1,101-column advantage-head product of a batch forward stays whole: a row
-split moved 53 of its 281,856 entries, by up to 6e-17 on a freshly
-initialized network. The value head, the clip norm (one dot product, so
-its summation order stays) and single-row forwards stay whole too.
+Row halves of a product whose output width is a multiple of 8 give the
+whole product's bits on OpenBLAS 0.3.31 (SkylakeX kernels); at widths
+such as 650 or 700 they differed in a few entries, so those products stay
+whole. The tests compare split and whole steps bitwise at the paper's
+shapes and at trunk width 700. The 1,101-column advantage-head product of
+a batch forward stays whole too: a row split moved 53 of its 281,856
+entries, by up to 6e-17 on a freshly initialized network. So do the value
+head, the clip norm (one dot product, so its summation order stays) and
+single-row forwards.
 """
 
 from __future__ import annotations
@@ -152,6 +159,13 @@ def _split(n: int, row_work: int) -> bool:
     return n >= 4 and n // 2 * row_work >= _SPLIT_WORK
 
 
+def _split_product(rows: int, inner: int, width: int) -> bool:
+    """``_split`` for a (rows x inner) @ (inner x width) product, by rows.
+    On OpenBLAS 0.3.31 row halves give the whole product's bits when the
+    output width is a multiple of 8, and at other widths they did not."""
+    return width % 8 == 0 and _split(rows, inner * width)
+
+
 def _halves(fn, n: int) -> None:
     """Run ``fn(slice(0, n // 2))`` on this thread and ``fn(slice(n // 2, n))``
     on the worker; for steps that ``_split`` accepts. The caller runs a
@@ -192,7 +206,7 @@ def _trunk(params: QNetworkParams, x: np.ndarray, big: bool) -> list[np.ndarray]
     activations = [x]
     h = x
     for w, b in zip(params.trunk_weights, params.trunk_biases):
-        if big and _split(len(h), w.size):
+        if big and _split_product(len(h), *w.shape):
             h = _split_layer(h, w, b)
         else:
             h = h @ w
@@ -360,14 +374,14 @@ def backward(
         d_pre = d_h
         d_pre *= tanh_grad
         weight = params.trunk_weights[layer]
-        if big and _split(len(weight), batch * weight.shape[1]):
+        if big and _split_product(len(weight), batch, weight.shape[1]):
             _split_matmul(activations[layer].T, d_pre, grads.trunk_weights[layer])
         else:
             np.matmul(activations[layer].T, d_pre, out=grads.trunk_weights[layer])
         d_pre.sum(axis=0, out=grads.trunk_biases[layer])
         if layer == 0:
             break
-        if big and _split(batch, weight.size):
+        if big and _split_product(batch, weight.shape[1], len(weight)):
             d_h = np.empty((batch, len(weight)))
             _split_matmul(d_pre, weight.T, d_h)
         else:
@@ -385,7 +399,7 @@ def clip_gradients(grads: QNetworkParams, max_norm: float) -> float:
 
 @dataclass(eq=False)
 class AdamState:
-    first_moment: np.ndarray    # same layout as QNetworkParams.flat
+    first_moment: np.ndarray    # float32, same layout as QNetworkParams.flat
     second_moment: np.ndarray
     step: int = 0
 
@@ -394,7 +408,8 @@ class AdamState:
 
 
 def init_adam(params: QNetworkParams) -> AdamState:
-    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat))
+    return AdamState(np.zeros(params.flat.size, np.float32),
+                     np.zeros(params.flat.size, np.float32))
 
 
 # Adam updates this many entries at a time, so its temporaries stay small
@@ -419,54 +434,61 @@ def adam_step(
     theta -= step (m / (sqrt(v) root + eps)), one division per entry.
     """
     state.step += 1
-    step = lr / (1.0 - beta1**state.step)
-    root = 1.0 / math.sqrt(1.0 - beta2**state.step)
+    # As float32 scalars, whatever their types here, so that the update
+    # works in float32: b1, 1 - b1, b2, 1 - b2, step, root, eps.
+    scalars = np.array([
+        beta1, 1.0 - beta1, beta2, 1.0 - beta2,
+        lr / (1.0 - beta1**state.step), 1.0 / math.sqrt(1.0 - beta2**state.step), eps,
+    ], np.float32)
     vectors = (params.flat, grads.flat, state.first_moment, state.second_moment)
     n_blocks = -(-params.flat.size // _ADAM_BLOCK)
     if _split(n_blocks, _ADAM_BLOCK):
         # The worker's half gets its scratch from here (see _head_gradient).
-        worker_scratch = (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK))
+        worker_scratch = (np.empty(_ADAM_BLOCK, np.float32), np.empty(_ADAM_BLOCK, np.float32))
 
         def half(blocks):
             entries = slice(blocks.start * _ADAM_BLOCK, blocks.stop * _ADAM_BLOCK)
             _adam_blocks(
-                [vector[entries] for vector in vectors], beta1, beta2, step, root, eps,
+                [vector[entries] for vector in vectors], scalars,
                 *(worker_scratch if blocks.start else ()),
             )
 
         _halves(half, n_blocks)
     else:
-        _adam_blocks(vectors, beta1, beta2, step, root, eps)
+        _adam_blocks(vectors, scalars)
     return params
 
 
-def _adam_blocks(vectors, beta1, beta2, step, root, eps, scratch=None, denom=None) -> None:
+def _adam_blocks(vectors, scalars, grad32=None, tmp32=None) -> None:
     """``adam_step``'s update of one range of the params, gradient and
-    moment vectors, _ADAM_BLOCK entries at a time, in scratch of its own
-    unless given."""
+    moment vectors, _ADAM_BLOCK entries at a time, in float32 scratch of
+    its own unless given. Each gradient block is cast to float32 once;
+    everything after that is float32 until the step lands on the float64
+    params."""
     flat, grad_flat, first, second = vectors
-    if scratch is None:
-        scratch = np.empty(min(_ADAM_BLOCK, flat.size))
-        denom = np.empty_like(scratch)
+    beta1, rest1, beta2, rest2, step, root, eps = scalars
+    if grad32 is None:
+        grad32 = np.empty(min(_ADAM_BLOCK, flat.size), np.float32)
+        tmp32 = np.empty_like(grad32)
     for start in range(0, flat.size, _ADAM_BLOCK):
         block = slice(start, start + _ADAM_BLOCK)
-        theta, grad = flat[block], grad_flat[block]
-        m, v = first[block], second[block]
-        tmp, den = scratch[: theta.size], denom[: theta.size]
+        theta, m, v = flat[block], first[block], second[block]
+        grad, tmp = grad32[: theta.size], tmp32[: theta.size]
+        grad[...] = grad_flat[block]
         # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g.
         m *= beta1
-        np.multiply(1.0 - beta1, grad, out=tmp)
+        np.multiply(rest1, grad, out=tmp)
         m += tmp
         v *= beta2
-        np.multiply(1.0 - beta2, grad, out=tmp)
+        np.multiply(rest2, grad, out=tmp)
         tmp *= grad
         v += tmp
-        np.sqrt(v, out=den)
-        den *= root
-        den += eps
-        np.divide(m, den, out=tmp)
-        tmp *= step
-        theta -= tmp
+        np.sqrt(v, out=tmp)
+        tmp *= root
+        tmp += eps
+        np.divide(m, tmp, out=grad)
+        grad *= step
+        theta -= grad
 
 
 def _v1_tensors(params: QNetworkParams) -> dict[str, np.ndarray]:

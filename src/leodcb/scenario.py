@@ -126,12 +126,26 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_number(value) -> bool:
+    # Nor is true a real number.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def require_integers(section: str, config, names) -> None:
     """Raise a ``ConfigError`` naming the first ``names`` field of ``config``
     that is no integer (a bool is none); run before comparing them."""
+    _require_each(section, config, names, is_integer, "an integer")
+
+
+def require_numbers(section: str, config, names) -> None:
+    """As ``require_integers``, for fields that hold real numbers."""
+    _require_each(section, config, names, is_number, "a number")
+
+
+def _require_each(section: str, config, names, holds, kind: str) -> None:
     for name in names:
-        if not is_integer(getattr(config, name)):
-            raise ConfigError(f"{section} constraint violated: {name} is an integer")
+        if not holds(getattr(config, name)):
+            raise ConfigError(f"{section} constraint violated: {name} is {kind}")
 
 
 def _draw_terminals(master_seed: int, count: int, area: float):
@@ -304,7 +318,7 @@ def _object(section, keys, where: str) -> dict:
 
 
 def _number(value, where: str):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_number(value):
         raise ConfigError(f"{where} must be a JSON number")
     return value
 

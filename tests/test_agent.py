@@ -107,6 +107,12 @@ class TestAgentConfig:
             ("epsilon_decay_iters", 2.5, "epsilon_decay_iters is None or an integer >= 1"),
             ("epsilon_decay_iters", 0, "epsilon_decay_iters is None or an integer >= 1"),
             ("hidden_sizes", (True,), "hidden_sizes is a nonempty tuple of integers >= 1"),
+            ("gamma", None, "gamma is a number"),
+            ("epsilon_start", True, "epsilon_start is a number"),
+            ("epsilon_end", "0.05", "epsilon_end is a number"),
+            ("learning_rate", "1e-3", "learning_rate is a number"),
+            ("learning_rate", True, "learning_rate is a number"),
+            ("max_grad_norm", [10.0], "max_grad_norm is a number"),
         ],
     )
     def test_named_constraint_violated(self, field, value, constraint):
@@ -550,6 +556,24 @@ class TestTrainIteration:
         twin.train_iteration(env, np.array([1.0, 0.0, 0.0]))
         assert twin.iteration == agent.iteration + 1
         assert not np.array_equal(agent.params.flat, twin.params.flat)
+
+    def test_clone_has_float32_moments_of_its_own(self):
+        env = DcbUplinkEnv(micro_scenario())
+        agent = EnhancedD3qnAgent.create(tiny_config(batch_size=4), env.n_actions,
+                                         np.random.default_rng(6))
+        agent.train_iteration(env, np.array([1.0, 0.0, 0.0]))
+        twin = agent.clone()
+        before = [agent.adam.first_moment.copy(), agent.adam.second_moment.copy()]
+        for mine, theirs in zip(before, (twin.adam.first_moment, twin.adam.second_moment)):
+            assert theirs.dtype == np.float32 and np.array_equal(theirs, mine)
+        twin.train_iteration(env, np.array([1.0, 0.0, 0.0]))
+        for mine, now, theirs in zip(
+            before,
+            (agent.adam.first_moment, agent.adam.second_moment),
+            (twin.adam.first_moment, twin.adam.second_moment),
+        ):
+            assert np.array_equal(now, mine)
+            assert theirs.dtype == np.float32 and not np.array_equal(theirs, mine)
 
     def test_counters_and_params_after_training(self):
         # The micro run's warm-up plus one generation: t = 2 + 1 iterations.

@@ -80,6 +80,8 @@ class TestEmodrlConfig:
             ("buffer_count", None, "buffer_count is an integer"),
             ("buffer_size", np.float64(2.0), "buffer_size is an integer"),
             ("eval_episodes", 1.5, "eval_episodes is an integer"),
+            ("agent", None, "agent is an AgentConfig"),
+            ("agent", "x", "agent is an AgentConfig"),
         ],
     )
     def test_named_constraint_violated(self, field, value, constraint):

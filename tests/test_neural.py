@@ -304,15 +304,51 @@ class TestAdam:
         params = init_params(2, (250, 250), 60, rng)
         assert params.flat.size > 2 * neural._ADAM_BLOCK
         state = init_adam(params)
-        theta, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+        m = v = np.zeros(params.flat.size, np.float32)
         for step in (1, 2, 3):
             grads = QNetworkParams(params.sizes, rng.normal(size=params.flat.size))
+            before = params.flat.copy()
             adam_step(params, grads, state, lr=1e-3)
-            m = 0.9 * m + 0.1 * grads.flat
-            v = 0.999 * v + 0.001 * grads.flat**2
-            theta -= 1e-3 * (m / (1 - 0.9**step)) / (np.sqrt(v / (1 - 0.999**step)) + 1e-8)
-            assert np.allclose(params.flat, theta, rtol=1e-12, atol=1e-15)
+            # The moments are the textbook recursion run in float32, bit for bit.
+            g = grads.flat.astype(np.float32)
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            assert np.array_equal(state.first_moment, m)
+            assert np.array_equal(state.second_moment, v)
+            # The step is the float64 textbook step from those moments, up
+            # to its float32 arithmetic: 1e-6 is about 16 float32 ulps.
+            m_hat = m.astype(float) / (1 - 0.9**step)
+            v_hat = v.astype(float) / (1 - 0.999**step)
+            textbook = 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.allclose(before - params.flat, textbook, rtol=1e-6, atol=0.0)
         assert state.step == 3
+
+    def test_numpy_scalars_give_the_python_floats_bits(self):
+        # The update is float32 whatever the types of lr and the betas.
+        results = []
+        for scalar in (float, np.float64):
+            rng = np.random.default_rng(23)
+            params = small_net(rng)
+            state = init_adam(params)
+            for _ in range(3):
+                grads, _ = backward(params, *random_batch(rng, params))
+                adam_step(params, grads, state, scalar(1e-3), scalar(0.9), scalar(0.999),
+                          scalar(1e-8))
+            results.append((params.flat, state.first_moment, state.second_moment))
+        for python, numpy in zip(*results):
+            assert np.array_equal(python, numpy)
+
+    def test_moments_are_float32_at_half_the_params_bytes(self):
+        rng = np.random.default_rng(21)
+        params = small_net(rng)
+        state = init_adam(params)
+        moments = (state.first_moment, state.second_moment)
+        assert all(moment.dtype == np.float32 and not moment.any() for moment in moments)
+        assert sum(moment.nbytes for moment in moments) == params.flat.nbytes
+        grads, _ = backward(params, *random_batch(rng, params))
+        adam_step(params, grads, state, lr=1e-2)
+        assert params.flat.dtype == grads.flat.dtype == np.float64
+        assert all(moment.dtype == np.float32 and moment.any() for moment in moments)
 
 
 class TestClipping:
@@ -339,13 +375,25 @@ class TestClipping:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
+        # A trained net's checkpoint holds its float64 params under the v1
+        # keys and none of Adam's float32 state.
         rng = np.random.default_rng(13)
         params = init_params(2, (6, 5), 4, rng)
+        state = init_adam(params)
+        for _ in range(3):
+            grads, _ = backward(params, *random_batch(rng, params))
+            adam_step(params, grads, state, lr=1e-2)
         path = tmp_path / "net.npz"
         save_params(path, params)
+        with np.load(path) as data:
+            assert sorted(data.files) == sorted([
+                "format_version", "n_trunk_layers", "trunk_w0", "trunk_b0", "trunk_w1",
+                "trunk_b1", "value_w", "value_b", "adv_w", "adv_b",
+            ])
         loaded = load_params(path)
         assert loaded.sizes == params.sizes
-        assert np.array_equal(params.flat, loaded.flat)
+        assert loaded.flat.dtype == np.float64
+        assert loaded.flat.tobytes() == params.flat.tobytes()
 
     def test_forward_identical_after_reload(self, tmp_path):
         rng = np.random.default_rng(14)

@@ -50,39 +50,55 @@ def adam_update(params, grads):
     return theta.flat, state.first_moment, state.second_moment
 
 
-@pytest.mark.parametrize("batch", [256, 255])
-def test_paper_shape_steps_equal_whole_steps_bitwise(under, paper_params, batch):
-    rng = np.random.default_rng(batch)
+def assert_td_step_equals_whole(under, params, rng, batch):
+    """Forward, backward and Adam forced to split give the whole step's bits;
+    returns the gradient."""
     x = rng.random((batch, 2))
-    actions = rng.integers(PAPER_ACTIONS, size=batch)
+    actions = rng.integers(params.n_actions, size=batch)
     targets = rng.normal(size=batch)
-    # At the real threshold the trunk products, the head gradient and Adam split.
-    width = PAPER_HIDDEN[-1]
-    assert neural._split(batch, width * width)
-    assert neural._split(width, PAPER_ACTIONS + batch)
-    assert neural._split(paper_params.flat.size // neural._ADAM_BLOCK, neural._ADAM_BLOCK)
-
-    q_split = under(SPLIT, neural.forward, paper_params, x)[2]
-    q_whole = under(WHOLE, neural.forward, paper_params, x)[2]
+    q_split = under(SPLIT, neural.forward, params, x)[2]
+    q_whole = under(WHOLE, neural.forward, params, x)[2]
     assert np.array_equal(q_split, q_whole)
 
-    grads_split, loss_split = under(SPLIT, neural.backward, paper_params, x, actions, targets)
-    grads, loss = under(WHOLE, neural.backward, paper_params, x, actions, targets)
+    grads_split, loss_split = under(SPLIT, neural.backward, params, x, actions, targets)
+    grads, loss = under(WHOLE, neural.backward, params, x, actions, targets)
     assert loss_split == loss
     assert np.array_equal(grads_split.flat, grads.flat)
     del grads_split
 
     for got, want in zip(
-        under(SPLIT, adam_update, paper_params, grads),
-        under(WHOLE, adam_update, paper_params, grads),
+        under(SPLIT, adam_update, params, grads), under(WHOLE, adam_update, params, grads)
     ):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("batch", [256, 255])
+def test_paper_shape_steps_equal_whole_steps_bitwise(under, paper_params, batch):
+    rng = np.random.default_rng(batch)
+    # At the real threshold the trunk products, the head gradient and Adam split.
+    width = PAPER_HIDDEN[-1]
+    assert neural._split_product(batch, width, width)
+    assert neural._split_product(width, batch, width)
+    assert neural._split(width, PAPER_ACTIONS + batch)
+    assert neural._split(paper_params.flat.size // neural._ADAM_BLOCK, neural._ADAM_BLOCK)
+    assert_td_step_equals_whole(under, paper_params, rng, batch)
 
     # Three chunks of the batch size, the last one partial.
     encodings = rng.random((2 * batch + 88, 2))
     table_split = under(SPLIT, target_table, paper_params, encodings, PAPER_SATELLITES, batch)
     table = under(WHOLE, target_table, paper_params, encodings, PAPER_SATELLITES, batch)
     assert np.array_equal(table_split, table)
+
+
+def test_width_700_steps_equal_whole_steps_bitwise(under):
+    # Row halves of a 700-column product sum in another order than the
+    # whole product, so its products stay whole at any threshold; the head
+    # gradient and Adam still split.
+    rng = np.random.default_rng(700)
+    params = neural.init_params(2, (700, 700), PAPER_ACTIONS, rng)
+    batch = 256
+    assert neural._split(batch, 700 * 700) and not neural._split_product(batch, 700, 700)
+    assert_td_step_equals_whole(under, params, rng, batch)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
