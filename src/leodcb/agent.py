@@ -10,12 +10,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import neural
-from .env import DcbUplinkEnv, episode_objectives
-from .errors import ConfigError, StateError
+from .env import DcbUplinkEnv, episode_objectives, legitimate_masks
+from .errors import ConfigError, StateError, check, is_integer
 from .neural import AdamState, QNetworkParams
-from .scenario import is_integer, require_integers, require_numbers
 
 STATE_DIM = 2  # (slot / T, prev_satellite / N_L)
+MAX_GRAD_NORM = 10.0  # gradient norm cap of every TD step
 
 
 class ReplayBatch(NamedTuple):
@@ -43,17 +43,14 @@ class AgentConfig:
     episodes_per_iteration: int = 1
     learning_rate: float = 1e-4
     hidden_sizes: tuple = (2048, 2048)
-    max_grad_norm: float = 10.0
 
     def __post_init__(self):
-        require_integers("agent", self, ("replay_capacity", "batch_size", "target_sync_period",
-                                         "grad_steps_per_iteration", "episodes_per_iteration"))
-        require_numbers("agent", self, ("gamma", "epsilon_start", "epsilon_end", "learning_rate",
-                                        "max_grad_norm"))
         decay = self.epsilon_decay_iters
         sizes = self.hidden_sizes
         integral = isinstance(sizes, tuple) and all(map(is_integer, sizes))
-        for holds, constraint in (
+        check("agent", vars(self), ("replay_capacity", "batch_size", "target_sync_period",
+                                    "grad_steps_per_iteration", "episodes_per_iteration"),
+              ("gamma", "epsilon_start", "epsilon_end", "learning_rate"), lambda: (
             (0.0 < self.gamma < 1.0, "0 < gamma < 1"),
             (0.0 <= self.epsilon_start <= 1.0, "0 <= epsilon_start <= 1"),
             (0.0 <= self.epsilon_end <= 1.0, "0 <= epsilon_end <= 1"),
@@ -66,10 +63,7 @@ class AgentConfig:
             (0.0 <= self.learning_rate < float("inf"), "learning_rate is finite and >= 0"),
             (not integral or all(width >= 1 for width in sizes), "hidden widths >= 1"),
             (integral and len(sizes) >= 1, "hidden_sizes is a nonempty tuple of integers >= 1"),
-            (self.max_grad_norm > 0.0, "max_grad_norm > 0"),
-        ):
-            if not holds:
-                raise ConfigError(f"agent constraint violated: {constraint}")
+        ))
 
 
 class ReplayBuffer:
@@ -174,12 +168,11 @@ def td_targets(
     gamma: float,
 ) -> np.ndarray:
     """Scalarized one-step targets, maximized over the next state's
-    legitimate actions (the schemes of its available satellites, or IDLE
-    when none is) from a ``target_table``; terminal transitions bootstrap
-    nothing."""
+    legitimate choices (its available satellites, or IDLE when none is:
+    ``legitimate_masks`` for one scheme) from a ``target_table``; terminal
+    transitions bootstrap nothing."""
     rewards = batch.reward @ np.asarray(weight, dtype=float)
-    available = batch.next_available
-    legit = np.concatenate([available, ~available.any(axis=1, keepdims=True)], axis=1)
+    legit = legitimate_masks(batch.next_available, 1)
     best_next = np.where(legit, table[batch.next_state], -np.inf).max(axis=1)
     return rewards + gamma * np.where(batch.terminal, 0.0, best_next)
 
@@ -270,7 +263,7 @@ class EnhancedD3qnAgent:
             _, self.last_loss = neural.backward(
                 self.params, env.state_encodings[batch.state], batch.action, targets, grads
             )
-            norm = neural.clip_gradients(grads, cfg.max_grad_norm)
+            norm = neural.clip_gradients(grads, MAX_GRAD_NORM)
             if not (math.isfinite(self.last_loss) and math.isfinite(norm)):
                 # Stop before Adam writes the non-finite step into the params.
                 raise StateError(

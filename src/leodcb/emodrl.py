@@ -17,18 +17,21 @@ import numpy as np
 
 from .agent import AgentConfig, EnhancedD3qnAgent, evaluate_policy
 from .env import DcbUplinkEnv
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check
 from .neural import QNetworkParams
-from .scenario import Scenario, require_integers
+from .scenario import Scenario
 from .seeding import stream
 
 
-def generate_weights(count: int, floor: float = 1e-3) -> list[np.ndarray]:
+WEIGHT_FLOOR = 1e-3  # smallest weight component: every task weighs every objective
+
+
+def generate_weights(count: int) -> list[np.ndarray]:
     """Evenly spread strictly-positive weight vectors on the 3-simplex.
 
     Takes the smallest simplex lattice with at least ``count`` points,
     subsamples it evenly in lexicographic order, then clamps components
-    to ``floor`` and renormalizes.
+    to ``WEIGHT_FLOOR`` and renormalizes.
     """
     if count < 1:
         raise DomainError("weight count must be >= 1")
@@ -41,7 +44,7 @@ def generate_weights(count: int, floor: float = 1e-3) -> list[np.ndarray]:
         for j in range(resolution - i + 1)
     ]
     picks = np.round(np.linspace(0, len(lattice) - 1, count)).astype(int)
-    clamped = [np.maximum(lattice[i], floor) for i in picks]
+    clamped = [np.maximum(lattice[i], WEIGHT_FLOOR) for i in picks]
     return [w / w.sum() for w in clamped]
 
 
@@ -177,18 +180,15 @@ class EmodrlConfig:
     agent: AgentConfig = field(default_factory=AgentConfig)
 
     def __post_init__(self):
-        require_integers("emodrl", self, ("n_tasks", "t_warm", "t_task", "t_evo",
-                                          "buffer_count", "buffer_size", "eval_episodes"))
-        for holds, constraint in (
+        check("emodrl", vars(self), ("n_tasks", "t_warm", "t_task", "t_evo", "buffer_count",
+                                     "buffer_size", "eval_episodes"), constraints=lambda: (
             (isinstance(self.agent, AgentConfig), "agent is an AgentConfig"),
             (self.n_tasks >= 1, "n_tasks >= 1"),
             (min(self.t_warm, self.t_task) >= 1, "t_warm, t_task >= 1"),
             (self.t_evo >= 0, "t_evo >= 0"),
             (min(self.buffer_count, self.buffer_size) >= 1, "buffer_count, buffer_size >= 1"),
             (self.eval_episodes >= 1, "eval_episodes >= 1"),
-        ):
-            if not holds:
-                raise ConfigError(f"emodrl constraint violated: {constraint}")
+        ))
 
 
 class GenerationRecord(NamedTuple):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``check``, the one test
+of a configuration's settings against its named constraints."""
+
+import numbers
 
 
 class DomainError(ValueError):
@@ -15,3 +18,30 @@ class IllegalActionError(RuntimeError):
 
 class StateError(RuntimeError):
     """An operation was called in a state it does not support."""
+
+
+def is_integer(value) -> bool:
+    # bool is an int subclass, but true is no count or seed.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    # Nor is true a real number.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check(section: str, values, integers=(), reals=(), constraints=tuple) -> None:
+    """Raise a ``ConfigError`` naming ``section`` and the first failure: a
+    field of ``values`` (a name-to-value mapping) named in ``integers`` that
+    is no integer, then one in ``reals`` that is no real number (a bool is
+    neither), then a false (holds, constraint) row of ``constraints()``,
+    which is called only once every type holds, so its rows may compare."""
+
+    def rows():
+        yield from ((is_integer(values[name]), f"{name} is an integer") for name in integers)
+        yield from ((is_number(values[name]), f"{name} is a number") for name in reals)
+        yield from constraints()
+
+    for holds, constraint in rows():
+        if not holds:
+            raise ConfigError(f"{section} constraint violated: {constraint}")

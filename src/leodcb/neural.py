@@ -415,6 +415,8 @@ def init_adam(params: QNetworkParams) -> AdamState:
 # Adam updates this many entries at a time, so its temporaries stay small
 # instead of each costing a copy of the whole parameter vector.
 _ADAM_BLOCK = 1 << 15
+# Adam's moment decay rates and denominator offset, the textbook defaults.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def adam_step(
@@ -422,9 +424,6 @@ def adam_step(
     grads: QNetworkParams,
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> QNetworkParams:
     """Standard Adam update applied in place; returns the params.
 
@@ -434,11 +433,12 @@ def adam_step(
     theta -= step (m / (sqrt(v) root + eps)), one division per entry.
     """
     state.step += 1
-    # As float32 scalars, whatever their types here, so that the update
+    # As float32 scalars, whatever the type of lr, so that the update
     # works in float32: b1, 1 - b1, b2, 1 - b2, step, root, eps.
     scalars = np.array([
-        beta1, 1.0 - beta1, beta2, 1.0 - beta2,
-        lr / (1.0 - beta1**state.step), 1.0 / math.sqrt(1.0 - beta2**state.step), eps,
+        ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2,
+        lr / (1.0 - ADAM_BETA1**state.step), 1.0 / math.sqrt(1.0 - ADAM_BETA2**state.step),
+        ADAM_EPS,
     ], np.float32)
     vectors = (params.flat, grads.flat, state.first_moment, state.second_moment)
     n_blocks = -(-params.flat.size // _ADAM_BLOCK)

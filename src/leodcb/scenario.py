@@ -2,7 +2,9 @@
 
 Scenarios serialize to a strict JSON document (unknown keys rejected,
 floats round-trip exactly) and are validated against named constraints on
-construction.
+construction, whether built from JSON or from Python: every count and seed
+must be an integer and every other scalar a real number (``INTEGER_FIELDS``,
+``REAL_FIELDS``; a bool is neither), checked by ``errors.check``.
 """
 
 from __future__ import annotations
@@ -10,13 +12,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import channel
 from .channel import RfConstants
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check, is_number
 from .orbits import OrbitalElements, PhysicalConstants, circular_orbit
 from .seeding import stream
 
@@ -27,8 +28,10 @@ DEFAULT_NOISE_PSD_DBM_PER_HZ = -157.0
 DEFAULT_BANDWIDTH = 1.0e7
 DEFAULT_CARRIER = 2.4e9
 
-# Scenario fields that hold counts or seeds; every other scalar is a real.
+# Scenario scalars that hold counts or seeds, and those that hold reals.
 INTEGER_FIELDS = ("n_slots", "n_schemes", "master_seed")
+REAL_FIELDS = ("slot_seconds", "rate_threshold", "unavailability", "min_elevation",
+               "reference_longitude", "terminal_area")
 
 
 @dataclass(frozen=True)
@@ -55,20 +58,19 @@ class Scenario:
     terminal_area: float = 100.0  # side of the square terminal area, m
 
     def __post_init__(self):
-        require_integers("scenario", self, INTEGER_FIELDS)
-        _require(len(self.terminals) >= 1, "n_terminals >= 1")
-        _require(len(self.constellation) >= 1, "n_satellites >= 1")
-        _require(0.0 <= self.unavailability <= 1.0, "0 <= unavailability <= 1")
-        _require(self.n_slots >= 1, "n_slots >= 1")
-        _require(self.slot_seconds > 0.0, "slot_seconds > 0")
-        _require(self.n_schemes >= 1, "n_schemes >= 1")
-        _require(self.rate_threshold >= 0.0, "rate_threshold >= 0")
-        _require(
-            -math.pi / 2 <= self.min_elevation <= math.pi / 2,
-            "min_elevation within [-pi/2, pi/2]",
-        )
-        _require(self.master_seed >= 0, "master_seed >= 0")
-        _require(self.terminal_area > 0.0, "terminal_area > 0")
+        check("scenario", vars(self), INTEGER_FIELDS, REAL_FIELDS, lambda: (
+            (len(self.terminals) >= 1, "n_terminals >= 1"),
+            (len(self.constellation) >= 1, "n_satellites >= 1"),
+            (0.0 <= self.unavailability <= 1.0, "0 <= unavailability <= 1"),
+            (self.n_slots >= 1, "n_slots >= 1"),
+            (self.slot_seconds > 0.0, "slot_seconds > 0"),
+            (self.n_schemes >= 1, "n_schemes >= 1"),
+            (self.rate_threshold >= 0.0, "rate_threshold >= 0"),
+            (-math.pi / 2 <= self.min_elevation <= math.pi / 2,
+             "min_elevation within [-pi/2, pi/2]"),
+            (self.master_seed >= 0, "master_seed >= 0"),
+            (self.terminal_area > 0.0, "terminal_area > 0"),
+        ))
         rf = self.rf
         if rf.rho0 is None:
             rho0 = channel.default_rho0(
@@ -103,8 +105,8 @@ class Scenario:
         if unavailability is not None:
             changes["unavailability"] = unavailability
         if n_terminals is not None:
-            _require(is_integer(n_terminals), "n_terminals is an integer")
-            _require(n_terminals >= 1, "n_terminals >= 1")
+            check("scenario", {"n_terminals": n_terminals}, ("n_terminals",),
+                  constraints=lambda: ((n_terminals >= 1, "n_terminals >= 1"),))
             changes["terminals"] = _draw_terminals(
                 self.master_seed, n_terminals, self.terminal_area
             )
@@ -114,38 +116,6 @@ class Scenario:
         """Keep only the given terminal indices (used by the non-DCB baseline)."""
         kept = tuple(self.terminals[i] for i in indices)
         return dataclasses.replace(self, terminals=kept)
-
-
-def _require(condition: bool, constraint: str) -> None:
-    if not condition:
-        raise ConfigError(f"scenario constraint violated: {constraint}")
-
-
-def is_integer(value) -> bool:
-    # bool is an int subclass, but true is no count or seed.
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_number(value) -> bool:
-    # Nor is true a real number.
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def require_integers(section: str, config, names) -> None:
-    """Raise a ``ConfigError`` naming the first ``names`` field of ``config``
-    that is no integer (a bool is none); run before comparing them."""
-    _require_each(section, config, names, is_integer, "an integer")
-
-
-def require_numbers(section: str, config, names) -> None:
-    """As ``require_integers``, for fields that hold real numbers."""
-    _require_each(section, config, names, is_number, "a number")
-
-
-def _require_each(section: str, config, names, holds, kind: str) -> None:
-    for name in names:
-        if not holds(getattr(config, name)):
-            raise ConfigError(f"{section} constraint violated: {name} is {kind}")
 
 
 def _draw_terminals(master_seed: int, count: int, area: float):

@@ -93,8 +93,6 @@ class TestAgentConfig:
             ("learning_rate", float("nan"), "learning_rate is finite and >= 0"),
             ("target_sync_period", 0, "target_sync_period >= 1"),
             ("episodes_per_iteration", 0, "episodes_per_iteration >= 1"),
-            ("max_grad_norm", 0.0, "max_grad_norm > 0"),
-            ("max_grad_norm", -1.0, "max_grad_norm > 0"),
             ("epsilon_start", 1.5, "0 <= epsilon_start <= 1"),
             ("epsilon_end", -0.1, "0 <= epsilon_end <= 1"),
             ("target_sync_period", 1.5, "target_sync_period is an integer"),
@@ -106,19 +104,24 @@ class TestAgentConfig:
             ("episodes_per_iteration", False, "episodes_per_iteration is an integer"),
             ("epsilon_decay_iters", 2.5, "epsilon_decay_iters is None or an integer >= 1"),
             ("epsilon_decay_iters", 0, "epsilon_decay_iters is None or an integer >= 1"),
-            ("hidden_sizes", (True,), "hidden_sizes is a nonempty tuple of integers >= 1"),
             ("gamma", None, "gamma is a number"),
             ("epsilon_start", True, "epsilon_start is a number"),
+            ("hidden_sizes", (True,), "hidden_sizes is a nonempty tuple of integers >= 1"),
             ("epsilon_end", "0.05", "epsilon_end is a number"),
             ("learning_rate", "1e-3", "learning_rate is a number"),
             ("learning_rate", True, "learning_rate is a number"),
-            ("max_grad_norm", [10.0], "max_grad_norm is a number"),
         ],
     )
     def test_named_constraint_violated(self, field, value, constraint):
         message = f"agent constraint violated: {re.escape(constraint)}"
         with pytest.raises(ConfigError, match=message):
             AgentConfig(**{field: value})
+
+    def test_gradient_norm_cap_is_no_setting(self):
+        # train_iteration clips at agent.MAX_GRAD_NORM.
+        assert "max_grad_norm" not in {f.name for f in dataclasses.fields(AgentConfig)}
+        with pytest.raises(TypeError):
+            AgentConfig(max_grad_norm=10.0)
 
     def test_boundary_values_accepted(self):
         # A zero learning rate freezes the net; the tests use it.

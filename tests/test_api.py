@@ -1,15 +1,21 @@
-"""The package's public names."""
+"""The package's public names, config checks and module imports."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
 import typing
+from pathlib import Path
 
 import pytest
 
 import leodcb
 from leodcb import emodrl, env, harness, orbits
+from leodcb.agent import AgentConfig
+from leodcb.emodrl import EmodrlConfig
+from leodcb.errors import ConfigError
+from leodcb.scenario import Scenario, micro_scenario
 
 
 def test_every_exported_name_resolves():
@@ -68,3 +74,71 @@ def test_every_annotation_resolves(name):
     module = importlib.import_module(f"leodcb.{name}")
     for obj in _annotated(module):
         typing.get_type_hints(obj)
+
+
+def _build(cls, **changes):
+    if cls is Scenario:
+        return dataclasses.replace(micro_scenario(), **changes)
+    return cls(**changes)
+
+
+SCALAR_FIELDS = [
+    (cls, name)
+    for cls in (Scenario, AgentConfig, EmodrlConfig)
+    for name, hint in typing.get_type_hints(cls).items()
+    if hint in (int, float, int | None)
+]
+
+
+@pytest.mark.parametrize("value", ["1", True])
+@pytest.mark.parametrize(
+    ("cls", "name"), SCALAR_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in SCALAR_FIELDS]
+)
+def test_config_scalar_of_the_wrong_type_is_named(cls, name, value):
+    # Built from Python, as from JSON or the CLI: a string or a bool is no
+    # count and no real, and the error names the field.
+    with pytest.raises(ConfigError, match=f"constraint violated: {name} "):
+        _build(cls, **{name: value})
+
+
+def test_the_sweep_covers_every_scalar_config_field():
+    # Every Scenario field but its four sections; every AgentConfig field
+    # but hidden_sizes; every EmodrlConfig field but agent.
+    counts = {cls: sum(c is cls for c, _ in SCALAR_FIELDS) for cls in (Scenario, AgentConfig)}
+    assert counts == {Scenario: 9, AgentConfig: 10}
+    assert len(SCALAR_FIELDS) == 9 + 10 + 7
+
+
+# Every module's imports outside the package. Interpreter start and these
+# imports are most of a run's set-up time, so a new one shows up here.
+MODULE_IMPORTS = {
+    "__init__": set(),
+    "agent": {"dataclasses", "math", "numpy", "typing"},
+    "baselines": {"enum", "numpy"},
+    "channel": {"dataclasses", "math", "numpy"},
+    "cli": {"argparse", "dataclasses", "os", "pathlib"},
+    "emodrl": {"dataclasses", "numpy", "typing"},
+    "env": {"math", "numpy", "operator"},
+    "errors": {"numbers"},
+    "harness": {"dataclasses", "json", "numpy", "pathlib", "time"},
+    "neural": {"_queue", "dataclasses", "functools", "math", "numpy", "os", "threading"},
+    "orbits": {"dataclasses", "math", "numpy"},
+    "scenario": {"dataclasses", "json", "math", "pathlib"},
+    "seeding": {"numpy", "zlib"},
+    "svgplot": {"math", "pathlib"},
+}
+
+
+def test_module_imports_are_pinned():
+    found = {}
+    for path in Path(leodcb.__file__).parent.glob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+        found[path.stem] = {
+            name for name in names if name != "__future__" and name.split(".")[0] != "leodcb"
+        }
+    assert found == MODULE_IMPORTS

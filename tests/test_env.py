@@ -150,6 +150,14 @@ class TestLegitimateActions:
             assert np.array_equal(mask[:-1], np.tile(row, 3))
             assert mask[-1] == (not row.any())
 
+    def test_one_scheme_is_availability_then_idle(self):
+        # The (N_L + 1)-wide next-choice mask of agent.td_targets.
+        rows = np.random.default_rng(5).random((6, 4)) < 0.5
+        rows[2] = False
+        masks = legitimate_masks(rows, 1)
+        assert np.array_equal(masks, np.column_stack([rows, ~rows.any(axis=1)]))
+        assert np.flatnonzero(masks[2]).tolist() == [4]
+
     def test_env_mask_is_cached_and_read_only(self, desk_env):
         desk_env.reset(3)
         while True:

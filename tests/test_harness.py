@@ -149,6 +149,20 @@ class TestScenarioIO:
         with pytest.raises(ConfigError, match=re.escape("slot_seconds > 0")):
             Scenario(**{**fields, "rf": DEFAULT_RF, "slot_seconds": 0.0})
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("slot_seconds", "1"), ("rate_threshold", None), ("unavailability", True),
+         ("min_elevation", True), ("reference_longitude", None)],
+    )
+    def test_python_built_scenario_checks_its_reals(self, field, value):
+        with pytest.raises(ConfigError) as raised:
+            dataclasses.replace(micro_scenario(), **{field: value})
+        assert str(raised.value) == f"scenario constraint violated: {field} is a number"
+
+    def test_unavailability_override_must_be_a_number(self):
+        with pytest.raises(ConfigError, match="unavailability is a number"):
+            micro_scenario().with_overrides(unavailability=True)
+
     @pytest.mark.parametrize("key", ["n_slots", "n_schemes", "master_seed"])
     @pytest.mark.parametrize("value", [2.5, True])
     def test_non_integer_count_or_seed_rejected(self, key, value):
