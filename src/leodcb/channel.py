@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
@@ -29,7 +29,8 @@ class RfConstants:
     scales the energy term of the power subproblem into the same order
     of magnitude as the SNR term. A rho0 of None asks for it to be derived
     (see ``default_rho0``); such an instance is complete only inside a
-    ``Scenario``, which derives it once its own inputs are checked.
+    ``Scenario``, which derives it once its own inputs are checked. Every
+    other field must be a number; ``errors.check`` names the first failure.
     """
 
     beta0: float
@@ -42,18 +43,15 @@ class RfConstants:
     rho0: float | None
 
     def __post_init__(self):
-        if not (0.0 < self.p_min <= self.p_max):
-            raise DomainError("power bounds must satisfy 0 < p_min <= p_max")
-        if self.path_loss_exponent < 2.0:
-            raise DomainError("path_loss_exponent must be >= 2")
-        if self.noise_power <= 0.0:
-            raise DomainError("noise_power must be strictly positive")
-        if self.bandwidth <= 0.0:
-            raise DomainError("bandwidth must be strictly positive")
-        if self.beta0 <= 0.0:
-            raise DomainError("beta0 must be strictly positive")
-        if self.rho0 is not None and self.rho0 <= 0.0:
-            raise DomainError("rho0 must be strictly positive")
+        reals = [name for name in vars(self) if name != "rho0" or self.rho0 is not None]
+        check("rf", vars(self), reals=reals, constraints=lambda: (
+            (0.0 < self.p_min <= self.p_max, "0 < p_min <= p_max"),
+            (self.path_loss_exponent >= 2.0, "path_loss_exponent >= 2"),
+            (self.noise_power > 0.0, "noise_power > 0"),
+            (self.bandwidth > 0.0, "bandwidth > 0"),
+            (self.beta0 > 0.0, "beta0 > 0"),
+            (self.rho0 is None or self.rho0 > 0.0, "rho0 > 0"),
+        ))
 
 
 def free_space_reference_gain(carrier_frequency: float) -> float:

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and ``check``, the one test
-of a configuration's settings against its named constraints."""
+of a configuration's settings against its named constraints. A
+``ConfigError`` is for every configuration type, the scenario's sections
+included; a ``DomainError`` is for the mathematical domain of an operation."""
 
 import numbers
 
@@ -9,7 +11,7 @@ class DomainError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A scenario or algorithm configuration violates a named constraint."""
+    """A configuration, a scenario section included, violates a named constraint."""
 
 
 class IllegalActionError(RuntimeError):
@@ -21,13 +23,15 @@ class StateError(RuntimeError):
 
 
 def is_integer(value) -> bool:
-    # bool is an int subclass, but true is no count or seed.
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # bool is an int subclass, but true is no count or seed. The exact-type
+    # test spares the common case the slow ABC check.
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def is_number(value) -> bool:
     # Nor is true a real number.
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 def check(section: str, values, integers=(), reals=(), constraints=tuple) -> None:

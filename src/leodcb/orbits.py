@@ -3,19 +3,21 @@
 Satellites move on circular Keplerian orbits in an Earth-centered inertial
 frame. Terminals live on a flat tangent plane touching the equator at a
 reference longitude; Earth rotation is ignored (the timeline is an hour,
-the constellation near-equatorial). All functions here are pure.
+the constellation near-equatorial). All functions here are pure. An orbit
+has one constructor, ``OrbitalElements``, which wraps its angles itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check
 
 TWO_PI = 2.0 * math.pi
+ANGLES = ("inclination", "raan", "arg_perigee", "true_anomaly")
 
 
 @dataclass(frozen=True)
@@ -27,9 +29,10 @@ class PhysicalConstants:
     earth_mass: float = 5.972e24               # kg
 
     def __post_init__(self):
-        for field in fields(self):
-            if getattr(self, field.name) <= 0.0:
-                raise DomainError(f"{field.name} must be strictly positive")
+        names = list(vars(self))
+        check("constants", vars(self), reals=names, constraints=lambda: (
+            (getattr(self, name) > 0.0, f"{name} > 0") for name in names
+        ))
 
     @property
     def mu(self) -> float:
@@ -49,8 +52,8 @@ class OrbitalElements:
     """Circular LEO orbit of one satellite: plane, initial phase, altitude.
 
     The orbit radius is altitude + earth radius, taken from the scenario's
-    constants where it is needed. Use :func:`circular_orbit` to build
-    instances from angles outside [0, 2*pi).
+    constants where it is needed. Each angle may be any finite number and
+    is stored wrapped into [0, 2*pi).
     """
 
     inclination: float          # rad
@@ -60,29 +63,12 @@ class OrbitalElements:
     altitude: float             # m above the surface
 
     def __post_init__(self):
-        if self.altitude <= 0.0:
-            raise DomainError("altitude must be strictly positive")
-        for name in ("inclination", "raan", "arg_perigee", "true_anomaly"):
-            angle = getattr(self, name)
-            if not (0.0 <= angle < TWO_PI):
-                raise DomainError(f"{name} must lie in [0, 2*pi); got {angle}")
-
-
-def circular_orbit(
-    inclination: float,
-    raan: float,
-    arg_perigee: float,
-    true_anomaly: float,
-    altitude: float,
-) -> OrbitalElements:
-    """Circular elements with every angle wrapped into [0, 2*pi)."""
-    return OrbitalElements(
-        inclination=wrap_angle(inclination),
-        raan=wrap_angle(raan),
-        arg_perigee=wrap_angle(arg_perigee),
-        true_anomaly=wrap_angle(true_anomaly),
-        altitude=altitude,
-    )
+        check("orbit", vars(self), reals=(*ANGLES, "altitude"), constraints=lambda: (
+            *((math.isfinite(getattr(self, name)), f"{name} is finite") for name in ANGLES),
+            (self.altitude > 0.0, "altitude > 0"),
+        ))
+        for name in ANGLES:
+            object.__setattr__(self, name, wrap_angle(getattr(self, name)))
 
 
 def angular_velocity(elements: OrbitalElements, constants: PhysicalConstants) -> float:

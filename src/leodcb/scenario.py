@@ -4,7 +4,8 @@ Scenarios serialize to a strict JSON document (unknown keys rejected,
 floats round-trip exactly) and are validated against named constraints on
 construction, whether built from JSON or from Python: every count and seed
 must be an integer and every other scalar a real number (``INTEGER_FIELDS``,
-``REAL_FIELDS``; a bool is neither), checked by ``errors.check``.
+``REAL_FIELDS``; a bool is neither), and each section of the right type,
+checked by ``errors.check``. Each section checks its own fields the same way.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from pathlib import Path
 
 from . import channel
 from .channel import RfConstants
-from .errors import ConfigError, DomainError, check, is_number
-from .orbits import OrbitalElements, PhysicalConstants, circular_orbit
+from .errors import ConfigError, check, is_number
+from .orbits import OrbitalElements, PhysicalConstants
 from .seeding import stream
 
 FORMAT_TAG = "leodcb-scenario-v1"
@@ -27,6 +28,7 @@ DEFAULT_MIN_ELEVATION = math.radians(10.0)  # S-band visibility cutoff
 DEFAULT_NOISE_PSD_DBM_PER_HZ = -157.0
 DEFAULT_BANDWIDTH = 1.0e7
 DEFAULT_CARRIER = 2.4e9
+DEFAULT_TERMINAL_AREA = 100.0  # side of the square terminal area, m
 
 # Scenario scalars that hold counts or seeds, and those that hold reals.
 INTEGER_FIELDS = ("n_slots", "n_schemes", "master_seed")
@@ -55,10 +57,22 @@ class Scenario:
     n_schemes: int
     master_seed: int
     reference_longitude: float = 0.0
-    terminal_area: float = 100.0  # side of the square terminal area, m
+    terminal_area: float = DEFAULT_TERMINAL_AREA
 
     def __post_init__(self):
         check("scenario", vars(self), INTEGER_FIELDS, REAL_FIELDS, lambda: (
+            (isinstance(self.constants, PhysicalConstants), "constants is a PhysicalConstants"),
+            (isinstance(self.rf, RfConstants), "rf is an RfConstants"),
+            (isinstance(self.constellation, tuple)
+             and all(isinstance(sat, OrbitalElements) for sat in self.constellation),
+             "constellation is a tuple of OrbitalElements"),
+            (isinstance(self.terminals, tuple)
+             and all(isinstance(point, tuple) and len(point) == 2 and all(map(is_number, point))
+                     for point in self.terminals),
+             "terminals is a tuple of (east, north) number pairs"),
+        ))
+        # A second call, as these rows read the sections checked above.
+        check("scenario", vars(self), constraints=lambda: (
             (len(self.terminals) >= 1, "n_terminals >= 1"),
             (len(self.constellation) >= 1, "n_satellites >= 1"),
             (0.0 <= self.unavailability <= 1.0, "0 <= unavailability <= 1"),
@@ -127,13 +141,7 @@ def _draw_terminals(master_seed: int, count: int, area: float):
 def _evenly_spaced_plane(count: int, inclination: float, altitude: float, phase_offset=0.0):
     step = 2.0 * math.pi / count
     return tuple(
-        circular_orbit(
-            inclination=inclination,
-            raan=0.0,
-            arg_perigee=phase_offset + i * step,
-            true_anomaly=0.0,
-            altitude=altitude,
-        )
+        OrbitalElements(inclination, 0.0, phase_offset + i * step, 0.0, altitude)
         for i in range(count)
     )
 
@@ -155,7 +163,7 @@ def _named_scenario(master_seed: int, n_terminals: int, **inputs) -> Scenario:
     """A named scenario: the inputs all of them share, and ``inputs``."""
     return Scenario(
         constants=PhysicalConstants(),
-        terminals=_draw_terminals(master_seed, n_terminals, 100.0),
+        terminals=_draw_terminals(master_seed, n_terminals, DEFAULT_TERMINAL_AREA),
         rf=DEFAULT_RF,
         slot_seconds=60.0,
         min_elevation=DEFAULT_MIN_ELEVATION,
@@ -294,10 +302,9 @@ def _number(value, where: str):
 
 
 def _section(build, section, keys: dict, where: str):
-    """``build`` called on the fields of a JSON object holding ``keys``: each
-    a number, or null for an rf rho0 that is to be derived (see ``Scenario``). A
-    ``DomainError`` from ``build`` becomes a ``ConfigError`` starting ``where``.
-    """
+    """Section type ``build`` called on the fields of a JSON object holding
+    ``keys``: each a number, or null for an rf rho0 to be derived (see ``Scenario``).
+    Its ``ConfigError`` is raised again prefixed "``where``: ", chained."""
     section = _object(section, keys.values(), where)
     fields = {
         name: None if name == "rho0" and section[key] is None
@@ -306,7 +313,7 @@ def _section(build, section, keys: dict, where: str):
     }
     try:
         return build(**fields)
-    except DomainError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -330,7 +337,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if doc[FORMAT] != FORMAT_TAG:
         raise ConfigError(f"unsupported scenario format: {doc[FORMAT]!r}")
     constellation = tuple(
-        _section(circular_orbit, sat, ORBIT_KEYS, f"{CONSTELLATION}[{i}]")
+        _section(OrbitalElements, sat, ORBIT_KEYS, f"{CONSTELLATION}[{i}]")
         for i, sat in enumerate(_list(doc[CONSTELLATION], CONSTELLATION))
     )
     terminals = tuple(

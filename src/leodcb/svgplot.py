@@ -73,15 +73,16 @@ def _draw_frame(canvas: SvgCanvas, title: str, x_label: str, y_label: str):
 def plot_rate_series(path, series: dict, threshold: float, title: str):
     """Per-slot rates (log10 y-axis) with a dashed threshold line.
 
-    Zero-rate (idle) slots are clamped to the bottom decade.
+    The axis spans the positive rates and threshold, one fixed decade if
+    none is positive; zero rates (idle slots) sit on its bottom decade.
     """
     canvas = SvgCanvas()
     _draw_frame(canvas, title, "time slot", "log10 rate [bps]")
     x0, x1, y0, y1 = _plot_area()
     n_slots = max(len(v) for v in series.values())
-    all_values = [v for vals in series.values() for v in vals if v > 0] + [threshold]
-    top = math.ceil(math.log10(max(all_values))) + 0.2
-    bottom = math.floor(math.log10(min(all_values))) - 1.0
+    positive = [v for vals in (*series.values(), [threshold]) for v in vals if v > 0] or [1.0]
+    top = math.ceil(math.log10(max(positive))) + 0.2
+    bottom = math.floor(math.log10(min(positive))) - 1.0
 
     def sx(slot):
         return x0 + (x1 - x0) * slot / max(1, n_slots - 1)

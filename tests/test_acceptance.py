@@ -29,7 +29,7 @@ from leodcb.channel import snr, solve_p2, weight_set
 from leodcb.emodrl import EmodrlConfig
 from leodcb.env import DcbUplinkEnv, episode_objectives
 from leodcb.harness import replay_policy, select_policy
-from leodcb.orbits import PhysicalConstants, circular_orbit, position_at
+from leodcb.orbits import OrbitalElements, PhysicalConstants, position_at
 from leodcb.scenario import Scenario, default_scenario, desk_scenario
 from leodcb.seeding import stream
 
@@ -77,11 +77,11 @@ def desk_run_cache():
 
 def test_criterion_1_orbit_oracle():
     started = time.perf_counter()
-    elements = circular_orbit(0.0, 0.0, 0.0, 0.0, 5e5)
+    elements = OrbitalElements(0.0, 0.0, 0.0, 0.0, 5e5)
     period = orbital_period(elements, CONSTANTS)
     period_ok = abs(period - EXPECTED_PERIOD_500KM) < 1e-3 * EXPECTED_PERIOD_500KM
 
-    tilted = circular_orbit(0.3, 1.2, 0.4, 0.0, 5e5)
+    tilted = OrbitalElements(0.3, 1.2, 0.4, 0.0, 5e5)
     slot_seconds = 60.0
     period_slots = orbital_period(tilted, CONSTANTS) / slot_seconds
     radius = tilted.altitude + CONSTANTS.earth_radius
@@ -191,8 +191,8 @@ def test_criterion_5_mask_safety():
 def micro_mdp_scenario() -> Scenario:
     """2 slots, 2 satellites, 2 schemes, deterministic availability."""
     constellation = (
-        circular_orbit(0.0, 0.0, -0.05, 0.0, 1e6),
-        circular_orbit(0.0, 0.0, 0.08, 0.0, 1e6),
+        OrbitalElements(0.0, 0.0, -0.05, 0.0, 1e6),
+        OrbitalElements(0.0, 0.0, 0.08, 0.0, 1e6),
     )
     beta0 = channel.free_space_reference_gain(2.4e9)
     noise = 10.0 ** (-157.0 / 10.0) * 1e-3 * 1e7

@@ -6,15 +6,19 @@ import importlib
 import inspect
 import pkgutil
 import typing
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import leodcb
 from leodcb import emodrl, env, harness, orbits
 from leodcb.agent import AgentConfig
+from leodcb.channel import RfConstants
 from leodcb.emodrl import EmodrlConfig
-from leodcb.errors import ConfigError
+from leodcb.errors import ConfigError, is_integer, is_number
+from leodcb.orbits import OrbitalElements, PhysicalConstants
 from leodcb.scenario import Scenario, micro_scenario
 
 
@@ -77,16 +81,23 @@ def test_every_annotation_resolves(name):
 
 
 def _build(cls, **changes):
-    if cls is Scenario:
-        return dataclasses.replace(micro_scenario(), **changes)
+    # A scenario and its sections change a valid instance; the rest default.
+    micro = micro_scenario()
+    bases = {Scenario: micro, PhysicalConstants: micro.constants,
+             OrbitalElements: micro.constellation[0], RfConstants: micro.rf}
+    if cls in bases:
+        return dataclasses.replace(bases[cls], **changes)
     return cls(**changes)
 
 
+CONFIG_TYPES = (
+    Scenario, PhysicalConstants, OrbitalElements, RfConstants, AgentConfig, EmodrlConfig
+)
 SCALAR_FIELDS = [
     (cls, name)
-    for cls in (Scenario, AgentConfig, EmodrlConfig)
+    for cls in CONFIG_TYPES
     for name, hint in typing.get_type_hints(cls).items()
-    if hint in (int, float, int | None)
+    if hint in (int, float, int | None, float | None)
 ]
 
 
@@ -102,11 +113,24 @@ def test_config_scalar_of_the_wrong_type_is_named(cls, name, value):
 
 
 def test_the_sweep_covers_every_scalar_config_field():
-    # Every Scenario field but its four sections; every AgentConfig field
-    # but hidden_sizes; every EmodrlConfig field but agent.
-    counts = {cls: sum(c is cls for c, _ in SCALAR_FIELDS) for cls in (Scenario, AgentConfig)}
-    assert counts == {Scenario: 9, AgentConfig: 10}
-    assert len(SCALAR_FIELDS) == 9 + 10 + 7
+    # Every Scenario field but its four sections; every field of each
+    # section (rf.rho0 included); every AgentConfig field but hidden_sizes;
+    # every EmodrlConfig field but agent.
+    counts = {cls: sum(c is cls for c, _ in SCALAR_FIELDS) for cls in CONFIG_TYPES}
+    assert counts == {Scenario: 9, PhysicalConstants: 3, OrbitalElements: 5, RfConstants: 8,
+                      AgentConfig: 10, EmodrlConfig: 7}
+    assert len(SCALAR_FIELDS) == 9 + 3 + 5 + 8 + 10 + 7
+
+
+@pytest.mark.parametrize(
+    ("value", "integer", "number"),
+    [(3, True, True), (2.5, False, True), (np.float64(2.5), False, True),
+     (np.int64(3), True, True), (Fraction(1, 3), False, True), (True, False, False),
+     (np.bool_(True), False, False), ("1", False, False), (None, False, False)],
+    ids=repr,
+)
+def test_integers_and_numbers_exclude_bools_and_strings(value, integer, number):
+    assert (is_integer(value), is_number(value)) == (integer, number)
 
 
 # Every module's imports outside the package. Interpreter start and these

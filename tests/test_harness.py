@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,12 +12,12 @@ import pytest
 from oracles import dominates
 
 import leodcb
-from leodcb import neural
+from leodcb import neural, svgplot
 from leodcb.agent import AgentConfig
 from leodcb.baselines import BaselineKind, run_baseline_episode
 from leodcb.emodrl import EmodrlConfig, ParetoArchive
 from leodcb.env import TRACE_DTYPE, DcbUplinkEnv
-from leodcb.errors import ConfigError, DomainError, StateError
+from leodcb.errors import ConfigError, StateError
 from leodcb.harness import (
     ARCHIVE_COLUMNS,
     load_archive,
@@ -128,8 +129,8 @@ class TestScenarioIO:
     @pytest.mark.parametrize(
         ("location", "value", "message"),
         [("slot_seconds", 0, "scenario constraint violated: slot_seconds > 0"),
-         ("rf.noise_power_w", 0.0, "rf: noise_power must be strictly positive"),
-         ("rf.p_max_w", -1.0, "rf: power bounds must satisfy 0 < p_min <= p_max"),
+         ("rf.noise_power_w", 0.0, "rf: rf constraint violated: noise_power > 0"),
+         ("rf.p_max_w", -1.0, "rf: rf constraint violated: 0 < p_min <= p_max"),
          ("constellation", [], "scenario constraint violated: n_satellites >= 1")],
     )
     def test_null_rho0_is_derived_only_after_its_inputs_are_checked(
@@ -191,17 +192,43 @@ class TestScenarioIO:
     @pytest.mark.parametrize(
         ("location", "value", "message"),
         [("constellation[1].altitude_m", -1.0,
-          "constellation[1]: altitude must be strictly positive"),
-         ("rf.p_min_w", 5.0, "rf: power bounds must satisfy 0 < p_min <= p_max"),
-         ("constants.earth_radius_m", 0.0, "constants: earth_radius must be strictly positive")],
+          "constellation[1]: orbit constraint violated: altitude > 0"),
+         ("rf.p_min_w", 5.0, "rf: rf constraint violated: 0 < p_min <= p_max"),
+         ("constants.earth_radius_m", 0.0,
+          "constants: constants constraint violated: earth_radius > 0"),
+         ("constellation[0].raan_rad", math.nan,
+          "constellation[0]: orbit constraint violated: raan is finite")],
     )
     def test_bad_section_value_names_its_location(self, location, value, message):
+        # The section's own ConfigError, prefixed with its JSON location.
         doc = scenario_to_dict(micro_scenario())
         set_at(doc, location, value)
         with pytest.raises(ConfigError) as raised:
             scenario_from_dict(doc)
         assert str(raised.value) == message
-        assert isinstance(raised.value.__cause__, DomainError)
+        cause = raised.value.__cause__
+        assert type(cause) is ConfigError and message.endswith(str(cause))
+
+    @pytest.mark.parametrize("angle", [7.0, -0.5])
+    def test_json_angles_are_wrapped_by_the_orbit_itself(self, angle):
+        doc = scenario_to_dict(micro_scenario())
+        doc["constellation"][0]["raan_rad"] = angle
+        assert scenario_from_dict(doc).constellation[0].raan == angle % (2 * math.pi)
+
+    @pytest.mark.parametrize(
+        ("section", "value", "constraint"),
+        [("terminals", ((0.0, "a"),), "terminals is a tuple of (east, north) number pairs"),
+         ("terminals", ("xy",), "terminals is a tuple of (east, north) number pairs"),
+         ("terminals", None, "terminals is a tuple of (east, north) number pairs"),
+         ("constellation", (1,), "constellation is a tuple of OrbitalElements"),
+         ("constellation", None, "constellation is a tuple of OrbitalElements"),
+         ("constants", None, "constants is a PhysicalConstants"),
+         ("rf", None, "rf is an RfConstants")],
+    )
+    def test_python_built_scenario_checks_its_sections_types(self, section, value, constraint):
+        with pytest.raises(ConfigError) as raised:
+            dataclasses.replace(micro_scenario(), **{section: value})
+        assert str(raised.value) == f"scenario constraint violated: {constraint}"
 
     @pytest.mark.parametrize(
         ("count", "constraint"),
@@ -369,6 +396,31 @@ class TestRunExperiment:
             text = Path(path).read_text()
             assert text.startswith("<svg")
             assert text.rstrip().endswith("</svg>")
+
+
+    def test_a_zero_rate_threshold_run_writes_every_artifact(self, tmp_path):
+        scenario = dataclasses.replace(micro_scenario(), rate_threshold=0.0)
+        report = run_experiment(scenario, tiny_config(), tmp_path)
+        assert [Path(p).name for p in report.svg_paths] == [
+            "rate_vs_threshold.svg", "pareto_front.svg", "objective_bars.svg"
+        ]
+        assert all(Path(p).exists() for p in report.svg_paths)
+        assert (tmp_path / "report.json").exists()
+        assert not (tmp_path / "partial_manifest.json").exists()
+
+
+class TestRatePlot:
+    @pytest.mark.parametrize(
+        ("rates", "decades"),
+        [([0.0, 5e3, 2e4], ["1e2", "1e3", "1e4", "1e5"]),   # the positive rates' span
+         ([0.0, 0.0, 0.0], ["1e-1", "1e0"])],               # no positive value
+    )
+    def test_a_zero_threshold_takes_the_axis_from_positive_values(self, tmp_path, rates, decades):
+        path = tmp_path / "rates.svg"
+        svgplot.plot_rate_series(path, {"argp": rates}, 0.0, "rates")
+        text = path.read_text()
+        assert re.findall(r">(1e-?\d+)</text>", text) == decades
+        assert "nan" not in text and text.rstrip().endswith("</svg>")
 
 
 class TestLoadArchive:

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from oracles import elevation_angle, is_geometrically_visible, orbital_period
 
-from leodcb.errors import DomainError
+from leodcb.errors import ConfigError, DomainError
 from leodcb.orbits import (
     GroundFrame,
     OrbitalElements,
     PhysicalConstants,
     angular_velocity,
-    circular_orbit,
     position_at,
 )
 
@@ -24,7 +23,7 @@ PERIOD_1000KM = 6298.200534920743
 
 
 def orbit(inclination=0.0, raan=0.0, arg_perigee=0.0, true_anomaly=0.0, altitude=5e5):
-    return circular_orbit(inclination, raan, arg_perigee, true_anomaly, altitude)
+    return OrbitalElements(inclination, raan, arg_perigee, true_anomaly, altitude)
 
 
 def radius(elements):
@@ -38,12 +37,29 @@ class TestElements:
         assert position_at(elements, 0, 60.0, CONSTANTS)[0] == 7.7e5 + CONSTANTS.earth_radius
 
     def test_angles_wrapped_into_range(self):
+        # The one constructor wraps: arg_perigee = 7.0 and raan = -0.5 land
+        # in [0, 2*pi) as 7.0 - 2*pi and 2*pi - 0.5.
         elements = orbit(raan=-0.5, arg_perigee=7.0)
         assert 0.0 <= elements.raan < 2 * math.pi
         assert 0.0 <= elements.arg_perigee < 2 * math.pi
+        assert elements.raan == (-0.5) % (2 * math.pi)
+        assert elements.arg_perigee == 7.0 % (2 * math.pi)
+
+    @pytest.mark.parametrize("name", ["inclination", "raan", "arg_perigee", "true_anomaly"])
+    def test_every_angle_is_wrapped_once(self, name):
+        elements = orbit(**{name: 2 * math.pi + 0.25})
+        assert getattr(elements, name) == (2 * math.pi + 0.25) % (2 * math.pi)
+        # A wrapped angle is kept bit for bit, so a rebuilt orbit is equal.
+        assert OrbitalElements(*vars(elements).values()) == elements
+        assert orbit(**{name: -1e-300}) == orbit(**{name: 0.0})
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf])
+    def test_an_angle_that_does_not_wrap_is_rejected(self, angle):
+        with pytest.raises(ConfigError, match="orbit constraint violated: raan is finite"):
+            orbit(raan=angle)
 
     def test_bad_constants_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match="constants constraint violated: earth_radius > 0"):
             PhysicalConstants(earth_radius=-1.0)
 
 
@@ -64,7 +80,7 @@ class TestAngularVelocity:
 
     def test_nonpositive_altitude_rejected(self):
         for altitude in (0.0, -5e5):
-            with pytest.raises(DomainError):
+            with pytest.raises(ConfigError, match="orbit constraint violated: altitude > 0"):
                 OrbitalElements(0, 0, 0, 0, altitude)
 
 
@@ -175,6 +191,6 @@ class TestGroundFrame:
 
     def test_equatorial_satellite_over_reference_is_at_zenith(self):
         frame = GroundFrame(0.0, CONSTANTS)
-        elements = circular_orbit(0.0, 0.0, 0.0, 0.0, 5e5)
+        elements = OrbitalElements(0.0, 0.0, 0.0, 0.0, 5e5)
         local = frame.to_local(position_at(elements, 0, 60.0, CONSTANTS))
         assert elevation_angle(local, [0.0, 0.0, 0.0]) == pytest.approx(math.pi / 2)

@@ -11,7 +11,7 @@ from oracles import dominates, make_rf
 from leodcb.channel import achievable_rate, snr, weight_set
 from leodcb.emodrl import generate_weights, hypervolume
 from leodcb.errors import DomainError
-from leodcb.orbits import PhysicalConstants, circular_orbit, position_at, wrap_angle
+from leodcb.orbits import OrbitalElements, PhysicalConstants, position_at, wrap_angle
 
 CONSTANTS = PhysicalConstants()
 
@@ -35,7 +35,7 @@ def test_wrap_angle_lands_in_range(theta):
 )
 @settings(max_examples=50)
 def test_orbit_norm_preserved(inclination, raan, altitude, slot):
-    elements = circular_orbit(inclination, raan, 0.3, 0.1, altitude)
+    elements = OrbitalElements(inclination, raan, 0.3, 0.1, altitude)
     pos = position_at(elements, slot, 60.0, CONSTANTS)
     radius = float(np.linalg.norm(pos))
     assert math.isclose(radius, altitude + CONSTANTS.earth_radius, rel_tol=1e-9)
