@@ -243,13 +243,13 @@ class EnhancedD3qnAgent:
     def train_iteration(self, env: DcbUplinkEnv, weight: np.ndarray) -> None:
         """Collect episodes, then run the configured gradient steps.
 
-        The steps share one gradient buffer, which is dropped on return, so
-        an agent between iterations holds no gradient memory.
+        The steps share one float32 gradient buffer, which is dropped on
+        return, so an agent between iterations holds no gradient memory.
         """
         cfg = self.config
         for _ in range(cfg.episodes_per_iteration):
             self.collect_episode(env)
-        grads = QNetworkParams(self.params.sizes)
+        grads = QNetworkParams(self.params.sizes, np.empty(self.params.flat.size, np.float32))
         table_shape = (len(env.state_encodings), env.n_satellites + 1)
         for _ in range(cfg.grad_steps_per_iteration):
             if len(self.replay) < cfg.batch_size:

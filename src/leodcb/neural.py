@@ -15,25 +15,39 @@ and the hidden gradient is the same gathered columns scaled by the
 residuals. Adam folds its two bias corrections into two scalars, so each
 entry takes one division.
 
-Params and gradients are float64. Adam's two moments are float32, so an
-agent's optimizer state takes half its params' bytes: each block of the
-update casts its gradient to float32 once, works in float32, and lands
-its step on the float64 params. Checkpoints hold the params alone.
+Params are float64, and every product and sum of a step works in
+float64; values round to float32 only where they are stored. ``backward``
+computes each gradient tensor in float64 and rounds it once into the
+caller's buffer, which the agent allocates in float32, at half the
+params' bytes. The trunk weight gradients and the advantage-head fill and
+scatter are computed ``_CHUNK_ROWS`` output rows at a time in float64
+scratch, so no whole float64 copy of them is formed. Without a buffer
+``backward`` makes a float64 one, the exact reference that the tests
+check. ``clip_gradients`` sums the squared norm in float64 whatever the
+buffer's dtype. Adam's two moments are float32, so an agent's optimizer
+state takes half its params' bytes too: each block of the update reads
+its gradient as float32 (a float64 gradient is cast once), works in
+float32, and lands its step on the float64 params. Adam rounds its
+gradient to float32 either way, so a float32 buffer changes no step's
+bits while the clip does not bind; where it binds, the scaled gradient's
+rounding can differ by one float32 ulp. Checkpoints hold the params alone.
 
 Large steps run on two cores. Each trunk layer (matmul, bias, tanh, split
 by batch rows), the trunk weight-gradient product (split by fan-in rows),
-the hidden-gradient product (split by batch rows), the advantage-head
-gradient fill and scatter (split by hidden rows) and Adam's block loop run
-as two fixed halves: the calling thread does the first, one persistent
-worker thread the second. Each half writes only its own rows, and a call
-returns, or raises, only after both have finished. A step splits only when
-each half holds two rows and at least ``_SPLIT_WORK`` multiply-adds, and a
-product only when its output width is a multiple of 8. Those rules read
-the shapes alone, so results do not depend on the core count; no setting,
-flag or environment variable changes them, and no desk-scale call splits.
+the taken-column gather and the advantage-head gradient fill and scatter
+(split by hidden rows), the hidden-gradient product (split by batch rows),
+the clip norm's and Adam's block loops run as two fixed halves: the
+calling thread does the first, one persistent worker thread the second.
+Each half writes only its own rows, and a call returns, or raises, only
+after both have finished. A step splits only when each half holds two
+rows and at least ``_SPLIT_WORK`` multiply-adds, and a product only when
+its output width is a multiple of 8. Those rules read the shapes alone,
+so results do not depend on the core count; no setting, flag or
+environment variable changes them, and no desk-scale call splits.
 
-The split is bit-identical to the whole step. Adam is elementwise, and
-the scatter adds into each cell in batch order whichever rows it covers.
+The split is bit-identical to the whole step. Adam is elementwise, the
+scatter adds into each cell in batch order whichever rows it covers, and
+the clip norm adds the same two halves' sums whether or not it splits.
 Row halves of a product whose output width is a multiple of 8 give the
 whole product's bits on OpenBLAS 0.3.31 (SkylakeX kernels); at widths
 such as 650 or 700 they differed in a few entries, so those products stay
@@ -41,8 +55,8 @@ whole. The tests compare split and whole steps bitwise at the paper's
 shapes and at trunk width 700. The 1,101-column advantage-head product of
 a batch forward stays whole too: a row split moved 53 of its 281,856
 entries, by up to 6e-17 on a freshly initialized network. So do the value
-head, the clip norm (one dot product, so its summation order stays) and
-single-row forwards.
+head and single-row forwards. Row chunks of the trunk weight gradient
+keep the whole product's bits for the same reason as row halves.
 """
 
 from __future__ import annotations
@@ -264,6 +278,45 @@ def forward(params: QNetworkParams, encoding: np.ndarray):
     return v[:, 0], a, q
 
 
+# Gradient rows computed at a time in float64 scratch before they are
+# rounded into the caller's buffer: 128 rows of the paper's 2048-wide trunk
+# gradient take 2 MiB of float64, where the whole product takes 32 MiB.
+# Chunks of 64 to 256 rows took the same time; below 128 the peak RSS of a
+# paper-width step no longer fell.
+_CHUNK_ROWS = 128
+
+
+def _chunks(n: int) -> list[slice]:
+    """Near-equal chunks of n rows, each of at least _CHUNK_ROWS rows
+    unless there is only one; a short last chunk could be a one-row
+    product, which sums in another order than the whole."""
+    count = max(1, n // _CHUNK_ROWS)
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
+def _scratch_size(n: int, width: int) -> int:
+    """Entries of the float64 scratch that ``_store_rows`` needs for an
+    (n, width) tensor: its largest chunk."""
+    return -(-n // max(1, n // _CHUNK_ROWS)) * width
+
+
+def _store_rows(out: np.ndarray, fill, scratch: np.ndarray | None = None) -> None:
+    """Compute a gradient tensor in float64 chunk by chunk and round each
+    chunk into its rows of ``out``: ``fill(chunk, part)`` writes rows
+    ``chunk`` of the tensor to ``part``. The float64 chunks live in the
+    flat ``scratch`` when given. The worker's half gets it from the
+    caller: memory a thread frees stays in its own malloc arena, which
+    raised the paper-width peak RSS by 2.5 to 4 MB instead of under 1 MB.
+    """
+    n, width = out.shape
+    if scratch is None:
+        scratch = np.empty(_scratch_size(n, width))
+    for chunk in _chunks(n):
+        part = scratch[: (chunk.stop - chunk.start) * width].reshape(-1, width)
+        fill(chunk, part)
+        out[chunk] = part
+
+
 @functools.cache
 def _row_offsets(n_actions: int, width: int) -> np.ndarray:
     """Flat index of each row's first cell in a (width, n_actions) matrix."""
@@ -272,23 +325,32 @@ def _row_offsets(n_actions: int, width: int) -> np.ndarray:
     return offsets
 
 
-def _head_gradient(adv_grad, value_grad, h_last, acts, r, index=None, values=None) -> None:
+def _taken_columns(params: QNetworkParams, acts, rows) -> np.ndarray:
+    """Hidden rows k of c_i = adv_weight[:, a_i] + value_weight -
+    mean_j adv_weight[:, j], as a (B, rows) array. Each row's mean is its
+    own reduction, so halves give the whole's bits."""
+    weight = params.adv_weight[rows]
+    columns = weight.T[acts]
+    columns += params.value_weight[rows, 0] - np.add.reduce(weight, axis=1) / params.n_actions
+    return columns
+
+
+def _head_gradient(adv_grad, value_grad, h_last, acts, r, scratch=None) -> None:
     """Fill hidden rows k of the advantage-weight gradient: -value_grad / n
     in every column, then h_ik r_i added to cell (k, a_i) for each batch
-    row i. np.add.at sums repeated actions in batch order, whichever rows
-    it is given, so two halves of the rows give the whole's bits.
+    row i, in float64 (``_store_rows``). np.add.at sums repeated actions
+    in batch order, whichever rows it is given, so any split of the rows
+    gives the whole's bits."""
+    n_actions = adv_grad.shape[1]
 
-    The (B, rows) scatter operands go to ``index`` and ``values`` when
-    given. The worker's half gets them from the caller and so allocates
-    nothing: memory a thread frees stays in its own malloc arena, which
-    raised the paper-width peak RSS by 2.5 to 4 MB instead of under 1 MB.
-    """
-    width, n_actions = adv_grad.shape
-    adv_grad[...] = value_grad / -n_actions
-    # In the flat row-major view cell (k, a_i) is k n + a_i.
-    index = np.add(acts[:, None], _row_offsets(n_actions, width), out=index)
-    values = np.multiply(h_last, r[:, None], out=values)
-    np.add.at(adv_grad.reshape(-1), index.reshape(-1), values.reshape(-1))
+    def fill(chunk, part):
+        part[...] = value_grad[chunk] / -n_actions
+        # In the flat row-major view cell (k, a_i) is k n + a_i.
+        index = acts[:, None] + _row_offsets(n_actions, len(part))
+        values = h_last[:, chunk] * r[:, None]
+        np.add.at(part.reshape(-1), index.reshape(-1), values.reshape(-1))
+
+    _store_rows(adv_grad, fill, scratch)
 
 
 def backward(
@@ -302,7 +364,9 @@ def backward(
 
     Loss = mean over the batch of 0.5 * (Q(s, a) - target)^2. The gradient
     is written into ``grads`` when given: every entry is overwritten, so a
-    caller can reuse one buffer across steps. Otherwise a new one is made.
+    caller can reuse one buffer across steps, and each is computed in
+    float64 and rounded once to the buffer's dtype (float32 or float64).
+    Otherwise a new float64 one is made.
     Each row needs one integer action in [0, n_actions), else DomainError.
     """
     x = np.asarray(encodings, dtype=float)
@@ -327,9 +391,18 @@ def backward(
     big = _may_split(params, batch)
     activations = _trunk(params, x, big)
     h_last = activations[-1]
-    shift = params.value_weight[:, 0] - np.add.reduce(params.adv_weight, axis=1) / n_actions
-    d_h = params.adv_weight.T[acts]
-    d_h += shift
+    width = h_last.shape[1]
+    # The gather and the head gradient split by hidden rows.
+    head_split = big and _split(width, n_actions + batch)
+    if head_split:
+        d_h = np.empty((batch, width))
+
+        def gather(rows):
+            d_h[:, rows] = _taken_columns(params, acts, rows)
+
+        _halves(gather, width)
+    else:
+        d_h = _taken_columns(params, acts, slice(None))
     beta = params.value_bias + params.adv_bias[acts]
     beta -= np.add.reduce(params.adv_bias) / n_actions
     residual = np.einsum("ij,ij->i", h_last, d_h)
@@ -340,28 +413,28 @@ def backward(
     # dL/dQ is r_i at (i, a_i) and zero elsewhere, with r = residual / B.
     # Through Q = V + A - mean(A) that gives dL/dV_i = r_i and
     # dL/dA[i, j] = r_i ([j = a_i] - 1/n): a rank-one fill of every
-    # advantage column plus a scatter into the taken ones.
+    # advantage column plus a scatter into the taken ones. Both fills
+    # read the float64 value gradient, not its copy in ``grads``.
     r = residual / batch
-    np.matmul(h_last.T, r[:, None], out=grads.value_weight)
-    grads.value_bias[0] = r.sum()
-    width = h_last.shape[1]
-    # Both (B, H) scatter operands are temporaries, freed before the
-    # trunk gradients.
-    if big and _split(width, n_actions + batch):
-        worker_scratch = (np.empty((batch, width - width // 2), np.intp),
-                          np.empty((batch, width - width // 2)))
+    value_grad = np.matmul(h_last.T, r[:, None])
+    value_bias_grad = r.sum()
+    grads.value_weight[...] = value_grad
+    grads.value_bias[0] = value_bias_grad
+    if head_split:
+        worker_scratch = np.empty(_scratch_size(width - width // 2, n_actions))
         _halves(
             lambda rows: _head_gradient(
-                grads.adv_weight[rows], grads.value_weight[rows], h_last[:, rows], acts, r,
-                *(worker_scratch if rows.start else ()),
+                grads.adv_weight[rows], value_grad[rows], h_last[:, rows], acts, r,
+                worker_scratch if rows.start else None,
             ),
             width,
         )
         del worker_scratch
     else:
-        _head_gradient(grads.adv_weight, grads.value_weight, h_last, acts, r)
-    grads.adv_bias[...] = grads.value_bias / -n_actions
-    np.add.at(grads.adv_bias, acts, r)
+        _head_gradient(grads.adv_weight, value_grad, h_last, acts, r)
+    adv_bias_grad = np.full(n_actions, value_bias_grad / -n_actions)
+    np.add.at(adv_bias_grad, acts, r)
+    grads.adv_bias[...] = adv_bias_grad
 
     # dL/dh_i = r_i c_i.
     d_h *= r[:, None]
@@ -373,12 +446,24 @@ def backward(
         np.subtract(1.0, tanh_grad, out=tanh_grad)
         d_pre = d_h
         d_pre *= tanh_grad
-        weight = params.trunk_weights[layer]
+        weight, inputs = params.trunk_weights[layer], activations[layer].T
+        weight_grad = grads.trunk_weights[layer]
         if big and _split_product(len(weight), batch, weight.shape[1]):
-            _split_matmul(activations[layer].T, d_pre, grads.trunk_weights[layer])
+            worker_scratch = np.empty(
+                _scratch_size(len(weight) - len(weight) // 2, weight.shape[1])
+            )
+            _halves(
+                lambda rows: _store_rows(
+                    weight_grad[rows],
+                    lambda chunk, part: np.matmul(inputs[rows][chunk], d_pre, out=part),
+                    worker_scratch if rows.start else None,
+                ),
+                len(weight),
+            )
+            del worker_scratch
         else:
-            np.matmul(activations[layer].T, d_pre, out=grads.trunk_weights[layer])
-        d_pre.sum(axis=0, out=grads.trunk_biases[layer])
+            weight_grad[...] = inputs @ d_pre
+        grads.trunk_biases[layer][...] = d_pre.sum(axis=0)
         if layer == 0:
             break
         if big and _split_product(batch, weight.shape[1], len(weight)):
@@ -389,12 +474,51 @@ def backward(
     return grads, loss
 
 
+# clip_gradients casts this many entries at a time to float64 for its norm.
+_NORM_BLOCK = 1 << 16
+
+
 def clip_gradients(grads: QNetworkParams, max_norm: float) -> float:
-    """Scale all gradients in place to the norm cap; returns the pre-clip norm."""
-    norm = float(np.sqrt(grads.flat @ grads.flat))
+    """Scale all gradients in place to the norm cap; returns the pre-clip norm.
+
+    The squared norm accumulates in float64 whatever the buffer's dtype: a
+    float32 dot overflows to inf above a norm of about 1.8e19. The scale
+    works in float64 too, and each entry is rounded once when stored.
+    """
+    flat = grads.flat
+    n_blocks = -(-flat.size // _NORM_BLOCK)
+    middle = n_blocks // 2 * _NORM_BLOCK
+    halves = (slice(0, middle), slice(middle, None))
+    # The sums of squares of two halves of the blocks, added in order, on
+    # two cores or on one: the norm's bits depend on the size alone.
+    if _split(n_blocks, _NORM_BLOCK):
+        sums = [0.0, 0.0]
+        # Each half's scratch comes from here (see _store_rows).
+        scratch = (np.empty(_NORM_BLOCK), np.empty(_NORM_BLOCK))
+
+        def half(blocks):
+            i = 1 if blocks.start else 0
+            sums[i] = _squared_norm(flat[halves[i]], scratch[i])
+
+        _halves(half, n_blocks)
+    else:
+        scratch = np.empty(min(_NORM_BLOCK, flat.size))
+        sums = [_squared_norm(flat[entries], scratch) for entries in halves]
+    norm = math.sqrt(sums[0] + sums[1])
     if norm > max_norm:
-        grads.flat *= max_norm / norm
+        np.multiply(flat, max_norm / norm, out=flat, dtype=np.float64)
     return norm
+
+
+def _squared_norm(vector: np.ndarray, scratch: np.ndarray) -> float:
+    """Sum of squares of ``vector`` in float64, cast into ``scratch``
+    _NORM_BLOCK entries at a time."""
+    total = 0.0
+    for start in range(0, vector.size, _NORM_BLOCK):
+        block = scratch[: min(_NORM_BLOCK, vector.size - start)]
+        block[...] = vector[start : start + _NORM_BLOCK]
+        total += block @ block
+    return total
 
 
 @dataclass(eq=False)
@@ -443,7 +567,7 @@ def adam_step(
     vectors = (params.flat, grads.flat, state.first_moment, state.second_moment)
     n_blocks = -(-params.flat.size // _ADAM_BLOCK)
     if _split(n_blocks, _ADAM_BLOCK):
-        # The worker's half gets its scratch from here (see _head_gradient).
+        # The worker's half gets its scratch from here (see _store_rows).
         worker_scratch = (np.empty(_ADAM_BLOCK, np.float32), np.empty(_ADAM_BLOCK, np.float32))
 
         def half(blocks):
@@ -462,9 +586,9 @@ def adam_step(
 def _adam_blocks(vectors, scalars, grad32=None, tmp32=None) -> None:
     """``adam_step``'s update of one range of the params, gradient and
     moment vectors, _ADAM_BLOCK entries at a time, in float32 scratch of
-    its own unless given. Each gradient block is cast to float32 once;
-    everything after that is float32 until the step lands on the float64
-    params."""
+    its own unless given. A float32 gradient block is read in place and a
+    float64 one is cast to float32 once; everything after that is float32
+    until the step lands on the float64 params."""
     flat, grad_flat, first, second = vectors
     beta1, rest1, beta2, rest2, step, root, eps = scalars
     if grad32 is None:
@@ -473,8 +597,10 @@ def _adam_blocks(vectors, scalars, grad32=None, tmp32=None) -> None:
     for start in range(0, flat.size, _ADAM_BLOCK):
         block = slice(start, start + _ADAM_BLOCK)
         theta, m, v = flat[block], first[block], second[block]
-        grad, tmp = grad32[: theta.size], tmp32[: theta.size]
-        grad[...] = grad_flat[block]
+        grad, tmp = grad_flat[block], tmp32[: theta.size]
+        if grad.dtype != np.float32:
+            grad = grad32[: theta.size]
+            grad[...] = grad_flat[block]
         # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g.
         m *= beta1
         np.multiply(rest1, grad, out=tmp)
@@ -486,9 +612,9 @@ def _adam_blocks(vectors, scalars, grad32=None, tmp32=None) -> None:
         np.sqrt(v, out=tmp)
         tmp *= root
         tmp += eps
-        np.divide(m, tmp, out=grad)
-        grad *= step
-        theta -= grad
+        np.divide(m, tmp, out=tmp)
+        tmp *= step
+        theta -= tmp
 
 
 def _v1_tensors(params: QNetworkParams) -> dict[str, np.ndarray]:

@@ -84,6 +84,9 @@ class Scenario:
              "min_elevation within [-pi/2, pi/2]"),
             (self.master_seed >= 0, "master_seed >= 0"),
             (self.terminal_area > 0.0, "terminal_area > 0"),
+            (math.isfinite(self.reference_longitude), "reference_longitude is finite"),
+            (all(math.isfinite(coordinate) for point in self.terminals for coordinate in point),
+             "terminal coordinates are finite"),
         ))
         rf = self.rf
         if rf.rho0 is None:

@@ -160,6 +160,33 @@ class TestScenarioIO:
             dataclasses.replace(micro_scenario(), **{field: value})
         assert str(raised.value) == f"scenario constraint violated: {field} is a number"
 
+    @pytest.mark.parametrize(
+        ("field", "value", "constraint"),
+        [("reference_longitude", math.nan, "reference_longitude is finite"),
+         ("reference_longitude", -math.inf, "reference_longitude is finite"),
+         ("terminals", ((math.nan, 0.0), (1.0, 2.0)), "terminal coordinates are finite"),
+         ("terminals", ((0.0, 0.0), (1.0, math.inf)), "terminal coordinates are finite")],
+    )
+    def test_python_built_scenario_rejects_non_finite_positions(self, field, value, constraint):
+        # A NaN position was accepted, and every slot then saw no satellite.
+        with pytest.raises(ConfigError) as raised:
+            dataclasses.replace(micro_scenario(), **{field: value})
+        assert str(raised.value) == f"scenario constraint violated: {constraint}"
+
+    @pytest.mark.parametrize(
+        ("location", "constraint"),
+        [("reference_longitude_rad", "reference_longitude is finite"),
+         ("terminals_m[1][0]", "terminal coordinates are finite")],
+    )
+    def test_json_nan_position_rejected(self, location, constraint):
+        doc = scenario_to_dict(micro_scenario())
+        set_at(doc, location, math.nan)
+        text = json.dumps(doc)
+        assert "NaN" in text    # which json.loads reads back as a float
+        with pytest.raises(ConfigError) as raised:
+            scenario_from_dict(json.loads(text))
+        assert str(raised.value) == f"scenario constraint violated: {constraint}"
+
     def test_unavailability_override_must_be_a_number(self):
         with pytest.raises(ConfigError, match="unavailability is a number"):
             micro_scenario().with_overrides(unavailability=True)

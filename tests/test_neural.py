@@ -359,6 +359,26 @@ class TestClipping:
         clip_gradients(grads, max_norm=10.0)
         assert np.linalg.norm(grads.flat) == pytest.approx(10.0, rel=1e-9)
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_float32_norm_accumulates_in_float64(self, monkeypatch, split):
+        # Squares of 1e20 overflow a float32 sum; the float64 norm is finite.
+        if split:
+            monkeypatch.setattr(neural, "_SPLIT_WORK", 0)
+        params = small_net(np.random.default_rng(13), hidden=(400,), n_actions=500)
+        n_blocks = -(-params.flat.size // neural._NORM_BLOCK)
+        assert neural._split(n_blocks, neural._NORM_BLOCK) == split
+        values = np.full(params.flat.size, 1e20, np.float32)
+        values[::3] = -2e20
+        grads = QNetworkParams(params.sizes, values.copy())
+        with np.errstate(over="ignore"):
+            assert np.isinf(values @ values)
+        wide = values.astype(np.float64)
+        norm = clip_gradients(grads, max_norm=10.0)
+        assert norm == pytest.approx(np.sqrt(wide @ wide), rel=1e-7)
+        assert grads.flat.dtype == np.float32
+        scaled = grads.flat.astype(np.float64)
+        assert np.sqrt(scaled @ scaled) == pytest.approx(10.0, rel=1e-6)
+
     def test_parameters_stay_finite_under_clipped_updates(self):
         rng = np.random.default_rng(12)
         params = small_net(rng)

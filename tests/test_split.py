@@ -65,6 +65,8 @@ def assert_td_step_equals_whole(under, params, rng, batch):
     assert loss_split == loss
     assert np.array_equal(grads_split.flat, grads.flat)
     del grads_split
+    norm = under(SPLIT, neural.clip_gradients, grads, np.inf)
+    assert under(WHOLE, neural.clip_gradients, grads, np.inf) == norm
 
     for got, want in zip(
         under(SPLIT, adam_update, params, grads), under(WHOLE, adam_update, params, grads)
@@ -88,6 +90,30 @@ def test_paper_shape_steps_equal_whole_steps_bitwise(under, paper_params, batch)
     table_split = under(SPLIT, target_table, paper_params, encodings, PAPER_SATELLITES, batch)
     table = under(WHOLE, target_table, paper_params, encodings, PAPER_SATELLITES, batch)
     assert np.array_equal(table_split, table)
+
+
+@pytest.mark.parametrize(
+    ("hidden", "n_actions", "batch"),
+    [(PAPER_HIDDEN, PAPER_ACTIONS, 256), (PAPER_HIDDEN, PAPER_ACTIONS, 255), ((64, 64), 121, 64)],
+)
+def test_float32_buffer_holds_the_whole_float64_gradient_rounded(under, hidden, n_actions, batch):
+    # At the real threshold a paper-shape step splits and computes the
+    # trunk and head gradients in float64 row chunks; each float32 entry
+    # is the rounding of the whole, unsplit float64 gradient's entry.
+    rng = np.random.default_rng(batch)
+    params = neural.init_params(2, hidden, n_actions, rng)
+    x = rng.random((batch, 2))
+    actions = rng.integers(n_actions, size=batch)
+    targets = rng.normal(size=batch)
+    width = hidden[-1]
+    if hidden == PAPER_HIDDEN:
+        assert neural._split_product(width, batch, width)
+        assert len(neural._chunks(width // 2)) > 1
+    buffer = neural.QNetworkParams(params.sizes, np.full(params.flat.size, np.nan, np.float32))
+    grads, buffer_loss = neural.backward(params, x, actions, targets, buffer)
+    whole, loss = under(WHOLE, neural.backward, params, x, actions, targets)
+    assert grads is buffer and buffer_loss == loss
+    assert np.array_equal(buffer.flat, whole.flat.astype(np.float32))
 
 
 def test_width_700_steps_equal_whole_steps_bitwise(under):
@@ -155,17 +181,20 @@ def test_gradient_buffer_is_freed_when_train_iteration_returns(under, monkeypatc
     # The worker must drop each finished job: a job kept until the next one
     # arrives holds Adam's closure, and with it the gradient buffer.
     agent, env = wide_agent()
-    buffers = []
+    buffers, layouts = [], set()
     backward = neural.backward
 
     def recording_backward(params, encodings, actions, targets, grads):
         buffers.append(weakref.ref(grads.flat))
+        layouts.add((grads.flat.dtype, grads.flat.nbytes))
         return backward(params, encodings, actions, targets, grads)
 
     monkeypatch.setattr(neural, "backward", recording_backward)
     under(SPLIT, agent.train_iteration, env, np.full(3, 1 / 3))
     assert agent.adam.step == 3
     assert buffers and all(ref() is None for ref in buffers)
+    # One float32 buffer, half the bytes of the float64 params.
+    assert layouts == {(np.dtype(np.float32), agent.params.flat.nbytes // 2)}
 
 
 def run_halves_in_thread(fn, n):
