@@ -20,8 +20,8 @@ float64; values round to float32 only where they are stored. ``backward``
 computes each gradient tensor in float64 and rounds it once into the
 caller's buffer, which the agent allocates in float32, at half the
 params' bytes. The trunk weight gradients and the advantage-head fill and
-scatter are computed ``_CHUNK_ROWS`` output rows at a time in float64
-scratch, so no whole float64 copy of them is formed. Without a buffer
+scatter are computed at most ``_CHUNK_ROWS`` output rows at a time in
+float64 scratch, so no whole float64 copy of them is formed. Without a buffer
 ``backward`` makes a float64 one, the exact reference that the tests
 check. ``clip_gradients`` sums the squared norm in float64 whatever the
 buffer's dtype. Adam's two moments are float32, so an agent's optimizer
@@ -32,18 +32,24 @@ gradient to float32 either way, so a float32 buffer changes no step's
 bits while the clip does not bind; where it binds, the scaled gradient's
 rounding can differ by one float32 ulp. Checkpoints hold the params alone.
 
-Large steps run on two cores. Each trunk layer (matmul, bias, tanh, split
-by batch rows), the trunk weight-gradient product (split by fan-in rows),
-the taken-column gather and the advantage-head gradient fill and scatter
-(split by hidden rows), the hidden-gradient product (split by batch rows),
-the clip norm's and Adam's block loops run as two fixed halves: the
-calling thread does the first, one persistent worker thread the second.
-Each half writes only its own rows, and a call returns, or raises, only
-after both have finished. A step splits only when each half holds two
-rows and at least ``_SPLIT_WORK`` multiply-adds, and a product only when
-its output width is a multiple of 8. Those rules read the shapes alone,
-so results do not depend on the core count; no setting, flag or
-environment variable changes them, and no desk-scale call splits.
+Large steps run on two cores, by one rule: ``_halves(fn, n, split)``
+calls ``fn(rows, half)``. Unsplit, it calls ``fn(slice(0, n), 0)`` on the
+calling thread. Split, the calling thread runs the first half of the rows
+and one persistent worker thread the second, and the call returns, or
+raises, only after both have finished. Each half writes only its own rows
+and works in its own scratch, which ``_scratch`` makes for every half on
+the calling thread. The taken-column gather and the advantage-head fill
+and scatter (by hidden rows), the clip norm and Adam (by blocks) each
+have one body that runs unsplit at desk scale and as halves at paper
+width. Three products keep a one-expression whole path beside their split
+path: each trunk layer (by batch rows), the trunk weight-gradient product
+(by fan-in rows) and the hidden-gradient product (by batch rows). Each is
+one numpy call when whole, and routing it through ``_halves`` slowed desk
+``backward`` and one-row ``forward``. A step splits only when each half
+holds two rows and at least ``_SPLIT_WORK`` multiply-adds, and a product
+only when its output width is a multiple of 8. Those rules read the
+shapes alone, so results do not depend on the core count; no setting,
+flag or environment variable changes them, and no desk-scale call splits.
 
 The split is bit-identical to the whole step. Adam is elementwise, the
 scatter adds into each cell in batch order whichever rows it covers, and
@@ -140,16 +146,20 @@ _worker_jobs: SimpleQueue | None = None
 
 
 def _forget_worker() -> None:
-    # A forked child has no worker thread; it starts its own at its first split.
-    global _worker_jobs
+    # A forked child has no worker thread; it starts its own at its first
+    # split. A thread the child does not have may have held the lock at the
+    # fork, so the child takes a fresh one.
+    global _worker_jobs, _worker_lock
     _worker_jobs = None
+    _worker_lock = threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _serve(jobs: SimpleQueue) -> None:
-    """The worker: run each (fn, rows, done) job, then report on ``done``.
+    """The worker: run each (fn, rows, done) job as the second half, then
+    report on ``done``.
 
     The job is released before its report, so nothing the job's closure
     holds (a gradient buffer) outlives the call that split it.
@@ -157,7 +167,7 @@ def _serve(jobs: SimpleQueue) -> None:
     while True:
         fn, rows, done = jobs.get()
         try:
-            fn(rows)
+            fn(rows, 1)
             error = None
         except BaseException as exc:    # handed to the caller, which raises it
             error = exc
@@ -168,7 +178,7 @@ def _serve(jobs: SimpleQueue) -> None:
 
 def _split(n: int, row_work: int) -> bool:
     """Whether a step over n rows of ``row_work`` multiply-adds each runs as
-    ``_halves``. A half of one row would run as a matrix-vector product,
+    two halves. A half of one row would run as a matrix-vector product,
     whose sums differ from the matrix product's, so each half needs two."""
     return n >= 4 and n // 2 * row_work >= _SPLIT_WORK
 
@@ -180,16 +190,21 @@ def _split_product(rows: int, inner: int, width: int) -> bool:
     return width % 8 == 0 and _split(rows, inner * width)
 
 
-def _halves(fn, n: int) -> None:
-    """Run ``fn(slice(0, n // 2))`` on this thread and ``fn(slice(n // 2, n))``
-    on the worker; for steps that ``_split`` accepts. The caller runs a
-    smaller step whole itself, which costs no slicing.
+def _halves(fn, n: int, split: bool) -> None:
+    """Run ``fn(rows, half)`` over n rows, the one way a step reaches the
+    worker. Unless ``split``, ``fn(slice(0, n), 0)`` runs on this thread
+    alone. Otherwise ``fn(slice(0, n // 2), 0)`` runs on this thread and
+    ``fn(slice(n // 2, n), 1)`` on the worker. ``half`` picks that half's
+    scratch from ``_scratch``.
 
-    ``fn`` writes only its own rows and calls only numpy, never a function
-    of this package: a tracer that wraps those keeps one call stack, which
-    two threads would corrupt. An exception from either half is raised
-    after both have stopped.
+    ``fn`` writes only its own rows and calls only numpy, never a public
+    function of this package: a tracer that wraps those keeps one call
+    stack, which two threads would corrupt. An exception from either half
+    is raised after both have stopped.
     """
+    if not split:
+        fn(slice(0, n), 0)
+        return
     global _worker_jobs
     with _worker_lock:
         if _worker_jobs is None:
@@ -200,11 +215,25 @@ def _halves(fn, n: int) -> None:
     done = SimpleQueue()
     _worker_jobs.put((fn, slice(n // 2, n), done))
     try:
-        fn(slice(0, n // 2))
+        fn(slice(0, n // 2), 0)
     finally:
         error = done.get()
     if error is not None:
         raise error
+
+
+def _scratch(split: bool, shape, dtype=np.float64) -> list[np.ndarray]:
+    """An empty ``shape`` array for each half that ``_halves`` runs, in the
+    order of ``half``. All are made on the calling thread: memory a thread
+    frees stays in its own malloc arena, and scratch that the worker made
+    for itself raised the paper-width peak RSS by 2.5 to 4 MB instead of
+    under 1 MB."""
+    # Not a comprehension: on Python 3.11 one costs 0.8 us more per call,
+    # and a desk TD step makes three calls.
+    scratch = [np.empty(shape, dtype)]
+    if split:
+        scratch.append(np.empty(shape, dtype))
+    return scratch
 
 
 def _may_split(params: QNetworkParams, rows: int) -> bool:
@@ -221,7 +250,7 @@ def _trunk(params: QNetworkParams, x: np.ndarray, big: bool) -> list[np.ndarray]
     h = x
     for w, b in zip(params.trunk_weights, params.trunk_biases):
         if big and _split_product(len(h), *w.shape):
-            h = _split_layer(h, w, b)
+            h = _row_halves(h, w, b)
         else:
             h = h @ w
             h += b
@@ -230,23 +259,20 @@ def _trunk(params: QNetworkParams, x: np.ndarray, big: bool) -> list[np.ndarray]
     return activations
 
 
-def _split_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One trunk layer as two halves of the batch rows."""
-    h = np.empty((len(x), w.shape[1]))
+def _row_halves(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """a @ b as two halves of the rows of a; with ``bias``, the trunk layer
+    tanh(a @ b + bias)."""
+    out = np.empty((len(a), b.shape[1]))
 
-    def rows_of(rows):
-        part = h[rows]
-        np.matmul(x[rows], w, out=part)
-        part += b
-        np.tanh(part, out=part)
+    def product(rows, half):
+        part = out[rows]
+        np.matmul(a[rows], b, out=part)
+        if bias is not None:
+            part += bias
+            np.tanh(part, out=part)
 
-    _halves(rows_of, len(x))
-    return h
-
-
-def _split_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = a @ b as two halves of the rows of a and out."""
-    _halves(lambda rows: np.matmul(a[rows], b, out=out[rows]), len(out))
+    _halves(product, len(a), True)
+    return out
 
 
 def _forward_full(params: QNetworkParams, x: np.ndarray):
@@ -278,41 +304,32 @@ def forward(params: QNetworkParams, encoding: np.ndarray):
     return v[:, 0], a, q
 
 
-# Gradient rows computed at a time in float64 scratch before they are
-# rounded into the caller's buffer: 128 rows of the paper's 2048-wide trunk
-# gradient take 2 MiB of float64, where the whole product takes 32 MiB.
+# The most gradient rows computed at a time in float64 scratch before they
+# are rounded into the caller's buffer: 128 rows of the paper's 2048-wide
+# trunk gradient take 2 MiB of float64, where the whole product takes 32 MiB.
 # Chunks of 64 to 256 rows took the same time; below 128 the peak RSS of a
 # paper-width step no longer fell.
 _CHUNK_ROWS = 128
 
 
-def _chunks(n: int) -> list[slice]:
-    """Near-equal chunks of n rows, each of at least _CHUNK_ROWS rows
-    unless there is only one; a short last chunk could be a one-row
-    product, which sums in another order than the whole."""
-    count = max(1, n // _CHUNK_ROWS)
-    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+def _chunks(rows: slice) -> list[slice]:
+    """Near-equal chunks of ``rows``, each of at most _CHUNK_ROWS rows and,
+    unless there is only one, at least half that many: a short chunk could
+    be a one-row product, which sums in another order than the whole."""
+    n = rows.stop - rows.start
+    count = -(-n // _CHUNK_ROWS)
+    return [slice(rows.start + n * i // count, rows.start + n * (i + 1) // count)
+            for i in range(count)]
 
 
-def _scratch_size(n: int, width: int) -> int:
-    """Entries of the float64 scratch that ``_store_rows`` needs for an
-    (n, width) tensor: its largest chunk."""
-    return -(-n // max(1, n // _CHUNK_ROWS)) * width
-
-
-def _store_rows(out: np.ndarray, fill, scratch: np.ndarray | None = None) -> None:
-    """Compute a gradient tensor in float64 chunk by chunk and round each
-    chunk into its rows of ``out``: ``fill(chunk, part)`` writes rows
-    ``chunk`` of the tensor to ``part``. The float64 chunks live in the
-    flat ``scratch`` when given. The worker's half gets it from the
-    caller: memory a thread frees stays in its own malloc arena, which
-    raised the paper-width peak RSS by 2.5 to 4 MB instead of under 1 MB.
-    """
-    n, width = out.shape
-    if scratch is None:
-        scratch = np.empty(_scratch_size(n, width))
-    for chunk in _chunks(n):
-        part = scratch[: (chunk.stop - chunk.start) * width].reshape(-1, width)
+def _store_rows(out: np.ndarray, fill, scratch, rows: slice, half: int) -> None:
+    """A ``_halves`` body: compute rows ``rows`` of a gradient tensor in
+    float64 chunk by chunk and round each chunk into its rows of ``out``.
+    ``fill(chunk, part)`` writes rows ``chunk`` of the tensor to ``part``,
+    the first rows of ``scratch[half]``; for an n-row tensor that needs
+    min(n, _CHUNK_ROWS) rows."""
+    for chunk in _chunks(rows):
+        part = scratch[half][: chunk.stop - chunk.start]
         fill(chunk, part)
         out[chunk] = part
 
@@ -323,34 +340,6 @@ def _row_offsets(n_actions: int, width: int) -> np.ndarray:
     offsets = n_actions * np.arange(width)
     offsets.flags.writeable = False
     return offsets
-
-
-def _taken_columns(params: QNetworkParams, acts, rows) -> np.ndarray:
-    """Hidden rows k of c_i = adv_weight[:, a_i] + value_weight -
-    mean_j adv_weight[:, j], as a (B, rows) array. Each row's mean is its
-    own reduction, so halves give the whole's bits."""
-    weight = params.adv_weight[rows]
-    columns = weight.T[acts]
-    columns += params.value_weight[rows, 0] - np.add.reduce(weight, axis=1) / params.n_actions
-    return columns
-
-
-def _head_gradient(adv_grad, value_grad, h_last, acts, r, scratch=None) -> None:
-    """Fill hidden rows k of the advantage-weight gradient: -value_grad / n
-    in every column, then h_ik r_i added to cell (k, a_i) for each batch
-    row i, in float64 (``_store_rows``). np.add.at sums repeated actions
-    in batch order, whichever rows it is given, so any split of the rows
-    gives the whole's bits."""
-    n_actions = adv_grad.shape[1]
-
-    def fill(chunk, part):
-        part[...] = value_grad[chunk] / -n_actions
-        # In the flat row-major view cell (k, a_i) is k n + a_i.
-        index = acts[:, None] + _row_offsets(n_actions, len(part))
-        values = h_last[:, chunk] * r[:, None]
-        np.add.at(part.reshape(-1), index.reshape(-1), values.reshape(-1))
-
-    _store_rows(adv_grad, fill, scratch)
 
 
 def backward(
@@ -384,25 +373,27 @@ def backward(
     if grads is None:
         grads = QNetworkParams(params.sizes)
 
-    # Q(s_i, a_i) = h_i . c_i + beta_i with c_i = adv_weight[:, a_i] +
-    # value_weight - mean_j adv_weight[:, j] and beta_i = value_bias +
-    # adv_bias[a_i] - mean(adv_bias): a gather of the B taken columns, so
-    # no (B, n_actions) product is formed.
     big = _may_split(params, batch)
     activations = _trunk(params, x, big)
     h_last = activations[-1]
     width = h_last.shape[1]
     # The gather and the head gradient split by hidden rows.
     head_split = big and _split(width, n_actions + batch)
-    if head_split:
-        d_h = np.empty((batch, width))
 
-        def gather(rows):
-            d_h[:, rows] = _taken_columns(params, acts, rows)
+    # Q(s_i, a_i) = h_i . c_i + beta_i with c_i = adv_weight[:, a_i] +
+    # value_weight - mean_j adv_weight[:, j] and beta_i = value_bias +
+    # adv_bias[a_i] - mean(adv_bias): a gather of the B taken columns, so
+    # no (B, n_actions) product is formed. Each half writes its own hidden
+    # columns of d_h; each hidden row's mean is its own reduction, so halves
+    # give the whole's bits.
+    d_h = np.empty((batch, width))
 
-        _halves(gather, width)
-    else:
-        d_h = _taken_columns(params, acts, slice(None))
+    def gather(rows, half):
+        weight = params.adv_weight[rows]
+        shift = params.value_weight[rows, 0] - np.add.reduce(weight, axis=1) / n_actions
+        np.add(weight.T[acts], shift, out=d_h[:, rows])
+
+    _halves(gather, width, head_split)
     beta = params.value_bias + params.adv_bias[acts]
     beta -= np.add.reduce(params.adv_bias) / n_actions
     residual = np.einsum("ij,ij->i", h_last, d_h)
@@ -420,18 +411,23 @@ def backward(
     value_bias_grad = r.sum()
     grads.value_weight[...] = value_grad
     grads.value_bias[0] = value_bias_grad
-    if head_split:
-        worker_scratch = np.empty(_scratch_size(width - width // 2, n_actions))
-        _halves(
-            lambda rows: _head_gradient(
-                grads.adv_weight[rows], value_grad[rows], h_last[:, rows], acts, r,
-                worker_scratch if rows.start else None,
-            ),
-            width,
-        )
-        del worker_scratch
-    else:
-        _head_gradient(grads.adv_weight, value_grad, h_last, acts, r)
+
+    def head_fill(chunk, part):
+        # -value_grad / n in every column of hidden rows ``chunk``, then
+        # h_ik r_i added to cell (k, a_i) for each batch row i. np.add.at
+        # sums repeated actions in batch order, whichever rows it is given,
+        # so any split of the rows gives the whole's bits.
+        part[...] = value_grad[chunk] / -n_actions
+        # In the flat row-major view cell (k, a_i) is k n + a_i.
+        index = acts[:, None] + _row_offsets(n_actions, len(part))
+        values = h_last[:, chunk] * r[:, None]
+        np.add.at(part.reshape(-1), index.reshape(-1), values.reshape(-1))
+
+    scratch = _scratch(head_split, (min(width, _CHUNK_ROWS), n_actions))
+    _halves(
+        functools.partial(_store_rows, grads.adv_weight, head_fill, scratch), width, head_split
+    )
+    del scratch
     adv_bias_grad = np.full(n_actions, value_bias_grad / -n_actions)
     np.add.at(adv_bias_grad, acts, r)
     grads.adv_bias[...] = adv_bias_grad
@@ -449,26 +445,22 @@ def backward(
         weight, inputs = params.trunk_weights[layer], activations[layer].T
         weight_grad = grads.trunk_weights[layer]
         if big and _split_product(len(weight), batch, weight.shape[1]):
-            worker_scratch = np.empty(
-                _scratch_size(len(weight) - len(weight) // 2, weight.shape[1])
-            )
+            scratch = _scratch(True, (min(len(weight), _CHUNK_ROWS), weight.shape[1]))
             _halves(
-                lambda rows: _store_rows(
-                    weight_grad[rows],
-                    lambda chunk, part: np.matmul(inputs[rows][chunk], d_pre, out=part),
-                    worker_scratch if rows.start else None,
+                functools.partial(
+                    _store_rows, weight_grad,
+                    lambda chunk, part: np.matmul(inputs[chunk], d_pre, out=part), scratch,
                 ),
-                len(weight),
+                len(weight), True,
             )
-            del worker_scratch
+            del scratch
         else:
             weight_grad[...] = inputs @ d_pre
         grads.trunk_biases[layer][...] = d_pre.sum(axis=0)
         if layer == 0:
             break
         if big and _split_product(batch, weight.shape[1], len(weight)):
-            d_h = np.empty((batch, len(weight)))
-            _split_matmul(d_pre, weight.T, d_h)
+            d_h = _row_halves(d_pre, weight.T)
         else:
             d_h = d_pre @ weight.T
     return grads, loss
@@ -488,37 +480,24 @@ def clip_gradients(grads: QNetworkParams, max_norm: float) -> float:
     flat = grads.flat
     n_blocks = -(-flat.size // _NORM_BLOCK)
     middle = n_blocks // 2 * _NORM_BLOCK
-    halves = (slice(0, middle), slice(middle, None))
+    split = _split(n_blocks, _NORM_BLOCK)
+    scratch = _scratch(split, min(_NORM_BLOCK, flat.size))
     # The sums of squares of two halves of the blocks, added in order, on
-    # two cores or on one: the norm's bits depend on the size alone.
-    if _split(n_blocks, _NORM_BLOCK):
-        sums = [0.0, 0.0]
-        # Each half's scratch comes from here (see _store_rows).
-        scratch = (np.empty(_NORM_BLOCK), np.empty(_NORM_BLOCK))
+    # two cores or on one: the norm's bits depend on the size alone. The
+    # blocks from ``middle`` on add into the second sum.
+    sums = [0.0, 0.0]
 
-        def half(blocks):
-            i = 1 if blocks.start else 0
-            sums[i] = _squared_norm(flat[halves[i]], scratch[i])
+    def sum_squares(blocks, half):
+        for start in range(blocks.start * _NORM_BLOCK, blocks.stop * _NORM_BLOCK, _NORM_BLOCK):
+            block = scratch[half][: min(_NORM_BLOCK, flat.size - start)]
+            block[...] = flat[start : start + _NORM_BLOCK]
+            sums[start >= middle] += block @ block
 
-        _halves(half, n_blocks)
-    else:
-        scratch = np.empty(min(_NORM_BLOCK, flat.size))
-        sums = [_squared_norm(flat[entries], scratch) for entries in halves]
+    _halves(sum_squares, n_blocks, split)
     norm = math.sqrt(sums[0] + sums[1])
     if norm > max_norm:
         np.multiply(flat, max_norm / norm, out=flat, dtype=np.float64)
     return norm
-
-
-def _squared_norm(vector: np.ndarray, scratch: np.ndarray) -> float:
-    """Sum of squares of ``vector`` in float64, cast into ``scratch``
-    _NORM_BLOCK entries at a time."""
-    total = 0.0
-    for start in range(0, vector.size, _NORM_BLOCK):
-        block = scratch[: min(_NORM_BLOCK, vector.size - start)]
-        block[...] = vector[start : start + _NORM_BLOCK]
-        total += block @ block
-    return total
 
 
 @dataclass(eq=False)
@@ -555,66 +534,53 @@ def adam_step(
     and root = 1 / sqrt(1 - b2^t), the textbook
     theta -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) becomes
     theta -= step (m / (sqrt(v) root + eps)), one division per entry.
+    The update runs _ADAM_BLOCK entries at a time in float32 scratch. A
+    float32 gradient block is read in place and a float64 one is cast to
+    float32 once; everything after that is float32 until the step lands on
+    the float64 params.
     """
     state.step += 1
     # As float32 scalars, whatever the type of lr, so that the update
     # works in float32: b1, 1 - b1, b2, 1 - b2, step, root, eps.
-    scalars = np.array([
+    beta1, rest1, beta2, rest2, step, root, eps = np.array([
         ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2,
         lr / (1.0 - ADAM_BETA1**state.step), 1.0 / math.sqrt(1.0 - ADAM_BETA2**state.step),
         ADAM_EPS,
     ], np.float32)
-    vectors = (params.flat, grads.flat, state.first_moment, state.second_moment)
-    n_blocks = -(-params.flat.size // _ADAM_BLOCK)
-    if _split(n_blocks, _ADAM_BLOCK):
-        # The worker's half gets its scratch from here (see _store_rows).
-        worker_scratch = (np.empty(_ADAM_BLOCK, np.float32), np.empty(_ADAM_BLOCK, np.float32))
+    flat, grad_flat, first, second = (
+        params.flat, grads.flat, state.first_moment, state.second_moment
+    )
+    n_blocks = -(-flat.size // _ADAM_BLOCK)
+    split = _split(n_blocks, _ADAM_BLOCK)
+    scratch = _scratch(split, (2, min(_ADAM_BLOCK, flat.size)), np.float32)
 
-        def half(blocks):
-            entries = slice(blocks.start * _ADAM_BLOCK, blocks.stop * _ADAM_BLOCK)
-            _adam_blocks(
-                [vector[entries] for vector in vectors], scalars,
-                *(worker_scratch if blocks.start else ()),
-            )
+    def update(blocks, half):
+        for start in range(blocks.start * _ADAM_BLOCK, blocks.stop * _ADAM_BLOCK, _ADAM_BLOCK):
+            block = slice(start, start + _ADAM_BLOCK)
+            theta, m, v = flat[block], first[block], second[block]
+            # Row 0 of the half's scratch holds the update's temporary, row 1
+            # a float64 gradient block cast to float32.
+            grad, tmp = grad_flat[block], scratch[half][0, : theta.size]
+            if grad.dtype != np.float32:
+                grad = scratch[half][1, : theta.size]
+                grad[...] = grad_flat[block]
+            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g.
+            m *= beta1
+            np.multiply(rest1, grad, out=tmp)
+            m += tmp
+            v *= beta2
+            np.multiply(rest2, grad, out=tmp)
+            tmp *= grad
+            v += tmp
+            np.sqrt(v, out=tmp)
+            tmp *= root
+            tmp += eps
+            np.divide(m, tmp, out=tmp)
+            tmp *= step
+            theta -= tmp
 
-        _halves(half, n_blocks)
-    else:
-        _adam_blocks(vectors, scalars)
+    _halves(update, n_blocks, split)
     return params
-
-
-def _adam_blocks(vectors, scalars, grad32=None, tmp32=None) -> None:
-    """``adam_step``'s update of one range of the params, gradient and
-    moment vectors, _ADAM_BLOCK entries at a time, in float32 scratch of
-    its own unless given. A float32 gradient block is read in place and a
-    float64 one is cast to float32 once; everything after that is float32
-    until the step lands on the float64 params."""
-    flat, grad_flat, first, second = vectors
-    beta1, rest1, beta2, rest2, step, root, eps = scalars
-    if grad32 is None:
-        grad32 = np.empty(min(_ADAM_BLOCK, flat.size), np.float32)
-        tmp32 = np.empty_like(grad32)
-    for start in range(0, flat.size, _ADAM_BLOCK):
-        block = slice(start, start + _ADAM_BLOCK)
-        theta, m, v = flat[block], first[block], second[block]
-        grad, tmp = grad_flat[block], tmp32[: theta.size]
-        if grad.dtype != np.float32:
-            grad = grad32[: theta.size]
-            grad[...] = grad_flat[block]
-        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g.
-        m *= beta1
-        np.multiply(rest1, grad, out=tmp)
-        m += tmp
-        v *= beta2
-        np.multiply(rest2, grad, out=tmp)
-        tmp *= grad
-        v += tmp
-        np.sqrt(v, out=tmp)
-        tmp *= root
-        tmp += eps
-        np.divide(m, tmp, out=tmp)
-        tmp *= step
-        theta -= tmp
 
 
 def _v1_tensors(params: QNetworkParams) -> dict[str, np.ndarray]:

@@ -5,16 +5,20 @@ Every split step must give the whole step's bits. The private threshold
 split, and to a huge value to keep every step whole.
 """
 
+import os
+import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from leodcb import neural
-from leodcb.agent import AgentConfig, EnhancedD3qnAgent, target_table
+from leodcb.agent import MAX_GRAD_NORM, AgentConfig, EnhancedD3qnAgent, target_table
 from leodcb.env import DcbUplinkEnv
 from leodcb.scenario import desk_scenario
 
@@ -108,7 +112,7 @@ def test_float32_buffer_holds_the_whole_float64_gradient_rounded(under, hidden, 
     width = hidden[-1]
     if hidden == PAPER_HIDDEN:
         assert neural._split_product(width, batch, width)
-        assert len(neural._chunks(width // 2)) > 1
+        assert len(neural._chunks(slice(0, width // 2))) > 1
     buffer = neural.QNetworkParams(params.sizes, np.full(params.flat.size, np.nan, np.float32))
     grads, buffer_loss = neural.backward(params, x, actions, targets, buffer)
     whole, loss = under(WHOLE, neural.backward, params, x, actions, targets)
@@ -125,6 +129,15 @@ def test_width_700_steps_equal_whole_steps_bitwise(under):
     batch = 256
     assert neural._split(batch, 700 * 700) and not neural._split_product(batch, 700, 700)
     assert_td_step_equals_whole(under, params, rng, batch)
+
+
+def test_chunks_of_fewer_than_128_rows_equal_whole_steps_bitwise(under):
+    # Each 200-row fan-in half of the trunk weight gradient is computed in
+    # two 100-row chunks.
+    rng = np.random.default_rng(400)
+    params = neural.init_params(2, (400, 400), PAPER_ACTIONS, rng)
+    assert [c.stop - c.start for c in neural._chunks(slice(200, 400))] == [100, 100]
+    assert_td_step_equals_whole(under, params, rng, 64)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
@@ -198,12 +211,12 @@ def test_gradient_buffer_is_freed_when_train_iteration_returns(under, monkeypatc
 
 
 def run_halves_in_thread(fn, n):
-    """neural._halves(fn, n) on a helper thread; returns what it raised."""
+    """neural._halves(fn, n, True) on a helper thread; returns what it raised."""
     raised = []
 
     def call():
         try:
-            neural._halves(fn, n)
+            neural._halves(fn, n, True)
         except Exception as exc:
             raised.append(exc)
 
@@ -218,8 +231,7 @@ def run_halves_in_thread(fn, n):
 def test_error_in_either_half_waits_for_the_other(failing_half):
     finished = []
 
-    def fn(rows):
-        half = 0 if rows.start == 0 else 1
+    def fn(rows, half):
         if half == failing_half:
             raise ValueError(f"half {half}")
         time.sleep(0.2)
@@ -231,11 +243,21 @@ def test_error_in_either_half_waits_for_the_other(failing_half):
 
     filled = np.zeros(8)
 
-    def fill(rows):
-        filled[rows] = rows.start + 1
+    def fill(rows, half):
+        filled[rows] = 10 * half + rows.start + 1
 
     assert run_halves_in_thread(fill, 8) == []
-    assert filled.tolist() == [1, 1, 1, 1, 5, 5, 5, 5]
+    assert filled.tolist() == [1, 1, 1, 1, 15, 15, 15, 15]
+
+
+def test_unsplit_halves_run_whole_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(neural, "_worker_jobs", None)
+    threads = threading.active_count()
+    calls = []
+    neural._halves(lambda rows, half: calls.append((rows, half, threading.get_ident())), 8, False)
+    assert calls == [(slice(0, 8), 0, threading.get_ident())]
+    assert threading.active_count() == threads
+    assert neural._worker_jobs is None
 
 
 def test_desk_width_training_starts_no_thread(monkeypatch):
@@ -270,3 +292,135 @@ def test_worker_calls_no_public_package_function(under, monkeypatch):
         if not name.startswith("_") and hasattr(sys.modules[module], name)
     }
     assert called and not public
+
+
+def test_paper_shape_td_step_traced_peak(paper_params):
+    # One split TD step at paper shapes, into a float32 buffer, forms no
+    # whole float64 gradient tensor and no copy of the head weight: its
+    # traced peak read 16.0 to 16.3 MiB above its start, the four
+    # (256, 2048) float64 activations and hidden gradients of the trunk's
+    # backward. A gather that copied each half's transposed head weight to
+    # C order read 33.2 MiB. The bound leaves 1.7 MiB for numpy temporaries.
+    rng = np.random.default_rng(28)
+    batch = 256
+    params = paper_params.clone()
+    state = neural.init_adam(params)
+    grads = neural.QNetworkParams(params.sizes, np.empty(params.flat.size, np.float32))
+    x = rng.random((batch, 2))
+    actions = rng.integers(PAPER_ACTIONS, size=batch)
+    targets = rng.normal(size=batch)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        neural.backward(params, x, actions, targets, grads)
+        neural.clip_gradients(grads, MAX_GRAD_NORM)
+        neural.adam_step(params, grads, state, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
+
+
+# The head of a script that a fork test runs in a fresh interpreter. A fork
+# in the test process would copy pytest's threads, and under Python 3.12 it
+# warns that the process has threads, which ``filterwarnings = error``
+# turns into a failure. ``in_child(check)`` forks, runs ``check`` in the
+# child, which SIGALRM ends after 5 s if it hangs, and prints the child's
+# exit code.
+FORK_SCRIPT = """
+import os, signal, sys, threading, traceback
+import numpy as np
+from leodcb import neural
+
+def in_child(check):
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(5)
+        try:
+            check()
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+            code = 1
+        sys.stderr.flush()
+        os._exit(code)
+    print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def child_exit_code(script):
+    """Run FORK_SCRIPT + ``script`` in a fresh interpreter; returns the
+    exit code that its forked child printed, and the standard error."""
+    src = str(Path(neural.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run(
+        [sys.executable, "-c", FORK_SCRIPT + script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    return int(run.stdout), run.stderr
+
+
+def test_child_forked_while_the_worker_lock_is_held_can_split():
+    # The thread that held the lock is not in the child, so the child must
+    # not wait for the parent's lock.
+    code, stderr = child_exit_code("""
+held, release = threading.Event(), threading.Event()
+
+def hold():
+    with neural._worker_lock:
+        held.set()
+        release.wait()
+
+threading.Thread(target=hold, daemon=True).start()
+held.wait()
+
+def check():
+    # A forced-split forward over 8 rows: each trunk layer runs as _halves.
+    params = neural.init_params(2, (64, 64), 121, np.random.default_rng(28))
+    x = np.random.default_rng(29).random((8, 2))
+    neural._SPLIT_WORK = 0
+    split = neural.forward(params, x)[2]
+    neural._SPLIT_WORK = 1 << 62
+    assert np.array_equal(split, neural.forward(params, x)[2])
+
+in_child(check)
+release.set()
+""")
+    assert code == 0, stderr
+
+
+def test_child_forked_after_the_worker_started_splits_with_its_own():
+    # The parent's worker thread is not in the child: the child starts its
+    # own at its first split, and its forced-split TD step gives the whole
+    # step's bits.
+    code, stderr = child_exit_code("""
+rng = np.random.default_rng(28)
+params = neural.init_params(2, (512, 512), 121, rng)
+x, actions, targets = rng.random((64, 2)), rng.integers(121, size=64), rng.normal(size=64)
+
+def td_step(work):
+    neural._SPLIT_WORK = work
+    theta = params.clone()
+    state = neural.init_adam(theta)
+    grads = neural.QNetworkParams(theta.sizes, np.empty(theta.flat.size, np.float32))
+    _, loss = neural.backward(theta, x, actions, targets, grads)
+    norm = neural.clip_gradients(grads, np.inf)
+    neural.adam_step(theta, grads, state, lr=1e-3)
+    return [loss, norm, grads.flat, theta.flat, state.first_moment, state.second_moment]
+
+whole = td_step(1 << 62)
+td_step(0)
+assert [t.name for t in threading.enumerate()] == ["MainThread", "leodcb-neural-half"]
+
+def check():
+    assert neural._worker_jobs is None
+    assert [t.name for t in threading.enumerate()] == ["MainThread"]
+    split = td_step(0)
+    assert [t.name for t in threading.enumerate()] == ["MainThread", "leodcb-neural-half"]
+    assert all(np.array_equal(got, want) for got, want in zip(split, whole))
+
+in_child(check)
+""")
+    assert code == 0, stderr
