@@ -153,10 +153,11 @@ def target_table(
     """
     table = np.empty((len(encodings), n_satellites + 1))
     for start in range(0, len(encodings), chunk):
-        _, _, q = neural.forward(params, encodings[start : start + chunk])
+        q = neural.forward(params, encodings[start : start + chunk])[2]
         rows = table[start : start + chunk]
         q[:, :-1].reshape(len(q), -1, n_satellites).max(axis=1, out=rows[:, :-1])
         rows[:, -1] = q[:, -1]
+        del q    # not held while the next chunk is forwarded
     table.flags.writeable = False
     return table
 
@@ -243,13 +244,16 @@ class EnhancedD3qnAgent:
     def train_iteration(self, env: DcbUplinkEnv, weight: np.ndarray) -> None:
         """Collect episodes, then run the configured gradient steps.
 
-        The steps share one float32 gradient buffer, which is dropped on
-        return, so an agent between iterations holds no gradient memory.
+        The steps share one float32 ``neural.Gradient``, which is dropped
+        on return, so an agent between iterations holds no gradient memory.
+        At paper width it stores neither the trunk nor the advantage weight
+        gradient: it holds each step's factors of those, 12 MiB, and Adam
+        forms them in chunks.
         """
         cfg = self.config
         for _ in range(cfg.episodes_per_iteration):
             self.collect_episode(env)
-        grads = QNetworkParams(self.params.sizes, np.empty(self.params.flat.size, np.float32))
+        grads = neural.Gradient(self.params.sizes, np.float32)
         table_shape = (len(env.state_encodings), env.n_satellites + 1)
         for _ in range(cfg.grad_steps_per_iteration):
             if len(self.replay) < cfg.batch_size:

@@ -17,20 +17,31 @@ entry takes one division.
 
 Params are float64, and every product and sum of a step works in
 float64; values round to float32 only where they are stored. ``backward``
-computes each gradient tensor in float64 and rounds it once into the
-caller's buffer, which the agent allocates in float32, at half the
-params' bytes. The trunk weight gradients and the advantage-head fill and
-scatter are computed at most ``_CHUNK_ROWS`` output rows at a time in
-float64 scratch, so no whole float64 copy of them is formed. Without a buffer
-``backward`` makes a float64 one, the exact reference that the tests
-check. ``clip_gradients`` sums the squared norm in float64 whatever the
-buffer's dtype. Adam's two moments are float32, so an agent's optimizer
-state takes half its params' bytes too: each block of the update reads
-its gradient as float32 (a float64 gradient is cast once), works in
-float32, and lands its step on the float64 params. Adam rounds its
-gradient to float32 either way, so a float32 buffer changes no step's
-bits while the clip does not bind; where it binds, the scaled gradient's
-rounding can differ by one float32 ulp. Checkpoints hold the params alone.
+writes the gradient into a ``Gradient``, which the agent allocates in
+float32: each stored tensor is computed in float64 and rounded once. A
+trunk or advantage weight gradient of at least ``_FACTORED_ENTRIES``
+(2^20) entries is not stored; at paper width those are the 2048 x 2048
+trunk weight and the 2048 x 1101 advantage weight, at desk scale none.
+``backward`` hands over each as its two factors: for a trunk weight the
+layer input A and the pre-activation gradient D (the gradient is A^T D),
+for the advantage weight the last hidden layer h and the residuals r at
+the taken actions a. ``clip_gradients`` adds each one's squared norm from
+two B x B Gram matrices, sum (A A^T) o (D D^T) and
+sum (h h^T) o (r r^T o ([a_i = a_j] - 1/n)), and ``adam_step`` forms the
+tensor at most ``_CHUNK_ROWS`` rows at a time in float64 scratch and rounds
+each chunk once to float32. Without a buffer ``backward`` makes a float64
+one, the exact reference that the tests check. ``clip_gradients`` sums the
+stored entries' squares in float64 whatever their dtype. Adam's two
+moments are float32, so an agent's optimizer state takes half its params'
+bytes: each block of the update reads its gradient as float32 (a float64
+one is cast once), works in float32, and lands its step on the float64
+params. A stored or formed gradient entry is the float64 value rounded
+once to float32, so while the clip does not bind each step has the bits of
+a step that stores the whole gradient in float32. The norm differs from
+that one's by up to about 1e-11 relative at paper width: it is the norm of
+the float64 gradient, not of its float32 rounding. Where the clip binds, a
+stored entry is scaled after its rounding and a formed one before it, in
+float64 either way. Checkpoints hold the params alone.
 
 Large steps run on two cores, by one rule: ``_halves(fn, n, split)``
 calls ``fn(rows, half)``. Unsplit, it calls ``fn(slice(0, n), 0)`` on the
@@ -38,30 +49,32 @@ calling thread. Split, the calling thread runs the first half of the rows
 and one persistent worker thread the second, and the call returns, or
 raises, only after both have finished. Each half writes only its own rows
 and works in its own scratch, which ``_scratch`` makes for every half on
-the calling thread. The taken-column gather and the advantage-head fill
-and scatter (by hidden rows), the clip norm and Adam (by blocks) each
-have one body that runs unsplit at desk scale and as halves at paper
-width. Three products keep a one-expression whole path beside their split
-path: each trunk layer (by batch rows), the trunk weight-gradient product
-(by fan-in rows) and the hidden-gradient product (by batch rows). Each is
-one numpy call when whole, and routing it through ``_halves`` slowed desk
-``backward`` and one-row ``forward``. A step splits only when each half
-holds two rows and at least ``_SPLIT_WORK`` multiply-adds, and a product
-only when its output width is a multiple of 8. Those rules read the
-shapes alone, so results do not depend on the core count; no setting,
-flag or environment variable changes them, and no desk-scale call splits.
+the calling thread. The taken-column gather (by hidden rows), the clip
+norm (by blocks, and the Gram matrices one whole product each) and Adam
+(by blocks, and a factored gradient by row chunks) each have one body
+that runs unsplit at desk scale and as halves at paper width. Two products
+keep a one-expression whole path beside their split path: each trunk
+layer and the hidden-gradient product, both by batch rows. Each is one
+numpy call when whole, and routing it through ``_halves`` slowed desk
+``backward`` and one-row ``forward``. A stored weight gradient is one
+whole product. A step splits only when each half holds two rows and at
+least ``_SPLIT_WORK`` multiply-adds, and a product only when its output
+width is a multiple of 8. Those rules read the shapes alone, so results
+do not depend on the core count; no setting, flag or environment variable
+changes them, and no desk-scale call splits.
 
 The split is bit-identical to the whole step. Adam is elementwise, the
-scatter adds into each cell in batch order whichever rows it covers, and
-the clip norm adds the same two halves' sums whether or not it splits.
-Row halves of a product whose output width is a multiple of 8 give the
-whole product's bits on OpenBLAS 0.3.31 (SkylakeX kernels); at widths
-such as 650 or 700 they differed in a few entries, so those products stay
-whole. The tests compare split and whole steps bitwise at the paper's
-shapes and at trunk width 700. The 1,101-column advantage-head product of
-a batch forward stays whole too: a row split moved 53 of its 281,856
-entries, by up to 6e-17 on a freshly initialized network. So do the value
-head and single-row forwards. Row chunks of the trunk weight gradient
+scatter adds into each cell in batch order whichever rows it covers, the
+clip norm adds the same two halves' sums whether or not it splits, and a
+factored gradient is formed in the same row chunks either way. Row halves
+of a product whose output width is a multiple of 8 give the whole
+product's bits on OpenBLAS 0.3.31 (SkylakeX kernels); at widths such as
+650 or 700 they differed in a few entries, so those products stay whole.
+The tests compare split and whole steps bitwise at the paper's shapes and
+at trunk width 700. The 1,101-column advantage-head product of a batch
+forward stays whole too: a row split moved 53 of its 281,856 entries, by
+up to 6e-17 on a freshly initialized network. So do the value head and
+single-row forwards. Row chunks of the 2048-wide trunk weight gradient
 keep the whole product's bits for the same reason as row halves.
 """
 
@@ -81,29 +94,47 @@ from .errors import ConfigError, DomainError
 FORMAT_VERSION = 1
 
 
+def _shapes(sizes) -> list[tuple]:
+    """Each tensor's shape in layout order: each trunk layer's weight then
+    bias, then the value weight and bias, then the advantage weight and
+    bias."""
+    dims, n_actions = sizes[:-1], sizes[-1]
+    shapes = []
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    return shapes + [(dims[-1], 1), (1,), (dims[-1], n_actions), (n_actions,)]
+
+
+def _name(holder, tensors: list) -> None:
+    """Bind ``tensors``, in layout order, to their names on ``holder``."""
+    holder.trunk_weights = tensors[0:-4:2]
+    holder.trunk_biases = tensors[1:-4:2]
+    holder.value_weight, holder.value_bias, holder.adv_weight, holder.adv_bias = tensors[-4:]
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [piece.reshape(shape) for piece, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
 class QNetworkParams:
     """Network parameters as views into one contiguous float64 vector.
 
     ``sizes`` is (input_dim, *hidden_sizes, n_actions). ``flat`` holds each
     trunk layer's weight then bias, then the value weight and bias, then
     the advantage weight and bias, each row-major; the named tensors are
-    views into it, so writing either side changes both.
+    views into it, so writing either side changes both. A copy or a pickle
+    rebuilds the views over its own copy of ``flat``.
     """
 
     def __init__(self, sizes, flat: np.ndarray | None = None):
         self.sizes = tuple(int(s) for s in sizes)
-        dims, n_actions = self.sizes[:-1], self.sizes[-1]
-        shapes = []
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            shapes += [(fan_in, fan_out), (fan_out,)]
-        shapes += [(dims[-1], 1), (1,), (dims[-1], n_actions), (n_actions,)]
-        ends = np.cumsum([math.prod(shape) for shape in shapes])
-        self.flat = np.zeros(ends[-1]) if flat is None else flat
-        pieces = np.split(self.flat, ends[:-1])
-        views = [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
-        self.trunk_weights = views[0:-4:2]
-        self.trunk_biases = views[1:-4:2]
-        self.value_weight, self.value_bias, self.adv_weight, self.adv_bias = views[-4:]
+        shapes = _shapes(self.sizes)
+        self.flat = np.zeros(sum(map(math.prod, shapes))) if flat is None else flat
+        _name(self, _views(self.flat, shapes))
+
+    def __reduce__(self):
+        return QNetworkParams, (self.sizes, self.flat)
 
     @property
     def input_dim(self) -> int:
@@ -115,6 +146,80 @@ class QNetworkParams:
 
     def clone(self) -> "QNetworkParams":
         return QNetworkParams(self.sizes, self.flat.copy())
+
+
+# A trunk or advantage weight gradient of at least this many entries is not
+# stored (see Gradient): at paper width the 2048 x 2048 trunk weight and the
+# 2048 x 1101 advantage weight, at desk scale none.
+_FACTORED_ENTRIES = 1 << 20
+
+
+@dataclass(eq=False)
+class _Factored:
+    """A weight gradient that ``Gradient`` does not store.
+
+    ``backward`` sets ``factors`` at each step. ``rows(*factors, chunk,
+    out)`` writes rows ``chunk`` of the gradient in float64 to ``out``.
+    ``squared_norm(grams, *factors)`` is its squared norm, where ``grams``
+    holds m @ m.T for each of the first ``n_grams`` factors. ``start`` is
+    the tensor's offset in the params' flat vector.
+    """
+
+    start: int
+    shape: tuple
+    rows: object
+    squared_norm: object
+    n_grams: int
+    factors: tuple = ()
+
+
+class Gradient:
+    """The gradient of a TD step, in the layout of ``QNetworkParams``.
+
+    A trunk or advantage weight gradient of at least ``_FACTORED_ENTRIES``
+    entries is not stored: its name holds a ``_Factored``, to which
+    ``backward`` hands the gradient's two factors. Every other tensor is a
+    view into ``flat``, which holds them in layout order, in ``dtype``.
+    ``blocks`` cuts each run of stored tensors into Adam's blocks of at most
+    ``_ADAM_BLOCK`` entries, each a pair of slices: its entries in the
+    params' flat vector and in ``flat``. ``factored`` lists the
+    ``_Factored`` in layout order. ``scale`` is the clip's factor, which
+    ``adam_step`` applies to a factored gradient as it forms it;
+    ``backward`` sets it to 1.
+    """
+
+    def __init__(self, sizes, dtype=np.float64):
+        self.sizes = tuple(int(s) for s in sizes)
+        shapes = _shapes(self.sizes)
+        head = len(shapes) - 2
+        kinds = {i: (_product_rows, _product_squared_norm, 2) for i in range(0, head - 2, 2)}
+        kinds[head] = (_head_rows, _head_squared_norm, 1)
+        tensors, stored, runs, self.factored = [], [], [], []
+        start = at = 0
+        for i, shape in enumerate(shapes):
+            size = math.prod(shape)
+            if i in kinds and size >= _FACTORED_ENTRIES:
+                tensors.append(_Factored(start, shape, *kinds[i]))
+                self.factored.append(tensors[-1])
+            else:
+                tensors.append(None)
+                stored.append(shape)
+                # (offset in the params, offset in flat, size) of each run.
+                if runs and runs[-1][0] + runs[-1][2] == start:
+                    runs[-1][2] += size
+                else:
+                    runs.append([start, at, size])
+                at += size
+            start += size
+        self.blocks = [
+            (slice(first + i, first + min(i + _ADAM_BLOCK, size)),
+             slice(kept + i, kept + min(i + _ADAM_BLOCK, size)))
+            for first, kept, size in runs for i in range(0, size, _ADAM_BLOCK)
+        ]
+        self.flat = np.zeros(sum(size for _, _, size in runs), dtype)
+        views = iter(_views(self.flat, stored))
+        _name(self, [next(views) if tensor is None else tensor for tensor in tensors])
+        self.scale = 1.0
 
 
 def init_params(
@@ -130,7 +235,13 @@ def init_params(
     # Draw order (trunk, value head, advantage head) fixes every seeded result.
     for weight in [*params.trunk_weights, params.value_weight, params.adv_weight]:
         limit = np.sqrt(6.0 / sum(weight.shape))
-        weight[:] = rng.uniform(-limit, limit, size=weight.shape)
+        # What rng.uniform(-limit, limit) computes, -limit + 2 limit u from
+        # the same draws, but in place: a whole-tensor temporary freed here
+        # raised glibc's mmap threshold to its size (18 MB at paper width),
+        # and the heap then kept every later step's scratch resident.
+        rng.random(out=weight)
+        weight *= limit - -limit
+        weight += -limit
     return params
 
 
@@ -243,10 +354,11 @@ def _may_split(params: QNetworkParams, rows: int) -> bool:
     return rows * params.flat.size >= _SPLIT_WORK
 
 
-def _trunk(params: QNetworkParams, x: np.ndarray, big: bool) -> list[np.ndarray]:
-    """Input then each tanh layer's output; bias and tanh work in place.
-    ``big`` is ``_may_split(params, len(x))``."""
-    activations = [x]
+def _trunk(params: QNetworkParams, x: np.ndarray, big: bool, activations=None) -> np.ndarray:
+    """The last tanh layer's output; bias and tanh work in place. ``big``
+    is ``_may_split(params, len(x))``. Each layer's output is appended to
+    ``activations`` when given; otherwise only the layer being computed and
+    its input are held."""
     h = x
     for w, b in zip(params.trunk_weights, params.trunk_biases):
         if big and _split_product(len(h), *w.shape):
@@ -255,8 +367,9 @@ def _trunk(params: QNetworkParams, x: np.ndarray, big: bool) -> list[np.ndarray]
             h = h @ w
             h += b
             np.tanh(h, out=h)
-        activations.append(h)
-    return activations
+        if activations is not None:
+            activations.append(h)
+    return h
 
 
 def _row_halves(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
@@ -276,8 +389,7 @@ def _row_halves(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) ->
 
 
 def _forward_full(params: QNetworkParams, x: np.ndarray):
-    activations = _trunk(params, x, _may_split(params, len(x)))
-    h = activations[-1]
+    h = _trunk(params, x, _may_split(params, len(x)))
     v = h @ params.value_weight                              # (B, 1)
     v += params.value_bias
     a = h @ params.adv_weight                                # (B, n_actions)
@@ -285,7 +397,7 @@ def _forward_full(params: QNetworkParams, x: np.ndarray):
     # What a.mean(axis=1) computes: the same sum, then the same division.
     q = v + a
     q -= np.add.reduce(a, axis=1, keepdims=True) / params.n_actions
-    return activations, v, a, q
+    return v, a, q
 
 
 def forward(params: QNetworkParams, encoding: np.ndarray):
@@ -298,17 +410,17 @@ def forward(params: QNetworkParams, encoding: np.ndarray):
         raise DomainError(
             f"encoding width {x.shape[1]} does not match input dim {params.input_dim}"
         )
-    _, v, a, q = _forward_full(params, x)
+    v, a, q = _forward_full(params, x)
     if single:
         return float(v[0, 0]), a[0], q[0]
     return v[:, 0], a, q
 
 
-# The most gradient rows computed at a time in float64 scratch before they
-# are rounded into the caller's buffer: 128 rows of the paper's 2048-wide
-# trunk gradient take 2 MiB of float64, where the whole product takes 32 MiB.
-# Chunks of 64 to 256 rows took the same time; below 128 the peak RSS of a
-# paper-width step no longer fell.
+# The most rows of a factored gradient that adam_step forms at a time in
+# float64 scratch: 128 rows of the paper's 2048-wide trunk gradient take 2
+# MiB of float64, where the whole product takes 32 MiB. Chunks of 64 to 256
+# rows took the same time; below 128 the peak RSS of a paper-width step no
+# longer fell.
 _CHUNK_ROWS = 128
 
 
@@ -322,16 +434,17 @@ def _chunks(rows: slice) -> list[slice]:
             for i in range(count)]
 
 
-def _store_rows(out: np.ndarray, fill, scratch, rows: slice, half: int) -> None:
-    """A ``_halves`` body: compute rows ``rows`` of a gradient tensor in
-    float64 chunk by chunk and round each chunk into its rows of ``out``.
-    ``fill(chunk, part)`` writes rows ``chunk`` of the tensor to ``part``,
-    the first rows of ``scratch[half]``; for an n-row tensor that needs
-    min(n, _CHUNK_ROWS) rows."""
-    for chunk in _chunks(rows):
-        part = scratch[half][: chunk.stop - chunk.start]
-        fill(chunk, part)
-        out[chunk] = part
+def _product_rows(a: np.ndarray, d: np.ndarray, chunk: slice, out: np.ndarray) -> None:
+    """Rows ``chunk`` of a.T @ d, the weight gradient of a trunk layer with
+    input a and pre-activation gradient d. On OpenBLAS 0.3.31 row chunks of
+    a product whose width is a multiple of 8 give the whole product's bits."""
+    np.matmul(a.T[chunk], d, out=out)
+
+
+def _product_squared_norm(grams, a: np.ndarray, d: np.ndarray) -> float:
+    # |a.T d|^2 = sum over i, j of (a a.T)_ij (d d.T)_ij: two B x B Gram
+    # matrices in place of a pass over the fan_in x fan_out gradient.
+    return float(np.vdot(*grams))
 
 
 @functools.cache
@@ -342,20 +455,43 @@ def _row_offsets(n_actions: int, width: int) -> np.ndarray:
     return offsets
 
 
+def _head_rows(h, r, acts, value_grad, n_actions, chunk: slice, out: np.ndarray) -> None:
+    """Rows ``chunk`` of the advantage-weight gradient: -value_grad / n in
+    every column, then h_ik r_i added to cell (k, a_i) for each batch row i.
+    np.add.at sums repeated actions in batch order, whichever rows it is
+    given, so any chunking of the rows gives the whole's bits."""
+    out[...] = value_grad[chunk] / -n_actions
+    # In the flat row-major view cell (k, a_i) is k n + a_i.
+    index = acts[:, None] + _row_offsets(n_actions, len(out))
+    values = h[:, chunk] * r[:, None]
+    np.add.at(out.reshape(-1), index.reshape(-1), values.reshape(-1))
+
+
+def _head_squared_norm(grams, h, r, acts, value_grad, n_actions) -> float:
+    # The gradient is sum_i h_i (x) r_i c_i with c_ij = [j = a_i] - 1/n,
+    # and c_i . c_l = [a_i = a_l] - 1/n: so its squared norm is
+    # sum over i, l of (h h.T)_il r_i r_l ([a_i = a_l] - 1/n).
+    weights = np.equal.outer(acts, acts) - 1.0 / n_actions
+    weights *= r[:, None]
+    weights *= r
+    return float(np.vdot(grams[0], weights))
+
+
 def backward(
     params: QNetworkParams,
     encodings: np.ndarray,
     actions: np.ndarray,
     targets: np.ndarray,
-    grads: QNetworkParams | None = None,
+    grads: Gradient | None = None,
 ):
     """Gradient of the mean squared TD loss; returns (grads, loss).
 
     Loss = mean over the batch of 0.5 * (Q(s, a) - target)^2. The gradient
-    is written into ``grads`` when given: every entry is overwritten, so a
-    caller can reuse one buffer across steps, and each is computed in
-    float64 and rounded once to the buffer's dtype (float32 or float64).
-    Otherwise a new float64 one is made.
+    is written into ``grads`` when given, so a caller can reuse one across
+    steps: every stored entry is computed in float64 and rounded once to
+    the dtype of ``grads.flat``, and every factored tensor gets this step's
+    factors, which the gradient holds until the next call. Otherwise a new
+    float64 one is made.
     Each row needs one integer action in [0, n_actions), else DomainError.
     """
     x = np.asarray(encodings, dtype=float)
@@ -371,14 +507,12 @@ def backward(
     if acts.min() < 0 or acts.max() >= n_actions:
         raise DomainError(f"actions must lie in [0, {n_actions})")
     if grads is None:
-        grads = QNetworkParams(params.sizes)
+        grads = Gradient(params.sizes)
 
     big = _may_split(params, batch)
-    activations = _trunk(params, x, big)
-    h_last = activations[-1]
+    activations = [x]
+    h_last = _trunk(params, x, big, activations)
     width = h_last.shape[1]
-    # The gather and the head gradient split by hidden rows.
-    head_split = big and _split(width, n_actions + batch)
 
     # Q(s_i, a_i) = h_i . c_i + beta_i with c_i = adv_weight[:, a_i] +
     # value_weight - mean_j adv_weight[:, j] and beta_i = value_bias +
@@ -393,7 +527,7 @@ def backward(
         shift = params.value_weight[rows, 0] - np.add.reduce(weight, axis=1) / n_actions
         np.add(weight.T[acts], shift, out=d_h[:, rows])
 
-    _halves(gather, width, head_split)
+    _halves(gather, width, big and _split(width, n_actions + batch))
     beta = params.value_bias + params.adv_bias[acts]
     beta -= np.add.reduce(params.adv_bias) / n_actions
     residual = np.einsum("ij,ij->i", h_last, d_h)
@@ -404,58 +538,44 @@ def backward(
     # dL/dQ is r_i at (i, a_i) and zero elsewhere, with r = residual / B.
     # Through Q = V + A - mean(A) that gives dL/dV_i = r_i and
     # dL/dA[i, j] = r_i ([j = a_i] - 1/n): a rank-one fill of every
-    # advantage column plus a scatter into the taken ones. Both fills
-    # read the float64 value gradient, not its copy in ``grads``.
+    # advantage column plus a scatter into the taken ones. Both read the
+    # float64 value gradient, not its copy in ``grads``.
     r = residual / batch
     value_grad = np.matmul(h_last.T, r[:, None])
     value_bias_grad = r.sum()
     grads.value_weight[...] = value_grad
     grads.value_bias[0] = value_bias_grad
-
-    def head_fill(chunk, part):
-        # -value_grad / n in every column of hidden rows ``chunk``, then
-        # h_ik r_i added to cell (k, a_i) for each batch row i. np.add.at
-        # sums repeated actions in batch order, whichever rows it is given,
-        # so any split of the rows gives the whole's bits.
-        part[...] = value_grad[chunk] / -n_actions
-        # In the flat row-major view cell (k, a_i) is k n + a_i.
-        index = acts[:, None] + _row_offsets(n_actions, len(part))
-        values = h_last[:, chunk] * r[:, None]
-        np.add.at(part.reshape(-1), index.reshape(-1), values.reshape(-1))
-
-    scratch = _scratch(head_split, (min(width, _CHUNK_ROWS), n_actions))
-    _halves(
-        functools.partial(_store_rows, grads.adv_weight, head_fill, scratch), width, head_split
-    )
-    del scratch
+    grads.scale = 1.0
+    head = (h_last, r, acts, value_grad, n_actions)
+    if isinstance(grads.adv_weight, _Factored):
+        grads.adv_weight.factors = head
+    else:
+        part = np.empty((width, n_actions))
+        _head_rows(*head, slice(0, width), part)
+        grads.adv_weight[...] = part
     adv_bias_grad = np.full(n_actions, value_bias_grad / -n_actions)
     np.add.at(adv_bias_grad, acts, r)
     grads.adv_bias[...] = adv_bias_grad
 
     # dL/dh_i = r_i c_i.
     d_h *= r[:, None]
+    # kept[k]: activations[k] is a factor (the input of a factored trunk
+    # weight k, or for the last one the factored head's h).
+    kept = [isinstance(slot, _Factored) for slot in (*grads.trunk_weights, grads.adv_weight)]
     for layer in reversed(range(len(params.trunk_weights))):
-        # tanh' = 1 - h^2, over the activation no later step reads; the
+        # tanh' = 1 - h^2, over the activation unless it is a factor; the
         # layer's input gradient d_pre then takes the place of d_h.
-        tanh_grad = activations[layer + 1]
-        np.multiply(tanh_grad, tanh_grad, out=tanh_grad)
+        h = activations[layer + 1]
+        tanh_grad = np.multiply(h, h, out=None if kept[layer + 1] else h)
         np.subtract(1.0, tanh_grad, out=tanh_grad)
         d_pre = d_h
         d_pre *= tanh_grad
-        weight, inputs = params.trunk_weights[layer], activations[layer].T
-        weight_grad = grads.trunk_weights[layer]
-        if big and _split_product(len(weight), batch, weight.shape[1]):
-            scratch = _scratch(True, (min(len(weight), _CHUNK_ROWS), weight.shape[1]))
-            _halves(
-                functools.partial(
-                    _store_rows, weight_grad,
-                    lambda chunk, part: np.matmul(inputs[chunk], d_pre, out=part), scratch,
-                ),
-                len(weight), True,
-            )
-            del scratch
+        del tanh_grad
+        weight, weight_grad = params.trunk_weights[layer], grads.trunk_weights[layer]
+        if kept[layer]:
+            weight_grad.factors = (activations[layer], d_pre)
         else:
-            weight_grad[...] = inputs @ d_pre
+            weight_grad[...] = activations[layer].T @ d_pre
         grads.trunk_biases[layer][...] = d_pre.sum(axis=0)
         if layer == 0:
             break
@@ -466,16 +586,40 @@ def backward(
     return grads, loss
 
 
-# clip_gradients casts this many entries at a time to float64 for its norm.
+# clip_gradients casts this many stored entries at a time to float64 for
+# its norm.
 _NORM_BLOCK = 1 << 16
 
 
-def clip_gradients(grads: QNetworkParams, max_norm: float) -> float:
-    """Scale all gradients in place to the norm cap; returns the pre-clip norm.
+def _factored_squared_norm(grads: Gradient) -> float:
+    """The squared norm of the factored tensors, added in layout order.
+    Each Gram matrix is one whole product, on whichever thread runs it: at
+    paper width three of them, one on the calling thread and two on the
+    worker."""
+    mats = [m for slot in grads.factored for m in slot.factors[: slot.n_grams]]
+    grams = [None] * len(mats)
 
-    The squared norm accumulates in float64 whatever the buffer's dtype: a
-    float32 dot overflows to inf above a norm of about 1.8e19. The scale
-    works in float64 too, and each entry is rounded once when stored.
+    def gram(items, half):
+        for i in range(items.start, items.stop):
+            grams[i] = mats[i] @ mats[i].T
+
+    _halves(gram, len(mats), len(mats) > 1 and len(mats[0]) * mats[0].size >= _SPLIT_WORK)
+    total, at = 0.0, 0
+    for slot in grads.factored:
+        total += slot.squared_norm(grams[at : at + slot.n_grams], *slot.factors) * grads.scale**2
+        at += slot.n_grams
+    return total
+
+
+def clip_gradients(grads: Gradient, max_norm: float) -> float:
+    """Scale the gradient to the norm cap; returns the pre-clip norm.
+
+    The squared norm of the stored entries accumulates in float64 whatever
+    their dtype: a float32 dot overflows to inf above a norm of about
+    1.8e19. Each factored tensor adds its squared norm from its factors.
+    A binding clip scales the stored entries in place, in float64 and
+    rounded once, and multiplies ``grads.scale``, which adam_step applies
+    to each factored tensor as it forms it.
     """
     flat = grads.flat
     n_blocks = -(-flat.size // _NORM_BLOCK)
@@ -494,9 +638,13 @@ def clip_gradients(grads: QNetworkParams, max_norm: float) -> float:
             sums[start >= middle] += block @ block
 
     _halves(sum_squares, n_blocks, split)
-    norm = math.sqrt(sums[0] + sums[1])
+    total = sums[0] + sums[1]
+    if grads.factored:
+        total += _factored_squared_norm(grads)
+    norm = math.sqrt(total)
     if norm > max_norm:
         np.multiply(flat, max_norm / norm, out=flat, dtype=np.float64)
+        grads.scale *= max_norm / norm
     return norm
 
 
@@ -515,8 +663,8 @@ def init_adam(params: QNetworkParams) -> AdamState:
                      np.zeros(params.flat.size, np.float32))
 
 
-# Adam updates this many entries at a time, so its temporaries stay small
-# instead of each costing a copy of the whole parameter vector.
+# Adam updates this many stored entries at a time, so its temporaries stay
+# small instead of each costing a copy of the whole parameter vector.
 _ADAM_BLOCK = 1 << 15
 # Adam's moment decay rates and denominator offset, the textbook defaults.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -524,7 +672,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 def adam_step(
     params: QNetworkParams,
-    grads: QNetworkParams,
+    grads: Gradient,
     state: AdamState,
     lr: float,
 ) -> QNetworkParams:
@@ -534,10 +682,12 @@ def adam_step(
     and root = 1 / sqrt(1 - b2^t), the textbook
     theta -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) becomes
     theta -= step (m / (sqrt(v) root + eps)), one division per entry.
-    The update runs _ADAM_BLOCK entries at a time in float32 scratch. A
-    float32 gradient block is read in place and a float64 one is cast to
-    float32 once; everything after that is float32 until the step lands on
-    the float64 params.
+    The update works in float32 until the step lands on the float64
+    params. Stored entries run _ADAM_BLOCK at a time: a float32 gradient
+    block is read in place and a float64 one is cast to float32 once. A
+    factored gradient is formed _CHUNK_ROWS rows at a time in float64
+    scratch, scaled there by ``grads.scale`` if the clip bound, and rounded
+    once to float32.
     """
     state.step += 1
     # As float32 scalars, whatever the type of lr, so that the update
@@ -547,39 +697,69 @@ def adam_step(
         lr / (1.0 - ADAM_BETA1**state.step), 1.0 / math.sqrt(1.0 - ADAM_BETA2**state.step),
         ADAM_EPS,
     ], np.float32)
-    flat, grad_flat, first, second = (
-        params.flat, grads.flat, state.first_moment, state.second_moment
-    )
-    n_blocks = -(-flat.size // _ADAM_BLOCK)
-    split = _split(n_blocks, _ADAM_BLOCK)
-    scratch = _scratch(split, (2, min(_ADAM_BLOCK, flat.size)), np.float32)
+    flat, first, second = params.flat, state.first_moment, state.second_moment
 
-    def update(blocks, half):
-        for start in range(blocks.start * _ADAM_BLOCK, blocks.stop * _ADAM_BLOCK, _ADAM_BLOCK):
-            block = slice(start, start + _ADAM_BLOCK)
-            theta, m, v = flat[block], first[block], second[block]
-            # Row 0 of the half's scratch holds the update's temporary, row 1
-            # a float64 gradient block cast to float32.
-            grad, tmp = grad_flat[block], scratch[half][0, : theta.size]
-            if grad.dtype != np.float32:
-                grad = scratch[half][1, : theta.size]
-                grad[...] = grad_flat[block]
-            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g.
-            m *= beta1
-            np.multiply(rest1, grad, out=tmp)
-            m += tmp
-            v *= beta2
-            np.multiply(rest2, grad, out=tmp)
-            tmp *= grad
-            v += tmp
-            np.sqrt(v, out=tmp)
-            tmp *= root
-            tmp += eps
-            np.divide(m, tmp, out=tmp)
-            tmp *= step
-            theta -= tmp
+    def update(entries: slice, g: np.ndarray, tmp: np.ndarray) -> None:
+        # One block: the params' ``entries``, their float32 gradient ``g``,
+        # and ``tmp`` of the same size for the update's temporary.
+        theta, m, v = flat[entries], first[entries], second[entries]
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g.
+        m *= beta1
+        np.multiply(rest1, g, out=tmp)
+        m += tmp
+        v *= beta2
+        np.multiply(rest2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp *= root
+        tmp += eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= step
+        theta -= tmp
 
-    _halves(update, n_blocks, split)
+    blocks, grad_flat = grads.blocks, grads.flat
+    split = _split(len(blocks), _ADAM_BLOCK)
+    scratch = _scratch(split, (2, min(_ADAM_BLOCK, grad_flat.size)), np.float32)
+
+    def update_blocks(indices, half):
+        # Row 0 of the half's scratch holds the update's temporary, row 1 a
+        # float64 gradient block cast to float32.
+        for entries, kept in blocks[indices]:
+            g = grad_flat[kept]
+            if g.dtype != np.float32:
+                g = scratch[half][1, : g.size]
+                g[...] = grad_flat[kept]
+            update(entries, g, scratch[half][0, : g.size])
+
+    _halves(update_blocks, len(blocks), split)
+
+    for slot in grads.factored:
+        cols = slot.shape[1]
+        chunks = _chunks(slice(0, slot.shape[0]))
+        rows = -(-slot.shape[0] // len(chunks))
+        split = _split(len(chunks), rows * cols)
+        parts = _scratch(split, (rows, cols))
+        scratch = _scratch(split, (2, _ADAM_BLOCK), np.float32)
+
+        def update_chunks(indices, half):
+            for chunk in chunks[indices]:
+                part = parts[half][: chunk.stop - chunk.start]
+                slot.rows(*slot.factors, chunk, part)
+                if grads.scale != 1.0:
+                    part *= grads.scale
+                # Rounded to float32 one block at a time, so that the
+                # update's arrays stay cache-sized.
+                part, start = part.reshape(-1), slot.start + chunk.start * cols
+                for at in range(0, part.size, _ADAM_BLOCK):
+                    g = scratch[half][1, : min(_ADAM_BLOCK, part.size - at)]
+                    g[...] = part[at : at + _ADAM_BLOCK]
+                    update(slice(start + at, start + at + g.size), g, scratch[half][0, : g.size])
+
+        # The chunks come from the whole tensor's rows, so a split runs the
+        # same products as the whole.
+        _halves(update_chunks, len(chunks), split)
+        del parts, scratch    # freed before the next tensor's are made
     return params
 
 

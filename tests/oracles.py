@@ -17,7 +17,7 @@ from leodcb import channel
 from leodcb.channel import RfConstants
 from leodcb.env import legitimate_masks
 from leodcb.errors import DomainError
-from leodcb.neural import QNetworkParams, _forward_full, forward
+from leodcb.neural import QNetworkParams, forward
 
 
 def make_rf(n_terminals=3, reference_distance=5e5, bandwidth=1e7):
@@ -200,7 +200,10 @@ def dense_backward(
         grads = QNetworkParams(params.sizes)
 
     batch = x.shape[0]
-    activations, v, a, q = _forward_full(params, x)
+    activations = [x]
+    for w, b in zip(params.trunk_weights, params.trunk_biases):
+        activations.append(np.tanh(activations[-1] @ w + b))
+    _, _, q = forward(params, x)
     picked = q[np.arange(batch), acts]
     residual = picked - y
     loss = 0.5 * float(residual @ residual) / batch

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -7,6 +9,7 @@ from oracles import batch_loss, dense_backward, max_relative_error, numeric_grad
 from leodcb import neural
 from leodcb.errors import ConfigError, DomainError
 from leodcb.neural import (
+    Gradient,
     QNetworkParams,
     adam_step,
     backward,
@@ -162,7 +165,7 @@ class TestBackward:
         params = small_net(rng, hidden=hidden, n_actions=4)
         batch = random_batch(rng, params, size=6)
         fresh, fresh_loss = backward(params, *batch)
-        buffer = QNetworkParams(params.sizes)
+        buffer = Gradient(params.sizes)
         buffer.flat[:] = np.nan
         grads, loss = backward(params, *batch, buffer)
         assert grads is buffer
@@ -270,7 +273,7 @@ class TestAdam:
         rng = np.random.default_rng(8)
         params = small_net(rng)
         before = params.flat.copy()
-        adam_step(params, QNetworkParams(params.sizes), init_adam(params), lr=1e-2)
+        adam_step(params, Gradient(params.sizes), init_adam(params), lr=1e-2)
         assert np.array_equal(before, params.flat)
 
     def test_zero_learning_rate_is_identity(self):
@@ -292,7 +295,7 @@ class TestAdam:
         for _ in range(120):
             theta = params.trunk_weights[0][0, 0]
             values.append(0.5 * theta * theta)
-            grads = QNetworkParams(params.sizes)
+            grads = Gradient(params.sizes)
             grads.trunk_weights[0][0, 0] = theta
             adam_step(params, grads, state, lr=0.01)
         for prev, cur in zip(values[10:100], values[11:101]):
@@ -306,7 +309,8 @@ class TestAdam:
         state = init_adam(params)
         m = v = np.zeros(params.flat.size, np.float32)
         for step in (1, 2, 3):
-            grads = QNetworkParams(params.sizes, rng.normal(size=params.flat.size))
+            grads = Gradient(params.sizes)
+            grads.flat[:] = rng.normal(size=params.flat.size)
             before = params.flat.copy()
             adam_step(params, grads, state, lr=1e-3)
             # The moments are the textbook recursion run in float32, bit for bit.
@@ -369,7 +373,8 @@ class TestClipping:
         assert neural._split(n_blocks, neural._NORM_BLOCK) == split
         values = np.full(params.flat.size, 1e20, np.float32)
         values[::3] = -2e20
-        grads = QNetworkParams(params.sizes, values.copy())
+        grads = Gradient(params.sizes, np.float32)
+        grads.flat[:] = values
         with np.errstate(over="ignore"):
             assert np.isinf(values @ values)
         wide = values.astype(np.float64)
@@ -492,3 +497,27 @@ class TestFlatLayout:
         for t in named:
             t += 1.0
         assert np.all(params.flat == 1.0)
+
+    @pytest.mark.parametrize(
+        "copy_of", [copy.deepcopy, lambda params: pickle.loads(pickle.dumps(params))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_keep_their_tensors_as_views_of_their_own_flat(self, copy_of):
+        rng = np.random.default_rng(23)
+        params = small_net(rng)
+        twin = copy_of(params)
+        assert twin.sizes == params.sizes and np.array_equal(twin.flat, params.flat)
+        assert not np.shares_memory(twin.flat, params.flat)
+        named = [
+            *twin.trunk_weights, *twin.trunk_biases,
+            twin.value_weight, twin.value_bias, twin.adv_weight, twin.adv_bias,
+        ]
+        assert all(np.shares_memory(twin.flat, tensor) for tensor in named)
+        # Adam writes flat and forward reads the named tensors: a step on
+        # the copy moves the copy's Q and leaves the original's.
+        x, actions, targets = random_batch(rng, params)
+        before = forward(params, x)[2]
+        grads, _ = backward(twin, x, actions, targets)
+        adam_step(twin, grads, init_adam(twin), lr=1e-2)
+        assert not np.array_equal(forward(twin, x)[2], before)
+        assert np.array_equal(forward(params, x)[2], before)

@@ -2,9 +2,12 @@
 
 Every split step must give the whole step's bits. The private threshold
 ``neural._SPLIT_WORK`` is patched to 0 to force every eligible step to
-split, and to a huge value to keep every step whole.
+split, and to a huge value to keep every step whole. At paper width the
+trunk and advantage weight gradients are factored (``neural.Gradient``);
+``neural._FACTORED_ENTRIES`` is patched down to factor smaller ones.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -16,11 +19,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import dense_backward
 
+from leodcb import agent as agent_module
 from leodcb import neural
 from leodcb.agent import MAX_GRAD_NORM, AgentConfig, EnhancedD3qnAgent, target_table
 from leodcb.env import DcbUplinkEnv
-from leodcb.scenario import desk_scenario
+from leodcb.errors import StateError
+from leodcb.scenario import default_scenario, desk_scenario
 
 SPLIT, WHOLE = 0, 1 << 62
 
@@ -42,13 +48,37 @@ def paper_params():
     return neural.init_params(2, PAPER_HIDDEN, PAPER_ACTIONS, np.random.default_rng(18))
 
 
+def dense(grads):
+    """A ``neural.Gradient`` as one float64 vector in the params' layout:
+    stored entries widened, and each factored tensor formed as one whole
+    float64 product and scaled by the clip's factor."""
+    out = neural.QNetworkParams(grads.sizes).flat
+    for entries, kept in grads.blocks:
+        out[entries] = grads.flat[kept]
+    for slot in grads.factored:
+        part = out[slot.start : slot.start + math.prod(slot.shape)].reshape(slot.shape)
+        slot.rows(*slot.factors, slice(0, slot.shape[0]), part)
+        part *= grads.scale
+    return out
+
+
+def assert_same_gradient(got, want):
+    """Bitwise: the stored entries and every factored tensor's factors."""
+    assert np.array_equal(got.flat, want.flat)
+    assert len(got.factored) == len(want.factored)
+    for mine, theirs in zip(got.factored, want.factored):
+        assert mine.start == theirs.start
+        assert all(np.array_equal(a, b) for a, b in zip(mine.factors, theirs.factors))
+
+
 def adam_update(params, grads):
     """One Adam step from a state with nonzero moments; returns the
     updated params, first moment and second moment."""
     theta = params.clone()
     state = neural.init_adam(theta)
-    state.first_moment[:] = grads.flat
-    state.second_moment[:] = 0.5 * grads.flat**2
+    gradient = dense(grads)
+    state.first_moment[:] = gradient
+    state.second_moment[:] = 0.5 * gradient**2
     state.step = 3
     neural.adam_step(theta, grads, state, lr=1e-3)
     return theta.flat, state.first_moment, state.second_moment
@@ -67,7 +97,7 @@ def assert_td_step_equals_whole(under, params, rng, batch):
     grads_split, loss_split = under(SPLIT, neural.backward, params, x, actions, targets)
     grads, loss = under(WHOLE, neural.backward, params, x, actions, targets)
     assert loss_split == loss
-    assert np.array_equal(grads_split.flat, grads.flat)
+    assert_same_gradient(grads_split, grads)
     del grads_split
     norm = under(SPLIT, neural.clip_gradients, grads, np.inf)
     assert under(WHOLE, neural.clip_gradients, grads, np.inf) == norm
@@ -81,12 +111,16 @@ def assert_td_step_equals_whole(under, params, rng, batch):
 @pytest.mark.parametrize("batch", [256, 255])
 def test_paper_shape_steps_equal_whole_steps_bitwise(under, paper_params, batch):
     rng = np.random.default_rng(batch)
-    # At the real threshold the trunk products, the head gradient and Adam split.
+    # At the real threshold the trunk products, the gather, the clip's Gram
+    # products and Adam's forming of both factored gradients split.
     width = PAPER_HIDDEN[-1]
     assert neural._split_product(batch, width, width)
-    assert neural._split_product(width, batch, width)
     assert neural._split(width, PAPER_ACTIONS + batch)
-    assert neural._split(paper_params.flat.size // neural._ADAM_BLOCK, neural._ADAM_BLOCK)
+    assert batch * batch * width >= neural._SPLIT_WORK
+    factored = neural.Gradient(paper_params.sizes).factored
+    assert [slot.shape for slot in factored] == [(width, width), (width, PAPER_ACTIONS)]
+    for slot in factored:
+        assert neural._split(len(neural._chunks(slice(0, width))), neural._CHUNK_ROWS * slot.shape[1])
     assert_td_step_equals_whole(under, paper_params, rng, batch)
 
     # Three chunks of the batch size, the last one partial.
@@ -101,29 +135,38 @@ def test_paper_shape_steps_equal_whole_steps_bitwise(under, paper_params, batch)
     [(PAPER_HIDDEN, PAPER_ACTIONS, 256), (PAPER_HIDDEN, PAPER_ACTIONS, 255), ((64, 64), 121, 64)],
 )
 def test_float32_buffer_holds_the_whole_float64_gradient_rounded(under, hidden, n_actions, batch):
-    # At the real threshold a paper-shape step splits and computes the
-    # trunk and head gradients in float64 row chunks; each float32 entry
-    # is the rounding of the whole, unsplit float64 gradient's entry.
+    # Each float32 gradient entry that Adam reads is the rounding of the
+    # whole, unsplit float64 gradient's entry: a stored entry as backward
+    # rounds it, and at paper shapes an entry of the factored trunk and head
+    # gradients as Adam forms them in split float64 row chunks. Adam's
+    # first step from zero moments leaves m = (1 - b1) g in float32, which
+    # shows every g bit for bit.
     rng = np.random.default_rng(batch)
     params = neural.init_params(2, hidden, n_actions, rng)
     x = rng.random((batch, 2))
     actions = rng.integers(n_actions, size=batch)
     targets = rng.normal(size=batch)
     width = hidden[-1]
+    buffer = neural.Gradient(params.sizes, np.float32)
+    buffer.flat[:] = np.nan
     if hidden == PAPER_HIDDEN:
-        assert neural._split_product(width, batch, width)
-        assert len(neural._chunks(slice(0, width // 2))) > 1
-    buffer = neural.QNetworkParams(params.sizes, np.full(params.flat.size, np.nan, np.float32))
+        assert len(buffer.factored) == 2
+        chunks = neural._chunks(slice(0, width))
+        assert len(chunks) > 2 and neural._split(len(chunks), neural._CHUNK_ROWS * width)
     grads, buffer_loss = neural.backward(params, x, actions, targets, buffer)
     whole, loss = under(WHOLE, neural.backward, params, x, actions, targets)
     assert grads is buffer and buffer_loss == loss
     assert np.array_equal(buffer.flat, whole.flat.astype(np.float32))
+    state = neural.init_adam(params)
+    neural.adam_step(params.clone(), buffer, state, lr=1e-3)
+    rounded = dense(whole).astype(np.float32)
+    assert np.array_equal(state.first_moment, np.float32(1.0 - neural.ADAM_BETA1) * rounded)
 
 
 def test_width_700_steps_equal_whole_steps_bitwise(under):
     # Row halves of a 700-column product sum in another order than the
-    # whole product, so its products stay whole at any threshold; the head
-    # gradient and Adam still split.
+    # whole product, so its products stay whole at any threshold. No weight
+    # gradient is factored at this width; the clip norm and Adam still split.
     rng = np.random.default_rng(700)
     params = neural.init_params(2, (700, 700), PAPER_ACTIONS, rng)
     batch = 256
@@ -131,12 +174,15 @@ def test_width_700_steps_equal_whole_steps_bitwise(under):
     assert_td_step_equals_whole(under, params, rng, batch)
 
 
-def test_chunks_of_fewer_than_128_rows_equal_whole_steps_bitwise(under):
-    # Each 200-row fan-in half of the trunk weight gradient is computed in
-    # two 100-row chunks.
+def test_chunks_of_fewer_than_128_rows_equal_whole_steps_bitwise(under, monkeypatch):
+    # With both 400-row weight gradients factored, Adam forms each in four
+    # 100-row chunks, two per half when split.
+    monkeypatch.setattr(neural, "_FACTORED_ENTRIES", 1 << 17)
     rng = np.random.default_rng(400)
     params = neural.init_params(2, (400, 400), PAPER_ACTIONS, rng)
-    assert [c.stop - c.start for c in neural._chunks(slice(200, 400))] == [100, 100]
+    factored = neural.Gradient(params.sizes).factored
+    assert [slot.shape for slot in factored] == [(400, 400), (400, PAPER_ACTIONS)]
+    assert [c.stop - c.start for c in neural._chunks(slice(0, 400))] == [100] * 4
     assert_td_step_equals_whole(under, params, rng, 64)
 
 
@@ -154,11 +200,84 @@ def test_adam_odd_block_count_with_partial_last_block(under):
     params = neural.init_params(2, (400,), 500, rng)
     n_blocks = -(-params.flat.size // neural._ADAM_BLOCK)
     assert n_blocks % 2 == 1 and params.flat.size % neural._ADAM_BLOCK != 0
-    grads = neural.QNetworkParams(params.sizes, rng.normal(size=params.flat.size))
+    grads = neural.Gradient(params.sizes)
+    grads.flat[:] = rng.normal(size=params.flat.size)
     for got, want in zip(
         under(SPLIT, adam_update, params, grads), under(WHOLE, adam_update, params, grads)
     ):
         assert np.array_equal(got, want)
+
+
+def paper_batch(rng, batch=256, n_taken=PAPER_ACTIONS):
+    """Encodings, actions drawn from the first ``n_taken``, and targets."""
+    return rng.random((batch, 2)), rng.integers(n_taken, size=batch), rng.normal(size=batch)
+
+
+@pytest.mark.parametrize("n_taken", [PAPER_ACTIONS, 5], ids=["spread", "repeated"])
+def test_factored_norm_equals_the_dense_float64_norm(paper_params, n_taken):
+    # Each factored tensor's squared norm from its two Gram matrices, and
+    # the clip's whole norm, against the dense float64 gradient of the
+    # oracle. Five taken actions repeat each one about 50 times, which the
+    # head's [a_i = a_j] terms must count.
+    batch = paper_batch(np.random.default_rng(31), n_taken=n_taken)
+    grads, _ = neural.backward(paper_params, *batch)
+    want, _ = dense_backward(paper_params, *batch)
+    trunk, head = grads.factored
+    for slot, tensor in ((trunk, want.trunk_weights[1]), (head, want.adv_weight)):
+        grams = [m @ m.T for m in slot.factors[: slot.n_grams]]
+        assert slot.squared_norm(grams, *slot.factors) == pytest.approx(
+            np.vdot(tensor, tensor), rel=1e-12
+        )
+    norm = neural.clip_gradients(grads, np.inf)
+    assert norm == pytest.approx(np.linalg.norm(want.flat), rel=1e-12)
+
+
+def test_binding_clip_matches_textbook_clip_then_adam(paper_params):
+    # The clip scales the stored entries in place and the factored ones as
+    # Adam forms them; both must match a dense float64 clip followed by
+    # textbook Adam, to float32 rounding.
+    batch = paper_batch(np.random.default_rng(32))
+    grads, _ = neural.backward(paper_params, *batch, neural.Gradient(paper_params.sizes, np.float32))
+    dense_grads, _ = dense_backward(paper_params, *batch)
+    g = dense_grads.flat
+    max_norm = np.linalg.norm(g) / 3
+    norm = neural.clip_gradients(grads, max_norm)
+    # The stored entries are float32, rounded before the clip sums them.
+    assert norm == pytest.approx(3 * max_norm, rel=1e-7)
+    params = paper_params.clone()
+    state = neural.init_adam(params)
+    lr = 1e-3
+    neural.adam_step(params, grads, state, lr)
+
+    clipped = g * (max_norm / norm)
+    m = (1 - neural.ADAM_BETA1) * clipped
+    v = (1 - neural.ADAM_BETA2) * clipped**2
+    step = lr * (m / (1 - neural.ADAM_BETA1)) / (
+        np.sqrt(v / (1 - neural.ADAM_BETA2)) + neural.ADAM_EPS
+    )
+    assert np.allclose(state.first_moment, m, rtol=1e-6, atol=0)
+    assert np.allclose(state.second_moment, v, rtol=1e-6, atol=0)
+    assert np.allclose(paper_params.flat - params.flat, step, rtol=1e-5, atol=1e-12)
+
+
+def test_non_finite_paper_step_stops_before_the_update(monkeypatch):
+    # A NaN target at paper shape: the factored norm is NaN too, and the
+    # step stops before Adam writes a param or a moment.
+    env = DcbUplinkEnv(default_scenario())
+    config = AgentConfig(epsilon_decay_iters=10)
+    assert config.hidden_sizes == PAPER_HIDDEN and env.n_actions == PAPER_ACTIONS
+    agent = EnhancedD3qnAgent.create(config, env.n_actions, np.random.default_rng(33))
+    while len(agent.replay) < config.batch_size:
+        agent.collect_episode(env)
+    monkeypatch.setattr(
+        agent_module, "td_targets", lambda batch, *args: np.full(len(batch.state), np.nan)
+    )
+    before = agent.params.flat.tobytes()
+    with pytest.raises(StateError, match=r"gradient step 1: TD loss nan, pre-clip gradient norm nan"):
+        agent.train_iteration(env, np.full(3, 1 / 3))
+    assert agent.params.flat.tobytes() == before
+    assert agent.adam.step == 0
+    assert not agent.adam.first_moment.any() and not agent.adam.second_moment.any()
 
 
 def wide_agent(hidden=(512, 512)):
@@ -192,7 +311,10 @@ def test_wide_agent_trains_to_the_same_bits(under):
 
 def test_gradient_buffer_is_freed_when_train_iteration_returns(under, monkeypatch):
     # The worker must drop each finished job: a job kept until the next one
-    # arrives holds Adam's closure, and with it the gradient buffer.
+    # arrives holds Adam's closure, and with it the gradient: its stored
+    # entries and the factors of its factored tensors, here the 512 x 512
+    # trunk weight's input activations and pre-activation gradient.
+    monkeypatch.setattr(neural, "_FACTORED_ENTRIES", 512 * 512)
     agent, env = wide_agent()
     buffers, layouts = [], set()
     backward = neural.backward
@@ -200,14 +322,61 @@ def test_gradient_buffer_is_freed_when_train_iteration_returns(under, monkeypatc
     def recording_backward(params, encodings, actions, targets, grads):
         buffers.append(weakref.ref(grads.flat))
         layouts.add((grads.flat.dtype, grads.flat.nbytes))
-        return backward(params, encodings, actions, targets, grads)
+        result = backward(params, encodings, actions, targets, grads)
+        assert [slot.shape for slot in grads.factored] == [(512, 512)]
+        buffers.extend(weakref.ref(factor) for factor in grads.factored[0].factors)
+        return result
 
     monkeypatch.setattr(neural, "backward", recording_backward)
     under(SPLIT, agent.train_iteration, env, np.full(3, 1 / 3))
     assert agent.adam.step == 3
-    assert buffers and all(ref() is None for ref in buffers)
-    # One float32 buffer, half the bytes of the float64 params.
-    assert layouts == {(np.dtype(np.float32), agent.params.flat.nbytes // 2)}
+    assert len(buffers) == 9 and all(ref() is None for ref in buffers)
+    # One float32 buffer of every entry but the factored trunk weight's.
+    stored = agent.params.flat.size - 512 * 512
+    assert layouts == {(np.dtype(np.float32), 4 * stored)}
+
+
+@pytest.mark.parametrize(
+    ("hidden", "work", "factored_entries"),
+    [((64, 64), None, None), ((512, 512), SPLIT, None), ((512, 512), SPLIT, 512 * 512)],
+    ids=["desk", "split", "split-factored"],
+)
+def test_train_iteration_calls_each_network_step_once_per_gradient_step(
+    under, monkeypatch, hidden, work, factored_entries
+):
+    # The benchmark's layer spans read one backward, one clip_gradients and
+    # one adam_step per gradient step. clip_gradients returns the pre-clip
+    # norm (the cap here binds at every step), and only adam_step writes
+    # the params.
+    if factored_entries is not None:
+        monkeypatch.setattr(neural, "_FACTORED_ENTRIES", factored_entries)
+    monkeypatch.setattr(agent_module, "MAX_GRAD_NORM", 1e-4)
+    agent, env = wide_agent(hidden)
+    calls, real = [], {}
+
+    def counted(name):
+        def call(*args):
+            before = agent.params.flat.tobytes()
+            if name == "clip_gradients":
+                pre_clip = np.linalg.norm(dense(args[0]))
+            result = real[name](*args)
+            calls.append((name, agent.params.flat.tobytes() != before))
+            if name == "clip_gradients":
+                assert result == pytest.approx(pre_clip, rel=1e-12) and result > args[1]
+                assert np.linalg.norm(dense(args[0])) == pytest.approx(args[1], rel=1e-6)
+            return result
+        return call
+
+    for name in ("backward", "clip_gradients", "adam_step"):
+        real[name] = getattr(neural, name)
+        monkeypatch.setattr(neural, name, counted(name))
+    weight = np.full(3, 1 / 3)
+    if work is None:
+        agent.train_iteration(env, weight)
+    else:
+        under(work, agent.train_iteration, env, weight)
+    assert agent.adam.step == agent.config.grad_steps_per_iteration == 3
+    assert calls == [("backward", False), ("clip_gradients", False), ("adam_step", True)] * 3
 
 
 def run_halves_in_thread(fn, n):
@@ -295,30 +464,52 @@ def test_worker_calls_no_public_package_function(under, monkeypatch):
 
 
 def test_paper_shape_td_step_traced_peak(paper_params):
-    # One split TD step at paper shapes, into a float32 buffer, forms no
-    # whole float64 gradient tensor and no copy of the head weight: its
-    # traced peak read 16.0 to 16.3 MiB above its start, the four
-    # (256, 2048) float64 activations and hidden gradients of the trunk's
-    # backward. A gather that copied each half's transposed head weight to
-    # C order read 33.2 MiB. The bound leaves 1.7 MiB for numpy temporaries.
+    # One split TD step at paper shapes, its float32 gradient included,
+    # stores neither the trunk nor the advantage weight gradient, forms no
+    # whole float64 copy of either and copies no head weight. Its traced
+    # peak read 20.1 MiB above its start, in backward: five (256, 2048)
+    # float64 arrays, the trunk's activations (two of them factors that the
+    # gradient holds), the hidden gradients and one tanh derivative. A step
+    # that stores the two weight gradients in float32 reads 24.6 MiB more,
+    # and a gather that copies each half's transposed head weight to C order
+    # 17 MiB more.
     rng = np.random.default_rng(28)
     batch = 256
     params = paper_params.clone()
     state = neural.init_adam(params)
-    grads = neural.QNetworkParams(params.sizes, np.empty(params.flat.size, np.float32))
     x = rng.random((batch, 2))
     actions = rng.integers(PAPER_ACTIONS, size=batch)
     targets = rng.normal(size=batch)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
+        grads = neural.Gradient(params.sizes, np.float32)
         neural.backward(params, x, actions, targets, grads)
         neural.clip_gradients(grads, MAX_GRAD_NORM)
         neural.adam_step(params, grads, state, lr=1e-3)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 18 * 2**20
+    assert peak <= 22 * 2**20
+
+
+def test_paper_width_target_table_traced_peak(paper_params):
+    # A default-scenario target table at paper width: 6,771 states by 111
+    # columns, 5.7 MiB. Its build read a traced peak of 14.1 MiB, the table
+    # plus one 256-row chunk's working arrays. A build that holds every trunk
+    # activation until forward returns, and the last chunk's head outputs
+    # while the next chunk runs, reads 22.4 MiB.
+    env = DcbUplinkEnv(default_scenario())
+    assert env.state_encodings.shape == (6771, 2) and env.n_satellites == PAPER_SATELLITES
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = target_table(paper_params, env.state_encodings, PAPER_SATELLITES, 256)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 6771 * 111 * 8
+    assert peak < 15 * 2**20
 
 
 # The head of a script that a fork test runs in a fresh interpreter. A fork
@@ -404,7 +595,7 @@ def td_step(work):
     neural._SPLIT_WORK = work
     theta = params.clone()
     state = neural.init_adam(theta)
-    grads = neural.QNetworkParams(theta.sizes, np.empty(theta.flat.size, np.float32))
+    grads = neural.Gradient(theta.sizes, np.float32)
     _, loss = neural.backward(theta, x, actions, targets, grads)
     norm = neural.clip_gradients(grads, np.inf)
     neural.adam_step(theta, grads, state, lr=1e-3)
