@@ -244,8 +244,8 @@ class EnhancedD3qnAgent:
     def train_iteration(self, env: DcbUplinkEnv, weight: np.ndarray) -> None:
         """Collect episodes, then run the configured gradient steps.
 
-        The steps share one float32 ``neural.Gradient``, which is dropped
-        on return, so an agent between iterations holds no gradient memory.
+        The steps share one ``neural.Gradient``, which is dropped on
+        return, so an agent between iterations holds no gradient memory.
         At paper width it stores neither the trunk nor the advantage weight
         gradient: it holds each step's factors of those, 12 MiB, and Adam
         forms them in chunks.
@@ -253,7 +253,7 @@ class EnhancedD3qnAgent:
         cfg = self.config
         for _ in range(cfg.episodes_per_iteration):
             self.collect_episode(env)
-        grads = neural.Gradient(self.params.sizes, np.float32)
+        grads = neural.Gradient(self.params.sizes)
         table_shape = (len(env.state_encodings), env.n_satellites + 1)
         for _ in range(cfg.grad_steps_per_iteration):
             if len(self.replay) < cfg.batch_size:

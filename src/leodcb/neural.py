@@ -15,67 +15,58 @@ and the hidden gradient is the same gathered columns scaled by the
 residuals. Adam folds its two bias corrections into two scalars, so each
 entry takes one division.
 
-Params are float64, and every product and sum of a step works in
-float64; values round to float32 only where they are stored. ``backward``
-writes the gradient into a ``Gradient``, which the agent allocates in
-float32: each stored tensor is computed in float64 and rounded once. A
-trunk or advantage weight gradient of at least ``_FACTORED_ENTRIES``
-(2^20) entries is not stored; at paper width those are the 2048 x 2048
-trunk weight and the 2048 x 1101 advantage weight, at desk scale none.
-``backward`` hands over each as its two factors: for a trunk weight the
-layer input A and the pre-activation gradient D (the gradient is A^T D),
-for the advantage weight the last hidden layer h and the residuals r at
-the taken actions a. ``clip_gradients`` adds each one's squared norm from
-two B x B Gram matrices, sum (A A^T) o (D D^T) and
-sum (h h^T) o (r r^T o ([a_i = a_j] - 1/n)), and ``adam_step`` forms the
-tensor at most ``_CHUNK_ROWS`` rows at a time in float64 scratch and rounds
-each chunk once to float32. Without a buffer ``backward`` makes a float64
-one, the exact reference that the tests check. ``clip_gradients`` sums the
-stored entries' squares in float64 whatever their dtype. Adam's two
-moments are float32, so an agent's optimizer state takes half its params'
-bytes: each block of the update reads its gradient as float32 (a float64
-one is cast once), works in float32, and lands its step on the float64
-params. A stored or formed gradient entry is the float64 value rounded
-once to float32, so while the clip does not bind each step has the bits of
-a step that stores the whole gradient in float32. The norm differs from
-that one's by up to about 1e-11 relative at paper width: it is the norm of
-the float64 gradient, not of its float32 rounding. Where the clip binds, a
-stored entry is scaled after its rounding and a formed one before it, in
-float64 either way. Checkpoints hold the params alone.
+Params are float64, and every gradient entry is float64 until Adam rounds
+it once to float32, after any clip scaling. ``backward`` writes the
+gradient into a float64 ``Gradient``. A trunk or advantage weight gradient
+of at least ``_FACTORED_ENTRIES`` (2^20) entries is not stored; at paper
+width those are the 2048 x 2048 trunk weight and the 2048 x 1101
+advantage weight, at desk scale none. ``backward`` hands over each as its
+two factors: for a trunk weight the layer input A and the pre-activation
+gradient D (the gradient is A^T D), for the advantage weight the last
+hidden layer h and the residuals r at the taken actions a.
+``clip_gradients`` adds each one's squared norm from two B x B Gram
+matrices, sum (A A^T) o (D D^T) and sum (h h^T) o (r r^T o ([a_i = a_j] -
+1/n)), to the stored entries' float64 dot, and ``adam_step`` forms the
+tensor at most ``_CHUNK_ROWS`` rows at a time in float64 scratch. Adam's
+two moments are float32, so an agent's optimizer state takes half its
+params' bytes: each block of the update rounds its float64 gradient
+entries once to float32, works in float32, and lands its step on the
+float64 params. Checkpoints hold the params alone.
 
 Large steps run on two cores, by one rule: ``_halves(fn, n, split)``
-calls ``fn(rows, half)``. Unsplit, it calls ``fn(slice(0, n), 0)`` on the
-calling thread. Split, the calling thread runs the first half of the rows
-and one persistent worker thread the second, and the call returns, or
-raises, only after both have finished. Each half writes only its own rows
-and works in its own scratch, which ``_scratch`` makes for every half on
-the calling thread. The taken-column gather (by hidden rows), the clip
-norm (by blocks, and the Gram matrices one whole product each) and Adam
-(by blocks, and a factored gradient by row chunks) each have one body
-that runs unsplit at desk scale and as halves at paper width. Two products
-keep a one-expression whole path beside their split path: each trunk
-layer and the hidden-gradient product, both by batch rows. Each is one
-numpy call when whole, and routing it through ``_halves`` slowed desk
-``backward`` and one-row ``forward``. A stored weight gradient is one
-whole product. A step splits only when each half holds two rows and at
-least ``_SPLIT_WORK`` multiply-adds, and a product only when its output
-width is a multiple of 8. Those rules read the shapes alone, so results
-do not depend on the core count; no setting, flag or environment variable
+calls ``fn(rows, half)``. Unsplit, it calls ``fn(slice(0, n), 0)`` on
+the calling thread. Split, the calling thread runs the first half of the
+rows and one persistent worker thread the second, and the call returns,
+or raises, only after both have finished. Each half writes only its own
+rows and works in its own scratch, which ``_scratch`` makes for every
+half on the calling thread. The taken-column gather (by hidden rows),
+the clip's Gram matrices (one whole product each) and Adam's forming of
+a factored gradient (by row chunks) each have one body that runs unsplit
+at desk scale and as halves at paper width. Two products keep a
+one-expression whole path beside their split path: each trunk layer and
+the hidden-gradient product, both by batch rows. Each is one numpy call
+when whole, and routing it through ``_halves`` slowed desk ``backward``
+and one-row ``forward``. A stored weight gradient is one whole product.
+A step splits only when each half holds two rows and at least
+``_SPLIT_WORK`` multiply-adds, and a product only when its output width
+is a multiple of 8. Those rules read the shapes alone, so results do not
+depend on the core count; no setting, flag or environment variable
 changes them, and no desk-scale call splits.
 
 The split is bit-identical to the whole step. Adam is elementwise, the
 scatter adds into each cell in batch order whichever rows it covers, the
-clip norm adds the same two halves' sums whether or not it splits, and a
-factored gradient is formed in the same row chunks either way. Row halves
-of a product whose output width is a multiple of 8 give the whole
-product's bits on OpenBLAS 0.3.31 (SkylakeX kernels); at widths such as
-650 or 700 they differed in a few entries, so those products stay whole.
-The tests compare split and whole steps bitwise at the paper's shapes and
-at trunk width 700. The 1,101-column advantage-head product of a batch
-forward stays whole too: a row split moved 53 of its 281,856 entries, by
-up to 6e-17 on a freshly initialized network. So do the value head and
-single-row forwards. Row chunks of the 2048-wide trunk weight gradient
-keep the whole product's bits for the same reason as row halves.
+clip norm never splits but for its Gram matrices, each one whole
+product, and a factored gradient is formed in the same row chunks either
+way. Row halves of a product whose output width is a multiple of 8 give
+the whole product's bits on OpenBLAS 0.3.31 (SkylakeX kernels); at
+widths such as 650 or 700 they differed in a few entries, so those
+products stay whole. The tests compare split and whole steps bitwise at
+the paper's shapes and at trunk width 700. The 1,101-column
+advantage-head product of a batch forward stays whole too: a row split
+moved 53 of its 281,856 entries, by up to 6e-17 on a freshly initialized
+network. So do the value head and single-row forwards. Row chunks of the
+2048-wide trunk weight gradient keep the whole product's bits for the
+same reason as row halves.
 """
 
 from __future__ import annotations
@@ -174,28 +165,27 @@ class _Factored:
 
 
 class Gradient:
-    """The gradient of a TD step, in the layout of ``QNetworkParams``.
+    """The float64 gradient of a TD step, in the layout of ``QNetworkParams``.
 
     A trunk or advantage weight gradient of at least ``_FACTORED_ENTRIES``
     entries is not stored: its name holds a ``_Factored``, to which
     ``backward`` hands the gradient's two factors. Every other tensor is a
-    view into ``flat``, which holds them in layout order, in ``dtype``.
-    ``blocks`` cuts each run of stored tensors into Adam's blocks of at most
-    ``_ADAM_BLOCK`` entries, each a pair of slices: its entries in the
-    params' flat vector and in ``flat``. ``factored`` lists the
+    view into ``flat``, which holds them in layout order. ``runs`` lists
+    each run of adjacent stored tensors as (its offset in the params' flat
+    vector, its entries as a view into ``flat``). ``factored`` lists the
     ``_Factored`` in layout order. ``scale`` is the clip's factor, which
     ``adam_step`` applies to a factored gradient as it forms it;
     ``backward`` sets it to 1.
     """
 
-    def __init__(self, sizes, dtype=np.float64):
+    def __init__(self, sizes):
         self.sizes = tuple(int(s) for s in sizes)
         shapes = _shapes(self.sizes)
         head = len(shapes) - 2
         kinds = {i: (_product_rows, _product_squared_norm, 2) for i in range(0, head - 2, 2)}
         kinds[head] = (_head_rows, _head_squared_norm, 1)
         tensors, stored, runs, self.factored = [], [], [], []
-        start = at = 0
+        start = 0
         for i, shape in enumerate(shapes):
             size = math.prod(shape)
             if i in kinds and size >= _FACTORED_ENTRIES:
@@ -204,19 +194,15 @@ class Gradient:
             else:
                 tensors.append(None)
                 stored.append(shape)
-                # (offset in the params, offset in flat, size) of each run.
-                if runs and runs[-1][0] + runs[-1][2] == start:
-                    runs[-1][2] += size
+                # [offset in the params, size] of each run.
+                if runs and sum(runs[-1]) == start:
+                    runs[-1][1] += size
                 else:
-                    runs.append([start, at, size])
-                at += size
+                    runs.append([start, size])
             start += size
-        self.blocks = [
-            (slice(first + i, first + min(i + _ADAM_BLOCK, size)),
-             slice(kept + i, kept + min(i + _ADAM_BLOCK, size)))
-            for first, kept, size in runs for i in range(0, size, _ADAM_BLOCK)
-        ]
-        self.flat = np.zeros(sum(size for _, _, size in runs), dtype)
+        self.flat = np.zeros(sum(size for _, size in runs))
+        pieces = _views(self.flat, [(size,) for _, size in runs])
+        self.runs = [(first, piece) for (first, _), piece in zip(runs, pieces)]
         views = iter(_views(self.flat, stored))
         _name(self, [next(views) if tensor is None else tensor for tensor in tensors])
         self.scale = 1.0
@@ -339,12 +325,7 @@ def _scratch(split: bool, shape, dtype=np.float64) -> list[np.ndarray]:
     frees stays in its own malloc arena, and scratch that the worker made
     for itself raised the paper-width peak RSS by 2.5 to 4 MB instead of
     under 1 MB."""
-    # Not a comprehension: on Python 3.11 one costs 0.8 us more per call,
-    # and a desk TD step makes three calls.
-    scratch = [np.empty(shape, dtype)]
-    if split:
-        scratch.append(np.empty(shape, dtype))
-    return scratch
+    return [np.empty(shape, dtype) for _ in range(1 + split)]
 
 
 def _may_split(params: QNetworkParams, rows: int) -> bool:
@@ -539,7 +520,8 @@ def backward(
     # Through Q = V + A - mean(A) that gives dL/dV_i = r_i and
     # dL/dA[i, j] = r_i ([j = a_i] - 1/n): a rank-one fill of every
     # advantage column plus a scatter into the taken ones. Both read the
-    # float64 value gradient, not its copy in ``grads``.
+    # value gradient, not its copy in ``grads``, which the clip may scale
+    # before a factored head is formed.
     r = residual / batch
     value_grad = np.matmul(h_last.T, r[:, None])
     value_bias_grad = r.sum()
@@ -550,12 +532,9 @@ def backward(
     if isinstance(grads.adv_weight, _Factored):
         grads.adv_weight.factors = head
     else:
-        part = np.empty((width, n_actions))
-        _head_rows(*head, slice(0, width), part)
-        grads.adv_weight[...] = part
-    adv_bias_grad = np.full(n_actions, value_bias_grad / -n_actions)
-    np.add.at(adv_bias_grad, acts, r)
-    grads.adv_bias[...] = adv_bias_grad
+        _head_rows(*head, slice(0, width), grads.adv_weight)
+    grads.adv_bias.fill(value_bias_grad / -n_actions)
+    np.add.at(grads.adv_bias, acts, r)
 
     # dL/dh_i = r_i c_i.
     d_h *= r[:, None]
@@ -575,8 +554,8 @@ def backward(
         if kept[layer]:
             weight_grad.factors = (activations[layer], d_pre)
         else:
-            weight_grad[...] = activations[layer].T @ d_pre
-        grads.trunk_biases[layer][...] = d_pre.sum(axis=0)
+            np.matmul(activations[layer].T, d_pre, out=weight_grad)
+        d_pre.sum(axis=0, out=grads.trunk_biases[layer])
         if layer == 0:
             break
         if big and _split_product(batch, weight.shape[1], len(weight)):
@@ -584,11 +563,6 @@ def backward(
         else:
             d_h = d_pre @ weight.T
     return grads, loss
-
-
-# clip_gradients casts this many stored entries at a time to float64 for
-# its norm.
-_NORM_BLOCK = 1 << 16
 
 
 def _factored_squared_norm(grads: Gradient) -> float:
@@ -614,36 +588,18 @@ def _factored_squared_norm(grads: Gradient) -> float:
 def clip_gradients(grads: Gradient, max_norm: float) -> float:
     """Scale the gradient to the norm cap; returns the pre-clip norm.
 
-    The squared norm of the stored entries accumulates in float64 whatever
-    their dtype: a float32 dot overflows to inf above a norm of about
-    1.8e19. Each factored tensor adds its squared norm from its factors.
-    A binding clip scales the stored entries in place, in float64 and
-    rounded once, and multiplies ``grads.scale``, which adam_step applies
-    to each factored tensor as it forms it.
+    The stored entries' squared norm is one float64 dot; each factored
+    tensor adds its squared norm from its factors. A binding clip scales
+    the stored entries in place and multiplies ``grads.scale``, which
+    adam_step applies to each factored tensor as it forms it.
     """
     flat = grads.flat
-    n_blocks = -(-flat.size // _NORM_BLOCK)
-    middle = n_blocks // 2 * _NORM_BLOCK
-    split = _split(n_blocks, _NORM_BLOCK)
-    scratch = _scratch(split, min(_NORM_BLOCK, flat.size))
-    # The sums of squares of two halves of the blocks, added in order, on
-    # two cores or on one: the norm's bits depend on the size alone. The
-    # blocks from ``middle`` on add into the second sum.
-    sums = [0.0, 0.0]
-
-    def sum_squares(blocks, half):
-        for start in range(blocks.start * _NORM_BLOCK, blocks.stop * _NORM_BLOCK, _NORM_BLOCK):
-            block = scratch[half][: min(_NORM_BLOCK, flat.size - start)]
-            block[...] = flat[start : start + _NORM_BLOCK]
-            sums[start >= middle] += block @ block
-
-    _halves(sum_squares, n_blocks, split)
-    total = sums[0] + sums[1]
+    total = flat @ flat
     if grads.factored:
         total += _factored_squared_norm(grads)
     norm = math.sqrt(total)
     if norm > max_norm:
-        np.multiply(flat, max_norm / norm, out=flat, dtype=np.float64)
+        flat *= max_norm / norm
         grads.scale *= max_norm / norm
     return norm
 
@@ -682,12 +638,11 @@ def adam_step(
     and root = 1 / sqrt(1 - b2^t), the textbook
     theta -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) becomes
     theta -= step (m / (sqrt(v) root + eps)), one division per entry.
-    The update works in float32 until the step lands on the float64
-    params. Stored entries run _ADAM_BLOCK at a time: a float32 gradient
-    block is read in place and a float64 one is cast to float32 once. A
-    factored gradient is formed _CHUNK_ROWS rows at a time in float64
-    scratch, scaled there by ``grads.scale`` if the clip bound, and rounded
-    once to float32.
+    Each block of at most _ADAM_BLOCK float64 gradient entries is rounded
+    once to float32, and the update works in float32 until the step lands
+    on the float64 params. A factored gradient is formed _CHUNK_ROWS rows at
+    a time in float64 scratch and scaled there by ``grads.scale`` if the
+    clip bound, so every entry is scaled before it is rounded.
     """
     state.step += 1
     # As float32 scalars, whatever the type of lr, so that the update
@@ -699,40 +654,35 @@ def adam_step(
     ], np.float32)
     flat, first, second = params.flat, state.first_moment, state.second_moment
 
-    def update(entries: slice, g: np.ndarray, tmp: np.ndarray) -> None:
-        # One block: the params' ``entries``, their float32 gradient ``g``,
-        # and ``tmp`` of the same size for the update's temporary.
-        theta, m, v = flat[entries], first[entries], second[entries]
-        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g.
-        m *= beta1
-        np.multiply(rest1, g, out=tmp)
-        m += tmp
-        v *= beta2
-        np.multiply(rest2, g, out=tmp)
-        tmp *= g
-        v += tmp
-        np.sqrt(v, out=tmp)
-        tmp *= root
-        tmp += eps
-        np.divide(m, tmp, out=tmp)
-        tmp *= step
-        theta -= tmp
+    def update(start: int, gradient: np.ndarray, scratch: np.ndarray) -> None:
+        # The params from entry ``start`` on take the float64 ``gradient``,
+        # one block at a time so that the update's arrays stay cache-sized.
+        # Row 1 of the float32 ``scratch`` holds the block rounded, row 0
+        # the update's temporary.
+        for at in range(0, gradient.size, _ADAM_BLOCK):
+            g = scratch[1, : min(_ADAM_BLOCK, gradient.size - at)]
+            g[...] = gradient[at : at + _ADAM_BLOCK]
+            tmp = scratch[0, : g.size]
+            entries = slice(start + at, start + at + g.size)
+            theta, m, v = flat[entries], first[entries], second[entries]
+            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g.
+            m *= beta1
+            np.multiply(rest1, g, out=tmp)
+            m += tmp
+            v *= beta2
+            np.multiply(rest2, g, out=tmp)
+            tmp *= g
+            v += tmp
+            np.sqrt(v, out=tmp)
+            tmp *= root
+            tmp += eps
+            np.divide(m, tmp, out=tmp)
+            tmp *= step
+            theta -= tmp
 
-    blocks, grad_flat = grads.blocks, grads.flat
-    split = _split(len(blocks), _ADAM_BLOCK)
-    scratch = _scratch(split, (2, min(_ADAM_BLOCK, grad_flat.size)), np.float32)
-
-    def update_blocks(indices, half):
-        # Row 0 of the half's scratch holds the update's temporary, row 1 a
-        # float64 gradient block cast to float32.
-        for entries, kept in blocks[indices]:
-            g = grad_flat[kept]
-            if g.dtype != np.float32:
-                g = scratch[half][1, : g.size]
-                g[...] = grad_flat[kept]
-            update(entries, g, scratch[half][0, : g.size])
-
-    _halves(update_blocks, len(blocks), split)
+    scratch = np.empty((2, min(_ADAM_BLOCK, grads.flat.size)), np.float32)
+    for start, run in grads.runs:
+        update(start, run, scratch)
 
     for slot in grads.factored:
         cols = slot.shape[1]
@@ -740,7 +690,7 @@ def adam_step(
         rows = -(-slot.shape[0] // len(chunks))
         split = _split(len(chunks), rows * cols)
         parts = _scratch(split, (rows, cols))
-        scratch = _scratch(split, (2, _ADAM_BLOCK), np.float32)
+        blocks = _scratch(split, (2, _ADAM_BLOCK), np.float32)
 
         def update_chunks(indices, half):
             for chunk in chunks[indices]:
@@ -748,18 +698,12 @@ def adam_step(
                 slot.rows(*slot.factors, chunk, part)
                 if grads.scale != 1.0:
                     part *= grads.scale
-                # Rounded to float32 one block at a time, so that the
-                # update's arrays stay cache-sized.
-                part, start = part.reshape(-1), slot.start + chunk.start * cols
-                for at in range(0, part.size, _ADAM_BLOCK):
-                    g = scratch[half][1, : min(_ADAM_BLOCK, part.size - at)]
-                    g[...] = part[at : at + _ADAM_BLOCK]
-                    update(slice(start + at, start + at + g.size), g, scratch[half][0, : g.size])
+                update(slot.start + chunk.start * cols, part.reshape(-1), blocks[half])
 
         # The chunks come from the whole tensor's rows, so a split runs the
         # same products as the whole.
         _halves(update_chunks, len(chunks), split)
-        del parts, scratch    # freed before the next tensor's are made
+        del parts, blocks    # freed before the next tensor's are made
     return params
 
 
@@ -788,8 +732,11 @@ def save_params(path, params: QNetworkParams) -> None:
 
 def load_params(path) -> QNetworkParams:
     """Read a ``save_params`` checkpoint. A file that is not an npz without
-    pickles, a missing v1 key or another format version is a ConfigError
-    naming ``path``; a tensor of the wrong shape is a DomainError."""
+    pickles, or one whose entries do not make a version-1 checkpoint, is a
+    ConfigError naming ``path`` and, for the latter, the entry: a missing
+    key, a format version or trunk layer count that is not one integer,
+    another format version, no trunk layer, or a tensor of the wrong shape
+    or of no real number type."""
     with open(path, "rb") as file:
         try:
             loaded = np.load(file)
@@ -799,15 +746,30 @@ def load_params(path) -> QNetworkParams:
     if data is None:
         raise ConfigError(f"checkpoint {path} is not an npz file without pickles")
     try:
+        for key in ("format_version", "n_trunk_layers"):
+            if data[key].shape != () or data[key].dtype.kind not in "iu":
+                raise ConfigError(f"checkpoint {path} entry {key} is not one integer")
         version = int(data["format_version"])
         if version != FORMAT_VERSION:
             raise ConfigError(f"checkpoint {path} has unsupported format version {version}")
         layers = int(data["n_trunk_layers"])
-        widths = [data[f"trunk_w{i}"].shape[1] for i in range(layers)]
-        params = QNetworkParams((data["trunk_w0"].shape[0], *widths, data["adv_w"].shape[1]))
+        if layers < 1:
+            raise ConfigError(f"checkpoint {path} entry n_trunk_layers is {layers}, not >= 1")
+        weights = [f"trunk_w{i}" for i in range(layers)] + ["adv_w"]
+        for key in weights:
+            if data[key].ndim != 2:
+                raise ConfigError(
+                    f"checkpoint {path} entry {key} has shape {data[key].shape}, not (rows, columns)"
+                )
+        sizes = (data["trunk_w0"].shape[0], *(data[key].shape[1] for key in weights))
+        params = QNetworkParams(sizes)
         for key, tensor in _v1_tensors(params).items():
             if data[key].shape != tensor.shape:
-                raise DomainError(f"checkpoint tensor {key} has shape {data[key].shape}")
+                raise ConfigError(
+                    f"checkpoint {path} entry {key} has shape {data[key].shape}, not {tensor.shape}"
+                )
+            if data[key].dtype.kind not in "fiu":
+                raise ConfigError(f"checkpoint {path} entry {key} holds {data[key].dtype}, not numbers")
             tensor[...] = data[key]
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} has no {exc.args[0]} entry") from None

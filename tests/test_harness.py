@@ -770,6 +770,39 @@ class TestCli:
             f"leodcb evaluate: error: checkpoint {checkpoint} is not an npz file without pickles"
         )
 
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [("trunk_b0", np.zeros(5), r"entry trunk_b0 has shape \(5,\), not \(8,\)"),
+         ("format_version", np.array("1.0"), "entry format_version is not one integer"),
+         ("n_trunk_layers", np.array([1, 2]), "entry n_trunk_layers is not one integer"),
+         ("trunk_w0", np.zeros(2), r"entry trunk_w0 has shape \(2,\), not \(rows, columns\)"),
+         ("n_trunk_layers", np.array(0), "entry n_trunk_layers is 0, not >= 1"),
+         ("trunk_b0", np.array(["x"] * 8), "entry trunk_b0 holds <U1, not numbers")],
+        ids=["bias-shape", "version-string", "layers-list", "weight-1d", "no-layers", "bias-strings"],
+    )
+    def test_malformed_checkpoint_entry_is_a_usage_error(self, tmp_path, capsys, key, value, message):
+        from leodcb.cli import main
+        from leodcb.neural import save_params
+
+        scenario = micro_scenario()
+        checkpoint = tmp_path / "policy.npz"
+        save_params(checkpoint, neural.init_params(
+            2, (8,), scenario.n_schemes * scenario.n_satellites + 1, np.random.default_rng(0),
+        ))
+        with np.load(checkpoint) as data:
+            payload = dict(data)
+        payload[key] = value
+        np.savez(checkpoint, **payload)
+        with pytest.raises(SystemExit) as exited:
+            main(["evaluate", "--checkpoint", str(checkpoint), "--scenario", "micro"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.fullmatch(
+            f"leodcb evaluate: error: checkpoint {re.escape(str(checkpoint))} {message}",
+            err.splitlines()[-1],
+        )
+
     def test_archive_with_a_bad_header_is_a_usage_error(self, tmp_path, capsys):
         from leodcb.cli import main
 

@@ -4,7 +4,10 @@ Every split step must give the whole step's bits. The private threshold
 ``neural._SPLIT_WORK`` is patched to 0 to force every eligible step to
 split, and to a huge value to keep every step whole. At paper width the
 trunk and advantage weight gradients are factored (``neural.Gradient``);
-``neural._FACTORED_ENTRIES`` is patched down to factor smaller ones.
+``neural._FACTORED_ENTRIES`` is patched down to factor smaller ones, and
+up to store every tensor. The gradient's stored part is float64 and too
+small to split; only the gather, the trunk products, the clip's Gram
+products and Adam's forming of a factored gradient split.
 """
 
 import math
@@ -50,11 +53,11 @@ def paper_params():
 
 def dense(grads):
     """A ``neural.Gradient`` as one float64 vector in the params' layout:
-    stored entries widened, and each factored tensor formed as one whole
-    float64 product and scaled by the clip's factor."""
+    the stored entries, and each factored tensor formed as one whole
+    product and scaled by the clip's factor."""
     out = neural.QNetworkParams(grads.sizes).flat
-    for entries, kept in grads.blocks:
-        out[entries] = grads.flat[kept]
+    for start, run in grads.runs:
+        out[start : start + run.size] = run
     for slot in grads.factored:
         part = out[slot.start : slot.start + math.prod(slot.shape)].reshape(slot.shape)
         slot.rows(*slot.factors, slice(0, slot.shape[0]), part)
@@ -137,17 +140,17 @@ def test_paper_shape_steps_equal_whole_steps_bitwise(under, paper_params, batch)
 def test_float32_buffer_holds_the_whole_float64_gradient_rounded(under, hidden, n_actions, batch):
     # Each float32 gradient entry that Adam reads is the rounding of the
     # whole, unsplit float64 gradient's entry: a stored entry as backward
-    # rounds it, and at paper shapes an entry of the factored trunk and head
-    # gradients as Adam forms them in split float64 row chunks. Adam's
-    # first step from zero moments leaves m = (1 - b1) g in float32, which
-    # shows every g bit for bit.
+    # writes it into a reused buffer, and at paper shapes an entry of the
+    # factored trunk and head gradients as Adam forms them in split row
+    # chunks. Adam's first step from zero moments leaves m = (1 - b1) g in
+    # float32, which shows every g bit for bit.
     rng = np.random.default_rng(batch)
     params = neural.init_params(2, hidden, n_actions, rng)
     x = rng.random((batch, 2))
     actions = rng.integers(n_actions, size=batch)
     targets = rng.normal(size=batch)
     width = hidden[-1]
-    buffer = neural.Gradient(params.sizes, np.float32)
+    buffer = neural.Gradient(params.sizes)
     buffer.flat[:] = np.nan
     if hidden == PAPER_HIDDEN:
         assert len(buffer.factored) == 2
@@ -156,7 +159,7 @@ def test_float32_buffer_holds_the_whole_float64_gradient_rounded(under, hidden, 
     grads, buffer_loss = neural.backward(params, x, actions, targets, buffer)
     whole, loss = under(WHOLE, neural.backward, params, x, actions, targets)
     assert grads is buffer and buffer_loss == loss
-    assert np.array_equal(buffer.flat, whole.flat.astype(np.float32))
+    assert buffer.flat.tobytes() == whole.flat.tobytes()
     state = neural.init_adam(params)
     neural.adam_step(params.clone(), buffer, state, lr=1e-3)
     rounded = dense(whole).astype(np.float32)
@@ -195,16 +198,19 @@ def test_few_row_forwards_equal_whole_forwards_bitwise(under, paper_params, rows
     assert np.array_equal(q_split, under(WHOLE, neural.forward, paper_params, x)[2])
 
 
-def test_adam_odd_block_count_with_partial_last_block(under):
+def test_adam_odd_block_count_with_partial_last_block(monkeypatch):
+    # Adam's blocks, the last one partial, give the bits of one block over
+    # the whole stored vector.
     rng = np.random.default_rng(19)
     params = neural.init_params(2, (400,), 500, rng)
     n_blocks = -(-params.flat.size // neural._ADAM_BLOCK)
     assert n_blocks % 2 == 1 and params.flat.size % neural._ADAM_BLOCK != 0
     grads = neural.Gradient(params.sizes)
+    assert not grads.factored
     grads.flat[:] = rng.normal(size=params.flat.size)
-    for got, want in zip(
-        under(SPLIT, adam_update, params, grads), under(WHOLE, adam_update, params, grads)
-    ):
+    blocks = adam_update(params, grads)
+    monkeypatch.setattr(neural, "_ADAM_BLOCK", params.flat.size)
+    for got, want in zip(blocks, adam_update(params, grads)):
         assert np.array_equal(got, want)
 
 
@@ -237,13 +243,14 @@ def test_binding_clip_matches_textbook_clip_then_adam(paper_params):
     # Adam forms them; both must match a dense float64 clip followed by
     # textbook Adam, to float32 rounding.
     batch = paper_batch(np.random.default_rng(32))
-    grads, _ = neural.backward(paper_params, *batch, neural.Gradient(paper_params.sizes, np.float32))
+    grads, _ = neural.backward(paper_params, *batch, neural.Gradient(paper_params.sizes))
     dense_grads, _ = dense_backward(paper_params, *batch)
     g = dense_grads.flat
     max_norm = np.linalg.norm(g) / 3
     norm = neural.clip_gradients(grads, max_norm)
-    # The stored entries are float32, rounded before the clip sums them.
-    assert norm == pytest.approx(3 * max_norm, rel=1e-7)
+    # The norm is of the float64 gradient, from its stored entries and
+    # the factored tensors' Gram matrices.
+    assert norm == pytest.approx(3 * max_norm, rel=1e-12)
     params = paper_params.clone()
     state = neural.init_adam(params)
     lr = 1e-3
@@ -258,6 +265,48 @@ def test_binding_clip_matches_textbook_clip_then_adam(paper_params):
     assert np.allclose(state.first_moment, m, rtol=1e-6, atol=0)
     assert np.allclose(state.second_moment, v, rtol=1e-6, atol=0)
     assert np.allclose(paper_params.flat - params.flat, step, rtol=1e-5, atol=1e-12)
+
+
+def test_factoring_keeps_a_clipped_step_bitwise(monkeypatch):
+    # Under a binding clip every gradient entry, stored or formed, is
+    # scaled in float64 and then rounded once, so factoring the trunk
+    # weight changes no bit of the params or the moments. A float32 store
+    # rounded each stored entry before the clip and again after it: with
+    # one, 27,622 of the 418,605 params and 58,251 first-moment entries
+    # differed here.
+    rng = np.random.default_rng(34)
+    params = neural.init_params(2, (512, 512), 300, rng)
+    x, actions = rng.random((64, 2)), rng.integers(300, size=64)
+    targets = 50 * rng.normal(size=64)
+    runs = []
+    for factored_entries in (512 * 512, 1 << 62):
+        monkeypatch.setattr(neural, "_FACTORED_ENTRIES", factored_entries)
+        theta = params.clone()
+        state = neural.init_adam(theta)
+        grads, _ = neural.backward(theta, x, actions, targets, neural.Gradient(theta.sizes))
+        assert len(grads.factored) == (factored_entries == 512 * 512)
+        assert neural.clip_gradients(grads, 1e-3) > 1e-3
+        neural.adam_step(theta, grads, state, lr=1e-3)
+        runs.append((theta.flat, state.first_moment, state.second_moment))
+    for factored, stored in zip(*runs):
+        assert factored.tobytes() == stored.tobytes()
+
+
+@pytest.mark.parametrize(
+    "sizes", [(2, 64, 64, 121), (2, *PAPER_HIDDEN, PAPER_ACTIONS)], ids=["desk", "paper"]
+)
+def test_gradient_is_float64_and_its_stored_part_too_small_to_split(sizes):
+    # The gradient has one dtype and no knob for it. Its stored part is
+    # at most 2^16 entries at desk and paper shapes, so a norm or an Adam
+    # pass over it would not split into halves: Adam's blocks are too few
+    # for the split rule. If a threshold change makes it large, splitting
+    # it has to come back.
+    with pytest.raises(TypeError):
+        neural.Gradient(sizes, np.float32)
+    grads = neural.Gradient(sizes)
+    assert grads.flat.dtype == np.float64
+    assert grads.flat.size <= 1 << 16
+    assert not neural._split(-(-grads.flat.size // neural._ADAM_BLOCK), neural._ADAM_BLOCK)
 
 
 def test_non_finite_paper_step_stops_before_the_update(monkeypatch):
@@ -331,9 +380,9 @@ def test_gradient_buffer_is_freed_when_train_iteration_returns(under, monkeypatc
     under(SPLIT, agent.train_iteration, env, np.full(3, 1 / 3))
     assert agent.adam.step == 3
     assert len(buffers) == 9 and all(ref() is None for ref in buffers)
-    # One float32 buffer of every entry but the factored trunk weight's.
+    # One float64 buffer of every entry but the factored trunk weight's.
     stored = agent.params.flat.size - 512 * 512
-    assert layouts == {(np.dtype(np.float32), 4 * stored)}
+    assert layouts == {(np.dtype(np.float64), 8 * stored)}
 
 
 @pytest.mark.parametrize(
@@ -464,13 +513,14 @@ def test_worker_calls_no_public_package_function(under, monkeypatch):
 
 
 def test_paper_shape_td_step_traced_peak(paper_params):
-    # One split TD step at paper shapes, its float32 gradient included,
-    # stores neither the trunk nor the advantage weight gradient, forms no
-    # whole float64 copy of either and copies no head weight. Its traced
-    # peak read 20.1 MiB above its start, in backward: five (256, 2048)
-    # float64 arrays, the trunk's activations (two of them factors that the
-    # gradient holds), the hidden gradients and one tanh derivative. A step
-    # that stores the two weight gradients in float32 reads 24.6 MiB more,
+    # One split TD step at paper shapes, its gradient included, stores
+    # neither the trunk nor the advantage weight gradient, forms no whole
+    # copy of either and copies no head weight. Its traced peak read 20.1
+    # MiB above its start, in backward: five (256, 2048) float64 arrays,
+    # the trunk's activations (two of them factors that the gradient
+    # holds), the hidden gradients and one tanh derivative. The stored part
+    # is 11,342 float64 entries. A step that stores the two weight
+    # gradients in float32 reads 24.6 MiB more,
     # and a gather that copies each half's transposed head weight to C order
     # 17 MiB more.
     rng = np.random.default_rng(28)
@@ -483,7 +533,7 @@ def test_paper_shape_td_step_traced_peak(paper_params):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        grads = neural.Gradient(params.sizes, np.float32)
+        grads = neural.Gradient(params.sizes)
         neural.backward(params, x, actions, targets, grads)
         neural.clip_gradients(grads, MAX_GRAD_NORM)
         neural.adam_step(params, grads, state, lr=1e-3)
@@ -595,7 +645,7 @@ def td_step(work):
     neural._SPLIT_WORK = work
     theta = params.clone()
     state = neural.init_adam(theta)
-    grads = neural.Gradient(theta.sizes, np.float32)
+    grads = neural.Gradient(theta.sizes)
     _, loss = neural.backward(theta, x, actions, targets, grads)
     norm = neural.clip_gradients(grads, np.inf)
     neural.adam_step(theta, grads, state, lr=1e-3)
