@@ -363,21 +363,41 @@ class TestClipping:
         clip_gradients(grads, max_norm=10.0)
         assert np.linalg.norm(grads.flat) == pytest.approx(10.0, rel=1e-9)
 
-    def test_float32_norm_accumulates_in_float64(self):
+    @pytest.mark.parametrize("split", [False, True])
+    def test_float32_norm_accumulates_in_float64(self, monkeypatch, split):
         # Squares of 1e20 overflow a float32 sum. The gradient is float64,
-        # so its norm is finite, and the clip scales it to the cap.
-        params = small_net(np.random.default_rng(13), hidden=(400,), n_actions=500)
-        values = np.full(params.flat.size, 1e20, np.float32)
-        values[::3] = -2e20
-        grads = Gradient(params.sizes)
-        grads.flat[:] = values
-        with np.errstate(over="ignore"):
-            assert np.isinf(values @ values)
-        wide = values.astype(np.float64)
+        # so its norm is finite, and the clip scales it to the cap. The
+        # 400 x 400 trunk and 400 x 500 advantage weight gradients are
+        # factored; their squared norms come from three Gram products,
+        # run whole or as halves on two threads.
+        monkeypatch.setattr(neural, "_FACTORED_ENTRIES", 1 << 17)
+        monkeypatch.setattr(neural, "_SPLIT_WORK", 0 if split else 1 << 62)
+        rng = np.random.default_rng(13)
+        params = small_net(rng, hidden=(400, 400), n_actions=500)
+        x, actions, targets = random_batch(rng, params)
+        grads, _ = backward(params, x, actions, targets * 1e20)
+        mats = [m for slot in grads.factored for m in slot.factors[: slot.n_grams]]
+        assert [slot.shape for slot in grads.factored] == [(400, 400), (400, 500)]
+        assert (len(mats[0]) * mats[0].size >= neural._SPLIT_WORK) == split
+
+        def formed(slot):
+            out = np.empty(slot.shape)
+            slot.rows(*slot.factors, slice(0, slot.shape[0]), out)
+            return out.reshape(-1) * grads.scale
+
+        stored = grads.flat.copy()
+        factored = np.concatenate([formed(slot) for slot in grads.factored])
+        for part in (stored, factored):
+            narrow = part.astype(np.float32)
+            assert np.isfinite(narrow).all()
+            with np.errstate(over="ignore"):
+                assert np.isinf(narrow @ narrow)
         norm = clip_gradients(grads, max_norm=10.0)
-        assert norm == pytest.approx(np.sqrt(wide @ wide), rel=1e-12)
+        assert norm == pytest.approx(np.sqrt(stored @ stored + factored @ factored), rel=1e-12)
         assert grads.flat.dtype == np.float64
-        assert np.sqrt(grads.flat @ grads.flat) == pytest.approx(10.0, rel=1e-12)
+        factored = np.concatenate([formed(slot) for slot in grads.factored])
+        clipped = grads.flat @ grads.flat + factored @ factored
+        assert np.sqrt(clipped) == pytest.approx(10.0, rel=1e-12)
 
     def test_parameters_stay_finite_under_clipped_updates(self):
         rng = np.random.default_rng(12)
