@@ -16,6 +16,9 @@ from .neural import AdamState, QNetworkParams
 
 STATE_DIM = 2  # (slot / T, prev_satellite / N_L)
 MAX_GRAD_NORM = 10.0  # gradient norm cap of every TD step
+GAMMA = 0.96  # discount of every TD target
+EPSILON_START = 1.0  # exploration rate at iteration 0, decaying linearly
+EPSILON_END = 0.05  # ... to this at epsilon_decay_iters, then held
 
 
 class ReplayBatch(NamedTuple):
@@ -31,9 +34,6 @@ class ReplayBatch(NamedTuple):
 
 @dataclass
 class AgentConfig:
-    gamma: float = 0.96
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
     # None = resolved by the training framework to half its total iterations.
     epsilon_decay_iters: int | None = None
     replay_capacity: int = 100_000
@@ -50,10 +50,7 @@ class AgentConfig:
         integral = isinstance(sizes, tuple) and all(map(is_integer, sizes))
         check("agent", vars(self), ("replay_capacity", "batch_size", "target_sync_period",
                                     "grad_steps_per_iteration", "episodes_per_iteration"),
-              ("gamma", "epsilon_start", "epsilon_end", "learning_rate"), lambda: (
-            (0.0 < self.gamma < 1.0, "0 < gamma < 1"),
-            (0.0 <= self.epsilon_start <= 1.0, "0 <= epsilon_start <= 1"),
-            (0.0 <= self.epsilon_end <= 1.0, "0 <= epsilon_end <= 1"),
+              ("learning_rate",), lambda: (
             (decay is None or is_integer(decay) and decay >= 1,
              "epsilon_decay_iters is None or an integer >= 1"),
             (min(self.replay_capacity, self.batch_size) >= 1, "replay_capacity, batch_size >= 1"),
@@ -214,7 +211,7 @@ class EnhancedD3qnAgent:
         if cfg.epsilon_decay_iters is None:
             raise ConfigError("epsilon_decay_iters has not been resolved")
         frac = min(1.0, self.iteration / max(1, cfg.epsilon_decay_iters))
-        return cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start)
+        return EPSILON_START + frac * (EPSILON_END - EPSILON_START)
 
     def clone(self) -> "EnhancedD3qnAgent":
         """Independent deep copy with its own RNG stream."""
@@ -263,7 +260,7 @@ class EnhancedD3qnAgent:
                 self.target_q = target_table(
                     self.params, env.state_encodings, env.n_satellites, cfg.batch_size
                 )
-            targets = td_targets(batch, self.target_q, weight, cfg.gamma)
+            targets = td_targets(batch, self.target_q, weight, GAMMA)
             _, self.last_loss = neural.backward(
                 self.params, env.state_encodings[batch.state], batch.action, targets, grads
             )

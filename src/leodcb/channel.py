@@ -24,10 +24,11 @@ SPEED_OF_LIGHT = 3.0e8  # m/s
 class RfConstants:
     """RF constants of one scenario.
 
-    beta0 is the channel power gain at the 1 m reference distance,
-    noise_power is sigma^2 in watts over the full bandwidth, and rho0
-    scales the energy term of the power subproblem into the same order
-    of magnitude as the SNR term. A rho0 of None asks for it to be derived
+    beta0 is the channel power gain at the 1 m reference distance, the one
+    gain input (a carrier frequency enters only through it), noise_power is
+    sigma^2 in watts over the full bandwidth, and rho0 scales the energy
+    term of the power subproblem into the same order of magnitude as the
+    SNR term. A rho0 of None asks for it to be derived
     (see ``default_rho0``); such an instance is complete only inside a
     ``Scenario``, which derives it once its own inputs are checked. Every
     other field must be a number; ``errors.check`` names the first failure.
@@ -37,7 +38,6 @@ class RfConstants:
     path_loss_exponent: float
     noise_power: float
     bandwidth: float
-    carrier_frequency: float
     p_min: float
     p_max: float
     rho0: float | None

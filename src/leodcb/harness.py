@@ -123,88 +123,80 @@ class RunReport:
 
 
 def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunReport:
-    """Train, then emit archive/trace/generation CSVs and three SVG figures.
+    """Train, then write the checkpoints, archive/trace/generation CSVs, three
+    SVG figures and, last, ``report.json``, the mark of a finished run.
 
     Baselines and the favor-rate policy trace replay the same episode seed
-    so their per-slot rates are comparable. If artifact emission fails
-    midway, a partial manifest of the files written so far is left at
-    ``<out_dir>/partial_manifest.json`` before the error propagates.
+    so their per-slot rates are comparable. A run that fails while training
+    leaves an existing directory's files as they were. Once training returns,
+    an earlier ``report.json`` and ``checkpoints/policy_<digits>.npz`` are
+    removed first, so no report outlives a failed write or lists too few files.
     """
     started = time.perf_counter()
     out = Path(out_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out / "traces").mkdir(exist_ok=True)
     (out / "plots").mkdir(exist_ok=True)
-    emitted: list[str] = []
 
     env = DcbUplinkEnv(scenario)
     result: RunResult = emodrl.run(env, config)
     archive = result.archive
-    try:
-        # archive.csv names each checkpoint relative to its own directory.
-        names = [f"checkpoints/policy_{i:03d}.npz" for i in range(len(archive))]
-        checkpoints = [str(out / name) for name in names]
-        for params, path in zip(archive.params, checkpoints):
-            save_params(path, params)
-            emitted.append(path)
-        archive_csv = out / "archive.csv"
-        write_archive_csv(archive_csv, archive, names)
-        emitted.append(str(archive_csv))
-        generations_csv = out / "generations.csv"
-        write_csv(generations_csv, GENERATION_COLUMNS, result.generations)
-        emitted.append(str(generations_csv))
+    (out / "report.json").unlink(missing_ok=True)
+    for stale in (out / "checkpoints").glob("policy_*.npz"):
+        if stale.stem.removeprefix("policy_").isdecimal():
+            stale.unlink()
+    # archive.csv names each checkpoint relative to its own directory.
+    names = [f"checkpoints/policy_{i:03d}.npz" for i in range(len(archive))]
+    checkpoints = [str(out / name) for name in names]
+    for params, path in zip(archive.params, checkpoints):
+        save_params(path, params)
+    archive_csv = out / "archive.csv"
+    write_archive_csv(archive_csv, archive, names)
+    generations_csv = out / "generations.csv"
+    write_csv(generations_csv, GENERATION_COLUMNS, result.generations)
 
-        episode_seed = int(stream(scenario.master_seed, "trace-episode").integers(2**31))
-        traces: dict[str, np.ndarray] = {
-            kind.value: run_baseline_episode(kind, env, episode_seed) for kind in BaselineKind
-        }
-        favored = archive.params[select_policy(archive.objectives, "favor-rate")]
-        traces["ed3qn_favor_rate"] = greedy_rollout(favored, env, episode_seed)
+    episode_seed = int(stream(scenario.master_seed, "trace-episode").integers(2**31))
+    traces: dict[str, np.ndarray] = {
+        kind.value: run_baseline_episode(kind, env, episode_seed) for kind in BaselineKind
+    }
+    favored = archive.params[select_policy(archive.objectives, "favor-rate")]
+    traces["ed3qn_favor_rate"] = greedy_rollout(favored, env, episode_seed)
 
-        objectives: dict[str, tuple] = {}
-        trace_csvs: dict[str, str] = {}
-        for name, trace in traces.items():
-            path = out / "traces" / f"{name}.csv"
-            write_csv(path, TRACE_DTYPE.names, trace.tolist())
-            trace_csvs[name] = str(path)
-            emitted.append(str(path))
-            objectives[name] = episode_objectives(trace, scenario)
+    objectives: dict[str, tuple] = {}
+    trace_csvs: dict[str, str] = {}
+    for name, trace in traces.items():
+        path = out / "traces" / f"{name}.csv"
+        write_csv(path, TRACE_DTYPE.names, trace.tolist())
+        trace_csvs[name] = str(path)
+        objectives[name] = episode_objectives(trace, scenario)
 
-        rate_svg = out / "plots" / "rate_vs_threshold.svg"
-        svgplot.plot_rate_series(
-            rate_svg,
-            {name: trace["rate_bps"] for name, trace in traces.items()},
-            scenario.rate_threshold,
-            "Per-slot uplink achievable rate",
-        )
-        emitted.append(str(rate_svg))
-        pareto_svg = out / "plots" / "pareto_front.svg"
-        svgplot.plot_pareto_scatter(
-            pareto_svg,
-            {
-                "archive": [raw_objectives(f) for f in archive.objectives],
-                "argp": [objectives["argp"]],
-                "random": [objectives["random"]],
-            },
-            "Pareto policy distribution (f1, f2, f3)",
-        )
-        emitted.append(str(pareto_svg))
-        bars_svg = out / "plots" / "objective_bars.svg"
-        tendencies = ["favor-rate", "favor-energy", "favor-switching", "balanced"]
-        bar_labels = ["argp"] + tendencies
-        bar_triples = [objectives["argp"]] + [
-            raw_objectives(archive.objectives[select_policy(archive.objectives, t)])
-            for t in tendencies
-        ]
-        svgplot.plot_objective_bars(
-            bars_svg, bar_labels, bar_triples, "Objective values by policy"
-        )
-        emitted.append(str(bars_svg))
-    except Exception:
-        (out / "partial_manifest.json").write_text(
-            json.dumps({"emitted": emitted, "complete": False}, indent=2) + "\n"
-        )
-        raise
+    rate_svg = out / "plots" / "rate_vs_threshold.svg"
+    svgplot.plot_rate_series(
+        rate_svg,
+        {name: trace["rate_bps"] for name, trace in traces.items()},
+        scenario.rate_threshold,
+        "Per-slot uplink achievable rate",
+    )
+    pareto_svg = out / "plots" / "pareto_front.svg"
+    svgplot.plot_pareto_scatter(
+        pareto_svg,
+        {
+            "archive": [raw_objectives(f) for f in archive.objectives],
+            "argp": [objectives["argp"]],
+            "random": [objectives["random"]],
+        },
+        "Pareto policy distribution (f1, f2, f3)",
+    )
+    bars_svg = out / "plots" / "objective_bars.svg"
+    tendencies = ["favor-rate", "favor-energy", "favor-switching", "balanced"]
+    bar_labels = ["argp"] + tendencies
+    bar_triples = [objectives["argp"]] + [
+        raw_objectives(archive.objectives[select_policy(archive.objectives, t)])
+        for t in tendencies
+    ]
+    svgplot.plot_objective_bars(
+        bars_svg, bar_labels, bar_triples, "Objective values by policy"
+    )
 
     report = RunReport(
         out_dir=str(out),

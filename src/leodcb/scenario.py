@@ -155,7 +155,6 @@ DEFAULT_RF = RfConstants(
     path_loss_exponent=2.0,
     noise_power=10.0 ** (DEFAULT_NOISE_PSD_DBM_PER_HZ / 10.0) * 1e-3 * DEFAULT_BANDWIDTH,
     bandwidth=DEFAULT_BANDWIDTH,
-    carrier_frequency=DEFAULT_CARRIER,
     p_min=1.0,
     p_max=2.0,
     rho0=None,
@@ -252,7 +251,6 @@ RF_KEYS = dict(
     path_loss_exponent="path_loss_exponent",
     noise_power="noise_power_w",
     bandwidth="bandwidth_hz",
-    carrier_frequency="carrier_frequency_hz",
     p_min="p_min_w",
     p_max="p_max_w",
     rho0="rho0",

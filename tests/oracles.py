@@ -37,7 +37,6 @@ def make_rf(n_terminals=3, reference_distance=5e5, bandwidth=1e7):
         path_loss_exponent=2.0,
         noise_power=noise,
         bandwidth=bandwidth,
-        carrier_frequency=2.4e9,
         p_min=1.0,
         p_max=2.0,
         rho0=rho0,

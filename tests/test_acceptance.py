@@ -23,7 +23,7 @@ from oracles import (
 )
 
 from leodcb import channel, emodrl, neural
-from leodcb.agent import AgentConfig, EnhancedD3qnAgent, greedy_rollout, select_action
+from leodcb.agent import GAMMA, AgentConfig, EnhancedD3qnAgent, greedy_rollout, select_action
 from leodcb.baselines import BaselineKind, run_baseline_episode
 from leodcb.channel import snr, solve_p2, weight_set
 from leodcb.emodrl import EmodrlConfig
@@ -203,7 +203,7 @@ def micro_mdp_scenario() -> Scenario:
         constants=PhysicalConstants(),
         constellation=constellation,
         terminals=((10.0, 5.0), (-8.0, 2.0), (3.0, -7.0), (-1.0, 9.0)),
-        rf=channel.RfConstants(beta0, 2.0, noise, 1e7, 2.4e9, 1.0, 2.0, rho0),
+        rf=channel.RfConstants(beta0, 2.0, noise, 1e7, 1.0, 2.0, rho0),
         n_slots=2,
         slot_seconds=60.0,
         rate_threshold=2e3,
@@ -243,7 +243,7 @@ def test_criterion_6_micro_mdp_optimality():
     started = time.perf_counter()
     scenario = micro_mdp_scenario()
     weight = np.array([0.7, 0.15, 0.15])
-    gamma = 0.96
+    gamma = GAMMA   # the agent's discount, 0.96
 
     # Exact DP by exhaustive enumeration: the environment is deterministic,
     # so action sequences cover all policies.
@@ -260,7 +260,7 @@ def test_criterion_6_micro_mdp_optimality():
 
     env = DcbUplinkEnv(scenario)
     config = AgentConfig(
-        gamma=gamma, epsilon_decay_iters=100, replay_capacity=2_000,
+        epsilon_decay_iters=100, replay_capacity=2_000,
         batch_size=32, target_sync_period=50, grad_steps_per_iteration=16,
         learning_rate=1e-3, hidden_sizes=(32, 32),
     )

@@ -8,6 +8,9 @@ import pytest
 
 from leodcb import neural
 from leodcb.agent import (
+    EPSILON_END,
+    EPSILON_START,
+    GAMMA,
     AgentConfig,
     EnhancedD3qnAgent,
     ReplayBatch,
@@ -93,8 +96,6 @@ class TestAgentConfig:
             ("learning_rate", float("nan"), "learning_rate is finite and >= 0"),
             ("target_sync_period", 0, "target_sync_period >= 1"),
             ("episodes_per_iteration", 0, "episodes_per_iteration >= 1"),
-            ("epsilon_start", 1.5, "0 <= epsilon_start <= 1"),
-            ("epsilon_end", -0.1, "0 <= epsilon_end <= 1"),
             ("target_sync_period", 1.5, "target_sync_period is an integer"),
             ("batch_size", 2.5, "batch_size is an integer"),
             ("batch_size", "64", "batch_size is an integer"),
@@ -104,12 +105,12 @@ class TestAgentConfig:
             ("episodes_per_iteration", False, "episodes_per_iteration is an integer"),
             ("epsilon_decay_iters", 2.5, "epsilon_decay_iters is None or an integer >= 1"),
             ("epsilon_decay_iters", 0, "epsilon_decay_iters is None or an integer >= 1"),
-            ("gamma", None, "gamma is a number"),
-            ("epsilon_start", True, "epsilon_start is a number"),
-            ("hidden_sizes", (True,), "hidden_sizes is a nonempty tuple of integers >= 1"),
-            ("epsilon_end", "0.05", "epsilon_end is a number"),
+            ("replay_capacity", 0, "replay_capacity, batch_size >= 1"),
+            ("batch_size", 0, "replay_capacity, batch_size >= 1"),
             ("learning_rate", "1e-3", "learning_rate is a number"),
             ("learning_rate", True, "learning_rate is a number"),
+            # Last, at index 22: pytest names a tuple case by its index.
+            ("hidden_sizes", (True,), "hidden_sizes is a nonempty tuple of integers >= 1"),
         ],
     )
     def test_named_constraint_violated(self, field, value, constraint):
@@ -123,10 +124,30 @@ class TestAgentConfig:
         with pytest.raises(TypeError):
             AgentConfig(max_grad_norm=10.0)
 
+    @pytest.mark.parametrize("name", ["gamma", "epsilon_start", "epsilon_end"])
+    def test_discount_and_exploration_ends_are_no_settings(self, name):
+        # td_targets discounts by agent.GAMMA; epsilon() decays linearly from
+        # agent.EPSILON_START to agent.EPSILON_END over epsilon_decay_iters.
+        assert name not in {f.name for f in dataclasses.fields(AgentConfig)}
+        with pytest.raises(TypeError):
+            AgentConfig(**{name: 0.5})
+
+    def test_epsilon_decays_between_the_module_ends(self):
+        rng = np.random.default_rng(0)
+        agent = EnhancedD3qnAgent.create(tiny_config(epsilon_decay_iters=4), 5, rng)
+        assert (GAMMA, EPSILON_START, EPSILON_END) == (0.96, 1.0, 0.05)
+        seen = []
+        for iteration in range(6):
+            agent.iteration = iteration
+            seen.append(agent.epsilon())
+        assert seen[0] == EPSILON_START
+        assert seen[2] == pytest.approx((EPSILON_START + EPSILON_END) / 2, rel=1e-15)
+        assert seen[4:] == pytest.approx([EPSILON_END, EPSILON_END], rel=1e-15)
+
     def test_boundary_values_accepted(self):
         # A zero learning rate freezes the net; the tests use it.
-        AgentConfig(learning_rate=0.0, epsilon_start=0.0, epsilon_end=1.0, hidden_sizes=(1,),
-                    epsilon_decay_iters=1, grad_steps_per_iteration=0, batch_size=np.int64(1))
+        AgentConfig(learning_rate=0.0, hidden_sizes=(1,), epsilon_decay_iters=1,
+                    grad_steps_per_iteration=0, batch_size=np.int64(1))
 
 
 class TestSelectAction:
@@ -450,8 +471,10 @@ class TestCollectEpisode:
         """An env, an agent that has collected one half-greedy episode on it,
         and that episode's seed."""
         env = DcbUplinkEnv(scenario)
-        cfg = tiny_config(epsilon_start=0.5, epsilon_end=0.5, replay_capacity=64)
+        cfg = tiny_config(epsilon_decay_iters=19, replay_capacity=64)
         agent = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(11))
+        agent.iteration = 10   # 10/19 of the way from 1.0 to 0.05
+        assert agent.epsilon() == pytest.approx(0.5, rel=1e-15)
         seed = int(copy.deepcopy(agent.rng).integers(2**31))
         agent.collect_episode(env)
         return env, agent, seed

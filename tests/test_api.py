@@ -117,9 +117,9 @@ def test_the_sweep_covers_every_scalar_config_field():
     # section (rf.rho0 included); every AgentConfig field but hidden_sizes;
     # every EmodrlConfig field but agent.
     counts = {cls: sum(c is cls for c, _ in SCALAR_FIELDS) for cls in CONFIG_TYPES}
-    assert counts == {Scenario: 9, PhysicalConstants: 3, OrbitalElements: 5, RfConstants: 8,
-                      AgentConfig: 10, EmodrlConfig: 7}
-    assert len(SCALAR_FIELDS) == 9 + 3 + 5 + 8 + 10 + 7
+    assert counts == {Scenario: 9, PhysicalConstants: 3, OrbitalElements: 5, RfConstants: 7,
+                      AgentConfig: 7, EmodrlConfig: 7}
+    assert len(SCALAR_FIELDS) == 9 + 3 + 5 + 7 + 7 + 7
 
 
 @pytest.mark.parametrize(

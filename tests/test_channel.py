@@ -60,7 +60,6 @@ class TestSnr:
             path_loss_exponent=rf.path_loss_exponent,
             noise_power=2 * rf.noise_power,
             bandwidth=rf.bandwidth,
-            carrier_frequency=rf.carrier_frequency,
             p_min=rf.p_min,
             p_max=rf.p_max,
             rho0=rf.rho0,

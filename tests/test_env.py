@@ -537,3 +537,38 @@ class TestP2Table:
             exact = p2_objective(solve_p2(d, rf, scheme, tau), d, rf, scheme, tau)
             assert exact < p2_objective(midpoint, d, rf, scheme, tau)
             assert env.total_powers[slot, 5, sat - 1] == env.n_terminals * rf.p_min == 10.0
+
+
+def _moved(scenario, section, name):
+    """``scenario`` with one input moved: an orbit angle of ``constellation[0]``
+    by +0.1 rad, ``p_min`` x1.2 (it stays below ``p_max``), any other x1.5."""
+    if section == "constellation[0]":
+        sat = scenario.constellation[0]
+        value = getattr(sat, name) * 1.5 if name == "altitude" else getattr(sat, name) + 0.1
+        moved = (dataclasses.replace(sat, **{name: value}), *scenario.constellation[1:])
+        return dataclasses.replace(scenario, constellation=moved)
+    part = getattr(scenario, section)
+    value = getattr(part, name) * (1.2 if name == "p_min" else 1.5)
+    return dataclasses.replace(scenario, **{section: dataclasses.replace(part, **{name: value})})
+
+
+_MICRO = micro_scenario()
+SECTION_INPUTS = [
+    (section, field.name)
+    for section, part in (("constants", _MICRO.constants), ("rf", _MICRO.rf),
+                          ("constellation[0]", _MICRO.constellation[0]))
+    for field in dataclasses.fields(part)
+]
+
+
+@pytest.mark.parametrize(
+    ("section", "name"), SECTION_INPUTS, ids=[f"{s}.{n}" for s, n in SECTION_INPUTS]
+)
+def test_every_section_input_changes_the_env(section, name):
+    # An input that moves none of the env's tables is one that nothing reads.
+    def tables(scenario):
+        env = DcbUplinkEnv(scenario)
+        return [getattr(env, table).tobytes() for table in
+                ("visibility", "distances", "rates", "total_powers", "reward_scale")]
+
+    assert tables(_moved(_MICRO, section, name)) != tables(_MICRO)

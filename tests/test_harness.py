@@ -97,6 +97,14 @@ class TestScenarioIO:
         with pytest.raises(ConfigError, match="unavailability"):
             load_scenario(path)
 
+    def test_a_carrier_frequency_key_is_unknown(self):
+        # beta0 is the one channel-gain input; a carrier frequency changed nothing.
+        doc = scenario_to_dict(micro_scenario())
+        doc["rf"]["carrier_frequency_hz"] = 2.4e9
+        with pytest.raises(ConfigError) as raised:
+            scenario_from_dict(doc)
+        assert str(raised.value) == "unknown keys in rf: ['carrier_frequency_hz']"
+
     def test_unknown_keys_rejected(self, tmp_path):
         doc = scenario_to_dict(micro_scenario())
         doc["surprise"] = 1
@@ -506,8 +514,8 @@ class TestLoadArchive:
             load_archive(path)
 
 
-class TestPartialManifest:
-    def test_io_failure_leaves_partial_manifest(self, tmp_path, monkeypatch):
+class TestWriteFailure:
+    def test_io_failure_leaves_no_report(self, tmp_path, monkeypatch):
         from leodcb import harness
 
         def explode(*args, **kwargs):
@@ -516,11 +524,58 @@ class TestPartialManifest:
         monkeypatch.setattr(harness.svgplot, "plot_rate_series", explode)
         with pytest.raises(OSError, match="disk full"):
             run_experiment(micro_scenario(), tiny_config(), tmp_path)
-        manifest = json.loads((tmp_path / "partial_manifest.json").read_text())
-        assert manifest["complete"] is False
-        assert any(p.endswith("archive.csv") for p in manifest["emitted"])
-        for path in manifest["emitted"]:
-            assert Path(path).exists()
+        # report.json is written last: without it the directory holds no finished run.
+        assert (tmp_path / "archive.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "partial_manifest.json").exists()
+
+
+def files_under(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestOneRunPerDirectory:
+    def test_a_failed_rerun_leaves_no_earlier_report(self, tmp_path, monkeypatch):
+        from leodcb import harness
+
+        run_experiment(micro_scenario(3), tiny_config(), tmp_path)
+        assert json.loads((tmp_path / "report.json").read_text())["master_seed"] == 3
+
+        def explode(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(harness, "write_archive_csv", explode)
+        with pytest.raises(OSError, match="No space left"):
+            run_experiment(micro_scenario(5), tiny_config(), tmp_path)
+        # The earlier report listed checkpoints the failed rerun overwrote.
+        assert not (tmp_path / "report.json").exists()
+
+    def test_a_report_lists_every_checkpoint_in_its_directory(self, tmp_path):
+        checkpoints = tmp_path / "checkpoints"
+        checkpoints.mkdir()
+        for name in ("policy_099.npz", "policy_7.npz", "policy_best.npz", "notes.txt"):
+            (checkpoints / name).write_text("an earlier run's file")
+        report = run_experiment(micro_scenario(), tiny_config(), tmp_path)
+        listed = json.loads((tmp_path / "report.json").read_text())["checkpoints"]
+        assert listed == report.checkpoints
+        policies = sorted(str(p) for p in checkpoints.glob("policy_*.npz"))
+        # Only policy_<digits>.npz files are a run's; the others stay.
+        assert policies == sorted([*listed, str(checkpoints / "policy_best.npz")])
+        assert (checkpoints / "notes.txt").exists()
+
+    def test_a_run_that_fails_while_training_changes_no_file(self, tmp_path, monkeypatch):
+        from leodcb import emodrl
+
+        run_experiment(micro_scenario(), tiny_config(), tmp_path)
+        before = files_under(tmp_path)
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("synthetic generation failure")
+
+        monkeypatch.setattr(emodrl, "tpu", explode)
+        with pytest.raises(RuntimeError, match="synthetic"):
+            run_experiment(micro_scenario(5), tiny_config(), tmp_path)
+        assert "report.json" in before and files_under(tmp_path) == before
 
 
 class TestTrainingFailure:
@@ -618,6 +673,24 @@ class TestCli:
             f"leodcb {argv[0]}: error: argument {argv[-2]}: "
             f"a seed is an integer >= 0, not '{argv[-1]}'"
         )
+
+    def test_a_scenario_file_with_a_carrier_frequency_is_a_usage_error(self, tmp_path, capsys):
+        from leodcb.cli import main
+
+        doc = scenario_to_dict(micro_scenario())
+        doc["rf"]["carrier_frequency_hz"] = 2.4e9
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--scenario", str(path), "--out", str(tmp_path / "out"), "--tasks", "2",
+                  "--warm", "2", "--task-iters", "1", "--generations", "1", "--hidden", "8"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "leodcb run: error: unknown keys in rf: ['carrier_frequency_hz']"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_select_rejects_unknown_preference_with_a_usage_error(self, tmp_path, capsys):
         from leodcb.cli import main

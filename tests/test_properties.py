@@ -1,6 +1,9 @@
 """Property tests for the algebraic invariants that hold for all inputs."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,3 +129,23 @@ def test_hypervolume_accepts_exactly_the_sets_dominating_the_reference(points):
     else:
         with pytest.raises(DomainError):
             hypervolume(points, ref)
+
+
+def test_a_failing_property_is_reported_not_an_internal_error(tmp_path):
+    # Hypothesis's failure report imports libcst, whose DeprecationWarning the
+    # project's filterwarnings = ["error"] raised inside pytest: the session
+    # stopped with INTERNALERROR (exit 3) and ran no later test file.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+    )
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert done.returncode == 1 and "1 failed" in done.stdout
