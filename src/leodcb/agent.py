@@ -10,11 +10,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import neural
-from .env import DcbUplinkEnv, episode_objectives, legitimate_masks
+from .env import STATE_DIM, DcbUplinkEnv, episode_objectives, legitimate_masks
 from .errors import ConfigError, StateError, check, is_integer
 from .neural import AdamState, QNetworkParams
 
-STATE_DIM = 2  # (slot / T, prev_satellite / N_L)
 MAX_GRAD_NORM = 10.0  # gradient norm cap of every TD step
 GAMMA = 0.96  # discount of every TD target
 EPSILON_START = 1.0  # exploration rate at iteration 0, decaying linearly
@@ -123,7 +122,8 @@ def select_action(
     epsilon: float,
     rng: np.random.Generator,
 ) -> int:
-    """Masked epsilon-greedy choice over the flat action space.
+    """Masked epsilon-greedy choice over the flat action space for one
+    state, encoded as a one-row batch such as ``state_encodings[s : s + 1]``.
 
     Greedy ties break to the lowest action index.
     """
@@ -132,7 +132,7 @@ def select_action(
         raise StateError("legitimate action set is empty")
     if rng.random() < epsilon:
         return int(legit[rng.integers(legit.size)])
-    _, _, q = neural.forward(params, state_encoding)
+    q = neural.forward(params, state_encoding)[0]
     return int(legit[np.argmax(q[legit])])
 
 
@@ -150,7 +150,7 @@ def target_table(
     """
     table = np.empty((len(encodings), n_satellites + 1))
     for start in range(0, len(encodings), chunk):
-        q = neural.forward(params, encodings[start : start + chunk])[2]
+        q = neural.forward(params, encodings[start : start + chunk])
         rows = table[start : start + chunk]
         q[:, :-1].reshape(len(q), -1, n_satellites).max(axis=1, out=rows[:, :-1])
         rows[:, -1] = q[:, -1]
@@ -231,8 +231,8 @@ class EnhancedD3qnAgent:
         states, actions = [env.reset(int(self.rng.integers(2**31)))], []
         eps = self.epsilon()
         while not env.done:
-            encoding, mask = env.state_encodings[states[-1]], env.legitimate_mask()
-            actions.append(select_action(self.params, encoding, mask, eps, self.rng))
+            row = env.state_encodings[states[-1] : states[-1] + 1]
+            actions.append(select_action(self.params, row, env.legitimate_mask(), eps, self.rng))
             states.append(env.step(actions[-1]))
         rows = zip(states, actions, env.rewards(env.trace), states[1:], env.available[1:])
         for t, row in enumerate(rows):
@@ -289,7 +289,7 @@ def greedy_rollout(params: QNetworkParams, env: DcbUplinkEnv, seed: int, q_rows=
     while not env.done:
         q = q_rows.get(state)
         if q is None:
-            _, _, q = neural.forward(params, env.state_encodings[state])
+            q = neural.forward(params, env.state_encodings[state : state + 1])[0]
             q_rows[state] = q
         legit = np.flatnonzero(env.legitimate_mask())
         action = int(legit[np.argmax(q[legit])])
@@ -300,8 +300,10 @@ def greedy_rollout(params: QNetworkParams, env: DcbUplinkEnv, seed: int, q_rows=
 def evaluate_policy(params: QNetworkParams, env: DcbUplinkEnv, seeds) -> np.ndarray:
     """Average objective vector F = (f1_bar, -f2_bar, -f3_bar) over seeds.
 
-    All components are maximized under this sign convention.
+    All components are maximized under this sign convention; no seed is a ConfigError.
     """
+    if len(seeds) == 0:
+        raise ConfigError("evaluation needs at least one episode seed")
     totals = np.zeros(3)
     q_rows = {}
     for seed in seeds:

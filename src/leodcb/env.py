@@ -23,6 +23,8 @@ from .orbits import GroundFrame, position_at
 from .scenario import Scenario
 from .seeding import stream
 
+STATE_DIM = 2  # the width of ``state_encodings``: (slot / T, prev_satellite / N_L)
+
 # One row per stepped slot. The satellite is 1-based, 0 when idle; the
 # rate is the achieved rate, before the threshold gates it in f1.
 TRACE_DTYPE = np.dtype([

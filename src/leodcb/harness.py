@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import emodrl, svgplot
-from .agent import STATE_DIM, evaluate_policy, greedy_rollout
+from .agent import evaluate_policy, greedy_rollout
 from .baselines import BaselineKind, run_baseline_episode
 from .emodrl import EmodrlConfig, GenerationRecord, ParetoArchive, RunResult
 from .env import TRACE_DTYPE, DcbUplinkEnv, episode_objectives
@@ -94,11 +94,9 @@ def replay_policy(params: QNetworkParams, scenario: Scenario, seeds):
     terminal count, so no re-shaping or retraining happens. The action
     count K N_L + 1 does: a network of another count, or no seed, is a ConfigError.
     """
-    if len(seeds) == 0:
-        raise ConfigError("replay needs at least one episode seed")
     env = DcbUplinkEnv(scenario)
     for what, have, need in (
-        ("input width", params.input_dim, STATE_DIM),
+        ("input width", params.input_dim, env.state_encodings.shape[1]),
         ("action count", params.n_actions, env.n_actions),
     ):
         if have != need:
@@ -219,7 +217,7 @@ def load_archive(archive_csv) -> tuple[np.ndarray, np.ndarray, list[Path]]:
     against the CSV's directory (an older archive's absolute path stays).
 
     A header other than ``ARCHIVE_COLUMNS``, no row, a row of another length
-    or a field that is not a number is a ConfigError naming the file and line.
+    or a field that is not a finite number is a ConfigError naming file and line.
     """
     header, *lines = Path(archive_csv).read_text().strip().split("\n")
     if header != ",".join(ARCHIVE_COLUMNS):
@@ -237,6 +235,8 @@ def load_archive(archive_csv) -> tuple[np.ndarray, np.ndarray, list[Path]]:
             numbers.append([float(v) for v in fields[:-1]])
         except ValueError:
             raise ConfigError(f"{archive_csv}:{line_no}: a field is not a number") from None
+        if not np.isfinite(numbers[-1]).all():
+            raise ConfigError(f"{archive_csv}:{line_no}: a field is not a finite number")
         checkpoints.append(fields[-1])
     table = np.array(numbers)
     objectives = np.array([raw_objectives(f) for f in table[:, 1:4]])

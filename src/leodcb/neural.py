@@ -71,7 +71,6 @@ same reason as row halves.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -369,32 +368,22 @@ def _row_halves(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) ->
     return out
 
 
-def _forward_full(params: QNetworkParams, x: np.ndarray):
+def forward(params: QNetworkParams, encodings: np.ndarray) -> np.ndarray:
+    """The (rows, n_actions) Q of a (rows, input_dim) batch, such as one state's
+    ``state_encodings[s : s + 1]``; another shape is a DomainError naming it."""
+    x = np.asarray(encodings, dtype=float)
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise DomainError(f"encodings of shape {x.shape} are not (rows, {params.input_dim})")
     h = _trunk(params, x, _may_split(params, len(x)))
-    v = h @ params.value_weight                              # (B, 1)
+    v = h @ params.value_weight                              # (rows, 1)
     v += params.value_bias
-    a = h @ params.adv_weight                                # (B, n_actions)
-    a += params.adv_bias
-    # What a.mean(axis=1) computes: the same sum, then the same division.
-    q = v + a
-    q -= np.add.reduce(a, axis=1, keepdims=True) / params.n_actions
-    return v, a, q
-
-
-def forward(params: QNetworkParams, encoding: np.ndarray):
-    """Value, advantages and combined Q for one encoding or a batch."""
-    x = np.asarray(encoding, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != params.input_dim:
-        raise DomainError(
-            f"encoding width {x.shape[1]} does not match input dim {params.input_dim}"
-        )
-    v, a, q = _forward_full(params, x)
-    if single:
-        return float(v[0, 0]), a[0], q[0]
-    return v[:, 0], a, q
+    q = h @ params.adv_weight                                # A, then Q in place
+    q += params.adv_bias
+    # What A.mean(axis=1) computes: the same sum, then the same division.
+    mean = np.add.reduce(q, axis=1, keepdims=True) / params.n_actions
+    q += v
+    q -= mean
+    return q
 
 
 # The most rows of a factored gradient that adam_step forms at a time in
@@ -428,14 +417,6 @@ def _product_squared_norm(grams, a: np.ndarray, d: np.ndarray) -> float:
     return float(np.vdot(*grams))
 
 
-@functools.cache
-def _row_offsets(n_actions: int, width: int) -> np.ndarray:
-    """Flat index of each row's first cell in a (width, n_actions) matrix."""
-    offsets = n_actions * np.arange(width)
-    offsets.flags.writeable = False
-    return offsets
-
-
 def _head_rows(h, r, acts, value_grad, n_actions, chunk: slice, out: np.ndarray) -> None:
     """Rows ``chunk`` of the advantage-weight gradient: -value_grad / n in
     every column, then h_ik r_i added to cell (k, a_i) for each batch row i.
@@ -443,7 +424,7 @@ def _head_rows(h, r, acts, value_grad, n_actions, chunk: slice, out: np.ndarray)
     given, so any chunking of the rows gives the whole's bits."""
     out[...] = value_grad[chunk] / -n_actions
     # In the flat row-major view cell (k, a_i) is k n + a_i.
-    index = acts[:, None] + _row_offsets(n_actions, len(out))
+    index = acts[:, None] + n_actions * np.arange(len(out))
     values = h[:, chunk] * r[:, None]
     np.add.at(out.reshape(-1), index.reshape(-1), values.reshape(-1))
 
@@ -469,10 +450,9 @@ def backward(
 
     Loss = mean over the batch of 0.5 * (Q(s, a) - target)^2. The gradient
     is written into ``grads`` when given, so a caller can reuse one across
-    steps: every stored entry is computed in float64 and rounded once to
-    the dtype of ``grads.flat``, and every factored tensor gets this step's
-    factors, which the gradient holds until the next call. Otherwise a new
-    float64 one is made.
+    steps: every stored entry is overwritten, and every factored tensor
+    gets this step's factors, which the gradient holds until the next call.
+    Otherwise a new one is made.
     Each row needs one integer action in [0, n_actions), else DomainError.
     """
     x = np.asarray(encodings, dtype=float)
@@ -631,8 +611,8 @@ def adam_step(
     grads: Gradient,
     state: AdamState,
     lr: float,
-) -> QNetworkParams:
-    """Standard Adam update applied in place; returns the params.
+) -> None:
+    """Standard Adam update, applied to ``params`` and ``state`` in place.
 
     The bias corrections fold into two scalars: with step = lr / (1 - b1^t)
     and root = 1 / sqrt(1 - b2^t), the textbook
@@ -704,7 +684,6 @@ def adam_step(
         # same products as the whole.
         _halves(update_chunks, len(chunks), split)
         del parts, blocks    # freed before the next tensor's are made
-    return params
 
 
 def _v1_tensors(params: QNetworkParams) -> dict[str, np.ndarray]:

@@ -168,7 +168,7 @@ def grid_search_p2(distances, rf, scheme, slot_seconds, points=201):
 
 def batch_loss(params, x, actions, targets):
     """TD loss recomputed through the forward pass only."""
-    _, _, q = forward(params, x)
+    q = forward(params, x)
     picked = q[np.arange(len(actions)), actions]
     residual = picked - targets
     return 0.5 * float(residual @ residual) / len(actions)
@@ -202,7 +202,7 @@ def dense_backward(
     activations = [x]
     for w, b in zip(params.trunk_weights, params.trunk_biases):
         activations.append(np.tanh(activations[-1] @ w + b))
-    _, _, q = forward(params, x)
+    q = forward(params, x)
     picked = q[np.arange(batch), acts]
     residual = picked - y
     loss = 0.5 * float(residual @ residual) / batch
@@ -246,7 +246,7 @@ def forward_td_targets(batch, next_encodings, target_params, weight, gamma):
     rewards = batch.reward @ np.asarray(weight, dtype=float)
     n_schemes = (target_params.n_actions - 1) // batch.next_available.shape[1]
     legit = legitimate_masks(batch.next_available, n_schemes)
-    _, _, next_q = forward(target_params, next_encodings)
+    next_q = forward(target_params, next_encodings)
     best_next = np.where(legit, next_q, -np.inf).max(axis=1)
     return rewards + gamma * np.where(batch.terminal, 0.0, best_next)
 

@@ -171,7 +171,7 @@ def test_criterion_5_mask_safety():
         while not env.done:
             epsilon = (steps % 100) / 100.0  # sweep the whole mix
             mask = env.legitimate_mask()
-            action = select_action(params, env.state_encodings[state], mask, epsilon, rng)
+            action = select_action(params, env.state_encodings[state : state + 1], mask, epsilon, rng)
             if not mask[action]:
                 violations += 1
             # Availability checked from the index layout, apart from the mask.
@@ -214,29 +214,25 @@ def micro_mdp_scenario() -> Scenario:
     )
 
 
+def _scalarized_return(env, trace, weight, gamma):
+    total, discount = 0.0, 1.0
+    for reward in env.rewards(trace):
+        total += discount * float(reward @ weight)
+        discount *= gamma
+    return total
+
+
 def _scalarized_rollout(scenario, actions, weight, gamma):
     env = DcbUplinkEnv(scenario)
     env.reset(0)
     for action in actions:
         env.step(action)
-    total, discount = 0.0, 1.0
-    for reward in env.rewards(env.trace):
-        total += discount * float(reward @ weight)
-        discount *= gamma
-    return total
+    return _scalarized_return(env, env.trace, weight, gamma)
+
 
 def _greedy_scalarized_return(params, scenario, weight, gamma):
     env = DcbUplinkEnv(scenario)
-    state = env.reset(0)
-    while not env.done:
-        legit = np.flatnonzero(env.legitimate_mask())
-        _, _, q = neural.forward(params, env.state_encodings[state])
-        state = env.step(int(legit[np.argmax(q[legit])]))
-    total, discount = 0.0, 1.0
-    for reward in env.rewards(env.trace):
-        total += discount * float(reward @ weight)
-        discount *= gamma
-    return total
+    return _scalarized_return(env, greedy_rollout(params, env, 0), weight, gamma)
 
 
 def test_criterion_6_micro_mdp_optimality():

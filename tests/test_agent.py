@@ -159,7 +159,7 @@ class TestSelectAction:
         n_draws = 10_000
         counts = np.zeros(12)
         for _ in range(n_draws):
-            counts[select_action(params, np.array([0.2, 0.5]), mask, 1.0, rng)] += 1
+            counts[select_action(params, np.array([[0.2, 0.5]]), mask, 1.0, rng)] += 1
         expected = n_draws / 4
         sigma = np.sqrt(n_draws * 0.25 * 0.75)
         for idx in (1, 4, 7, 9):
@@ -172,7 +172,7 @@ class TestSelectAction:
         mask = np.zeros(5, dtype=bool)
         mask[3] = True
         for _ in range(20):
-            assert select_action(params, np.array([0.1, 0.1]), mask, 0.0, rng) == 3
+            assert select_action(params, np.array([[0.1, 0.1]]), mask, 0.0, rng) == 3
 
     def test_never_returns_illegitimate(self):
         rng = np.random.default_rng(2)
@@ -182,14 +182,14 @@ class TestSelectAction:
             if not mask.any():
                 continue
             eps = float(rng.random())
-            action = select_action(params, rng.random(2), mask, eps, rng)
+            action = select_action(params, rng.random((1, 2)), mask, eps, rng)
             assert mask[action]
 
     def test_empty_mask_rejected(self):
         rng = np.random.default_rng(3)
         params = neural.init_params(2, (8,), 4, rng)
         with pytest.raises(StateError):
-            select_action(params, np.zeros(2), np.zeros(4, dtype=bool), 0.5, rng)
+            select_action(params, np.zeros((1, 2)), np.zeros(4, dtype=bool), 0.5, rng)
 
     def test_greedy_invariant_to_constant_q_shift(self):
         rng = np.random.default_rng(4)
@@ -197,7 +197,7 @@ class TestSelectAction:
         shifted = params.clone()
         shifted.adv_bias += 11.0  # uniform shift leaves the argmax alone
         mask = np.array([True, False, True, True, False, True])
-        state = rng.random(2)
+        state = rng.random((1, 2))
         a = select_action(params, state, mask, 0.0, rng)
         b = select_action(shifted, state, mask, 0.0, rng)
         assert a == b
@@ -245,7 +245,8 @@ class TestTdTargets:
             batch = make_batch(rng, params.n_actions)._replace(
                 next_available=np.array([available])
             )
-            _, _, q = neural.forward(params, encodings[batch.next_state[0]])
+            state = batch.next_state[0]
+            q = neural.forward(params, encodings[state : state + 1])[0]
             legit = [
                 k * N_SATELLITES + s
                 for k in range(n_schemes)
@@ -274,7 +275,7 @@ class TestTdTargets:
             terminal=rng.random(rows) < 0.2,
         )
         w = np.array([0.2, 0.5, 0.3])
-        _, _, q_all = neural.forward(params, encodings)
+        q_all = neural.forward(params, encodings)
         next_q = q_all[batch.next_state]
         # Best scheme per satellite, then best available satellite or IDLE.
         per_satellite = next_q[:, :-1].reshape(rows, n_schemes, N_SATELLITES).max(axis=1)
@@ -318,7 +319,7 @@ class TestTargetTable:
         encodings = env.state_encodings
         pieces = []
         for start in range(0, len(encodings), chunk):
-            _, _, q = neural.forward(params, encodings[start : start + chunk])
+            q = neural.forward(params, encodings[start : start + chunk])
             per_satellite = q[:, :-1].reshape(len(q), env.n_schemes, env.n_satellites)
             pieces.append(np.column_stack([per_satellite.max(axis=1), q[:, -1]]))
         table = target_table(params, encodings, env.n_satellites, chunk)
@@ -352,7 +353,7 @@ class TestTargetTableLifecycle:
         real_forward = neural.forward
 
         def counting_forward(p, encoding):
-            if np.ndim(encoding) == 2:
+            if len(encoding) > 1:   # select_action forwards one row
                 batch_calls.append(len(encoding))
             return real_forward(p, encoding)
 
@@ -528,10 +529,10 @@ class TestTrainIteration:
         cfg = tiny_config(learning_rate=0.0, batch_size=4)
         agent = EnhancedD3qnAgent.create(cfg, env.n_actions, np.random.default_rng(1))
         probe = np.array([[0.2, 0.4], [0.8, 0.1]])
-        _, _, q_before = neural.forward(agent.params, probe)
+        q_before = neural.forward(agent.params, probe)
         for _ in range(3):
             agent.train_iteration(env, np.array([0.4, 0.3, 0.3]))
-        _, _, q_after = neural.forward(agent.params, probe)
+        q_after = neural.forward(agent.params, probe)
         assert np.array_equal(q_before, q_after)
         assert agent.adam.step > 0
 
@@ -690,7 +691,7 @@ class TestEvaluatePolicy:
         real_forward = neural.forward
 
         def counting_forward(p, encoding):
-            calls.append(tuple(encoding))
+            calls.append(tuple(encoding[0]))
             return real_forward(p, encoding)
 
         monkeypatch.setattr(neural, "forward", counting_forward)
@@ -700,6 +701,12 @@ class TestEvaluatePolicy:
         assert len(calls) == 2 * n_once
         assert len(set(calls)) == n_once
         assert np.array_equal(once, twice)
+
+    def test_no_seed_rejected(self):
+        env = DcbUplinkEnv(micro_scenario())
+        params = neural.init_params(2, (8,), env.n_actions, np.random.default_rng(10))
+        with pytest.raises(ConfigError, match="at least one episode seed"):
+            evaluate_policy(params, env, seeds=[])
 
     def test_sign_convention_maximizes_every_component(self):
         env = DcbUplinkEnv(desk_scenario())

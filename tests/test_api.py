@@ -145,7 +145,7 @@ MODULE_IMPORTS = {
     "env": {"math", "numpy", "operator"},
     "errors": {"numbers"},
     "harness": {"dataclasses", "json", "numpy", "pathlib", "time"},
-    "neural": {"_queue", "dataclasses", "functools", "math", "numpy", "os", "threading"},
+    "neural": {"_queue", "dataclasses", "math", "numpy", "os", "threading"},
     "orbits": {"dataclasses", "math", "numpy"},
     "scenario": {"dataclasses", "json", "math", "pathlib"},
     "seeding": {"numpy", "zlib"},

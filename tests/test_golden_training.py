@@ -62,7 +62,7 @@ def record():
     """Rewrite the golden files from the current code."""
     agent = trained_micro_agent()
     save_params(CHECKPOINT, agent.params)
-    _, _, q = forward(agent.params, PROBE)
+    q = forward(agent.params, PROBE)
     GOLDEN.write_text(json.dumps({
         "params_sha256": sha256(param_arrays(agent.params)),
         "last_loss": repr(agent.last_loss),
@@ -93,6 +93,6 @@ def test_recorded_checkpoint_loads_to_recorded_forward_output():
     golden = json.loads(GOLDEN.read_text())
     params = load_params(CHECKPOINT)
     assert sha256(param_arrays(params)) == golden["params_sha256"]
-    _, _, q = forward(params, PROBE)
+    q = forward(params, PROBE)
     assert q.shape == (len(PROBE), params.n_actions)
     assert sha256([q]) == golden["probe_q_sha256"]

@@ -829,6 +829,26 @@ class TestCli:
             f"leodcb select: error: {archive_csv}:2: no policy rows"
         )
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_archive_with_a_non_finite_field_is_a_usage_error(self, tmp_path, capsys, value):
+        # argmax takes NaN for the largest value, so a NaN rate was selected.
+        from leodcb.cli import main
+
+        archive_csv = tmp_path / "archive.csv"
+        archive_csv.write_text("\n".join([
+            ",".join(ARCHIVE_COLUMNS),
+            "0,1000.0,2.0,0.1,1.0,0.0,0.0,checkpoints/policy_000.npz",
+            f"1,{value},2.0,0.1,0.0,1.0,0.0,checkpoints/policy_001.npz",
+        ]) + "\n")
+        with pytest.raises(SystemExit) as exited:
+            main(["select", "--archive", str(archive_csv), "--preference", "favor-rate"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"leodcb select: error: {archive_csv}:3: a field is not a finite number"
+        )
+
     def test_checkpoint_that_is_not_an_npz_is_a_usage_error(self, tmp_path, capsys):
         from leodcb.cli import main
 

@@ -38,9 +38,8 @@ class TestForward:
         rng = np.random.default_rng(0)
         params = small_net(rng)
         params.flat[:] = 0.0
-        v, a, q = forward(params, np.array([0.3, -0.2]))
-        assert v == 0.0
-        assert np.all(a == 0.0)
+        q = forward(params, np.array([[0.3, -0.2]]))
+        assert q.shape == (1, params.n_actions)
         assert np.all(q == 0.0)
 
     def test_constant_advantage_collapses_to_value(self):
@@ -48,16 +47,21 @@ class TestForward:
         params = small_net(rng)
         params.adv_weight[:] = 0.0
         params.adv_bias[:] = 2.5
-        v, _, q = forward(params, np.array([0.1, 0.9]))
+        x = np.array([[0.1, 0.9]])
+        q = forward(params, x)
+        h = x
+        for w, b in zip(params.trunk_weights, params.trunk_biases):
+            h = np.tanh(h @ w + b)
+        v = h @ params.value_weight + params.value_bias
         assert np.allclose(q, v)
 
     def test_argmax_invariant_to_advantage_shift(self):
         rng = np.random.default_rng(2)
         params = small_net(rng)
-        x = np.array([0.4, 0.6])
-        _, _, q_before = forward(params, x)
+        x = np.array([[0.4, 0.6]])
+        q_before = forward(params, x)
         params.adv_bias += 7.0
-        _, _, q_after = forward(params, x)
+        q_after = forward(params, x)
         assert np.argmax(q_after) == np.argmax(q_before)
         assert np.allclose(q_after, q_before)
 
@@ -66,16 +70,20 @@ class TestForward:
         with pytest.raises(DomainError):
             forward(params, np.zeros(5))
 
+    @pytest.mark.parametrize("shape", [(2,), (1, 5), (1, 1, 2)], ids=["1-D", "width", "3-D"])
+    def test_only_a_batch_of_input_rows_is_accepted(self, shape):
+        params = small_net(np.random.default_rng(3))
+        with pytest.raises(DomainError, match=re.escape(f"encodings of shape {shape} are not (rows, 2)")):
+            forward(params, np.zeros(shape))
+
     def test_batch_and_single_agree(self):
         rng = np.random.default_rng(4)
         params = small_net(rng)
         x = rng.normal(size=(3, 2))
-        v_b, a_b, q_b = forward(params, x)
+        q_b = forward(params, x)
         for i in range(3):
-            v, a, q = forward(params, x[i])
-            assert v == pytest.approx(v_b[i])
-            assert np.allclose(a, a_b[i])
-            assert np.allclose(q, q_b[i])
+            q = forward(params, x[i : i + 1])
+            assert np.allclose(q[0], q_b[i])
 
 
 class TestBackward:
@@ -100,7 +108,7 @@ class TestBackward:
         params.adv_weight[:] = 0.0
         x = rng.normal(size=(3, 2))
         actions = np.array([0, 1, 2])
-        _, _, q = forward(params, x)
+        q = forward(params, x)
         targets = q[np.arange(3), actions]
         grads, loss = backward(params, x, actions, targets)
         assert loss == 0.0
@@ -117,7 +125,7 @@ class TestBackward:
         params = small_net(rng, hidden=(6, 5), n_actions=4)
         params.flat += 0.1 * rng.normal(size=params.flat.size)
         x, actions, _ = random_batch(rng, params, size=5)
-        _, _, q = forward(params, x)
+        q = forward(params, x)
         picked = q[np.arange(5), actions]
         bound = 1e-13 * np.max(np.abs(q))
         grads, loss = backward(params, x, actions, picked)
@@ -137,7 +145,7 @@ class TestBackward:
         def dense_head(*_):
             raise AssertionError("backward formed the (batch, n_actions) head product")
 
-        monkeypatch.setattr(neural, "_forward_full", dense_head)
+        monkeypatch.setattr(neural, "forward", dense_head)
         grads, loss = backward(params, *batch)
         assert loss == expected_loss
         assert grads.flat.tobytes() == expected.flat.tobytes()
@@ -146,7 +154,7 @@ class TestBackward:
         rng = np.random.default_rng(6)
         params = small_net(rng)
         x, actions, _ = random_batch(rng, params, size=3)
-        _, _, q = forward(params, x)
+        q = forward(params, x)
         picked = q[np.arange(3), actions]
         base_targets = picked - 1.0           # residual exactly 1
         scaled_targets = picked - 3.0         # residual exactly 3
@@ -441,8 +449,8 @@ class TestSerialization:
         save_params(path, params)
         loaded = load_params(path)
         x = rng.normal(size=(4, 2))
-        _, _, q_a = forward(params, x)
-        _, _, q_b = forward(loaded, x)
+        q_a = forward(params, x)
+        q_b = forward(loaded, x)
         assert np.array_equal(q_a, q_b)
 
     def test_mismatched_tensor_shape_rejected(self, tmp_path):
@@ -531,8 +539,8 @@ class TestFlatLayout:
         # Adam writes flat and forward reads the named tensors: a step on
         # the copy moves the copy's Q and leaves the original's.
         x, actions, targets = random_batch(rng, params)
-        before = forward(params, x)[2]
+        before = forward(params, x)
         grads, _ = backward(twin, x, actions, targets)
         adam_step(twin, grads, init_adam(twin), lr=1e-2)
-        assert not np.array_equal(forward(twin, x)[2], before)
-        assert np.array_equal(forward(params, x)[2], before)
+        assert not np.array_equal(forward(twin, x), before)
+        assert np.array_equal(forward(params, x), before)

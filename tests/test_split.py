@@ -93,8 +93,8 @@ def assert_td_step_equals_whole(under, params, rng, batch):
     x = rng.random((batch, 2))
     actions = rng.integers(params.n_actions, size=batch)
     targets = rng.normal(size=batch)
-    q_split = under(SPLIT, neural.forward, params, x)[2]
-    q_whole = under(WHOLE, neural.forward, params, x)[2]
+    q_split = under(SPLIT, neural.forward, params, x)
+    q_whole = under(WHOLE, neural.forward, params, x)
     assert np.array_equal(q_split, q_whole)
 
     grads_split, loss_split = under(SPLIT, neural.backward, params, x, actions, targets)
@@ -194,8 +194,8 @@ def test_few_row_forwards_equal_whole_forwards_bitwise(under, paper_params, rows
     # Halves of one row would be matrix-vector products, which sum in
     # another order; so fewer than four rows never split.
     x = np.random.default_rng(rows).random((rows, 2))
-    q_split = under(SPLIT, neural.forward, paper_params, x)[2]
-    assert np.array_equal(q_split, under(WHOLE, neural.forward, paper_params, x)[2])
+    q_split = under(SPLIT, neural.forward, paper_params, x)
+    assert np.array_equal(q_split, under(WHOLE, neural.forward, paper_params, x))
 
 
 def test_adam_odd_block_count_with_partial_last_block(monkeypatch):
@@ -622,9 +622,9 @@ def check():
     params = neural.init_params(2, (64, 64), 121, np.random.default_rng(28))
     x = np.random.default_rng(29).random((8, 2))
     neural._SPLIT_WORK = 0
-    split = neural.forward(params, x)[2]
+    split = neural.forward(params, x)
     neural._SPLIT_WORK = 1 << 62
-    assert np.array_equal(split, neural.forward(params, x)[2])
+    assert np.array_equal(split, neural.forward(params, x))
 
 in_child(check)
 release.set()
