@@ -4,13 +4,16 @@ Generation 0 is the warm-up: one agent per simplex weight vector. Every
 later generation rebalances the task population through performance
 buffers, reselects the best policy per weight and continues training.
 Each generation folds its offspring into a Pareto archive of nondominated
-policy snapshots.
+policy snapshots. The archive holds each snapshot as a ``save_params``
+checkpoint in a directory the caller gives ``run``, not in memory: a
+paper-width snapshot is 49.3 MiB, and an archive holds dozens.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from .agent import AgentConfig, EnhancedD3qnAgent, evaluate_policy
 from .env import DcbUplinkEnv
 from .errors import ConfigError, DomainError, check
-from .neural import QNetworkParams
+from .neural import save_params
 from .scenario import Scenario
 from .seeding import stream
 
@@ -62,22 +65,27 @@ class ParetoArchive:
     """Mutually nondominated policy snapshots with distinct objectives.
 
     Row i of ``objectives`` (the maximized F = (f1_bar, -f2_bar, -f3_bar))
-    and of ``weights`` belongs to ``params[i]``, a frozen snapshot that is
-    never trained further.
+    and of ``weights`` belongs to ``paths[i]``, the ``save_params``
+    checkpoint in ``directory`` of that task's params when it was inserted.
+    A snapshot is written once and never trained further; an evicted row
+    deletes its file, so ``directory`` holds one file per row.
     """
 
+    directory: Path
     objectives: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     weights: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    params: list[QNetworkParams] = field(default_factory=list)
+    paths: list[Path] = field(default_factory=list)
+    insertions: int = field(default=0, init=False)   # numbers the snapshot files
 
     def __post_init__(self):
+        self.directory = Path(self.directory)
         self.objectives = np.asarray(self.objectives, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        if not self.objectives.shape == self.weights.shape == (len(self.params), 3):
-            raise DomainError("archive objectives and weights must be (n, 3) for n params")
+        if not self.objectives.shape == self.weights.shape == (len(self.paths), 3):
+            raise DomainError("archive objectives and weights must be (n, 3) for n paths")
 
     def __len__(self) -> int:
-        return len(self.params)
+        return len(self.paths)
 
     def update(self, tasks) -> int:
         """Insert each evaluated task unless dominated by or equal to a row;
@@ -92,10 +100,15 @@ class ParetoArchive:
             if np.all(rows >= f, axis=1).any():
                 continue
             keep = ~(np.all(f >= rows, axis=1) & np.any(f > rows, axis=1))
+            path = self.directory / f"snapshot_{self.insertions:06d}.npz"
+            save_params(path, task.agent.params)
+            self.insertions += 1
+            for old, kept in zip(self.paths, keep):
+                if not kept:
+                    old.unlink()
             self.objectives = np.vstack([rows[keep], f])
             self.weights = np.vstack([self.weights[keep], task.weight])
-            self.params = [p for p, kept in zip(self.params, keep) if kept]
-            self.params.append(task.agent.params.clone())
+            self.paths = [p for p, kept in zip(self.paths, keep) if kept] + [path]
             added += 1
         return added
 
@@ -138,6 +151,13 @@ def task_selection(
     return selected
 
 
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a non-empty 1-D float array, bit for bit, without
+    the ``numpy.ma`` import (about 1.3 MB resident) that ``np.unique`` makes."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
+
+
 def hypervolume(points, reference) -> float:
     """Volume dominated by a 3-D point set relative to a reference.
 
@@ -150,7 +170,7 @@ def hypervolume(points, reference) -> float:
         raise DomainError("hypervolume expects 3-D points and reference")
     if not np.all(np.all(pts >= ref, axis=1) & np.any(pts > ref, axis=1)):
         raise DomainError("reference point must be dominated by every member")
-    z_edges = np.unique(np.concatenate([[ref[2]], pts[:, 2]]))
+    z_edges = _distinct_sorted(np.concatenate([[ref[2]], pts[:, 2]]))
     total = 0.0
     for z_lo, z_hi in zip(z_edges[:-1], z_edges[1:]):
         active = pts[pts[:, 2] >= z_hi]
@@ -221,9 +241,11 @@ def _train_tasks(
         task.objectives = evaluate_policy(task.agent.params, env, eval_seeds)
 
 
-def run(env: DcbUplinkEnv, config: EmodrlConfig) -> RunResult:
+def run(env: DcbUplinkEnv, config: EmodrlConfig, directory) -> RunResult:
     """Warm-up (generation 0) plus ``t_evo`` evolutionary generations on
-    ``env``; returns the final Pareto archive.
+    ``env``; returns the final Pareto archive, whose snapshots are files in
+    the existing ``directory``. The caller owns those files: ``run`` removes
+    none it did not write, and leaves its own behind if it raises.
 
     One env serves every task and the evaluation, as reset re-seeds all
     episode state. Fully reproducible from (env.scenario, its master_seed):
@@ -255,7 +277,7 @@ def run(env: DcbUplinkEnv, config: EmodrlConfig) -> RunResult:
     eval_rng = stream(master, "evaluation")
     eval_seeds = [int(eval_rng.integers(2**31)) for _ in range(config.eval_episodes)]
 
-    archive = ParetoArchive()
+    archive = ParetoArchive(directory)
     directions = np.stack(generate_weights(config.buffer_count))
     z_ref = np.full(3, np.inf)   # running nadir of every F evaluated so far
     reference = hypervolume_reference(scenario)

@@ -1,9 +1,16 @@
-"""Experiment orchestration: seeded runs, CSV artifacts, SVG figures."""
+"""Experiment orchestration: seeded runs, CSV artifacts, SVG figures.
+
+``run_experiment`` trains with its archive's snapshots in a directory
+inside the run's output directory, moves each final member to
+``checkpoints/policy_<row>.npz`` and removes that directory, whether
+training returns or raises.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,7 +23,8 @@ from .baselines import BaselineKind, run_baseline_episode
 from .emodrl import EmodrlConfig, GenerationRecord, ParetoArchive, RunResult
 from .env import TRACE_DTYPE, DcbUplinkEnv, episode_objectives
 from .errors import ConfigError, StateError
-from .neural import QNetworkParams, save_params
+# Nothing here calls save_params; perfbench's tracer test reads this binding.
+from .neural import QNetworkParams, load_params, save_params
 from .scenario import Scenario
 from .seeding import stream
 
@@ -125,29 +133,39 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
     SVG figures and, last, ``report.json``, the mark of a finished run.
 
     Baselines and the favor-rate policy trace replay the same episode seed
-    so their per-slot rates are comparable. A run that fails while training
-    leaves an existing directory's files as they were. Once training returns,
-    an earlier ``report.json`` and ``checkpoints/policy_<digits>.npz`` are
-    removed first, so no report outlives a failed write or lists too few files.
+    so their per-slot rates are comparable. The archive keeps its snapshots
+    in ``snapshots/`` while training; that directory is cleared first (a
+    killed run may have left it) and removed whether training returns or
+    raises, so a run that fails while training leaves an existing
+    directory's files as they were. Once training returns, an earlier
+    ``report.json`` and ``checkpoints/policy_<digits>.npz`` are removed
+    first, so no report outlives a failed write or lists too few files.
     """
     started = time.perf_counter()
     out = Path(out_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out / "traces").mkdir(exist_ok=True)
     (out / "plots").mkdir(exist_ok=True)
+    snapshots = out / "snapshots"
+    if snapshots.exists():   # a killed run's; its files would hold disk all run
+        shutil.rmtree(snapshots)
+    snapshots.mkdir()
 
     env = DcbUplinkEnv(scenario)
-    result: RunResult = emodrl.run(env, config)
-    archive = result.archive
-    (out / "report.json").unlink(missing_ok=True)
-    for stale in (out / "checkpoints").glob("policy_*.npz"):
-        if stale.stem.removeprefix("policy_").isdecimal():
-            stale.unlink()
-    # archive.csv names each checkpoint relative to its own directory.
-    names = [f"checkpoints/policy_{i:03d}.npz" for i in range(len(archive))]
-    checkpoints = [str(out / name) for name in names]
-    for params, path in zip(archive.params, checkpoints):
-        save_params(path, params)
+    try:
+        result: RunResult = emodrl.run(env, config, snapshots)
+        archive = result.archive
+        (out / "report.json").unlink(missing_ok=True)
+        for stale in (out / "checkpoints").glob("policy_*.npz"):
+            if stale.stem.removeprefix("policy_").isdecimal():
+                stale.unlink()
+        # archive.csv names each checkpoint relative to its own directory.
+        names = [f"checkpoints/policy_{i:03d}.npz" for i in range(len(archive))]
+        checkpoints = [str(out / name) for name in names]
+        for snapshot, path in zip(archive.paths, checkpoints):
+            snapshot.replace(path)
+    finally:
+        shutil.rmtree(snapshots)
     archive_csv = out / "archive.csv"
     write_archive_csv(archive_csv, archive, names)
     generations_csv = out / "generations.csv"
@@ -157,7 +175,7 @@ def run_experiment(scenario: Scenario, config: EmodrlConfig, out_dir) -> RunRepo
     traces: dict[str, np.ndarray] = {
         kind.value: run_baseline_episode(kind, env, episode_seed) for kind in BaselineKind
     }
-    favored = archive.params[select_policy(archive.objectives, "favor-rate")]
+    favored = load_params(checkpoints[select_policy(archive.objectives, "favor-rate")])
     traces["ed3qn_favor_rate"] = greedy_rollout(favored, env, episode_seed)
 
     objectives: dict[str, tuple] = {}

@@ -61,14 +61,15 @@ def desk_emodrl_config():
 
 
 @pytest.fixture(scope="session")
-def desk_run_cache():
+def desk_run_cache(tmp_path_factory):
     cache = {}
 
     def get(seed):
         if seed not in cache:
             scenario = desk_scenario(master_seed=seed)
+            snapshots = tmp_path_factory.mktemp(f"desk_{seed}")
             started = time.perf_counter()
-            result = emodrl.run(DcbUplinkEnv(scenario), desk_emodrl_config())
+            result = emodrl.run(DcbUplinkEnv(scenario), desk_emodrl_config(), snapshots)
             cache[seed] = (scenario, result, time.perf_counter() - started)
         return cache[seed]
 
@@ -303,20 +304,25 @@ class DuplicateKeepingArchive(emodrl.ParetoArchive):
                 continue
             keep = np.array([not dominates(candidate, row) for row in self.objectives],
                             dtype=bool)
+            path = self.directory / f"snapshot_{self.insertions:06d}.npz"
+            neural.save_params(path, task.agent.params)
+            self.insertions += 1
+            for old, kept in zip(self.paths, keep):
+                if not kept:
+                    old.unlink()
             self.objectives = np.vstack([self.objectives[keep], candidate])
             self.weights = np.vstack([self.weights[keep], task.weight])
-            self.params = [p for p, kept in zip(self.params, keep) if kept]
-            self.params.append(task.agent.params.clone())
+            self.paths = [p for p, kept in zip(self.paths, keep) if kept] + [path]
             added += 1
         return added
 
 
 def test_skipping_equal_objectives_keeps_hypervolumes_and_favor_rate(
-    desk_run_cache, monkeypatch
+    desk_run_cache, monkeypatch, tmp_path
 ):
     scenario, result, _ = desk_run_cache(DESK_SEEDS[0])
     monkeypatch.setattr(emodrl, "ParetoArchive", DuplicateKeepingArchive)
-    kept = emodrl.run(DcbUplinkEnv(scenario), desk_emodrl_config())
+    kept = emodrl.run(DcbUplinkEnv(scenario), desk_emodrl_config(), tmp_path)
     matrix = result.archive.objectives
     assert len(np.unique(matrix, axis=0)) == len(matrix)
     assert np.array_equal(np.unique(kept.archive.objectives, axis=0),
@@ -327,10 +333,11 @@ def test_skipping_equal_objectives_keeps_hypervolumes_and_favor_rate(
     ours, theirs = (select_policy(r.archive.objectives, "favor-rate") for r in (result, kept))
     assert (result.archive.objectives[ours].tobytes()
             == kept.archive.objectives[theirs].tobytes())
-    assert np.array_equal(result.archive.params[ours].flat, kept.archive.params[theirs].flat)
+    assert np.array_equal(neural.load_params(result.archive.paths[ours]).flat,
+                          neural.load_params(kept.archive.paths[theirs]).flat)
 
 
-def test_criterion_8_threshold_directionality():
+def test_criterion_8_threshold_directionality(tmp_path):
     started = time.perf_counter()
     scenario = default_scenario()
     config = EmodrlConfig(
@@ -342,8 +349,10 @@ def test_criterion_8_threshold_directionality():
         ),
     )
     env = DcbUplinkEnv(scenario)
-    result = emodrl.run(env, config)
-    favored = result.archive.params[select_policy(result.archive.objectives, "favor-rate")]
+    result = emodrl.run(env, config, tmp_path)
+    favored = neural.load_params(
+        result.archive.paths[select_policy(result.archive.objectives, "favor-rate")]
+    )
 
     episode_seed = int(stream(scenario.master_seed, "trace-episode").integers(2**31))
     argp = run_baseline_episode(BaselineKind.ARGP, env, episode_seed)
@@ -400,7 +409,10 @@ def test_criterion_10_terminal_count_portability(desk_run_cache):
     scenario, result, _ = desk_run_cache(DESK_SEEDS[0])
     tendencies = ["favor-rate", "favor-energy", "favor-switching", "balanced"]
     archive = result.archive
-    policies = {t: archive.params[select_policy(archive.objectives, t)] for t in tendencies}
+    policies = {
+        t: neural.load_params(archive.paths[select_policy(archive.objectives, t)])
+        for t in tendencies
+    }
     replay_seeds = [7, 8]
     rates = {}
     for count in (8, 12):

@@ -36,8 +36,11 @@ def test_object_actions_and_rewards_are_gone():
         assert not hasattr(env, name)
 
 
-def test_run_takes_only_env_and_config():
-    assert list(inspect.signature(emodrl.run).parameters) == ["env", "config"]
+def test_run_takes_env_config_and_a_snapshot_directory():
+    # The directory is required: the archive has no in-memory mode.
+    parameters = inspect.signature(emodrl.run).parameters
+    assert list(parameters) == ["env", "config", "directory"]
+    assert parameters["directory"].default is inspect.Parameter.empty
 
 
 def test_replay_policy_takes_a_scenario():
@@ -141,10 +144,10 @@ MODULE_IMPORTS = {
     "baselines": {"enum", "numpy"},
     "channel": {"dataclasses", "math", "numpy"},
     "cli": {"argparse", "dataclasses", "os", "pathlib"},
-    "emodrl": {"dataclasses", "numpy", "typing"},
+    "emodrl": {"dataclasses", "numpy", "pathlib", "typing"},
     "env": {"math", "numpy", "operator"},
     "errors": {"numbers"},
-    "harness": {"dataclasses", "json", "numpy", "pathlib", "time"},
+    "harness": {"dataclasses", "json", "numpy", "pathlib", "shutil", "time"},
     "neural": {"_queue", "dataclasses", "math", "numpy", "os", "threading"},
     "orbits": {"dataclasses", "math", "numpy"},
     "scenario": {"dataclasses", "json", "math", "pathlib"},

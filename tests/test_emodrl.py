@@ -1,5 +1,8 @@
 import dataclasses
+import io
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +45,12 @@ def stub_task(objectives, weight=(1 / 3, 1 / 3, 1 / 3)):
         agent=_StubAgent(),
         objectives=np.asarray(objectives, dtype=float),
     )
+
+
+def subdir(root, name):
+    directory = root / name
+    directory.mkdir()
+    return directory
 
 
 def tiny_emodrl_config(**overrides):
@@ -132,20 +141,26 @@ class TestDominates:
         assert not dominates([1.5, 2.0, 0.0], [1.5, 2.0, 0.0])
 
 
+def snapshot_bytes(params) -> bytes:
+    buffer = io.BytesIO()
+    neural.save_params(buffer, params)
+    return buffer.getvalue()
+
+
 class TestArchive:
-    def test_insert_into_empty(self):
-        archive = ParetoArchive()
+    def test_insert_into_empty(self, tmp_path):
+        archive = ParetoArchive(tmp_path)
         assert archive.update([stub_task([1, 1, 1])]) == 1
         assert len(archive) == 1
 
-    def test_dominated_candidate_ignored(self):
-        archive = ParetoArchive()
+    def test_dominated_candidate_ignored(self, tmp_path):
+        archive = ParetoArchive(tmp_path)
         archive.update([stub_task([2, 2, 2])])
         assert archive.update([stub_task([1, 1, 1])]) == 0
         assert len(archive) == 1
 
-    def test_dominating_candidate_evicts(self):
-        archive = ParetoArchive()
+    def test_dominating_candidate_evicts(self, tmp_path):
+        archive = ParetoArchive(tmp_path)
         archive.update([stub_task([1, 1, 1]), stub_task([0.5, 2, 1])])
         archive.update([stub_task([2, 2, 2])])
         objectives = {tuple(f) for f in archive.objectives}
@@ -153,18 +168,18 @@ class TestArchive:
         assert (2.0, 2.0, 2.0) in objectives
         assert (0.5, 2.0, 1.0) not in objectives  # dominated by (2,2,2)
 
-    def test_equal_candidate_skipped_and_first_member_kept(self):
-        archive = ParetoArchive()
+    def test_equal_candidate_skipped_and_first_member_kept(self, tmp_path):
+        archive = ParetoArchive(tmp_path)
         first = stub_task([1, 2, 3])
         assert archive.update([first, stub_task([1, 2, 3]), stub_task([3, 2, 1])]) == 2
         assert archive.update([stub_task([1.0, 2.0, 3.0])]) == 0
         assert [tuple(f) for f in archive.objectives] == [(1, 2, 3), (3, 2, 1)]
-        assert np.array_equal(archive.params[0].flat, first.agent.params.flat)
+        assert np.array_equal(neural.load_params(archive.paths[0]).flat, first.agent.params.flat)
 
-    def test_random_stream_matches_brute_force(self):
+    def test_random_stream_matches_brute_force(self, tmp_path):
         rng = np.random.default_rng(42)
         stream_points = rng.random(size=(50, 3))
-        archive = ParetoArchive()
+        archive = ParetoArchive(tmp_path)
         for p in stream_points:
             archive.update([stub_task(p)])
         archived = {tuple(f) for f in archive.objectives}
@@ -174,17 +189,17 @@ class TestArchive:
                 if i != j:
                     assert not dominates(a, b)
 
-    def test_empty_by_default_and_rows_must_align(self):
-        archive = ParetoArchive()
+    def test_empty_by_default_and_rows_must_align(self, tmp_path):
+        archive = ParetoArchive(tmp_path)
         assert archive.objectives.shape == archive.weights.shape == (0, 3)
-        assert archive.params == [] and len(archive) == 0
+        assert archive.paths == [] and len(archive) == 0
         with pytest.raises(DomainError):
-            ParetoArchive(objectives=np.zeros((1, 3)), weights=np.zeros((1, 3)))
+            ParetoArchive(tmp_path, objectives=np.zeros((1, 3)), weights=np.zeros((1, 3)))
         with pytest.raises(DomainError):
-            ParetoArchive(objectives=np.zeros((1, 2)), weights=np.zeros((1, 2)),
-                          params=[_StubAgent().params])
+            ParetoArchive(tmp_path, objectives=np.zeros((1, 2)), weights=np.zeros((1, 2)),
+                          paths=[tmp_path / "snapshot.npz"])
 
-    def test_matches_list_archive_on_streams_with_ties_and_nan(self):
+    def test_matches_list_archive_on_streams_with_ties_and_nan(self, tmp_path):
         # Objectives on a coarse grid give exact ties, equal rows and
         # partial dominance; one NaN row per stream is never dominated and
         # never dominates. Each task carries its own params, so the order
@@ -199,7 +214,9 @@ class TestArchive:
                 task.agent.params = neural.QNetworkParams((2, 3, 2))
                 task.agent.params.flat[:] = k
                 tasks.append(task)
-            archive, oracle = ParetoArchive(), ListArchive()
+            directory = tmp_path / str(seed)
+            directory.mkdir()
+            archive, oracle = ParetoArchive(directory), ListArchive()
             cuts = np.sort(rng.choice(np.arange(1, 40), size=6, replace=False))
             for chunk in np.split(np.arange(40), cuts):
                 batch = [tasks[i] for i in chunk]
@@ -210,15 +227,45 @@ class TestArchive:
                     [f for _, f, _ in members], (-1, 3)).tobytes()
                 assert archive.weights.tobytes() == np.reshape(
                     [w for _, _, w in members], (-1, 3)).tobytes()
-                assert [q.flat[0] for q in archive.params] == [q.flat[0] for q, _, _ in members]
-            assert all(q is not t.agent.params for q in archive.params for t in tasks)
+                assert [neural.load_params(path).flat[0] for path in archive.paths] == [
+                    q.flat[0] for q, _, _ in members]
 
-    def test_snapshots_frozen_against_later_training(self):
-        archive = ParetoArchive()
+    def test_snapshots_frozen_against_later_training(self, tmp_path):
+        archive = ParetoArchive(tmp_path)
         task = stub_task([1, 1, 1])
         archive.update([task])
         task.agent.params.trunk_weights[0][:] = 123.0
-        assert not np.any(archive.params[0].trunk_weights[0] == 123.0)
+        assert not np.any(neural.load_params(archive.paths[0]).trunk_weights[0] == 123.0)
+
+    def test_the_directory_holds_one_file_per_row(self, tmp_path):
+        rng = np.random.default_rng(11)
+        archive = ParetoArchive(tmp_path)
+        for _ in range(30):
+            archive.update([stub_task(rng.integers(0, 4, size=3)) for _ in range(3)])
+            assert sorted(tmp_path.iterdir()) == sorted(archive.paths)
+            assert len(set(archive.paths)) == len(archive)
+        assert archive.insertions > len(archive)   # rows were evicted on the way
+
+    def test_each_file_holds_its_task_params_at_insertion(self, tmp_path):
+        # Each task's own params keep training after it is archived; its
+        # file keeps the bytes save_params wrote when it went in.
+        rng = np.random.default_rng(12)
+        expected = {}
+        archive = ParetoArchive(tmp_path)
+        tasks = []
+        for k in range(25):
+            task = stub_task(rng.random(3))
+            task.agent.params = neural.QNetworkParams((2, 3, 2))
+            task.agent.params.flat[:] = rng.normal(size=task.agent.params.flat.size)
+            tasks.append(task)
+            at_insertion = snapshot_bytes(task.agent.params)
+            if archive.update([task]):
+                expected[archive.paths[-1]] = at_insertion
+            for trained in tasks:
+                trained.agent.params.flat += 1.0
+            for path in archive.paths:
+                assert path.read_bytes() == expected[path]
+        assert len(archive) >= 2 and archive.insertions > len(archive)
 
 
 def bucket(tasks, population=(), buffer_count=3, buffer_size=1):
@@ -255,7 +302,7 @@ class TestBufferBank:
         population = bucket(tasks, buffer_count=2, buffer_size=2)
         assert len(population) <= 2 * 2
 
-    def test_nadir_is_running_minimum(self, monkeypatch):
+    def test_nadir_is_running_minimum(self, monkeypatch, tmp_path):
         # Every z_ref that run hands tpu is the elementwise minimum of
         # every F evaluated up to then, warm-up included. Scripted random F
         # (inside the hypervolume box) stand in for training, so the
@@ -275,7 +322,7 @@ class TestBufferBank:
 
         monkeypatch.setattr(emodrl, "_train_tasks", scripted_train)
         monkeypatch.setattr(emodrl, "tpu", recording_tpu)
-        run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config(t_evo=4))
+        run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config(t_evo=4), tmp_path)
         assert len(seen) == 4
         for z_ref, nadir in seen:
             assert np.array_equal(z_ref, nadir)
@@ -347,16 +394,51 @@ class TestHypervolume:
         with pytest.raises(DomainError):
             hypervolume([[2, 2, 2], row], [0, 0, 0])
 
+    def test_z_levels_equal_numpy_unique(self):
+        # The sweep's z levels are np.unique's, bit for bit, on random sets
+        # and on sets with ties and signed zeros.
+        rng = np.random.default_rng(13)
+        sets = [rng.random(n) for n in (1, 2, 7, 40)]
+        sets += [rng.integers(-2, 3, size=n).astype(float) for n in (3, 12, 40)]
+        sets += [np.array([0.0, -0.0, 1.0, -0.0, 0.0, 2.0, 1.0]), np.array([-0.0, 0.0])]
+        for values in sets:
+            expected = np.unique(values)
+            assert emodrl._distinct_sorted(values).tobytes() == expected.tobytes(), values
+            assert emodrl._distinct_sorted(values[::-1]).tobytes() == np.unique(
+                values[::-1]).tobytes()
+
+    def test_a_run_imports_no_numpy_ma(self):
+        # np.unique imports numpy.ma (about 1.3 MB resident) for one
+        # is_masked check; a run needs none of it.
+        script = (
+            "import sys, tempfile\n"
+            "from leodcb.emodrl import EmodrlConfig, run\n"
+            "from leodcb.agent import AgentConfig\n"
+            "from leodcb.env import DcbUplinkEnv\n"
+            "from leodcb.scenario import micro_scenario\n"
+            "config = EmodrlConfig(n_tasks=2, t_warm=2, t_task=1, t_evo=2, buffer_count=4,\n"
+            "    buffer_size=2, eval_episodes=1, agent=AgentConfig(replay_capacity=200,\n"
+            "    batch_size=8, target_sync_period=10, grad_steps_per_iteration=2,\n"
+            "    learning_rate=1e-3, hidden_sizes=(8, 8)))\n"
+            "with tempfile.TemporaryDirectory() as directory:\n"
+            "    result = run(DcbUplinkEnv(micro_scenario()), config, directory)\n"
+            "assert len(result.generations) == 3\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert done.stdout.strip() == "False"
+
 
 class TestRun:
-    def test_zero_generations_returns_warmup_archive(self):
-        result = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config(t_evo=0))
+    def test_zero_generations_returns_warmup_archive(self, tmp_path):
+        result = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config(t_evo=0), tmp_path)
         assert len(result.generations) == 1
         assert result.generations[0].generation == 0
         assert len(result.archive) >= 1
 
-    def test_desk_scale_invariants(self):
-        result = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config())
+    def test_desk_scale_invariants(self, tmp_path):
+        result = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config(), tmp_path)
         archive = result.archive
         assert len(archive) >= 1
         for i, a in enumerate(archive.objectives):
@@ -369,21 +451,21 @@ class TestRun:
             bound = 5 * 2  # buffer_count * buffer_size
             assert record.population_size <= max(bound, 2)
 
-    def test_reproducible_from_master_seed(self):
-        first = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config())
-        second = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config())
+    def test_reproducible_from_master_seed(self, tmp_path):
+        first = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config(), subdir(tmp_path, "a"))
+        second = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config(), subdir(tmp_path, "b"))
         assert np.array_equal(first.archive.objectives, second.archive.objectives)
         assert [g.hypervolume for g in first.generations] == [
             g.hypervolume for g in second.generations
         ]
 
-    def test_live_task_weights_on_strict_simplex(self):
-        result = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config())
+    def test_live_task_weights_on_strict_simplex(self, tmp_path):
+        result = run(DcbUplinkEnv(micro_scenario()), tiny_emodrl_config(), tmp_path)
         for weight in result.archive.weights:
             assert np.all(weight > 0)
             assert weight.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_one_env_serves_every_task_and_the_evaluation(self, monkeypatch):
+    def test_one_env_serves_every_task_and_the_evaluation(self, monkeypatch, tmp_path):
         env = DcbUplinkEnv(micro_scenario())
         built, stepped = [], set()
         init, step = DcbUplinkEnv.__init__, DcbUplinkEnv.step
@@ -398,13 +480,20 @@ class TestRun:
 
         monkeypatch.setattr(DcbUplinkEnv, "__init__", counting_init)
         monkeypatch.setattr(DcbUplinkEnv, "step", recording_step)
-        run(env, tiny_emodrl_config())
+        run(env, tiny_emodrl_config(), tmp_path)
         assert built == []
         assert stepped == {id(env)}
 
-    def test_different_seed_changes_training(self):
+    def test_different_seed_changes_training(self, tmp_path):
         base = micro_scenario()
         other = dataclasses.replace(base, master_seed=base.master_seed + 1)
-        first = run(DcbUplinkEnv(base), tiny_emodrl_config())
-        second = run(DcbUplinkEnv(other), tiny_emodrl_config())
+        first = run(DcbUplinkEnv(base), tiny_emodrl_config(), subdir(tmp_path, "a"))
+        second = run(DcbUplinkEnv(other), tiny_emodrl_config(), subdir(tmp_path, "b"))
         assert not np.array_equal(first.archive.objectives, second.archive.objectives)
+
+    def test_the_directory_ends_with_the_archive_files(self, tmp_path):
+        env = DcbUplinkEnv(micro_scenario())
+        result = run(env, tiny_emodrl_config(), tmp_path)
+        assert sorted(tmp_path.iterdir()) == sorted(result.archive.paths)
+        for path in result.archive.paths:
+            assert neural.load_params(path).n_actions == env.n_actions

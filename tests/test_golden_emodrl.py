@@ -9,6 +9,7 @@ only when a change to run results is intended, and say so.
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,8 @@ def sha256(array: np.ndarray) -> str:
 
 
 def digests() -> dict:
-    result = run(DcbUplinkEnv(micro_scenario()), CONFIG)
+    with tempfile.TemporaryDirectory() as snapshots:
+        result = run(DcbUplinkEnv(micro_scenario()), CONFIG, snapshots)
     return {
         "archive_size": len(result.archive),
         "generations": len(result.generations),

@@ -316,9 +316,9 @@ class TestSelectPolicy:
         rows = np.array([[1.0, -5.0, 0.0], [3.0, -9.0, -1.0], [2.0, -1.0, 0.0]])
         assert select_policy(rows, "balanced") == select_policy(6 * rows, "balanced") == 2
 
-    def test_empty_archive_rejected(self):
+    def test_empty_archive_rejected(self, tmp_path):
         with pytest.raises(StateError):
-            select_policy(ParetoArchive().objectives, "balanced")
+            select_policy(ParetoArchive(tmp_path).objectives, "balanced")
 
     def test_unknown_preference_rejected(self):
         with pytest.raises(StateError, match="favor-rate"):
@@ -563,6 +563,40 @@ class TestOneRunPerDirectory:
         assert policies == sorted([*listed, str(checkpoints / "policy_best.npz")])
         assert (checkpoints / "notes.txt").exists()
 
+    def test_a_rerun_clears_a_killed_runs_snapshots(self, tmp_path, monkeypatch):
+        from leodcb import emodrl
+
+        # A killed run leaves its archive's snapshot directory behind.
+        leftover = tmp_path / "snapshots"
+        leftover.mkdir()
+        for name in ("snapshot_000000.npz", "snapshot_000031.npz"):
+            (leftover / name).write_bytes(b"a killed run's snapshot")
+        real_run, at_start = emodrl.run, []
+
+        def recording_run(env, config, directory):
+            at_start.append(sorted(Path(directory).iterdir()))
+            return real_run(env, config, directory)
+
+        monkeypatch.setattr(emodrl, "run", recording_run)
+        report = run_experiment(micro_scenario(), tiny_config(), tmp_path)
+        assert at_start == [[]]
+        assert not leftover.exists()
+        assert sorted(str(p) for p in tmp_path.rglob("*.npz")) == sorted(report.checkpoints)
+
+    def test_the_trace_loads_only_the_favor_rate_member(self, tmp_path, monkeypatch):
+        from leodcb import harness
+
+        loaded = []
+
+        def recording_load(path):
+            loaded.append(Path(path).name)
+            return neural.load_params(path)
+
+        monkeypatch.setattr(harness, "load_params", recording_load)
+        run_experiment(micro_scenario(), tiny_config(), tmp_path)
+        objectives, _, _ = load_archive(tmp_path / "archive.csv")
+        assert loaded == [f"policy_{select_policy(objectives, 'favor-rate'):03d}.npz"]
+
     def test_a_run_that_fails_while_training_changes_no_file(self, tmp_path, monkeypatch):
         from leodcb import emodrl
 
@@ -704,7 +738,8 @@ class TestCli:
         checkpoint = tmp_path / "policy.npz"
         save_params(checkpoint, params)
         archive = ParetoArchive(
-            objectives=[[1.0, -1.0, -0.5]], weights=np.full((1, 3), 1 / 3), params=[params]
+            tmp_path, objectives=[[1.0, -1.0, -0.5]], weights=np.full((1, 3), 1 / 3),
+            paths=[checkpoint],
         )
         write_archive_csv(tmp_path / "archive.csv", archive, [str(checkpoint)])
         with pytest.raises(SystemExit) as exited:
